@@ -39,18 +39,21 @@ class ChannelFormatError(ChannelError):
         super().__init__(message)
 
 
-def _merge_points(eps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by eps and merge runs of points closer than EPS_MERGE_TOL.
+def _merge_points(
+    eps: np.ndarray, w: np.ndarray, tol: float = EPS_MERGE_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by eps and merge runs of points closer than tol.
 
     Bit-identical eps values merge losslessly; nearby ones merge to their
-    weighted mean so functionals move by at most O(EPS_MERGE_TOL).
+    weighted mean so functionals move by at most O(tol).  The weights must
+    be positive for the mean to stay inside the run.
     """
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
     w = w[order]
-    if eps.size == 1:
+    if eps.size <= 1:
         return eps.copy(), w.copy()
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(eps) > EPS_MERGE_TOL)))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(eps) > tol)))
     if starts.size == eps.size:
         return eps.copy(), w.copy()
     ends = np.concatenate((starts[1:], [eps.size]))

@@ -97,15 +97,24 @@ def kernel_inv(tag: Functional, y: float) -> float:
     raise ValueError("the error-probability functional has no kernel")
 
 
+def pointwise(tag: Functional, eps: np.ndarray) -> np.ndarray:
+    """Phi(BSC(eps)) for each crossover probability in an array.
+
+    E(BSC(eps)) = eps, H(BSC(eps)) = h2(eps), B(BSC(eps)) = 2 sqrt(eps (1-eps));
+    every functional of a mixture is the weighted sum of these values.
+    """
+    if tag is Functional.E:
+        return eps
+    if tag is Functional.H:
+        return h2_vec(eps)
+    if tag is Functional.B:
+        return 2.0 * np.sqrt(eps * (1.0 - eps))
+    raise ValueError(f"unknown functional {tag!r}")
+
+
 def evaluate(tag: Functional, a: Channel) -> float:
     """Closed-form value of the selected functional on a discrete channel."""
-    if tag is Functional.E:
-        return float(np.dot(a.w, a.eps))
-    if tag is Functional.H:
-        return float(np.dot(a.w, h2_vec(a.eps)))
-    if tag is Functional.B:
-        return float(np.dot(a.w, 2.0 * np.sqrt(a.eps * (1.0 - a.eps))))
-    raise ValueError(f"unknown functional {tag!r}")
+    return float(np.dot(a.w, pointwise(tag, a.eps)))
 
 
 _LN2 = math.log(2.0)

@@ -14,21 +14,38 @@ search plus local refinement; repeating over all coordinates descends
 monotonically.  A converged tuple whose coordinates all collapse to the
 constraint-matched BSC (or BEC) certifies the corresponding extremality
 hypothesis for the original objective.
+
+The subset sums are computed in the x = 1 - 2*eps domain, where check
+convolution multiplies points and weights (Richardson & Urbanke, *Modern
+Coding Theory*, ch. 4).  A measure is an unnormalized (x, w) pair of
+arrays, and E_j(S) is the sum over the j-subsets T of S of the convolution
+of the channels in T, a measure of mass C(|S|, j).  Adding a coordinate a
+to S is the elementary-symmetric step
+
+    E_j(S + a) = E_j(S) + E_{j-1}(S) (*) a,        E_0 = BSC(0), mass 1,
+
+one outer product per order j.  After each step, points closer than
+X_MERGE_TOL in x merge to their weighted mean, the rule channels apply in
+eps; nothing is dropped or renormalized.  Each sweep builds the suffix sums
+E_j(coordinates i+1..d-1) for every i in one backward pass and carries the
+prefix sums E_j(coordinates 0..i-1) forward as coordinates are updated, so
+the sums over the coordinates other than i are the convolution sums
+sum_t E_t(prefix) (*) E_{j-t}(suffix).  Only orders j <= min(deg rho, d-1)
+are kept.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Channel, bec, bsc
-from .convolution import check_convolve
-from .functionals import Functional, evaluate, h2, h2_inv, h2_vec
+from .channel import EPS_MERGE_TOL, Channel, _merge_points, bec, bsc
+from .functionals import Functional, h2, h2_inv, pointwise
 from .series import Polynomial
 
 # Coordinates closer than this (in transport distance) to the matched
@@ -40,6 +57,16 @@ DEFAULT_GRID = 256
 DEFAULT_REFINE_PASSES = 4
 
 RUN_CSV_HEADER = "seed,sweep,objective,coords"
+
+# Measure points closer than this in x = 1 - 2*eps merge: the EPS_MERGE_TOL
+# rule of channels, carried over to x.
+X_MERGE_TOL = 2.0 * EPS_MERGE_TOL
+
+# An unnormalized weight measure: points x = 1 - 2*eps and their weights.
+Measure = tuple[np.ndarray, np.ndarray]
+
+_EMPTY: Measure = (np.empty(0), np.empty(0))
+_IDENTITY: Measure = (np.ones(1), np.ones(1))  # BSC(0), the empty convolution
 
 
 class Verdict(enum.Enum):
@@ -69,6 +96,17 @@ class TwoPointChannel:
             return bsc(self.eps2)
         return Channel(
             np.array([self.eps1, self.eps2]), np.array([self.alpha, 1.0 - self.alpha])
+        )
+
+    def measure(self) -> Measure:
+        """The weight measure in x = 1 - 2*eps, with the degenerate forms of channel()."""
+        if self.alpha == 1.0 or self.eps1 == self.eps2:
+            return np.array([1.0 - 2.0 * self.eps1]), np.ones(1)
+        if self.alpha == 0.0:
+            return np.array([1.0 - 2.0 * self.eps2]), np.ones(1)
+        return (
+            np.array([1.0 - 2.0 * self.eps1, 1.0 - 2.0 * self.eps2]),
+            np.array([self.alpha, 1.0 - self.alpha]),
         )
 
     def constraint_value(self, tag: Functional) -> float:
@@ -111,11 +149,38 @@ def _matched_extremes(tag: Functional, target: float) -> tuple[Channel, Channel]
     return bsc_ref, bec_ref
 
 
-def _fold(channels: Sequence[Channel]) -> Channel:
-    out = bsc(0.0)
-    for ch in channels:
-        out = check_convolve(out, ch)
-    return out
+def _convolve(a: Measure, b: Measure) -> Measure:
+    return np.outer(a[0], b[0]).ravel(), np.outer(a[1], b[1]).ravel()
+
+
+def _merged_sum(parts: Sequence[Measure]) -> Measure:
+    """Sum of measures with points closer than X_MERGE_TOL merged."""
+    parts = [p for p in parts if p[0].size]
+    if not parts:
+        return _EMPTY
+    return _merge_points(
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), X_MERGE_TOL
+    )
+
+
+def _add(sums: Sequence[Measure], a: Measure) -> list[Measure]:
+    """E_j(S + a) = E_j(S) + E_{j-1}(S) (*) a for every kept order j."""
+    return [sums[0]] + [
+        _merged_sum((sums[j], _convolve(sums[j - 1], a))) for j in range(1, len(sums))
+    ]
+
+
+def _symmetric_sums(measures: Sequence[Measure], order: int) -> list[Measure]:
+    """E_0 .. E_order of a set of measures."""
+    sums = [_IDENTITY] + [_EMPTY] * order
+    for a in measures:
+        sums = _add(sums, a)
+    return sums
+
+
+def _value(tag: Functional, m: Measure) -> float:
+    """Phi of an unnormalized measure: sum_p w_p Phi(BSC((1 - x_p) / 2))."""
+    return float(np.dot(m[1], pointwise(tag, 0.5 * (1.0 - m[0]))))
 
 
 def symmetrized_objective(
@@ -123,23 +188,17 @@ def symmetrized_objective(
 ) -> float:
     """The subset-averaged stand-in for Phi(rho(a)) on a tuple of channels.
 
-    Equals Phi(rho(a)) exactly when all coordinates equal a.
+    Equals sum_k c_k C(d,k)^{-1} Phi(E_k(channels)), and Phi(rho(a))
+    exactly when all coordinates equal a.
     """
     d = len(channels)
     if d < rho.degree:
         raise ValueError(f"need at least deg(rho)={rho.degree} coordinates, got {d}")
+    sums = _symmetric_sums([(1.0 - 2.0 * ch.eps, ch.w) for ch in channels], rho.degree)
     total = 0.0
     for k, c in rho.terms:
-        scale = c / math.comb(d, k)
-        for combo in combinations(range(d), k):
-            total += scale * evaluate(tag, _fold([channels[j] for j in combo]))
+        total += c / math.comb(d, k) * _value(tag, sums[k])
     return total
-
-
-def _phi_pointwise(tag: Functional, eps: np.ndarray) -> np.ndarray:
-    if tag is Functional.H:
-        return h2_vec(eps)
-    return 2.0 * np.sqrt(eps * (1.0 - eps))
 
 
 @dataclass
@@ -148,7 +207,13 @@ class _Profile:
 
     For a delta coordinate at eps the symmetrized objective equals
     const + sum_p w_p * phi(combine(eps, eps_p)); two-point coordinates are
-    the matching convex combinations.
+    the matching convex mixtures.  With E_j the subset sums over the
+    coordinates other than i, the points are those of E_{k-1} weighted by
+    c_k / C(d,k) for every term c_k X^k of rho, and const is the sum of
+    c_k / C(d,k) Phi(E_k) over the terms with k <= d-1.  Each E_j comes
+    from the prefix and suffix sums, merged by the X_MERGE_TOL rule; the
+    terms' points are then pooled, and only bit-identical ones collapse,
+    since term weights can be negative.
     """
 
     tag: Functional
@@ -161,29 +226,37 @@ class _Profile:
         if self.x_pts.size == 0:
             return np.full(xg.shape, self.const)
         inner = 0.5 * (1.0 - np.outer(xg, self.x_pts))
-        return self.const + _phi_pointwise(self.tag, inner) @ self.w_pts
+        return self.const + pointwise(self.tag, inner) @ self.w_pts
 
 
 def _profile_for(
-    rho: Polynomial, tag: Functional, coords: Sequence[Channel], i: int
+    rho: Polynomial,
+    tag: Functional,
+    d: int,
+    prefix: Sequence[Measure],
+    suffix: Sequence[Measure],
 ) -> _Profile:
-    d = len(coords)
-    others = [j for j in range(d) if j != i]
+    """One coordinate's profile from the subset sums E_0..E_m of the
+    coordinates before it (prefix) and after it (suffix), m >= min(deg rho, d-1)."""
+    others: dict[int, Measure] = {}
+
+    def other_sums(j: int) -> Measure:
+        if j not in others:
+            others[j] = _merged_sum([_convolve(prefix[t], suffix[j - t]) for t in range(j + 1)])
+        return others[j]
+
     const = 0.0
     xs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
     for k, c in rho.terms:
         scale = c / math.comb(d, k)
-        for combo in combinations(others, k - 1):
-            conv = _fold([coords[j] for j in combo])
-            xs.append(1.0 - 2.0 * conv.eps)
-            ws.append(scale * conv.w)
+        x, w = other_sums(k - 1)
+        xs.append(x)
+        ws.append(scale * w)
         if k <= d - 1:
-            for combo in combinations(others, k):
-                const += scale * evaluate(tag, _fold([coords[j] for j in combo]))
+            const += scale * _value(tag, other_sums(k))
     x_all = np.concatenate(xs)
     w_all = np.concatenate(ws)
-    # Collapse bit-identical points; big win once coordinates degenerate.
     x_uniq, inverse = np.unique(x_all, return_inverse=True)
     w_uniq = np.zeros_like(x_uniq)
     np.add.at(w_uniq, inverse, w_all)
@@ -199,6 +272,17 @@ CONSTRAINT_TOL = 1e-10
 # while genuine improvements in even the flattest landscapes (high-entropy
 # cells move the objective at the 1e-12 scale) stay above it.
 TIE_BAND = 1e-14
+
+
+@functools.lru_cache(maxsize=16)
+def _constraint_grid(constraint: Functional, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eps grid on [0, 1/2] and the constraint values on it, read-only."""
+    g = _constraint_fn(constraint)
+    eps_grid = np.linspace(0.0, 0.5, grid)
+    g_vals = np.array([g(e) for e in eps_grid])
+    eps_grid.flags.writeable = False
+    g_vals.flags.writeable = False
+    return eps_grid, g_vals
 
 
 def _pair_value(
@@ -245,8 +329,7 @@ def best_coordinate(
     g = _constraint_fn(constraint)
     sign = 1.0 if minimize else -1.0
 
-    eps_grid = np.linspace(0.0, 0.5, grid)
-    g_vals = np.array([g(e) for e in eps_grid])
+    eps_grid, g_vals = _constraint_grid(constraint, grid)
     prof = profile(eps_grid) - profile.const  # affine part only, const added back below
     lo = g_vals[:, None]
     hi = g_vals[None, :]
@@ -382,6 +465,7 @@ def coordinate_descent(
     d = rho.degree if num_vars is None else num_vars
     if d < rho.degree:
         raise ValueError(f"need num_vars >= deg(rho) = {rho.degree}, got {d}")
+    order = min(rho.degree, d - 1)
     rng = np.random.default_rng((seed,))
     coords = _initial_coords(rng, d, constraint, target)
     running = symmetrized_objective(rho, tag, [c.channel() for c in coords])
@@ -391,8 +475,14 @@ def coordinate_descent(
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         improvement = 0.0
+        # suffixes[i] holds E_j of coordinates i+1..d-1, prefix those of 0..i-1
+        prefix = _symmetric_sums((), order)
+        suffixes = [prefix]
+        for c in reversed(coords[1:]):
+            suffixes.append(_add(suffixes[-1], c.measure()))
+        suffixes.reverse()
         for i in range(d):
-            profile = _profile_for(rho, tag, [c.channel() for c in coords], i)
+            profile = _profile_for(rho, tag, d, prefix, suffixes[i])
             before = _pair_value(
                 profile, _constraint_fn(constraint), target, coords[i].eps1, coords[i].eps2
             )[1]
@@ -414,6 +504,8 @@ def coordinate_descent(
             if delta > 0.0:
                 running = running - delta if minimize else running + delta
                 improvement += delta
+            if i < d - 1:
+                prefix = _add(prefix, coords[i].measure())
         trace.append(SweepTrace(sweep, running, tuple(coords)))
         if improvement < tol:
             converged = True

@@ -123,10 +123,6 @@ class Polynomial:
     def __call__(self, x: float) -> float:
         return float(sum(c * x**k for k, c in self.terms))
 
-    def eval_abs(self, x: float) -> float:
-        """sum_k |c_k| x^k, the coefficient-wise absolute value at x >= 0."""
-        return float(sum(abs(c) * x**k for k, c in self.terms))
-
     def as_array(self) -> np.ndarray:
         """Ascending coefficient array including the zero constant term."""
         return np.array((0.0,) + self.coeffs)

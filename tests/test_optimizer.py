@@ -1,9 +1,15 @@
+import math
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from eicomb import optimizer
 from eicomb.area import EnsembleParams
 from eicomb.bounds import random_channel, trial_rng
 from eicomb.channel import bec, bsc, channel
-from eicomb.functionals import Functional, evaluate, h2_inv
+from eicomb.convolution import check_convolve
+from eicomb.functionals import Functional, evaluate, h2, h2_inv, h2_vec
 from eicomb.optimizer import (
     TwoPointChannel,
     Verdict,
@@ -15,6 +21,64 @@ from eicomb.optimizer import (
 from eicomb.series import Polynomial, phi_of_poly, poly_from_string
 
 H, B, E = Functional.H, Functional.B, Functional.E
+
+ORACLE_RHOS = ("x^2", "x^3", "x^2+0.5x", "x^5-0.75x^6")
+
+
+# ----------------------------------------------------------------------
+# brute-force oracle: every subset folded through check_convolve
+
+
+def _fold(channels):
+    out = bsc(0.0)
+    for ch in channels:
+        out = check_convolve(out, ch)
+    return out
+
+
+def _oracle_objective(rho, tag, channels):
+    d = len(channels)
+    total = 0.0
+    for k, c in rho.terms:
+        for combo in combinations(range(d), k):
+            total += c / math.comb(d, k) * evaluate(tag, _fold([channels[j] for j in combo]))
+    return total
+
+
+def _oracle_kernel(tag, eps):
+    if tag is H:
+        return h2_vec(eps)
+    if tag is B:
+        return 2.0 * np.sqrt(eps * (1.0 - eps))
+    return eps
+
+
+def _oracle_profile(rho, tag, channels, i, eps):
+    """Coordinate i's profile on eps: const + sum_p w_p Phi(BSC(eps) (*) BSC(eps_p))."""
+    d = len(channels)
+    others = [j for j in range(d) if j != i]
+    xg = 1.0 - 2.0 * np.asarray(eps)
+    out = np.zeros(xg.shape)
+    for k, c in rho.terms:
+        scale = c / math.comb(d, k)
+        for combo in combinations(others, k - 1):
+            conv = _fold([channels[j] for j in combo])
+            inner = 0.5 * (1.0 - np.outer(xg, 1.0 - 2.0 * conv.eps))
+            out += scale * (_oracle_kernel(tag, inner) @ conv.w)
+        if k <= d - 1:
+            for combo in combinations(others, k):
+                out += scale * evaluate(tag, _fold([channels[j] for j in combo]))
+    return out
+
+
+def _profile(rho, tag, channels, i):
+    """optimizer._profile_for for coordinate i, from its prefix and suffix sums."""
+    d = len(channels)
+    order = min(rho.degree, d - 1)
+    measures = [(1.0 - 2.0 * ch.eps, ch.w) for ch in channels]
+    prefix = optimizer._symmetric_sums(measures[:i], order)
+    suffix = optimizer._symmetric_sums(measures[i + 1:], order)
+    return optimizer._profile_for(rho, tag, d, prefix, suffix)
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +157,55 @@ def test_symmetrized_single_coordinate_identity():
 def test_symmetrized_requires_enough_coordinates():
     with pytest.raises(ValueError):
         symmetrized_objective(Polynomial.monomial(3), H, [bsc(0.1), bsc(0.2)])
+
+
+# ----------------------------------------------------------------------
+# prefix/suffix subset sums against the brute-force oracle
+
+GRID = np.linspace(0.0, 0.5, optimizer.DEFAULT_GRID)
+
+
+@pytest.mark.parametrize("rho_text", ORACLE_RHOS)
+@pytest.mark.parametrize("extra", (0, 1))
+@pytest.mark.parametrize("tag", (H, B, E))
+def test_profiles_and_objective_match_subset_oracle(rho_text, extra, tag):
+    rho = poly_from_string(rho_text)
+    d = rho.degree + extra
+    for trial in range(2):
+        rng = trial_rng(43, d, trial)
+        channels = [random_channel(rng, max_support=3) for _ in range(d)]
+        want = _oracle_objective(rho, tag, channels)
+        assert abs(symmetrized_objective(rho, tag, channels) - want) <= 1e-13
+        for i in range(d):
+            got = _profile(rho, tag, channels, i)(GRID)
+            assert np.max(np.abs(got - _oracle_profile(rho, tag, channels, i, GRID))) <= 1e-13
+
+
+@pytest.mark.parametrize("ens, support", (((3, 6), 11), ((5, 10), 19)))
+def test_profile_support_collapses_on_equal_coordinates(ens, support):
+    rho = EnsembleParams(*ens).area_poly
+    a = TwoPointChannel(0.05, 0.3, 0.4).channel()
+    for i in (0, rho.degree // 2, rho.degree - 1):
+        assert _profile(rho, H, [a] * rho.degree, i).x_pts.size == support
+
+
+@pytest.mark.parametrize("tag", (E, H, B))
+def test_profile_at_incumbent_equals_objective(tag):
+    # the profile's pointwise kernel is the objective's, for E as for H and B
+    rho = Polynomial.monomial(3)
+    coords = optimizer._initial_coords(np.random.default_rng((0,)), 3, H, 0.4)
+    channels = [c.channel() for c in coords]
+    want = symmetrized_objective(rho, tag, channels)
+    for i, c in enumerate(coords):
+        p = _profile(rho, tag, channels, i)(np.array([c.eps1, c.eps2]))
+        assert c.alpha * p[0] + (1.0 - c.alpha) * p[1] == pytest.approx(want, abs=1e-13)
+
+
+def test_constraint_grid_is_cached_read_only_and_scalar_exact():
+    eps_grid, g_vals = optimizer._constraint_grid(H, optimizer.DEFAULT_GRID)
+    assert optimizer._constraint_grid(H, optimizer.DEFAULT_GRID)[1] is g_vals
+    assert not eps_grid.flags.writeable and not g_vals.flags.writeable
+    assert g_vals.tolist() == [h2(e) for e in np.linspace(0.0, 0.5, optimizer.DEFAULT_GRID)]
 
 
 # ----------------------------------------------------------------------
