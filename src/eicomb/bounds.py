@@ -28,7 +28,7 @@ import numpy as np
 from .channel import Channel, bec, bsc, mix
 from .convolution import check_convolve, check_power, phi_of_poly_convolved
 from .functionals import Functional, complement, evaluate, kernel, kernel_inv
-from .series import (Polynomial, complement_of_convolution, phi_of_poly,
+from .series import (Polynomial, complement_of_convolution, phi_of_poly_batch,
                      poly_convex_on, poly_increasing_on)
 
 # Default slack tolerances: exact-convolution checks are trusted to
@@ -322,6 +322,12 @@ def trial_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
+# The mixing partners of random_channel_with_value; channels are immutable,
+# so every draw shares them.
+_PERFECT = bsc(0.0)
+_USELESS = bsc(0.5)
+
+
 def random_channel(rng: np.random.Generator, max_support: int = MAX_RAW_SUPPORT) -> Channel:
     """Raw random channel: 1..max_support points, eps uniform on [0, 1/2],
     weights from normalized independent exponentials."""
@@ -351,8 +357,8 @@ def random_channel_with_value(
     if v == target:
         return raw
     if v > target:
-        return mix(raw, bsc(0.0), target / v)
-    return mix(raw, bsc(0.5), (top - target) / (top - v))
+        return mix(raw, _PERFECT, target / v)
+    return mix(raw, _USELESS, (top - target) / (top - v))
 
 
 # ----------------------------------------------------------------------
@@ -436,16 +442,22 @@ def _sweep(
     summary = SuiteSummary(name=name)
     for ri, rho in enumerate(rhos):
         for tag in tags:
+            # every channel of the (rho, tag) row goes through one batched
+            # series call; reports keep the (level, item, trial) order
+            cells = []
             for li, level in enumerate(levels):
                 for item in bound_factory(tag, rho, level):
                     for t in range(per_cell):
                         rng = trial_rng(seed, ri, ord(tag.value), li, t)
                         a = random_channel_with_value(rng, item.constraint, level)
-                        value = phi_of_poly(tag, rho, a, tol=phi_tol).value
-                        params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
-                        report = item.report(value, params=params, seed=seed, witnesses=(a,))
-                        reports.append(report)
-                        summary.absorb(report, tol)
+                        cells.append((level, item, t, a))
+            channels = [a for _, _, _, a in cells]
+            values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
+            for (level, item, t, a), value in zip(cells, values):
+                params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
+                report = item.report(value.value, params=params, seed=seed, witnesses=(a,))
+                reports.append(report)
+                summary.absorb(report, tol)
     return reports, summary
 
 
@@ -511,18 +523,18 @@ def bsc_minimizer_counterexamples(
     """
     eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
     reference = phi_of_poly_convolved(tag, rho, bsc(eps_match))
+    channels = [random_channel_with_value(trial_rng(seed, 99, t), tag, phi0)
+                for t in range(trials)]
+    values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
     out: list[BoundReport] = []
-    for t in range(trials):
-        rng = trial_rng(seed, 99, t)
-        a = random_channel_with_value(rng, tag, phi0)
-        value = phi_of_poly(tag, rho, a, tol=phi_tol).value
-        if value < reference - tol:
+    for t, (a, value) in enumerate(zip(channels, values)):
+        if value.value < reference - tol:
             out.append(
                 BoundReport(
                     kind="bsc_min_conjecture",
                     params=f"rho={rho};tag={tag.value};phi0={phi0!r};trial={t}",
                     lhs=reference,
-                    rhs=value,
+                    rhs=value.value,
                     seed=seed,
                     witnesses=(a,),
                 )

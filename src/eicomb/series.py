@@ -199,7 +199,7 @@ def _roots_on(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
         return []
     grid = np.linspace(lo, hi, _SIGN_GRID)
     vals = npoly.polyval(grid, coeffs)
-    roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
+    roots = grid[vals == 0.0].tolist()
     idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     for i in idx:
         a, b = float(grid[i]), float(grid[i + 1])
@@ -266,6 +266,26 @@ def _series_tag(tag: Functional) -> Functional:
     return tag
 
 
+def _check_tol(tol: float) -> None:
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+
+
+def _atom_split(a: Channel) -> tuple[float, np.ndarray, np.ndarray]:
+    """(mass at x = 1, y = x^2 and weights of the points with 0 < x < 1)."""
+    x = 1.0 - 2.0 * a.eps
+    active = (x > 0.0) & (x < 1.0)
+    return float(a.w[x == 1.0].sum()), x[active] ** 2, a.w[active]
+
+
+def _abs_terms(terms: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    return tuple((k, abs(c)) for k, c in terms)
+
+
+def _rho_at(terms: Sequence[tuple[int, float]], v: float) -> float:
+    return float(sum(c * v**k for k, c in terms))
+
+
 def _phi_terms(
     tag: Functional,
     a: Channel,
@@ -284,18 +304,13 @@ def _phi_terms(
     Truncation after N terms is bounded by
     coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    x = 1.0 - 2.0 * a.eps
-    atom = float(a.w[x == 1.0].sum())
-    active = (x > 0.0) & (x < 1.0)
+    _check_tol(tol)
+    atom, y, wa = _atom_split(a)
     rho_one = float(sum(c for _, c in terms))
-    rho_atom = float(sum(c * atom**k for k, c in terms))
-    if not np.any(active):
+    rho_atom = _rho_at(terms, atom)
+    if y.size == 0:
         return SeriesValue(rho_one - rho_atom, 0.0, 0)
-    rho_abs_atom = float(sum(abs(c) * atom**k for k, c in terms))
-    y = x[active] ** 2
-    wa = a.w[active]
+    rho_abs_atom = _rho_at(_abs_terms(terms), atom)
     z = y.copy()
     gamma = atom + float(np.dot(wa, z))
     acc = 0.0
@@ -338,6 +353,113 @@ def phi_of_poly(
 ) -> SeriesValue:
     """Phi(rho(a)) = sum_k c_k Phi(a^[k]) by moment series, within tol."""
     return _phi_terms(_series_tag(tag), a, rho.terms, tol, term_cap)
+
+
+# Blocks of the batched evaluator start at this many terms and double up
+# to the cap; a block's power table holds at most _BATCH_MAX_ENTRIES values.
+_BATCH_FIRST_BLOCK = 8
+_BATCH_MAX_BLOCK = 512
+_BATCH_MAX_ENTRIES = 1 << 22
+
+
+def _tail_block(tag: Functional, n0: int, n1: int) -> np.ndarray:
+    """coefficient_tail(tag, n) for n in [n0, n1), with the scalar arithmetic."""
+    if tag is Functional.H:
+        return 1.0 / (4.0 * LN2 * np.arange(n0, n1, dtype=float))
+    _b_tail_raw(n1)
+    return np.asarray(_B_TAIL_CACHE[n0:n1]) * (1.0 + _B_TAIL_SLACK)
+
+
+def _rho_columns(terms: Sequence[tuple[int, float]], g: np.ndarray) -> np.ndarray:
+    """sum_k c_k g^k elementwise, terms added in ascending exponent order."""
+    out = 0.0
+    for k, c in terms:
+        out = out + c * g**k
+    return out
+
+
+def phi_of_poly_batch(
+    tag: Functional,
+    rho: Polynomial,
+    channels: Sequence[Channel],
+    tol: float = 1e-10,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> list[SeriesValue]:
+    """phi_of_poly for each channel, in input order, from one blocked pass.
+
+    Terms, stop rule (bound <= tol or n >= term_cap) and the order in which
+    partial sums are added are those of the single-channel loop, so term
+    counts and bounds agree with it.  Values may differ in the last digit
+    (|delta| <= 1e-14): numpy's pow and the w . y^n sums round differently
+    from Python's float pow and BLAS's fused dot product.  Terms come in
+    blocks of 8, 16, ... up to 512; powers continue by cumprod from the
+    y^n carried over, partial sums by cumsum from the carried accumulator,
+    and a row leaves the arrays in the block where it stops.  Worth it for
+    a batch: one channel, whose series often stops after a term or two, is
+    faster through phi_of_poly.
+    """
+    tag = _series_tag(tag)
+    _check_tol(tol)
+    terms = rho.terms
+    abs_terms = _abs_terms(terms)
+    rho_one = float(sum(c for _, c in terms))
+    out: list[SeriesValue | None] = [None] * len(channels)
+    active: list[tuple[int, float, np.ndarray, np.ndarray]] = []
+    for i, a in enumerate(channels):
+        atom, y, w = _atom_split(a)
+        if y.size == 0:
+            out[i] = SeriesValue(rho_one - _rho_at(terms, atom), 0.0, 0)
+        else:
+            active.append((i, atom, y, w))
+    if not active:
+        return out
+
+    index, atom_list, y_list, w_list = zip(*active)
+    index = np.array(index)
+    atoms = np.array(atom_list)
+    rho_atom = np.array([_rho_at(terms, v) for v in atom_list])
+    rho_abs_atom = np.array([_rho_at(abs_terms, v) for v in atom_list])
+    # zero padding: a zero weight times a zero power adds nothing to gamma
+    ys = np.zeros((index.size, max(y.size for y in y_list)))
+    ws = np.zeros_like(ys)
+    for r, (y, w) in enumerate(zip(y_list, w_list)):
+        ys[r, : y.size] = y
+        ws[r, : w.size] = w
+    acc = np.zeros(index.size)
+    z = ys.copy()  # y^n0 for the block starting at term n0
+    n0, block = 1, _BATCH_FIRST_BLOCK
+    while index.size:
+        count = max(1, min(block, term_cap - n0 + 1, _BATCH_MAX_ENTRIES // ys.size))
+        powers = np.repeat(ys[:, :, None], count + 1, axis=2)
+        powers[:, :, 0] = z
+        np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
+        gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
+        rho_g = _rho_columns(terms, gamma)
+        rho_abs_g = rho_g if abs_terms == terms else _rho_columns(abs_terms, gamma)
+        sums = np.empty((index.size, count + 1))
+        sums[:, 0] = acc
+        sums[:, 1:] = _coefficient_block(tag, n0, n0 + count) * (
+            rho_g[:, :-1] - rho_atom[:, None]
+        )
+        partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
+        bound = _tail_block(tag, n0, n0 + count) * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
+        stop = (bound <= tol) | (np.arange(n0, n0 + count) >= term_cap)
+        acc = partial[:, -1]
+        z = powers[:, :, -1].copy()  # frees the table before the next block
+        done = stop.any(axis=1)
+        if done.any():
+            rows = np.flatnonzero(done)
+            first = stop[rows].argmax(axis=1)
+            values = (rho_one - rho_atom[rows]) - partial[rows, first + 1]
+            for r, j, v in zip(rows.tolist(), first.tolist(), values.tolist()):
+                out[index[r]] = SeriesValue(v, max(float(bound[r, j]), 0.0), n0 + j)
+            keep = ~done
+            index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z = (
+                v[keep] for v in (index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z)
+            )
+        n0 += count
+        block = min(2 * block, _BATCH_MAX_BLOCK)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -389,12 +511,11 @@ def complement_of_convolution(
     for ch, d in factors:
         if d < 1:
             raise ValueError(f"power must be a positive integer, got {d!r}")
-        x = 1.0 - 2.0 * ch.eps
-        atoms.append(float(ch.w[x == 1.0].sum()))
+        atom, y, w = _atom_split(ch)
+        atoms.append(atom)
         degrees.append(d)
-        active = (x > 0.0) & (x < 1.0)
-        ys.append(x[active] ** 2)
-        ws.append(ch.w[active])
+        ys.append(y)
+        ws.append(w)
     atom_prod = math.prod(a**d for a, d in zip(atoms, degrees))
     if all(y.size == 0 for y in ys):
         return atom_prod

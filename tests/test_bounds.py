@@ -17,9 +17,9 @@ from eicomb.bounds import (
     trial_rng,
     upper_bound_sweep,
 )
-from eicomb.channel import bec, bsc
+from eicomb.channel import bec, bsc, mix
 from eicomb.convolution import phi_of_poly_convolved
-from eicomb.functionals import Functional, evaluate, h2
+from eicomb.functionals import Functional, evaluate, h2, kernel_inv
 from eicomb.series import Polynomial, phi_of_poly, poly_from_string
 
 H, B, E = Functional.H, Functional.B, Functional.E
@@ -126,6 +126,23 @@ def test_fixed_value_sampler_is_exact():
             target = top * float(rng.random())
             a = random_channel_with_value(rng, tag, target)
             assert abs(evaluate(tag, a) - target) <= 1e-12
+
+
+def test_fixed_value_sampler_mixes_exactly_as_with_fresh_partners():
+    # the shared perfect/useless channels give the draws a fresh bsc() gives
+    for tag, top in ((H, 1.0), (B, 1.0), (E, 0.5)):
+        for i in range(100):
+            target = top * float(trial_rng(56, i).random())
+            a = random_channel_with_value(trial_rng(57, i), tag, target)
+            raw = random_channel(trial_rng(57, i))
+            v = evaluate(tag, raw)
+            if v > target:
+                want = mix(raw, bsc(0.0), target / v)
+            elif v < target:
+                want = mix(raw, bsc(0.5), (top - target) / (top - v))
+            else:
+                want = raw
+            assert np.array_equal(a.eps, want.eps) and np.array_equal(a.w, want.w)
 
 
 def test_fixed_value_sampler_rejects_bad_target():
@@ -237,6 +254,51 @@ def test_sweep_flags_hypothesis_failures_not_violations():
     )
     assert summary.inconclusive == summary.trials == len(reports)
     assert summary.violations == 0
+
+
+def _per_channel_sweep(seed, factory, levels, rho, tag, per_cell):
+    """The sweep's reports with one phi_of_poly call per drawn channel."""
+    out = []
+    for li, level in enumerate(levels):
+        for item in factory(tag, rho, level):
+            for t in range(per_cell):
+                a = random_channel_with_value(
+                    trial_rng(seed, 0, ord(tag.value), li, t), item.constraint, level
+                )
+                value = phi_of_poly(tag, rho, a, tol=1e-11).value
+                params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
+                out.append(item.report(value, params=params, seed=seed, witnesses=(a,)))
+    return out
+
+
+@pytest.mark.parametrize("tag", (H, B))
+def test_batched_sweep_reports_equal_per_channel_run(tag):
+    rho = poly_from_string("x^5-0.75x^6")
+    for runner, factory, levels in (
+        (upper_bound_sweep, lambda t, r, lv: (convexity_upper_bound(t, r, lv),), (0.2, 0.9)),
+        (fixed_error_sweep, fixed_error_extremes, (0.05, 0.3)),
+    ):
+        got, summary = runner(seed=9, levels=levels, rhos=(rho,), tags=(tag,), per_cell=7)
+        want = _per_channel_sweep(9, factory, levels, rho, tag, 7)
+        assert len(got) == len(want) == summary.trials
+        for g, w in zip(got, want):
+            assert (g.kind, g.params, g.seed, g.hypothesis_ok) == (
+                w.kind, w.params, w.seed, w.hypothesis_ok)
+            assert g.witnesses[0].points == w.witnesses[0].points
+            assert abs(g.lhs - w.lhs) <= 1e-14 and abs(g.rhs - w.rhs) <= 1e-14
+
+
+def test_bsc_minimizer_checker_matches_per_channel_run():
+    # a tolerance of -1 reports every trial, so each batched value is compared
+    rho = poly_from_string("x^5-0.75x^6")
+    hits = bsc_minimizer_counterexamples(B, rho, 0.3, seed=3, trials=40, tol=-1.0)
+    reference = phi_of_poly_convolved(B, rho, bsc((1.0 - kernel_inv(B, 0.3)) / 2.0))
+    assert [h.params for h in hits] == [f"rho={rho};tag=B;phi0=0.3;trial={t}" for t in range(40)]
+    for t, h in enumerate(hits):
+        a = random_channel_with_value(trial_rng(3, 99, t), B, 0.3)
+        assert h.witnesses[0].points == a.points
+        assert h.lhs == reference
+        assert abs(h.rhs - phi_of_poly(B, rho, a, tol=1e-11).value) <= 1e-14
 
 
 def test_bsc_minimizer_conjecture_checker_reports_only():

@@ -8,13 +8,17 @@ from eicomb.bounds import random_channel, random_channel_with_value, trial_rng
 from eicomb.channel import bec, bsc, channel, mix
 from eicomb.convolution import check_convolve, check_power
 from eicomb.functionals import Functional, evaluate, kernel_inv
+from eicomb import series
 from eicomb.series import (
     Polynomial,
+    _phi_terms,
+    _roots_on,
     coefficient,
     coefficient_tail,
     moment,
     moments,
     phi_of_poly,
+    phi_of_poly_batch,
     phi_series,
     poly_convex_on,
     poly_from_string,
@@ -213,6 +217,97 @@ def test_phi_of_poly_handles_atoms_at_zero_exactly():
     via_conv = sum(c * evaluate(H, check_power(a, k)) for k, c in rho.terms)
     sv = phi_of_poly(H, rho, a, tol=1e-12)
     assert abs(sv.value - via_conv) <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# batched evaluation against the single-channel loop
+
+BATCH_RHOS = (
+    Polynomial.monomial(2),
+    Polynomial.monomial(6),
+    poly_from_string("x^5 - 0.75*x^6"),
+)
+# the series hits its term cap at tol 1e-11 with this channel and x^3
+CAPPED = channel([(1e-6, 0.5), (0.3, 0.5)])
+
+
+def _batch_rows():
+    """No active point, atoms at x = 1, a slow row among fast ones, samples."""
+    rows = [bec(0.3), bsc(0.0), bsc(0.5), bsc(0.1)]
+    rows.append(mix(channel([(0.2, 0.5), (0.4, 0.5)]), bsc(0.0), 0.6))
+    rows.append(mix(channel([(0.05, 0.3), (0.45, 0.7)]), bsc(0.5), 0.5))
+    rows.append(channel([(2e-4, 0.4), (0.2, 0.6)]))  # thousands of terms
+    for i in range(24):
+        constraint, level = (H, B, E)[i % 3], 0.1 + 0.03 * i
+        top = 0.5 if constraint is E else 1.0
+        rows.append(random_channel_with_value(trial_rng(31, i), constraint, level * top))
+    return rows
+
+
+def _assert_matches_oracle(tag, rho, rows, tol, term_cap=series.DEFAULT_TERM_CAP):
+    got = phi_of_poly_batch(tag, rho, rows, tol=tol, term_cap=term_cap)
+    assert len(got) == len(rows)
+    for a, sv in zip(rows, got):
+        want = _phi_terms(tag, a, rho.terms, tol, term_cap)
+        assert sv.terms == want.terms
+        assert abs(sv.value - want.value) <= 1e-14
+        assert sv.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("tag", (H, B))
+@pytest.mark.parametrize("rho", BATCH_RHOS, ids=str)
+def test_batch_matches_single_channel_loop(tag, rho):
+    rows = _batch_rows()
+    _assert_matches_oracle(tag, rho, rows, tol=1e-11)
+    # the slow row outlives every other by several doubling blocks
+    terms = [sv.terms for sv in phi_of_poly_batch(tag, rho, rows, tol=1e-11)]
+    assert terms[:3] == [0, 0, 0]
+    assert terms[6] > 2 * max(terms[:6] + terms[7:])
+    assert min(terms[3:]) <= series._BATCH_FIRST_BLOCK
+
+
+def test_batch_term_cap_row_is_exact():
+    rows = [bsc(0.2), CAPPED, bec(0.4)]
+    got = phi_of_poly_batch(H, Polynomial.monomial(3), rows, tol=1e-11)
+    want = phi_series(H, CAPPED, 3, tol=1e-11)
+    assert got[1] == want
+    assert want.terms == series.DEFAULT_TERM_CAP
+    assert want.error_bound > 1e-11
+    _assert_matches_oracle(H, Polynomial.monomial(3), rows, tol=1e-11)
+
+
+@pytest.mark.parametrize("term_cap", (1, 5, 8, 9, 30))
+def test_batch_small_term_caps_stop_inside_blocks(term_cap):
+    for tag in (H, B):
+        _assert_matches_oracle(tag, BATCH_RHOS[2], _batch_rows(), 1e-14, term_cap)
+
+
+def test_batch_blocking_does_not_change_results(monkeypatch):
+    rows = _batch_rows()
+    rho = BATCH_RHOS[2]
+    wide = phi_of_poly_batch(B, rho, rows, tol=1e-12)
+    monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", 7)
+    assert phi_of_poly_batch(B, rho, rows, tol=1e-12) == wide
+
+
+def test_batch_empty_and_validation():
+    rho = Polynomial.monomial(2)
+    assert phi_of_poly_batch(H, rho, []) == []
+    assert phi_of_poly_batch(B, rho, [bec(0.5)]) == [phi_of_poly(B, rho, bec(0.5))]
+    with pytest.raises(ValueError):
+        phi_of_poly_batch(E, rho, [bsc(0.1)])
+    with pytest.raises(ValueError):
+        phi_of_poly_batch(H, rho, [bsc(0.1)], tol=0.0)
+
+
+def test_roots_on_keeps_exact_grid_roots():
+    # (x - 1/4)(x - 1/2) vanishes exactly on two dyadic points of the grid
+    coeffs = np.array([0.125, -0.75, 1.0])
+    grid = np.linspace(0.0, 1.0, series._SIGN_GRID)
+    vals = np.polynomial.polynomial.polyval(grid, coeffs)
+    exact = [float(g) for g, v in zip(grid, vals) if v == 0.0]
+    assert exact == [0.25, 0.5]
+    assert _roots_on(coeffs, 0.0, 1.0) == exact
 
 
 # ----------------------------------------------------------------------
