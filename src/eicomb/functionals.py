@@ -45,11 +45,10 @@ def h2(x: float) -> float:
 def h2_vec(x: np.ndarray) -> np.ndarray:
     """Vectorized binary entropy with the same endpoint convention."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inner = (x > 0.0) & (x < 1.0)
-    xi = x[inner]
-    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return out
+    q = 1.0 - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -x * np.log2(x) - q * np.log2(q)
+    return np.where((x > 0.0) & (x < 1.0), val, 0.0)
 
 
 def h2_inv(y: float) -> float:

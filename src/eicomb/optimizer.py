@@ -228,6 +228,25 @@ class _Profile:
         inner = 0.5 * (1.0 - np.outer(xg, self.x_pts))
         return self.const + pointwise(self.tag, inner) @ self.w_pts
 
+    def pairs(self, eps: np.ndarray) -> np.ndarray:
+        """The profile at k candidate pairs, a (k, 2) array, from one kernel pass.
+
+        Row i equals self(eps[i]) bit for bit.  The kernel matrix of all 2k
+        points is built at once, but each pair gets its own 2-row product:
+        BLAS sums a k-row matrix-vector product in a different order, which
+        moves values by up to ~1e-13, far above TIE_BAND, and so would
+        change which finalist wins on the flat faces of the objective.
+        """
+        eps = np.asarray(eps, dtype=float).reshape(-1, 2)
+        if self.x_pts.size == 0:
+            return np.full(eps.shape, self.const)
+        xg = 1.0 - 2.0 * eps.ravel()
+        vals = pointwise(self.tag, 0.5 * (1.0 - np.outer(xg, self.x_pts)))
+        out = np.empty(eps.shape)
+        for i in range(eps.shape[0]):
+            out[i] = self.const + vals[2 * i : 2 * i + 2] @ self.w_pts
+        return out
+
 
 def _profile_for(
     rho: Polynomial,
@@ -285,27 +304,63 @@ def _constraint_grid(constraint: Functional, grid: int) -> tuple[np.ndarray, np.
     return eps_grid, g_vals
 
 
-def _pair_value(
-    profile: _Profile,
-    g: Callable[[float], float],
-    target: float,
-    e1: float,
-    e2: float,
-) -> tuple[float, float] | None:
-    """(alpha, objective) for the constrained pair, or None if infeasible."""
-    if e1 > e2:
-        e1, e2 = e2, e1
+@functools.lru_cache(maxsize=16)
+def _pair_table(
+    constraint: Functional, grid: int, target: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid pairs (p, q) that can meet target, and their mixture weights.
+
+    A pair is feasible when g_p <= target <= g_q with g_q - g_p > 1e-15;
+    alpha = (g_q - target) / (g_q - g_p) is the mass at eps_p.  Pairs come
+    in row-major order, so an argmin over them picks the first minimal cell
+    of the full grid x grid table.  The arrays are read-only.
+    """
+    _, g_vals = _constraint_grid(constraint, grid)
+    lo = g_vals[:, None]
+    hi = g_vals[None, :]
+    p_idx, q_idx = np.nonzero((lo <= target) & (target <= hi) & (hi - lo > 1e-15))
+    alpha = (g_vals[q_idx] - target) / (g_vals[q_idx] - g_vals[p_idx])
+    for arr in (p_idx, q_idx, alpha):
+        arr.flags.writeable = False
+    return p_idx, q_idx, alpha
+
+
+def _pair_alpha(
+    g: Callable[[float], float], target: float, e1: float, e2: float
+) -> float | None:
+    """Mass at e1 <= e2 that puts the pair's constraint value at target, or
+    None if no mass does (up to CONSTRAINT_TOL)."""
     g1, g2 = g(e1), g(e2)
     if g1 - CONSTRAINT_TOL > target or g2 + CONSTRAINT_TOL < target:
         return None
     if g2 - g1 < 1e-15:
         if abs(g1 - target) > CONSTRAINT_TOL:
             return None
-        alpha = 1.0
-    else:
-        alpha = min(1.0, max(0.0, (g2 - target) / (g2 - g1)))
-    p = profile(np.array([e1, e2]))
-    return alpha, alpha * float(p[0]) + (1.0 - alpha) * float(p[1])
+        return 1.0
+    return min(1.0, max(0.0, (g2 - target) / (g2 - g1)))
+
+
+def _pair_values(
+    profile: _Profile,
+    g: Callable[[float], float],
+    target: float,
+    candidates: Sequence[tuple[float, float]],
+) -> list[tuple[float, float, float, float]]:
+    """(eps1, eps2, alpha, objective) of each feasible candidate pair, in
+    order, with eps1 <= eps2; all of them from one profile kernel pass."""
+    rows = []
+    for e1, e2 in candidates:
+        if e1 > e2:
+            e1, e2 = e2, e1
+        alpha = _pair_alpha(g, target, e1, e2)
+        if alpha is not None:
+            rows.append((e1, e2, alpha))
+    if not rows:
+        return []
+    p = profile.pairs(np.array([(e1, e2) for e1, e2, _ in rows])).tolist()
+    return [
+        (e1, e2, a, a * p1 + (1.0 - a) * p2) for (e1, e2, a), (p1, p2) in zip(rows, p)
+    ]
 
 
 def best_coordinate(
@@ -319,44 +374,36 @@ def best_coordinate(
 ) -> tuple[TwoPointChannel, float]:
     """Best constrained two-point channel for one coordinate.
 
-    Upper-triangular grid search over (eps1, eps2) with the mixture weight
-    solved from the constraint, followed by local step-halving refinement;
-    the current coordinate and the constraint-matched BSC always compete,
-    so the returned objective never loses to the incumbent.
+    Upper-triangular grid search over the precomputed feasible (eps1, eps2)
+    grid pairs of the target (_pair_table), with the mixture weight solved
+    from the constraint, followed by local step-halving refinement; the
+    current coordinate and the constraint-matched BSC always compete, so
+    the returned objective never loses to the incumbent.  The finalists of
+    each round are evaluated in one kernel pass, but each through its own
+    2-row product (_Profile.pairs), so every finalist's value is the one a
+    lone evaluation gives, bit for bit, and the TIE_BAND comparisons below
+    see no summation-order dust.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
     g = _constraint_fn(constraint)
     sign = 1.0 if minimize else -1.0
 
-    eps_grid, g_vals = _constraint_grid(constraint, grid)
+    eps_grid, _ = _constraint_grid(constraint, grid)
+    p_idx, q_idx, alpha = _pair_table(constraint, grid, target)
     prof = profile(eps_grid) - profile.const  # affine part only, const added back below
-    lo = g_vals[:, None]
-    hi = g_vals[None, :]
-    denom = hi - lo
-    feasible = (lo <= target) & (target <= hi) & (denom > 1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(feasible, (hi - target) / np.where(denom > 0.0, denom, 1.0), 0.0)
-    vals = alpha * prof[:, None] + (1.0 - alpha) * prof[None, :] + profile.const
-    vals = np.where(feasible, sign * vals, math.inf)
-    flat = int(np.argmin(vals))
-    p, q = divmod(flat, grid)
+    vals = sign * (alpha * prof[p_idx] + (1.0 - alpha) * prof[q_idx] + profile.const)
 
-    # Finalists are evaluated through one shared scalar path so comparisons
-    # against the incumbent are meaningful.  The symmetrized objective has
-    # exactly flat faces (any coordinate is optimal once all others sit at
-    # the matched BEC), on which float dust would otherwise pick an
-    # arbitrary winner; candidates within TIE_BAND of the best therefore
-    # count as tied and the tie resolves toward the wider-support pair,
-    # the deterministic completion that prefers the extremal-support tuple
-    # over initialization leftovers.
+    # The symmetrized objective has exactly flat faces (any coordinate is
+    # optimal once all others sit at the matched BEC), on which float dust
+    # would otherwise pick an arbitrary winner; finalists within TIE_BAND of
+    # the best therefore count as tied and the tie resolves toward the
+    # wider-support pair, the deterministic completion that prefers the
+    # extremal-support tuple over initialization leftovers.
     finalists: list[tuple[float, float, float, float, float]] = []
 
-    def consider(e1: float, e2: float) -> None:
-        got = _pair_value(profile, g, target, e1, e2)
-        if got is not None:
-            a, v = got
-            e1, e2 = min(e1, e2), max(e1, e2)
+    def add(candidates: list[tuple[float, float]]) -> None:
+        for e1, e2, a, v in _pair_values(profile, g, target, candidates):
             finalists.append((sign * v, e1 - e2, e1, e2, a))
 
     def chosen() -> tuple[float, float, float, float, float]:
@@ -365,21 +412,25 @@ def best_coordinate(
 
     # The incumbent always competes, as do the two corner structures a
     # single linear constraint admits: the matched one-point channel and
-    # the full-spread pair on {0, 1/2}.
-    consider(float(current.eps1), float(current.eps2))
+    # the full-spread pair on {0, 1/2}; the grid winner joins them.
     eps_star = _constraint_inv(constraint, target)
-    consider(eps_star, eps_star)
-    consider(0.0, 0.5)
-    if math.isfinite(vals[p, q]):
-        consider(float(eps_grid[p]), float(eps_grid[q]))
+    first = [(float(current.eps1), float(current.eps2)), (eps_star, eps_star), (0.0, 0.5)]
+    best = int(np.argmin(vals)) if vals.size else -1
+    refine = best >= 0 and math.isfinite(vals[best])
+    if refine:
+        first.append((float(eps_grid[p_idx[best]]), float(eps_grid[q_idx[best]])))
+    add(first)
+    if refine:
         step = 0.5 / (grid - 1)
         for _ in range(refine_passes):
             step *= 0.5
             _, _, e1, e2, _ = chosen()
-            for u in (e1 - step, e1, e1 + step):
-                for v in (e2 - step, e2, e2 + step):
-                    if 0.0 <= u <= 0.5 and 0.0 <= v <= 0.5 and (u, v) != (e1, e2):
-                        consider(u, v)
+            add([
+                (u, v)
+                for u in (e1 - step, e1, e1 + step)
+                for v in (e2 - step, e2, e2 + step)
+                if 0.0 <= u <= 0.5 and 0.0 <= v <= 0.5 and (u, v) != (e1, e2)
+            ])
 
     obj_signed, _, e1, e2, a = chosen()
     return TwoPointChannel(e1, e2, a), sign * obj_signed
@@ -483,9 +534,9 @@ def coordinate_descent(
         suffixes.reverse()
         for i in range(d):
             profile = _profile_for(rho, tag, d, prefix, suffixes[i])
-            before = _pair_value(
-                profile, _constraint_fn(constraint), target, coords[i].eps1, coords[i].eps2
-            )[1]
+            before = _pair_values(
+                profile, _constraint_fn(constraint), target, [(coords[i].eps1, coords[i].eps2)]
+            )[0][3]
             new_coord, after = best_coordinate(
                 profile,
                 constraint,

@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +292,196 @@ def test_claim_cells_driver_shape():
         assert cell.seeds == 3
         assert cell.hits == 3
         assert cell.hit_fraction == 1.0
+
+
+# ----------------------------------------------------------------------
+# the coordinate search's precomputed pair table and batched finalists
+
+
+def _dense_pair_table(constraint, grid, target):
+    """The full grid x grid mask/where table the pair table replaces."""
+    _, g_vals = optimizer._constraint_grid(constraint, grid)
+    lo = g_vals[:, None]
+    hi = g_vals[None, :]
+    denom = hi - lo
+    feasible = (lo <= target) & (target <= hi) & (denom > 1e-15)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(feasible, (hi - target) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return feasible, alpha
+
+
+@pytest.mark.parametrize(
+    "constraint, targets",
+    ((H, (0.0, 1.0, 0.1, 0.45, 0.9, h2(0.2))), (E, (0.0, 0.5, 0.05, 0.2, 0.37))),
+)
+def test_pair_table_equals_dense_table(constraint, targets):
+    grid = optimizer.DEFAULT_GRID
+    for target in targets:
+        p_idx, q_idx, alpha = optimizer._pair_table(constraint, grid, target)
+        feasible, dense_alpha = _dense_pair_table(constraint, grid, target)
+        want_p, want_q = np.nonzero(feasible)
+        assert np.array_equal(p_idx, want_p) and np.array_equal(q_idx, want_q)
+        assert alpha.tobytes() == dense_alpha[feasible].tobytes()
+        assert optimizer._pair_table(constraint, grid, target)[2] is alpha
+        assert not any(a.flags.writeable for a in (p_idx, q_idx, alpha))
+
+
+def _random_profile(rng, tag, support):
+    x_pts = np.sort(rng.random(support))
+    w_pts = rng.normal(size=support)
+    return optimizer._Profile(tag, float(rng.normal()), x_pts, w_pts)
+
+
+@pytest.mark.parametrize("tag", (H, B, E))
+@pytest.mark.parametrize("support", (0, 1, 2, 601, 2816))
+def test_profile_pairs_equal_single_pair_calls(tag, support):
+    rng = np.random.default_rng((47, support))
+    profile = _random_profile(rng, tag, support)
+    for k in (1, 3, 8, 16):
+        eps = 0.5 * rng.random((k, 2))
+        eps[0] = (0.0, 0.5)
+        got = profile.pairs(eps)
+        assert got.shape == (k, 2)
+        for i in range(k):
+            assert got[i].tobytes() == profile(eps[i]).tobytes()
+
+
+def _dense_best_coordinate(profile, constraint, target, current, grid, refine_passes, minimize):
+    """best_coordinate before the pair table: dense grid, one kernel pass per finalist."""
+    g = optimizer._constraint_fn(constraint)
+    sign = 1.0 if minimize else -1.0
+
+    def pair_value(e1, e2):
+        if e1 > e2:
+            e1, e2 = e2, e1
+        g1, g2 = g(e1), g(e2)
+        if g1 - optimizer.CONSTRAINT_TOL > target or g2 + optimizer.CONSTRAINT_TOL < target:
+            return None
+        if g2 - g1 < 1e-15:
+            if abs(g1 - target) > optimizer.CONSTRAINT_TOL:
+                return None
+            alpha = 1.0
+        else:
+            alpha = min(1.0, max(0.0, (g2 - target) / (g2 - g1)))
+        p = profile(np.array([e1, e2]))
+        return alpha, alpha * float(p[0]) + (1.0 - alpha) * float(p[1])
+
+    eps_grid, _ = optimizer._constraint_grid(constraint, grid)
+    prof = profile(eps_grid) - profile.const
+    feasible, alpha = _dense_pair_table(constraint, grid, target)
+    vals = alpha * prof[:, None] + (1.0 - alpha) * prof[None, :] + profile.const
+    vals = np.where(feasible, sign * vals, math.inf)
+    p, q = divmod(int(np.argmin(vals)), grid)
+    finalists = []
+
+    def consider(e1, e2):
+        got = pair_value(e1, e2)
+        if got is not None:
+            e1, e2 = min(e1, e2), max(e1, e2)
+            finalists.append((sign * got[1], e1 - e2, e1, e2, got[0]))
+
+    def chosen():
+        cutoff = min(f[0] for f in finalists) + optimizer.TIE_BAND
+        return min((f for f in finalists if f[0] <= cutoff), key=lambda f: f[1:])
+
+    consider(float(current.eps1), float(current.eps2))
+    eps_star = optimizer._constraint_inv(constraint, target)
+    consider(eps_star, eps_star)
+    consider(0.0, 0.5)
+    if math.isfinite(vals[p, q]):
+        consider(float(eps_grid[p]), float(eps_grid[q]))
+        step = 0.5 / (grid - 1)
+        for _ in range(refine_passes):
+            step *= 0.5
+            _, _, e1, e2, _ = chosen()
+            for u in (e1 - step, e1, e1 + step):
+                for v in (e2 - step, e2, e2 + step):
+                    if 0.0 <= u <= 0.5 and 0.0 <= v <= 0.5 and (u, v) != (e1, e2):
+                        consider(u, v)
+    obj_signed, _, e1, e2, a = chosen()
+    return TwoPointChannel(e1, e2, a), sign * obj_signed
+
+
+@pytest.mark.parametrize("ens", ((3, 6), (5, 10)))
+@pytest.mark.parametrize("constraint, target", ((H, 0.1), (H, 0.9), (H, 0.45), (E, 0.2)))
+def test_best_coordinate_equals_dense_search(ens, constraint, target):
+    rho = EnsembleParams(*ens).area_poly
+    d = rho.degree
+    rng = np.random.default_rng((53, d, int(1000 * target)))
+    coords = optimizer._initial_coords(rng, d, constraint, target)
+    # the matched BEC as every other coordinate puts the profile on a flat face
+    bec_mass = 1.0 - (target if constraint is H else 2.0 * target)
+    flat = [TwoPointChannel(0.0, 0.5, bec_mass)] * d
+    for start in (coords, flat):
+        channels = [c.channel() for c in start]
+        for i in (0, d - 1):
+            profile = _profile(rho, H, channels, i)
+            for minimize in (True, False):
+                for grid in (optimizer.MIN_GRID, optimizer.DEFAULT_GRID):
+                    args = (profile, constraint, target, coords[i], grid, 4, minimize)
+                    got = optimizer.best_coordinate(*args)
+                    want = _dense_best_coordinate(*args)
+                    assert repr(got) == repr(want)
+
+
+def test_pair_values_skip_infeasible_and_match_profile():
+    rho = Polynomial.monomial(3)
+    coords = optimizer._initial_coords(np.random.default_rng((0,)), 3, H, 0.4)
+    profile = _profile(rho, H, [c.channel() for c in coords], 0)
+    c = coords[0]
+    got = optimizer._pair_values(profile, h2, 0.4, [(0.0, 0.05), (c.eps2, c.eps1), (0.2, 0.2)])
+    assert len(got) == 1
+    e1, e2, alpha, value = got[0]
+    p = profile(np.array([c.eps1, c.eps2]))
+    assert (e1, e2) == (c.eps1, c.eps2)
+    assert alpha == optimizer._pair_alpha(h2, 0.4, c.eps1, c.eps2)
+    assert value == alpha * float(p[0]) + (1.0 - alpha) * float(p[1])
+
+
+def _masked_h2_vec(x):
+    """h2_vec as it was: fancy-indexed evaluation of the open interval only."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inner = (x > 0.0) & (x < 1.0)
+    xi = x[inner]
+    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
+    return out
+
+
+def test_h2_vec_equals_masked_form_on_edge_inputs():
+    edges = [0.0, -0.0, 1.0, math.nan, -0.5, 1.5, math.inf, -math.inf, 5e-324, 1e-300,
+             0.5, 0.3, 1.0 - 2.0**-53, 2.0**-53]
+    rng = np.random.default_rng(59)
+    inputs = [np.array(edges), np.array(edges).reshape(2, 7), rng.random((256, 37)),
+              rng.random(1), np.empty(0)] + [np.float64(e) for e in edges] + edges
+    for x in inputs:
+        got, want = h2_vec(x), _masked_h2_vec(x)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_descent_matches_benchmark_reference_on_flat_and_mixed_cells():
+    # The flattest cells, (5,10) h=0.9 min, and the cell whose maximizer is
+    # not the BEC, (3,6) h=0.1 max: the cells where finalist-evaluation dust
+    # would move a verdict or an objective.
+    reference = json.loads(REFERENCE_PATH.read_text())
+    tol = reference["tolerance"]
+    cells = reference["descent"]["cells"]
+    keys = [k for k in cells if k.startswith("5,10|0.9|min|")] + ["3,6|0.1|max|0"]
+    assert len(keys) == 21
+    for key in keys:
+        ens, h, direction, seed = key.split("|")
+        res = coordinate_descent(
+            EnsembleParams(*map(int, ens.split(","))).area_poly,
+            H,
+            float(h),
+            minimize=direction == "min",
+            seed=int(seed),
+        )
+        want_verdict, want_objective = cells[key]
+        assert res.verdict.value == want_verdict, key
+        slack = tol["atol"] + tol["rtol"] * abs(want_objective)
+        assert abs(res.objective - want_objective) <= slack, key
