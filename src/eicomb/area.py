@@ -162,22 +162,17 @@ def certified_interval(
     return CertifiedInterval(left, right, c0, valid, len(grid))
 
 
-def bec_minimizer_condition(
-    params: EnsembleParams, h: float, literal_form: bool = False
-) -> bool:
+def bec_minimizer_condition(params: EnsembleParams, h: float) -> bool:
     """Condition under which BEC(h) minimizes the area expression at entropy h.
 
-    The literal variant compares against (kappa-2)/(r*kappa), which is
-    negative for every valid ensemble and therefore never holds; the
-    default uses (r-2)/(kappa*r), the convexity range of the area
-    polynomial.  Both are kept so the discrepancy stays visible.
+    Compares against (r-2)/(kappa*r), the convexity range of the area
+    polynomial (the README notes why not the literal (kappa-2)/(r*kappa)).
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"entropy must lie in [0, 1], got {h!r}")
     kappa = params.kappa
     r = params.check_degree
-    threshold = (kappa - 2.0) / (r * kappa) if literal_form else (r - 2.0) / (kappa * r)
-    return (1.0 - 2.0 * h2_inv(h)) ** 2 <= threshold
+    return (1.0 - 2.0 * h2_inv(h)) ** 2 <= (r - 2.0) / (kappa * r)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, bec, bsc, mix
+from .channel import Channel, _trusted, bec, bsc, mix
 from .convolution import check_convolve, check_power, phi_of_poly_convolved
 from .functionals import Functional, complement, evaluate, kernel, kernel_inv
-from .series import (Polynomial, complement_of_convolution, phi_of_poly_batch,
+from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
                      poly_convex_on, poly_increasing_on)
 
 # Default slack tolerances: exact-convolution checks are trusted to
@@ -228,7 +228,7 @@ def check_inequality(
     """Evaluate both sides of catalog inequality `code` by exact convolution.
 
     Orientation: lhs <= rhs, so slack = rhs - lhs is nonnegative when the
-    inequality holds.
+    inequality holds.  The evaluator of inequality_suite on a batch of one.
     """
     info = INEQUALITIES.get(code)
     if info is None:
@@ -249,68 +249,109 @@ def check_inequality(
             raise ValueError(f"inequality {code} needs a mixture weight in [0, 1]")
     elif alpha is not None:
         raise ValueError(f"inequality {code} does not take a mixture weight")
+    return _check_cases(code, [(tag, channels, alpha, power)], seed)[0]
 
+
+# One instance of a catalog inequality: (tag, channels, alpha, power).
+_Case = tuple[Functional, Sequence[Channel], float | None, int | None]
+
+
+def _convolution_complements(code: int, a: Channel, b: Channel | None,
+                             mixed: Channel | None, d: int | None) -> tuple:
+    """The factor tuples of the convolution complements 1 - Phi(...) that
+    inequality `code` reads, in the order _sides reads them."""
+    if code in (4, 12):
+        return (((a, 1), (b, 1)),)
+    if code == 6:
+        return (((a, 2),),)
+    if code == 7:
+        return (((a, 1), (b, 1)), ((a, 2),), ((b, 2),))
+    if code == 8:
+        return (((a, 1), (b, 1)), ((a, 2), (b, 1)))
+    if code == 10:
+        return (((mixed, d),), ((a, d),), ((b, d),))
+    return ()
+
+
+def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
+           mixed: Channel | None, alpha: float | None, power: int | None,
+           conv: Sequence[float]) -> tuple[float, float]:
+    """(lhs, rhs) of inequality `code`, given its convolution complements."""
     # Quantities of the form 1 - Phi(.) go through the cancellation-free
     # complements: per-point ones for single channels, the moment-domain
     # series for convolutions (explicit convolution points near eps = 1/2
     # cannot represent tiny complements at full relative precision).
     phi = lambda ch: evaluate(tag, ch)
     comp = lambda ch: complement(tag, ch)
-    comp_conv = lambda *facs: complement_of_convolution(tag, facs)
-    a = channels[0]
-    b = channels[1] if info.channels == 2 else None
-
     if code == 4:
-        lhs = comp(a) * comp(b)
-        rhs = comp_conv((a, 1), (b, 1))
-    elif code == 5:
-        values = []
+        return comp(a) * comp(b), conv[0]
+    if code == 5:
+        values = [phi(a)]
         p = a
-        for _ in range(power):
-            values.append(phi(p))
+        for _ in range(power - 1):
             p = check_convolve(p, a)
-        lhs = values[power - 1]
-        rhs = values[0] * (power - sum(values[: power - 1]))
-    elif code == 6:
-        lhs = comp(a)
-        rhs = math.sqrt(comp_conv((a, 2)))
-    elif code == 7:
-        lhs = comp_conv((a, 1), (b, 1))
-        rhs = math.sqrt(comp_conv((a, 2))) * math.sqrt(comp_conv((b, 2)))
-    elif code == 8:
-        lhs = comp_conv((a, 1), (b, 1))
-        rhs = math.sqrt(comp_conv((a, 2), (b, 1))) * math.sqrt(comp(b))
-    elif code == 9:
-        mixed = mix(a, b, alpha)
+            values.append(phi(p))
+        return values[power - 1], values[0] * (power - sum(values[: power - 1]))
+    if code == 6:
+        return comp(a), math.sqrt(conv[0])
+    if code == 7:
+        return conv[0], math.sqrt(conv[1]) * math.sqrt(conv[2])
+    if code == 8:
+        return conv[0], math.sqrt(conv[1]) * math.sqrt(comp(b))
+    if code == 9:
         lhs = alpha * phi(check_power(a, power)) + (1.0 - alpha) * phi(check_power(b, power))
-        rhs = phi(check_power(mixed, power))
-    elif code == 10:
-        mixed = mix(a, b, alpha)
+        return lhs, phi(check_power(mixed, power))
+    if code == 10:
         root = 1.0 / power
-        lhs = comp_conv((mixed, power)) ** root
-        rhs = alpha * comp_conv((a, power)) ** root + (
-            1.0 - alpha
-        ) * comp_conv((b, power)) ** root
-    elif code == 11:
-        lhs = phi(a)
-        rhs = kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))
-    else:  # code == 12
-        lhs = comp_conv((a, 1), (b, 1))
-        rhs = comp(a) * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
+        return conv[0] ** root, alpha * conv[1] ** root + (1.0 - alpha) * conv[2] ** root
+    if code == 11:
+        return phi(a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))
+    # code == 12
+    return conv[0], comp(a) * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
 
-    params = f"name={info.name};tag={tag.value}"
-    if info.needs_power:
-        params += f";d={power}"
-    if info.needs_alpha:
-        params += f";alpha={alpha!r}"
-    return BoundReport(
-        kind=f"ineq{code}",
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        seed=seed,
-        witnesses=tuple(channels),
-    )
+
+def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[BoundReport]:
+    """Reports of inequality `code` on each case, in order.
+
+    The convolution complements of all cases are grouped by (tag, factor
+    degrees), and each group is one complement_of_convolution_batch call.
+    """
+    info = INEQUALITIES[code]
+    groups: dict[tuple[Functional, tuple[int, ...]], list[tuple[Channel, ...]]] = {}
+    pending = []
+    for tag, chans, alpha, power in cases:
+        a = chans[0]
+        b = chans[1] if info.channels == 2 else None
+        mixed = mix(a, b, alpha) if info.needs_alpha else None
+        slots = []
+        for factors in _convolution_complements(code, a, b, mixed, power):
+            key = (tag, tuple(d for _, d in factors))
+            rows = groups.setdefault(key, [])
+            slots.append((key, len(rows)))
+            rows.append(tuple(ch for ch, _ in factors))
+        pending.append((tag, chans, a, b, mixed, alpha, power, slots))
+    values = {
+        key: complement_of_convolution_batch(key[0], key[1], rows)
+        for key, rows in groups.items()
+    }
+    reports = []
+    for tag, chans, a, b, mixed, alpha, power, slots in pending:
+        conv = [values[key][r] for key, r in slots]
+        lhs, rhs = _sides(code, tag, a, b, mixed, alpha, power, conv)
+        params = f"name={info.name};tag={tag.value}"
+        if info.needs_power:
+            params += f";d={power}"
+        if info.needs_alpha:
+            params += f";alpha={alpha!r}"
+        reports.append(BoundReport(
+            kind=f"ineq{code}",
+            params=params,
+            lhs=lhs,
+            rhs=rhs,
+            seed=seed,
+            witnesses=tuple(chans),
+        ))
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +375,7 @@ def random_channel(rng: np.random.Generator, max_support: int = MAX_RAW_SUPPORT)
     m = int(rng.integers(1, max_support + 1))
     eps = rng.random(m) * 0.5
     w = rng.standard_exponential(m)
-    return Channel(eps, w / w.sum())
+    return _trusted(eps, w / w.sum())
 
 
 def random_channel_with_value(
@@ -406,21 +447,24 @@ def inequality_suite(
     """Run `trials` random instances of each catalog inequality.
 
     Trial t of inequality c draws its own generator from (seed, c, t), so
-    results do not depend on execution order.
+    results do not depend on execution order.  Each code's trials are drawn
+    first and then evaluated together by the evaluator of check_inequality.
     """
     codes = sorted(INEQUALITIES if codes is None else codes)
     reports: list[BoundReport] = []
     summaries: dict[int, SuiteSummary] = {}
     for code in codes:
         info = INEQUALITIES[code]
-        summary = SuiteSummary(name=f"ineq{code}")
+        cases: list[_Case] = []
         for t in range(trials):
             rng = trial_rng(seed, code, t)
             tag = Functional.H if rng.integers(2) == 0 else Functional.B
             chans = [random_channel(rng) for _ in range(info.channels)]
             power = int(rng.integers(2, 7)) if info.needs_power else None
             alpha = float(rng.random()) if info.needs_alpha else None
-            report = check_inequality(code, chans, tag, alpha=alpha, power=power, seed=seed)
+            cases.append((tag, chans, alpha, power))
+        summary = SuiteSummary(name=f"ineq{code}")
+        for report in _check_cases(code, cases, seed):
             reports.append(report)
             summary.absorb(report, tol)
         summaries[code] = summary

@@ -48,14 +48,13 @@ def _merge_points(
     weighted mean so functionals move by at most O(tol).  The weights must
     be positive for the mean to stay inside the run.
     """
-    order = np.argsort(eps, kind="stable")
-    eps = eps[order]
+    order = eps.argsort(kind="stable")
+    eps = eps[order]  # fancy indexing copies
     w = w[order]
-    if eps.size <= 1:
-        return eps.copy(), w.copy()
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(eps) > tol)))
-    if starts.size == eps.size:
-        return eps.copy(), w.copy()
+    split = eps[1:] - eps[:-1] > tol
+    if split.all():
+        return eps, w
+    starts = np.flatnonzero(np.concatenate(([True], split)))
     ends = np.concatenate((starts[1:], [eps.size]))
     w_merged = np.add.reduceat(w, starts)
     first = eps[starts]
@@ -87,14 +86,19 @@ class Channel:
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ChannelError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+        self._settle(eps, w)
+
+    def _settle(self, eps: np.ndarray, w: np.ndarray) -> None:
+        """Merge, drop near-zero weights, renormalize and freeze the points."""
         eps, w = _merge_points(eps, w)
         keep = w >= WEIGHT_DROP_TOL
-        dropped = float(w[~keep].sum())
-        if dropped > WEIGHT_SUM_TOL:
-            raise ChannelError(f"dropping near-zero weights would lose mass {dropped!r}")
-        eps, w = eps[keep], w[keep]
-        if eps.size == 0:
-            raise ChannelError("no mass points left after merging")
+        if not keep.all():
+            dropped = float(w[~keep].sum())
+            if dropped > WEIGHT_SUM_TOL:
+                raise ChannelError(f"dropping near-zero weights would lose mass {dropped!r}")
+            eps, w = eps[keep], w[keep]
+            if eps.size == 0:
+                raise ChannelError("no mass points left after merging")
         w = w / w.sum()
         eps.flags.writeable = False
         w.flags.writeable = False
@@ -121,6 +125,21 @@ class Channel:
     def __repr__(self) -> str:
         pts = ", ".join(f"({e:.6g}, {v:.6g})" for e, v in self.points)
         return f"Channel[{pts}]"
+
+
+def _trusted(eps: np.ndarray, w: np.ndarray) -> Channel:
+    """Channel from the float arrays of an internal result, skipping the
+    input-domain checks of Channel(...).
+
+    For convolutions, mixtures of channels and sampler draws, whose points
+    lie in [0, 1/2] with nonnegative weights summing to 1 by construction.
+    Merging, the weight drop with its checks and the renormalization are
+    those of Channel(...), so on valid input the result is the same bit for
+    bit; a weight that underflowed to zero is dropped with the tiny ones.
+    """
+    out = object.__new__(Channel)
+    out._settle(eps, w)
+    return out
 
 
 def channel(points: Iterable[tuple[float, float]]) -> Channel:
@@ -161,7 +180,7 @@ def mix(a: Channel, b: Channel, alpha: float) -> Channel:
         return b
     eps = np.concatenate([a.eps, b.eps])
     w = np.concatenate([a.w * alpha, b.w * (1.0 - alpha)])
-    return Channel(eps, w)
+    return _trusted(eps, w)
 
 
 def parse_channel(text: str) -> Channel:

@@ -184,7 +184,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         )
         lines = [area_mod.AREA_CSV_HEADER + ",bec_min_cond"]
         for row in rows:
-            cond = area_mod.bec_minimizer_condition(params, row.h, args.literal_form)
+            cond = area_mod.bec_minimizer_condition(params, row.h)
             lines.append(row.csv_row(params) + f",{int(cond)}")
         _write_lines(args.out, lines)
         interval = area_mod.certified_interval(params, args.k_const)
@@ -277,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="area margin c0 (default (d_l-1)exp(-sqrt(d_r-1)))")
     p_suite.add_argument("--k-const", type=float, default=1.0,
                          help="K in the certified-interval left edge h2(K/sqrt(d_r))")
-    p_suite.add_argument("--literal-form", action="store_true",
-                         help="use the literal (always-false) BEC-minimizer condition")
     p_suite.add_argument("--restarts", type=int, default=20,
                          help="seeded restarts per claim cell")
     p_suite.add_argument("--search-grid", type=int, default=256,

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, _trusted
 from .functionals import Functional, evaluate
 
 if TYPE_CHECKING:
@@ -40,9 +40,9 @@ def check_convolve(a: Channel, b: Channel, cap: int = DEFAULT_SUPPORT_CAP) -> Ch
         )
     xa = 1.0 - 2.0 * a.eps
     xb = 1.0 - 2.0 * b.eps
-    eps = 0.5 * (1.0 - np.outer(xa, xb).ravel())
-    w = np.outer(a.w, b.w).ravel()
-    return Channel(eps, w)
+    eps = 0.5 * (1.0 - np.multiply.outer(xa, xb).ravel())
+    w = np.multiply.outer(a.w, b.w).ravel()
+    return _trusted(eps, w)
 
 
 def projected_power_support(support: int, d: int) -> int:

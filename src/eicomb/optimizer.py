@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -220,6 +220,11 @@ class _Profile:
     const: float
     x_pts: np.ndarray
     w_pts: np.ndarray
+    # (eps1, eps2) -> profile values at both points, of every pair scored
+    # through _pair_values, so a pair is never scored twice
+    scored: dict[tuple[float, float], tuple[float, float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __call__(self, eps: np.ndarray) -> np.ndarray:
         xg = 1.0 - 2.0 * np.asarray(eps, dtype=float)
@@ -347,7 +352,8 @@ def _pair_values(
     candidates: Sequence[tuple[float, float]],
 ) -> list[tuple[float, float, float, float]]:
     """(eps1, eps2, alpha, objective) of each feasible candidate pair, in
-    order, with eps1 <= eps2; all of them from one profile kernel pass."""
+    order, with eps1 <= eps2.  Pairs the profile has not scored yet come
+    from one kernel pass; the others are taken from profile.scored."""
     rows = []
     for e1, e2 in candidates:
         if e1 > e2:
@@ -355,12 +361,15 @@ def _pair_values(
         alpha = _pair_alpha(g, target, e1, e2)
         if alpha is not None:
             rows.append((e1, e2, alpha))
-    if not rows:
-        return []
-    p = profile.pairs(np.array([(e1, e2) for e1, e2, _ in rows])).tolist()
-    return [
-        (e1, e2, a, a * p1 + (1.0 - a) * p2) for (e1, e2, a), (p1, p2) in zip(rows, p)
-    ]
+    scored = profile.scored
+    fresh = list(dict.fromkeys((e1, e2) for e1, e2, _ in rows if (e1, e2) not in scored))
+    if fresh:
+        scored.update(zip(fresh, map(tuple, profile.pairs(np.array(fresh)).tolist())))
+    out = []
+    for e1, e2, a in rows:
+        p1, p2 = scored[(e1, e2)]
+        out.append((e1, e2, a, a * p1 + (1.0 - a) * p2))
+    return out
 
 
 def best_coordinate(
@@ -534,9 +543,6 @@ def coordinate_descent(
         suffixes.reverse()
         for i in range(d):
             profile = _profile_for(rho, tag, d, prefix, suffixes[i])
-            before = _pair_values(
-                profile, _constraint_fn(constraint), target, [(coords[i].eps1, coords[i].eps2)]
-            )[0][3]
             new_coord, after = best_coordinate(
                 profile,
                 constraint,
@@ -546,6 +552,11 @@ def coordinate_descent(
                 refine_passes=refine_passes,
                 minimize=minimize,
             )
+            # the incumbent competed in best_coordinate, so its value is
+            # read back from the profile's scored pairs, not recomputed
+            before = _pair_values(
+                profile, _constraint_fn(constraint), target, [(coords[i].eps1, coords[i].eps2)]
+            )[0][3]
             # Tie-banded selection may trade up to TIE_BAND of dust for a
             # preferred support; only genuine gains feed the running value,
             # which therefore stays exactly monotone.

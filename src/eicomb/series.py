@@ -486,7 +486,11 @@ def _coefficient_block(tag: Functional, n0: int, n1: int) -> np.ndarray:
     return arr[n0 - 1 : n1 - 1]
 
 
+# The complement series checks its stop rule every _COMPLEMENT_BLOCK terms;
+# one pass of the batched evaluator covers 1, 2, 4, ... up to
+# _COMPLEMENT_MAX_BLOCKS such blocks.
 _COMPLEMENT_BLOCK = 512
+_COMPLEMENT_MAX_BLOCKS = 32
 
 
 def complement_of_convolution(
@@ -501,45 +505,184 @@ def complement_of_convolution(
     factors' moments, so the result keeps full relative precision even when
     it underflows the absolute resolution that explicit convolution points
     near eps = 1/2 could represent.  Factor mass at eps = 0 contributes a
-    constant floor summed in closed form.
+    constant floor summed in closed form.  A one-row call of
+    complement_of_convolution_batch.
+    """
+    degrees = tuple(d for _, d in factors)
+    row = tuple(ch for ch, _ in factors)
+    return complement_of_convolution_batch(tag, degrees, [row], rel_tol, term_cap)[0]
+
+
+def complement_of_convolution_batch(
+    tag: Functional,
+    degrees: Sequence[int],
+    rows: Sequence[Sequence[Channel]],
+    rel_tol: float = 1e-14,
+    term_cap: int = 10**6,
+) -> list[float]:
+    """complement_of_convolution of each row's factors at the shared degrees,
+    in input order, from one blocked pass.
+
+    Row r is the convolution of rows[r][i]^[degrees[i]] over i.  Terms come
+    in blocks of 512; after each block a row stops once the tail bound
+    coefficient_tail(n) * (prod_i gamma_{i,n}^{d_i} - floor) falls to
+    rel_tol times its running sum, or n passes term_cap, and then leaves
+    the arrays.  Rows with no point strictly inside 0 < x < 1 return their
+    floor, the product of the factors' atom^d.  Every value equals that of
+    a one-row call bit for bit.
     """
     tag = _series_tag(tag)
-    atoms: list[float] = []
-    degrees: list[int] = []
-    ys: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-    for ch, d in factors:
+    degrees = tuple(degrees)
+    for d in degrees:
         if d < 1:
             raise ValueError(f"power must be a positive integer, got {d!r}")
-        atom, y, w = _atom_split(ch)
-        atoms.append(atom)
-        degrees.append(d)
-        ys.append(y)
-        ws.append(w)
-    atom_prod = math.prod(a**d for a, d in zip(atoms, degrees))
-    if all(y.size == 0 for y in ys):
-        return atom_prod
-    total = atom_prod
-    zs = [y.copy() for y in ys]
-    n = 1
-    while True:
+    for r, chans in enumerate(rows):
+        if len(chans) != len(degrees):
+            raise ValueError(f"row {r} has {len(chans)} factors for {len(degrees)} degrees")
+    if not rows:
+        return []
+    factors = [_factor_groups([chans[i] for chans in rows]) for i in range(len(degrees))]
+    atoms = [a.tolist() for a, _ in factors]
+    floor = np.array([math.prod(atoms[i][r] ** d for i, d in enumerate(degrees))
+                      for r in range(len(rows))], dtype=float)
+    widest = max((y.shape[1] for _, groups in factors for _, y, _ in groups), default=1)
+    chunk = max(1, _BATCH_MAX_ENTRIES // (widest * _COMPLEMENT_BLOCK))
+    if chunk >= len(rows):
+        out = _complement_rows(tag, degrees, factors, floor, rel_tol, term_cap)
+    else:
+        out = np.empty(len(rows))
+        for start in range(0, len(rows), chunk):
+            part = np.arange(start, min(start + chunk, len(rows)))
+            out[part] = _complement_rows(
+                tag, degrees, [_take_rows(f, part) for f in factors], floor[part],
+                rel_tol, term_cap,
+            )
+    # rows with no such point are their floor exactly (the series would
+    # add numpy's atom^d - floor, which may differ from it in the last bit)
+    bare = np.ones(len(rows), dtype=bool)
+    for _, groups in factors:
+        for members, _, _ in groups:
+            bare[members] = False
+    out[bare] = floor[bare]
+    return out.tolist()
+
+
+# A factor of a batch: the rows' masses at x = 1, and the rows with m points
+# in 0 < x < 1 grouped by m, as (row indices, y = x^2, weights) with (rows, m)
+# arrays.  Each group's moments are then a product of width m, as a one-row
+# evaluation takes them; zero padding to a common width would let the BLAS
+# kernel sum in another order.
+_Factor = tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]
+
+
+def _factor_groups(chans: Sequence[Channel]) -> _Factor:
+    """The _atom_split of every channel at once, grouped by point count."""
+    sizes = [ch.size for ch in chans]
+    row = np.repeat(np.arange(len(chans)), sizes)
+    eps = np.concatenate([ch.eps for ch in chans])
+    w = np.concatenate([ch.w for ch in chans])
+    x = 1.0 - 2.0 * eps
+    atoms = np.zeros(len(chans))
+    at_one = x == 1.0
+    np.add.at(atoms, row[at_one], w[at_one])
+    active = (x > 0.0) & (x < 1.0)
+    counts = np.bincount(row[active], minlength=len(chans))
+    y_all = np.where(active, x * x, 0.0)
+    groups = []
+    # the point counts present (np.unique would import numpy.ma on first use)
+    for m in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        members = np.flatnonzero(counts == m)
+        picks = active & (counts[row] == m)
+        groups.append((members, y_all[picks].reshape(-1, m), w[picks].reshape(-1, m)))
+    return atoms, groups
+
+
+def _take_rows(factor: _Factor, keep: np.ndarray) -> _Factor:
+    """The factor restricted to the rows `keep` (increasing indices, or a
+    boolean mask), renumbered from 0 in order."""
+    atoms, groups = factor
+    mask = np.zeros(atoms.size, dtype=bool)
+    mask[keep] = True
+    renumber = np.cumsum(mask) - 1
+    out = []
+    for members, *arrays in groups:
+        sel = mask[members]
+        if sel.any():
+            out.append([renumber[members[sel]], *(v[sel] for v in arrays)])
+    return atoms[mask], out
+
+
+def _power(g: np.ndarray, d: int) -> np.ndarray:
+    """g**d for an integer d >= 1, entry for entry as numpy's power gives
+    it, but skipping the slow underflow path of pow: where g < 2^(-1080/d)
+    the power lies far below half the smallest subnormal and is 0 anyway."""
+    if d <= 2:
+        return g**d if d == 2 else g
+    out = np.zeros_like(g)
+    normal = g >= 2.0 ** (-1080.0 / d)
+    out[normal] = g[normal] ** d
+    return out
+
+
+def _complement_rows(
+    tag: Functional,
+    degrees: tuple[int, ...],
+    factors: Sequence[_Factor],
+    floor: np.ndarray,
+    rel_tol: float,
+    term_cap: int,
+) -> np.ndarray:
+    """The blocked series of complement_of_convolution_batch on rows given
+    by their factors and floor.
+
+    Powers continue by cumprod from the carried y^n, each block's sum
+    sum_n a_n (prod_n - floor) is one dot product per row, and the running
+    sums add them block by block, so a row's value does not depend on how
+    many blocks a pass holds or which rows share it.
+    """
+    # per factor: atoms, and groups [members, y, w, y^n for the pass starting at n]
+    factors = [(atoms, [[m, y, w, y.copy()] for m, y, w in groups]) for atoms, groups in factors]
+    widest = max((g[1].shape[1] for _, groups in factors for g in groups), default=1)
+    out = np.empty(floor.size)
+    index = np.arange(floor.size)
+    total = floor.copy()
+    n, blocks = 1, 1
+    while index.size:
         count = min(_COMPLEMENT_BLOCK, term_cap - n + 1)
-        prod_block = np.ones(count)
-        for i, (atom, d, y, w) in enumerate(zip(atoms, degrees, ys, ws)):
-            if y.size == 0:
-                gamma = np.full(count, atom)
-            else:
-                # rows of powers are y^n .. y^(n+count-1)
-                steps = np.broadcast_to(y[:, None], (y.size, count)).copy()
-                steps[:, 0] = zs[i]
-                powers = np.cumprod(steps, axis=1)
-                gamma = atom + w @ powers
-                zs[i] = powers[:, -1] * y
-            prod_block *= gamma**d if d > 1 else gamma
-        coefs = _coefficient_block(tag, n, n + count)
-        total += float(np.dot(coefs, prod_block - atom_prod))
-        n += count
-        bound = coefficient_tail(tag, n - 1) * (float(prod_block[-1]) - atom_prod)
-        if bound <= rel_tol * total or n > term_cap:
-            break
-    return total
+        k = max(1, min(blocks, (term_cap - n + 1) // count,
+                       _BATCH_MAX_ENTRIES // (index.size * widest * count)))
+        span = k * count
+        prod = np.ones((index.size, span))
+        for (atoms, groups), d in zip(factors, degrees):
+            gamma = np.repeat(atoms[:, None], span, axis=1)
+            for group in groups:
+                members, y, w, z = group
+                # powers[r, :, j] is y^(n+j)
+                powers = np.repeat(y[:, :, None], span, axis=2)
+                powers[:, :, 0] = z
+                np.cumprod(powers, axis=2, out=powers)
+                gamma[members] = atoms[members, None] + np.matmul(w[:, None, :], powers)[:, 0, :]
+                group[3] = powers[:, :, -1] * y
+            prod *= _power(gamma, d)
+        prod = prod.reshape(index.size, k, 1, count) - floor[:, None, None, None]
+        coefs = _coefficient_block(tag, n, n + span).reshape(k, count, 1)
+        sums = np.empty((index.size, k + 1))
+        sums[:, 0] = total
+        sums[:, 1:] = np.matmul(prod, coefs)[:, :, 0, 0]
+        partial = np.cumsum(sums, axis=1)[:, 1:]  # running sum after each block
+        ends = [n + count * (b + 1) for b in range(k)]  # next term after each block
+        tails = np.array([coefficient_tail(tag, e - 1) for e in ends])
+        stop = (tails * prod[:, :, 0, -1] <= rel_tol * partial) | (np.array(ends) > term_cap)
+        total = partial[:, -1]
+        n += span
+        blocks = min(2 * blocks, _COMPLEMENT_MAX_BLOCKS)
+        done = stop.any(axis=1)
+        if done.any():
+            rows = np.flatnonzero(done)
+            out[index[rows]] = partial[rows, stop[rows].argmax(axis=1)]
+            if rows.size == index.size:
+                break
+            keep = ~done
+            index, total, floor = index[keep], total[keep], floor[keep]
+            factors = [_take_rows(f, keep) for f in factors]
+    return out

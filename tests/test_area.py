@@ -167,10 +167,7 @@ def test_certified_interval_becomes_valid_at_large_degrees():
 
 def test_bec_minimizer_condition_forms():
     p = EnsembleParams(3, 6)
-    # literal variant compares against a negative threshold: never true
-    for h in (0.0, 0.3, 0.9, 1.0):
-        assert not bec_minimizer_condition(p, h, literal_form=True)
-    # convexity-derived variant: holds above h2((1-sqrt(8/9))/2)
+    # holds above h2((1-sqrt(8/9))/2)
     threshold = h2((1.0 - math.sqrt((6 - 2) / (0.75 * 6))) / 2.0)
     assert threshold == pytest.approx(0.18729859856877246, abs=1e-9)
     assert bec_minimizer_condition(p, threshold + 1e-3)

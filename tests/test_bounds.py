@@ -213,6 +213,29 @@ def test_all_inequalities_hold_on_random_trials():
     assert len(reports) == 9 * 300
 
 
+@pytest.mark.parametrize("code", sorted(INEQUALITIES))
+def test_suite_equals_per_trial_check_inequality(code):
+    # the per-trial loop the suite had before it drew each code's trials
+    # first: same trial_rng keys and draw order, one check_inequality each
+    info = INEQUALITIES[code]
+    want = []
+    for t in range(120):
+        rng = trial_rng(77, code, t)
+        tag = H if rng.integers(2) == 0 else B
+        chans = [random_channel(rng) for _ in range(info.channels)]
+        power = int(rng.integers(2, 7)) if info.needs_power else None
+        alpha = float(rng.random()) if info.needs_alpha else None
+        want.append(check_inequality(code, chans, tag, alpha=alpha, power=power, seed=77))
+    got, summaries = inequality_suite(seed=77, trials=120, codes=(code,))
+    assert len(got) == len(want) == summaries[code].trials
+    for g, w in zip(got, want):
+        assert (g.kind, g.params, g.seed, g.hypothesis_ok) == (w.kind, w.params, w.seed, w.hypothesis_ok)
+        assert all(a.points == b.points for a, b in zip(g.witnesses, w.witnesses))
+        for u, v in ((g.lhs, w.lhs), (g.rhs, w.rhs)):
+            assert abs(u - v) <= 1e-15 * abs(v)
+        assert g.violated(1e-12) == w.violated(1e-12)
+
+
 def test_inequality_csv_row_shape():
     rep = check_inequality(11, [bsc(0.2)], H, seed=9)
     row = rep.csv_row()

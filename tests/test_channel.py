@@ -144,3 +144,27 @@ def test_parse_handles_comments_and_blank_lines():
 def test_parse_normalizes_small_weight_drift():
     a = parse_channel(f"0.1 {0.5 + 2e-10!r}\n0.4 0.5\n")
     assert abs(float(a.w.sum()) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Channel(np.array([0.1, 0.6]), np.array([0.5, 0.5])),
+        lambda: Channel(np.array([-1e-300]), np.array([1.0])),
+        lambda: Channel(np.array([np.nan]), np.array([1.0])),
+        lambda: Channel(np.array([0.1]), np.array([np.inf])),
+        lambda: Channel(np.array([]), np.array([])),
+        lambda: Channel(np.array([0.1, 0.2]), np.array([1.0])),
+        lambda: Channel(np.array([0.1, 0.2]), np.array([1.0, 0.0])),
+        lambda: channel([]),
+        lambda: channel([(0.1, 0.5)]),
+        lambda: bsc(0.5000001),
+        lambda: bsc(float("nan")),
+        lambda: bec(-0.1),
+        lambda: parse_channel("0.1 0.5\n"),
+        lambda: mix(bsc(0.1), bsc(0.2), 1.5),
+    ],
+)
+def test_public_constructors_reject_invalid_input(build):
+    with pytest.raises(ChannelError):
+        build()

@@ -7,6 +7,7 @@ from eicomb.bounds import random_channel, trial_rng
 from eicomb.channel import bec, bsc, channel, mix
 from eicomb.functionals import (
     Functional,
+    _complement_points,
     complement,
     evaluate,
     h2,
@@ -137,6 +138,55 @@ def test_complement_is_stable_near_useless():
         c = complement(tag, a)
         assert c > 0.0
         assert c == pytest.approx(1.0 - evaluate(tag, a), abs=1e-12)
+
+
+def _h2_complement_loop(eps):
+    """The per-point H complement loop the vectorized form replaced."""
+    x = 1.0 - 2.0 * eps
+    if abs(x) >= 0.5:
+        return 1.0 - h2(eps)
+    x2 = x * x
+    if x2 == 0.0:
+        return 0.0
+    term, total, n = x2, 0.0, 1
+    while True:
+        total += term / (n * (2 * n - 1))
+        if term < 1e-17 * total or n > 300:
+            break
+        term *= x2
+        n += 1
+    return total / (2.0 * math.log(2.0))
+
+
+def _b_complement_loop(eps):
+    x = 1.0 - 2.0 * eps
+    root = x / (math.sqrt(1.0 - eps) + math.sqrt(eps))
+    return root * root
+
+
+def test_vectorized_complement_matches_per_point_loops():
+    rng = np.random.default_rng(12)
+    eps = np.concatenate([
+        rng.random(4000) * 0.5,
+        0.5 - rng.random(1000) * 1e-6,  # near useless: the series branch
+        [0.0, 0.25, 0.25 - 1e-17, 0.5, 0.5 - 1e-17, 5e-324],
+    ])
+    got_h = _complement_points(H, eps)
+    got_b = _complement_points(B, eps)
+    series_branch = np.abs(1.0 - 2.0 * eps) < 0.5
+    for e, h, b, in_series in zip(eps.tolist(), got_h.tolist(), got_b.tolist(), series_branch):
+        assert b == _b_complement_loop(e)
+        want = _h2_complement_loop(e)
+        if in_series:
+            assert h == want  # same terms, same partial sums, same stop
+        else:
+            # 1 - h2: numpy's log2 may round unlike math.log2
+            assert abs(h - want) <= 2.3e-16
+    for t in range(300):
+        a = random_channel(trial_rng(12, t))
+        for tag, loop in ((H, _h2_complement_loop), (B, _b_complement_loop)):
+            want = float(sum(w * loop(e) for e, w in zip(a.eps, a.w)))
+            assert abs(complement(tag, a) - want) <= 1e-15 * want
 
 
 def test_complement_rejects_error_probability_tag():

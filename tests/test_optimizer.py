@@ -438,6 +438,32 @@ def test_pair_values_skip_infeasible_and_match_profile():
     assert value == alpha * float(p[0]) + (1.0 - alpha) * float(p[1])
 
 
+def test_descent_scores_each_pair_once_per_profile(monkeypatch):
+    # the incumbent competes in best_coordinate, so coordinate_descent reads
+    # its value back instead of a second kernel pass over the same pair
+    scored = {}
+    calls = []
+    original = optimizer._Profile.pairs
+
+    def pairs(self, eps):
+        seen = scored.setdefault(id(self), [])
+        seen.extend(map(tuple, np.asarray(eps).reshape(-1, 2).tolist()))
+        calls.append(id(self))
+        return original(self, eps)
+
+    monkeypatch.setattr(optimizer._Profile, "pairs", pairs)
+    profiles = []
+    monkeypatch.setattr(optimizer, "_profile_for",
+                        lambda *a, _f=optimizer._profile_for: profiles.append(_f(*a)) or profiles[-1])
+    rho = EnsembleParams(3, 6).area_poly
+    res = coordinate_descent(rho, H, 0.4, minimize=False, seed=2)
+    assert len(profiles) == res.sweeps * rho.degree
+    for key, pairs_seen in scored.items():
+        assert len(pairs_seen) == len(set(pairs_seen))
+    # one pass for the first round, one per refinement ring at most
+    assert len(calls) <= len(profiles) * (1 + optimizer.DEFAULT_REFINE_PASSES)
+
+
 def _masked_h2_vec(x):
     """h2_vec as it was: fancy-indexed evaluation of the open interval only."""
     x = np.asarray(x, dtype=float)

@@ -300,6 +300,137 @@ def test_batch_empty_and_validation():
         phi_of_poly_batch(H, rho, [bsc(0.1)], tol=0.0)
 
 
+# ----------------------------------------------------------------------
+# complements of convolutions
+
+
+def _complement_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
+    """The scalar complement_of_convolution the blocked engine replaced,
+    kept verbatim as the reference."""
+    atoms, degrees, ys, ws = [], [], [], []
+    for ch, d in factors:
+        atom, y, w = series._atom_split(ch)
+        atoms.append(atom)
+        degrees.append(d)
+        ys.append(y)
+        ws.append(w)
+    atom_prod = math.prod(a**d for a, d in zip(atoms, degrees))
+    if all(y.size == 0 for y in ys):
+        return atom_prod
+    total = atom_prod
+    zs = [y.copy() for y in ys]
+    n = 1
+    while True:
+        count = min(512, term_cap - n + 1)
+        prod_block = np.ones(count)
+        for i, (atom, d, y, w) in enumerate(zip(atoms, degrees, ys, ws)):
+            if y.size == 0:
+                gamma = np.full(count, atom)
+            else:
+                steps = np.broadcast_to(y[:, None], (y.size, count)).copy()
+                steps[:, 0] = zs[i]
+                powers = np.cumprod(steps, axis=1)
+                gamma = atom + w @ powers
+                zs[i] = powers[:, -1] * y
+            prod_block *= gamma**d if d > 1 else gamma
+        coefs = series._coefficient_block(tag, n, n + count)
+        total += float(np.dot(coefs, prod_block - atom_prod))
+        n += count
+        bound = coefficient_tail(tag, n - 1) * (float(prod_block[-1]) - atom_prod)
+        if bound <= rel_tol * total or n > term_cap:
+            break
+    return total
+
+
+def _complement_rows(width):
+    """Rows of `width` factors: all-atom rows, atoms next to inner points,
+    a slow row (eps = 1e-4, thousands of terms) among fast ones, and sampler
+    draws of 1 to 10 points, so rows of every point count share a batch."""
+    atoms = [bec(0.3), bsc(0.0), bsc(0.5), mix(bsc(0.0), bsc(0.5), 0.25)]
+    rows = [tuple(atoms[(i + j) % 4] for j in range(width)) for i in range(4)]
+    rows.append(tuple([bec(0.4), bsc(0.2), bsc(0.5)][:width] + [bsc(0.1)] * (width - 3)))
+    rows.append((bsc(1e-4),) + (bsc(0.3),) * (width - 1))
+    for t in range(30):
+        rng = trial_rng(61, width, t)
+        draws = [random_channel(rng) for _ in range(width)]
+        if t % 3 == 0:  # mixtures reach 10 points
+            draws[0] = mix(draws[0], random_channel(rng), float(rng.random()))
+        rows.append(tuple(draws))
+    return rows
+
+
+def _assert_complements_match_loop(tag, degrees, rows, **kw):
+    got = series.complement_of_convolution_batch(tag, degrees, rows, **kw)
+    assert len(got) == len(rows)
+    for row, value in zip(rows, got):
+        want = _complement_loop(tag, list(zip(row, degrees)), **kw)
+        assert abs(value - want) <= 1e-15 * abs(want)
+        # the batch value is the one-row value, bit for bit
+        assert value == series.complement_of_convolution(tag, list(zip(row, degrees)), **kw)
+
+
+COMPLEMENT_DEGREES = ((1,), (2,), (6,), (1, 1), (2, 1), (3, 1, 2))
+
+
+@pytest.mark.parametrize("tag", (H, B))
+@pytest.mark.parametrize("degrees", COMPLEMENT_DEGREES, ids=str)
+def test_complement_batch_matches_scalar_loop(tag, degrees):
+    _assert_complements_match_loop(tag, degrees, _complement_rows(len(degrees)))
+
+
+@pytest.mark.parametrize("rel_tol", (1e-6, 1e-10))
+def test_complement_batch_stops_where_the_loop_stops(rel_tol):
+    # at a loose tolerance the terms after the stop move the value far more
+    # than 1e-15, so stopping a block early or late shows
+    for tag in (H, B):
+        for degrees in ((1,), (2, 1)):
+            _assert_complements_match_loop(
+                tag, degrees, _complement_rows(len(degrees)), rel_tol=rel_tol
+            )
+
+
+@pytest.mark.parametrize("term_cap", (100, 512, 513, 1000, 5000))
+def test_complement_batch_term_cap_rows(term_cap):
+    # the eps = 1e-4 rows stop at the cap; stop checks fall after each
+    # 512-term block and at the cap, inside passes of several blocks
+    rows = [(bsc(1e-4),), (channel([(2e-4, 0.5), (0.3, 0.5)]),), (bsc(0.2),), (bec(0.5),)]
+    for tag in (H, B):
+        _assert_complements_match_loop(tag, (1,), rows, term_cap=term_cap)
+
+
+def test_complement_batch_all_atom_rows_are_their_floor():
+    got = series.complement_of_convolution_batch(H, (1, 2), _complement_rows(2)[:4])
+    assert got == [0.7 * 1.0**2, 1.0 * 0.0**2, 0.0 * 0.25**2, 0.25 * 0.7**2]
+
+
+def test_complement_batch_chunking_does_not_change_results(monkeypatch):
+    rows = _complement_rows(2)
+    want = series.complement_of_convolution_batch(B, (2, 1), rows)
+    monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", 2048)
+    assert series.complement_of_convolution_batch(B, (2, 1), rows) == want
+
+
+def test_complement_batch_empty_and_validation():
+    assert series.complement_of_convolution_batch(H, (1, 1), []) == []
+    with pytest.raises(ValueError):
+        series.complement_of_convolution_batch(E, (1,), [(bsc(0.1),)])
+    with pytest.raises(ValueError):
+        series.complement_of_convolution_batch(H, (0,), [(bsc(0.1),)])
+    with pytest.raises(ValueError):
+        series.complement_of_convolution_batch(H, (1, 1), [(bsc(0.1),)])
+    with pytest.raises(ValueError):
+        series.complement_of_convolution(H, [(bsc(0.1), 0)])
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 6))
+def test_power_matches_numpy_across_underflow(d):
+    # log-uniform over the range where g^d turns subnormal and then zero
+    g = np.exp(np.random.default_rng(d).uniform(-800.0, 0.0, (64, 512)))
+    g[0, :4] = [0.0, 2.0 ** (-1080.0 / d), np.nextafter(2.0 ** (-1080.0 / d), 0.0), 1.0]
+    want = g**d
+    assert series._power(g, d).tobytes() == want.tobytes()
+
+
 def test_roots_on_keeps_exact_grid_roots():
     # (x - 1/4)(x - 1/2) vanishes exactly on two dyadic points of the grid
     coeffs = np.array([0.125, -0.75, 1.0])
