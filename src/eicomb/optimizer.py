@@ -32,6 +32,12 @@ prefix sums E_j(coordinates 0..i-1) forward as coordinates are updated, so
 the sums over the coordinates other than i are the convolution sums
 sum_t E_t(prefix) (*) E_{j-t}(suffix).  Only orders j <= min(deg rho, d-1)
 are kept.
+
+A coordinate's profile is evaluated through one kernel, _kernel_matrix,
+both on the eps grid and at the finalist pairs.  It fills the matrix
+Phi(BSC(0.5 * (1 - x_g x_p))) in row blocks of KERNEL_BLOCK elements with
+in-place ufuncs on two block-sized scratch buffers, and every element
+equals the elementwise formula bit for bit.
 """
 
 from __future__ import annotations
@@ -201,6 +207,57 @@ def symmetrized_objective(
     return total
 
 
+# The kernel matrix is filled in row blocks of about this many elements, so
+# that a block and its two scratch buffers stay in cache.
+KERNEL_BLOCK = 16384
+
+
+def _kernel_matrix(tag: Functional, xg: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """pointwise(tag, 0.5 * (1 - outer(xg, x))), bit for bit, for xg and x in [0, 1].
+
+    Built block by block with in-place ufuncs on two block-sized scratch
+    buffers, instead of a dozen full-size temporaries.  Every operation is
+    the elementwise formula's, on the same operands: H's
+    -u log2(u) - q log2(q) is formed as -(u log2(u) + q log2(q)), which
+    rounds identically.  u = 0 only where xg = x = 1 (a product of factors
+    in [0, 1] rounds to 1 only if both are 1); h2_vec's value there is 0,
+    and the NaN the formula leaves is overwritten with it.
+    """
+    xg = np.ravel(xg)
+    n, m = xg.size, x.size
+    out = np.empty((n, m))
+    rows = max(1, KERNEL_BLOCK // m)
+    u_buf = np.empty((min(rows, n), m))
+    q_buf = np.empty_like(u_buf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            o = out[lo : lo + rows]
+            u = o if tag is Functional.E else u_buf[: o.shape[0]]
+            np.multiply.outer(xg[lo : lo + rows], x, out=u)
+            np.subtract(1.0, u, out=u)
+            np.multiply(u, 0.5, out=u)
+            if tag is Functional.E:
+                continue
+            q = q_buf[: o.shape[0]]
+            np.subtract(1.0, u, out=q)
+            if tag is Functional.B:
+                np.multiply(u, q, out=o)
+                np.sqrt(o, out=o)
+                np.multiply(o, 2.0, out=o)
+            else:
+                np.log2(u, out=o)
+                np.multiply(o, u, out=o)
+                np.log2(q, out=u)
+                np.multiply(u, q, out=u)
+                np.add(o, u, out=o)
+                np.negative(o, out=o)
+    if tag is Functional.H:
+        hot = np.flatnonzero(xg == 1.0)
+        if hot.size:
+            out[hot[:, None], np.flatnonzero(x == 1.0)] = 0.0
+    return out
+
+
 @dataclass
 class _Profile:
     """The objective as an affine function of coordinate i's weight measure.
@@ -214,6 +271,11 @@ class _Profile:
     from the prefix and suffix sums, merged by the X_MERGE_TOL rule; the
     terms' points are then pooled, and only bit-identical ones collapse,
     since term weights can be negative.
+
+    Both evaluations, the grid pass (__call__: one gemv over the whole
+    kernel matrix) and the finalists (pairs: one 2-row product per pair),
+    take their kernel values from _kernel_matrix, which equals the
+    elementwise pointwise(tag, 0.5 * (1 - outer(xg, x_pts))) bit for bit.
     """
 
     tag: Functional
@@ -230,8 +292,7 @@ class _Profile:
         xg = 1.0 - 2.0 * np.asarray(eps, dtype=float)
         if self.x_pts.size == 0:
             return np.full(xg.shape, self.const)
-        inner = 0.5 * (1.0 - np.outer(xg, self.x_pts))
-        return self.const + pointwise(self.tag, inner) @ self.w_pts
+        return self.const + _kernel_matrix(self.tag, xg, self.x_pts) @ self.w_pts
 
     def pairs(self, eps: np.ndarray) -> np.ndarray:
         """The profile at k candidate pairs, a (k, 2) array, from one kernel pass.
@@ -245,8 +306,7 @@ class _Profile:
         eps = np.asarray(eps, dtype=float).reshape(-1, 2)
         if self.x_pts.size == 0:
             return np.full(eps.shape, self.const)
-        xg = 1.0 - 2.0 * eps.ravel()
-        vals = pointwise(self.tag, 0.5 * (1.0 - np.outer(xg, self.x_pts)))
+        vals = _kernel_matrix(self.tag, 1.0 - 2.0 * eps.ravel(), self.x_pts)
         out = np.empty(eps.shape)
         for i in range(eps.shape[0]):
             out[i] = self.const + vals[2 * i : 2 * i + 2] @ self.w_pts

@@ -250,11 +250,16 @@ def poly_convex_on(rho: Polynomial, x_max: float, tol: float = 1e-12) -> bool:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A truncated-series value together with its rigorous tail bound."""
+    """A truncated-series value together with its rigorous tail bound.
+
+    capped is True when the series stopped at its term cap with the bound
+    still above the tolerance, so error_bound exceeds what was asked for.
+    """
 
     value: float
     error_bound: float
     terms: int
+    capped: bool = False
 
     def __float__(self) -> float:
         return self.value
@@ -328,7 +333,7 @@ def _phi_terms(
             break
         gamma = gamma_next
         n += 1
-    return SeriesValue(rho_one - rho_atom - acc, max(bound, 0.0), n)
+    return SeriesValue(rho_one - rho_atom - acc, max(bound, 0.0), n, not bound <= tol)
 
 
 def phi_series(
@@ -389,14 +394,14 @@ def phi_of_poly_batch(
 
     Terms, stop rule (bound <= tol or n >= term_cap) and the order in which
     partial sums are added are those of the single-channel loop, so term
-    counts and bounds agree with it.  Values may differ in the last digit
-    (|delta| <= 1e-14): numpy's pow and the w . y^n sums round differently
-    from Python's float pow and BLAS's fused dot product.  Terms come in
-    blocks of 8, 16, ... up to 512; powers continue by cumprod from the
-    y^n carried over, partial sums by cumsum from the carried accumulator,
-    and a row leaves the arrays in the block where it stops.  Worth it for
-    a batch: one channel, whose series often stops after a term or two, is
-    faster through phi_of_poly.
+    counts, bounds and the capped flag agree with it.  Values may differ
+    in the last digit (|delta| <= 1e-14): numpy's pow and the w . y^n sums
+    round differently from Python's float pow and BLAS's fused dot product.
+    Terms come in blocks of 8, 16, ... up to 512; powers continue by
+    cumprod from the y^n carried over, partial sums by cumsum from the
+    carried accumulator, and a row leaves the arrays in the block where it
+    stops.  Worth it for a batch: one channel, whose series often stops
+    after a term or two, is faster through phi_of_poly.
     """
     tag = _series_tag(tag)
     _check_tol(tol)
@@ -452,7 +457,8 @@ def phi_of_poly_batch(
             first = stop[rows].argmax(axis=1)
             values = (rho_one - rho_atom[rows]) - partial[rows, first + 1]
             for r, j, v in zip(rows.tolist(), first.tolist(), values.tolist()):
-                out[index[r]] = SeriesValue(v, max(float(bound[r, j]), 0.0), n0 + j)
+                b = float(bound[r, j])
+                out[index[r]] = SeriesValue(v, max(b, 0.0), n0 + j, not b <= tol)
             keep = ~done
             index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z = (
                 v[keep] for v in (index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z)

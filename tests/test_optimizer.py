@@ -11,7 +11,7 @@ from eicomb.area import EnsembleParams
 from eicomb.bounds import random_channel, trial_rng
 from eicomb.channel import bec, bsc, channel
 from eicomb.convolution import check_convolve
-from eicomb.functionals import Functional, evaluate, h2, h2_inv, h2_vec
+from eicomb.functionals import Functional, evaluate, h2, h2_inv, h2_vec, pointwise
 from eicomb.optimizer import (
     TwoPointChannel,
     Verdict,
@@ -344,6 +344,97 @@ def test_profile_pairs_equal_single_pair_calls(tag, support):
         assert got.shape == (k, 2)
         for i in range(k):
             assert got[i].tobytes() == profile(eps[i]).tobytes()
+
+
+def _elementwise_kernel(tag, xg, x):
+    """The profile kernel matrix as the one elementwise formula it replaces."""
+    return pointwise(tag, 0.5 * (1.0 - np.outer(xg, x)))
+
+
+def _elementwise_call(self, eps):
+    """_Profile.__call__ through the elementwise kernel."""
+    xg = 1.0 - 2.0 * np.asarray(eps, dtype=float)
+    if self.x_pts.size == 0:
+        return np.full(xg.shape, self.const)
+    return self.const + _elementwise_kernel(self.tag, xg, self.x_pts) @ self.w_pts
+
+
+def _elementwise_pairs(self, eps):
+    """_Profile.pairs through the elementwise kernel, one 2-row product per pair."""
+    eps = np.asarray(eps, dtype=float).reshape(-1, 2)
+    if self.x_pts.size == 0:
+        return np.full(eps.shape, self.const)
+    vals = _elementwise_kernel(self.tag, 1.0 - 2.0 * eps.ravel(), self.x_pts)
+    out = np.empty(eps.shape)
+    for i in range(eps.shape[0]):
+        out[i] = self.const + vals[2 * i : 2 * i + 2] @ self.w_pts
+    return out
+
+
+_BLOCK = optimizer.KERNEL_BLOCK
+
+
+@pytest.mark.parametrize("m", (1, 2, 300, 2816, _BLOCK - 1, _BLOCK, _BLOCK + 1))
+def test_kernel_matrix_equals_elementwise_formula(m):
+    rng = np.random.default_rng((61, m))
+    # x = 1 against xg = 1 is the u = 0 element, where the kernel is 0
+    x = rng.random(m)
+    x[0] = 1.0
+    if m > 1:
+        x[-1] = 0.0
+    xg_rows = (
+        np.array([1.0]),
+        np.array([0.0, 1.0]),
+        np.concatenate(([1.0, 0.0], rng.random(16))),
+        1.0 - 2.0 * GRID,
+    )
+    for xg in xg_rows:
+        for tag in (H, B, E):
+            got = optimizer._kernel_matrix(tag, xg, x)
+            assert got.shape == (xg.size, m)
+            assert got.tobytes() == _elementwise_kernel(tag, xg, x).tobytes(), (tag, xg.size)
+    assert optimizer._kernel_matrix(H, np.array([1.0]), np.array([1.0]))[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("tag", (H, B, E))
+@pytest.mark.parametrize("support", (1, 2, 17, 601, 2816))
+def test_profile_grid_pass_equals_elementwise_formula(tag, support):
+    rng = np.random.default_rng((67, support))
+    profile = _random_profile(rng, tag, support)
+    profile.x_pts[-1] = 1.0
+    assert profile(GRID).tobytes() == _elementwise_call(profile, GRID).tobytes()
+    eps = np.concatenate(([0.0, 0.5], 0.5 * rng.random(14)))
+    assert profile.pairs(eps).tobytes() == _elementwise_pairs(profile, eps).tobytes()
+
+
+# the flattest cells, the refuted cell and one mid-entropy cell per ensemble
+_IDENTITY_CELLS = [((5, 10), 0.9, True, s) for s in range(3)] + [
+    ((3, 6), 0.1, False, 0),
+    ((3, 6), 0.1, False, 1),
+    ((3, 6), 0.5, True, 2),
+    ((5, 10), 0.5, False, 3),
+]
+
+
+def test_descent_equals_elementwise_kernel_descent(monkeypatch):
+    def run():
+        return [
+            coordinate_descent(
+                EnsembleParams(*ens).area_poly, H, h, minimize=minimize, seed=seed
+            )
+            for ens, h, minimize, seed in _IDENTITY_CELLS
+        ]
+
+    blocked = run()
+    monkeypatch.setattr(optimizer._Profile, "__call__", _elementwise_call)
+    monkeypatch.setattr(optimizer._Profile, "pairs", _elementwise_pairs)
+    elementwise = run()
+    for cell, got, want in zip(_IDENTITY_CELLS, blocked, elementwise):
+        assert repr(got.coords) == repr(want.coords), cell
+        assert repr(got.objective) == repr(want.objective), cell
+        assert repr(got.running_objective) == repr(want.running_objective), cell
+        assert (got.sweeps, got.verdict) == (want.sweeps, want.verdict), cell
+        assert repr(got.trace) == repr(want.trace), cell
 
 
 def _dense_best_coordinate(profile, constraint, target, current, grid, refine_passes, minimize):

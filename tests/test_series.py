@@ -250,6 +250,7 @@ def _assert_matches_oracle(tag, rho, rows, tol, term_cap=series.DEFAULT_TERM_CAP
     for a, sv in zip(rows, got):
         want = _phi_terms(tag, a, rho.terms, tol, term_cap)
         assert sv.terms == want.terms
+        assert sv.capped == want.capped
         assert abs(sv.value - want.value) <= 1e-14
         assert sv.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-15)
 
@@ -276,10 +277,37 @@ def test_batch_term_cap_row_is_exact():
     _assert_matches_oracle(H, Polynomial.monomial(3), rows, tol=1e-11)
 
 
+def test_capped_flag_marks_a_term_cap_stop_above_tol():
+    want = phi_series(H, CAPPED, 3, tol=1e-11)
+    assert want.capped
+    assert want.terms == series.DEFAULT_TERM_CAP
+    assert want.error_bound == pytest.approx(1.36e-7, rel=1e-2)
+    rows = [bsc(0.2), CAPPED, bec(0.4)]
+    got = phi_of_poly_batch(H, Polynomial.monomial(3), rows, tol=1e-11)
+    assert [sv.capped for sv in got] == [False, True, False]
+    # every row of the mixed batch stops below tol before the cap
+    for tag in (H, B):
+        for rho in BATCH_RHOS:
+            assert not any(sv.capped for sv in phi_of_poly_batch(tag, rho, _batch_rows(), 1e-11))
+            assert not phi_of_poly(tag, rho, _batch_rows()[3], tol=1e-11).capped
+
+
+def test_capped_flag_needs_the_bound_above_tol_at_the_cap():
+    rho = Polynomial.monomial(3)
+    natural = phi_of_poly(H, rho, bsc(0.1), tol=1e-11).terms
+    for term_cap, capped in ((natural, False), (natural + 1, False), (natural - 1, True)):
+        one = phi_of_poly(H, rho, bsc(0.1), tol=1e-11, term_cap=term_cap)
+        batch = phi_of_poly_batch(H, rho, [bsc(0.1)], tol=1e-11, term_cap=term_cap)[0]
+        assert one.capped is batch.capped is capped, term_cap
+        assert one.terms == batch.terms == min(natural, term_cap)
+
+
 @pytest.mark.parametrize("term_cap", (1, 5, 8, 9, 30))
 def test_batch_small_term_caps_stop_inside_blocks(term_cap):
     for tag in (H, B):
         _assert_matches_oracle(tag, BATCH_RHOS[2], _batch_rows(), 1e-14, term_cap)
+        got = phi_of_poly_batch(tag, BATCH_RHOS[2], _batch_rows(), 1e-14, term_cap)
+        assert any(sv.capped for sv in got)
 
 
 def test_batch_blocking_does_not_change_results(monkeypatch):
