@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .bounds import random_channel_with_value, trial_rng
 from .channel import Channel
 from .convolution import phi_of_poly_convolved, projected_power_support
-from .functionals import Functional, evaluate, h2, h2_inv
-from .series import Polynomial, phi_series
+from .functionals import Functional, evaluate, h2, h2_inv, h2_vec
+from .series import Polynomial, phi_of_poly_batch
 
 # Caller-supplied entropy must match the channel this closely.
 ENTROPY_MATCH_TOL = 1e-6
@@ -77,6 +80,43 @@ class EnsembleParams:
         return (self.var_degree - 1) * math.exp(-math.sqrt(self.check_degree - 1))
 
 
+def _check_entropies(channels: Sequence[Channel], hs: np.ndarray) -> None:
+    """Raise ValueError naming the first channel whose entropy is off its h."""
+    sizes = np.fromiter((a.size for a in channels), dtype=np.intp, count=len(channels))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    eps = np.concatenate([a.eps for a in channels])
+    w = np.concatenate([a.w for a in channels])
+    entropies = np.add.reduceat(w * h2_vec(eps), starts)
+    off = np.flatnonzero(np.abs(entropies - hs) > ENTROPY_MATCH_TOL)
+    if off.size:
+        i = int(off[0])
+        raise ValueError(
+            f"channel entropy {evaluate(Functional.H, channels[i])!r} "
+            f"does not match h={float(hs[i])!r}"
+        )
+
+
+def _area_values(
+    params: EnsembleParams, channels: Sequence[Channel], hs: Sequence[float], tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Area values, combined series bounds and capped flags of channels at
+    their entropies hs, from one batched series call per power."""
+    hs = np.asarray(hs, dtype=float)
+    _check_entropies(channels, hs)
+    l, r = params.var_degree, params.check_degree
+    high = phi_of_poly_batch(Functional.H, Polynomial.monomial(r), channels, tol=tol)
+    low = phi_of_poly_batch(Functional.H, Polynomial.monomial(r - 1), channels, tol=tol)
+    k_high, k_low = l - 1 - l / r, l - 1
+    values = -hs - k_high * np.array([s.value for s in high]) + k_low * np.array(
+        [s.value for s in low]
+    )
+    bounds = k_high * np.array([s.error_bound for s in high]) + k_low * np.array(
+        [s.error_bound for s in low]
+    )
+    capped = np.array([hi.capped or lo.capped for hi, lo in zip(high, low)], dtype=bool)
+    return values, bounds, capped
+
+
 def area_quantity(
     a: Channel,
     params: EnsembleParams,
@@ -89,14 +129,8 @@ def area_quantity(
     Series-evaluated; when the explicit convolution stays small it is also
     computed exactly and the two routes must agree to CROSS_CHECK_TOL.
     """
-    if abs(evaluate(Functional.H, a) - h) > ENTROPY_MATCH_TOL:
-        raise ValueError(
-            f"channel entropy {evaluate(Functional.H, a)!r} does not match h={h!r}"
-        )
     l, r = params.var_degree, params.check_degree
-    high = phi_series(Functional.H, a, r, tol=tol).value
-    low = phi_series(Functional.H, a, r - 1, tol=tol).value
-    value = -h - (l - 1 - l / r) * high + (l - 1) * low
+    value = float(_area_values(params, [a], [h], tol)[0][0])
     if cross_check and projected_power_support(a.size, r) <= CROSS_CHECK_SUPPORT:
         exact = -h + (l - 1) * phi_of_poly_convolved(Functional.H, params.area_poly, a)
         if abs(value - exact) > CROSS_CHECK_TOL:
@@ -177,12 +211,22 @@ def bec_minimizer_condition(params: EnsembleParams, h: float) -> bool:
 
 @dataclass(frozen=True)
 class AreaSweepRow:
+    """One grid entropy of the area sweep.
+
+    error_bound is the largest combined series bound
+    (l-1-l/r) err(H(a^[r])) + (l-1) err(H(a^[r-1])) over the row's
+    channels, and capped is True when any of their series stopped at its
+    term cap; both stay 0.0 and False on rows with no checked channel.
+    """
+
     h: float
     c0: float
     cond_i: bool
     cond_ii: bool
     checked: int
     min_area: float
+    error_bound: float = 0.0
+    capped: bool = False
 
     @property
     def margin(self) -> float:
@@ -209,20 +253,42 @@ def area_margin_sweep(
     For every grid entropy where both conditions hold, samples channels
     pinned to that entropy and records the minimum observed area value;
     rows with `checked == 0` mark grid points outside the certified range.
+    Every trial of every certified point is drawn first (keys
+    trial_rng(seed, gi, t)) and all are evaluated together, one batched
+    series call per power.
     """
     if c0 is None:
         c0 = params.default_margin()
+    grid = [
+        (gi / (grid_points - 1) if grid_points > 1 else 0.0) for gi in range(grid_points)
+    ]
+    conditions = [margin_conditions(params, h, c0) for h in grid]
+    certified = [gi for gi, cond in enumerate(conditions) if all(cond)]
+    channels = [
+        random_channel_with_value(trial_rng(seed, gi, t), Functional.H, grid[gi])
+        for gi in certified
+        for t in range(channels_per_point)
+    ]
+    hs = [grid[gi] for gi in certified for _ in range(channels_per_point)]
+    values, bounds, capped = [], [], []
+    if channels:
+        values, bounds, capped = (
+            v.tolist() for v in _area_values(params, channels, hs, series_tol)
+        )
     rows: list[AreaSweepRow] = []
-    for gi in range(grid_points):
-        h = gi / (grid_points - 1) if grid_points > 1 else 0.0
-        cond_i, cond_ii = margin_conditions(params, h, c0)
+    start = 0
+    for h, (cond_i, cond_ii) in zip(grid, conditions):
         if not (cond_i and cond_ii):
             rows.append(AreaSweepRow(h, c0, cond_i, cond_ii, 0, math.nan))
             continue
-        lo = math.inf
-        for t in range(channels_per_point):
-            rng = trial_rng(seed, gi, t)
-            a = random_channel_with_value(rng, Functional.H, h)
-            lo = min(lo, area_quantity(a, params, h, tol=series_tol, cross_check=False))
-        rows.append(AreaSweepRow(h, c0, cond_i, cond_ii, channels_per_point, lo))
+        part = slice(start, start + channels_per_point)
+        start += channels_per_point
+        rows.append(
+            AreaSweepRow(
+                h, c0, cond_i, cond_ii, channels_per_point,
+                min(values[part], default=math.inf),
+                max(bounds[part], default=0.0),
+                any(capped[part]),
+            )
+        )
     return rows

@@ -14,6 +14,7 @@ so that Phi(BSC(eps)) = f_Phi(1 - 2*eps).  E has no such kernel.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,9 @@ from .channel import Channel
 # Bisection for h2_inv: iteration cap comfortably past double-precision
 # resolution of [0, 1/2]; the loop exits early once the midpoint collapses.
 _BISECT_MAX_ITER = 120
+# h2_inv memo: the area sweep, its certified interval and the descent solve
+# the same few hundred entropies over and over.
+_H2_INV_CACHE_SIZE = 4096
 
 
 class Functional(enum.Enum):
@@ -51,10 +55,13 @@ def h2_vec(x: np.ndarray) -> np.ndarray:
     return np.where((x > 0.0) & (x < 1.0), val, 0.0)
 
 
+@functools.lru_cache(maxsize=_H2_INV_CACHE_SIZE)
 def h2_inv(y: float) -> float:
     """Unique x in [0, 1/2] with h2(x) = y, by bisection.
 
     The residual |h2(h2_inv(y)) - y| stays below 1e-12 across [0, 1].
+    Results are memoized (a pure float function, so a hit returns the
+    value the bisection would).
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"h2_inv argument must lie in [0, 1], got {y!r}")

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from eicomb import area
 from eicomb.area import (
     AreaSweepRow,
     EnsembleParams,
@@ -13,9 +15,9 @@ from eicomb.area import (
     rho_at_max_moment,
 )
 from eicomb.bounds import monotone_lower_bound, random_channel_with_value, trial_rng
-from eicomb.channel import bec, bsc
-from eicomb.functionals import Functional, h2, h2_inv
-from eicomb.series import phi_of_poly, poly_increasing_on
+from eicomb.channel import bec, bsc, channel
+from eicomb.functionals import Functional, evaluate, h2, h2_inv
+from eicomb.series import phi_of_poly, phi_series, poly_increasing_on
 
 H = Functional.H
 
@@ -194,3 +196,89 @@ def test_sweep_row_csv_format():
     text = row.csv_row(p)
     assert text.startswith("3,6,")
     assert text.count(",") == 8
+
+
+def _sweep_by_channel(params, seed, grid_points, trials):
+    """The sweep as a per-channel loop: (h, cond_i, cond_ii, checked,
+    min_area, largest combined series bound) per grid point."""
+    l, r = params.var_degree, params.check_degree
+    c0 = params.default_margin()
+    rows = []
+    for gi in range(grid_points):
+        h = gi / (grid_points - 1)
+        cond_i, cond_ii = margin_conditions(params, h, c0)
+        if not (cond_i and cond_ii):
+            rows.append((h, cond_i, cond_ii, 0, math.nan, 0.0))
+            continue
+        lo, err = math.inf, 0.0
+        for t in range(trials):
+            a = random_channel_with_value(trial_rng(seed, gi, t), H, h)
+            lo = min(lo, area_quantity(a, params, h, cross_check=False))
+            high, low = phi_series(H, a, r), phi_series(H, a, r - 1)
+            err = max(err, (l - 1 - l / r) * high.error_bound + (l - 1) * low.error_bound)
+        rows.append((h, cond_i, cond_ii, trials, lo, err))
+    return rows
+
+
+@pytest.mark.parametrize("degrees", [(100, 200), (50, 100), (20, 40), (3, 6)])
+@pytest.mark.parametrize("seed", [11, 7])
+def test_batched_sweep_matches_per_channel_loop(degrees, seed):
+    p = EnsembleParams(*degrees)
+    rows = area_margin_sweep(p, seed, grid_points=50, channels_per_point=20)
+    want = _sweep_by_channel(p, seed, 50, 20)
+    assert [(r.h, r.cond_i, r.cond_ii, r.checked) for r in rows] == [w[:4] for w in want]
+    for row, (*_, lo, err) in zip(rows, want):
+        if row.checked:
+            assert abs(row.min_area - lo) <= 1e-14 * abs(lo)
+            assert row.error_bound == pytest.approx(err, rel=1e-9, abs=1e-15)
+            assert 0.0 < row.error_bound <= 100 * 1e-10
+        else:
+            assert math.isnan(row.min_area) and row.error_bound == 0.0
+        assert not row.capped
+    if degrees == (3, 6):
+        assert not any(r.checked for r in rows)
+    else:
+        assert any(r.checked for r in rows)
+
+
+def test_sweep_row_carries_a_capped_series(monkeypatch):
+    real = area.phi_of_poly_batch
+
+    def first_capped(tag, rho, channels, tol):
+        out = real(tag, rho, channels, tol=tol)
+        if rho.degree == p.check_degree:  # only H(a^[r]) of the first channel
+            out[0] = dataclasses.replace(out[0], error_bound=1.0, capped=True)
+        return out
+
+    p = EnsembleParams(50, 100)
+    monkeypatch.setattr(area, "phi_of_poly_batch", first_capped)
+    rows = [r for r in area_margin_sweep(p, 6, grid_points=12, channels_per_point=5) if r.checked]
+    assert len(rows) >= 2
+    k_high = p.var_degree - 1 - p.var_degree / p.check_degree
+    assert rows[0].capped and rows[0].error_bound >= k_high
+    assert not any(r.capped for r in rows[1:])
+    assert all(r.error_bound < 1e-6 for r in rows[1:])
+
+
+def test_area_values_flag_a_capped_series():
+    # phi_series(H, {(1e-6,.5),(.3,.5)}, 3, tol=1e-11) stops at the term cap
+    a = channel([(1e-6, 0.5), (0.3, 0.5)])
+    _, bounds, capped = area._area_values(EnsembleParams(2, 4), [a], [evaluate(H, a)], 1e-11)
+    assert capped.tolist() == [True]
+    assert bounds[0] > 1e-11
+
+
+def test_sweep_rejects_an_off_entropy_channel(monkeypatch):
+    monkeypatch.setattr(area, "random_channel_with_value", lambda rng, tag, h: bsc(0.11))
+    p = EnsembleParams(50, 100)
+    first = next(r.h for r in area_margin_sweep(p, 6, grid_points=12, channels_per_point=0)
+                 if r.cond_i and r.cond_ii)
+    with pytest.raises(ValueError, match=f"does not match h={first!r}"):
+        area_margin_sweep(p, 6, grid_points=12, channels_per_point=3)
+
+
+def test_sweep_without_trials_keeps_certified_rows_empty():
+    rows = area_margin_sweep(EnsembleParams(50, 100), 6, grid_points=12, channels_per_point=0)
+    certified = [r for r in rows if r.cond_i and r.cond_ii]
+    assert certified
+    assert all(r.checked == 0 and r.min_area == math.inf for r in certified)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import eicomb
 from eicomb.channel import bec, parse_channel
 from eicomb.cli import main
 
@@ -138,3 +144,15 @@ def test_unknown_functional_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "bec:0.3", "--functional", "Q")
     assert code == 2
     assert "unknown functional" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(eicomb.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eicomb", "eval", "bec:0.3", "--all"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "H(a) = 0.3" in proc.stdout

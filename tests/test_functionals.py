@@ -44,6 +44,25 @@ def test_h2_inv_residual_bound():
         assert abs(h2(x) - y) <= 1e-12
 
 
+def test_h2_inv_memo_is_bit_identical():
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310, tiny / 2, tiny, np.nextafter(1.0, 0.0)]
+    ys = special + np.random.default_rng(8).random(10**4 - len(special)).tolist()
+    for y in ys + [np.float64(y) for y in ys[:50]]:
+        want = h2_inv.__wrapped__(y).hex()
+        assert h2_inv(y).hex() == want  # computed, or a hit from an equal key
+        assert h2_inv(y).hex() == want  # a hit
+
+
+@pytest.mark.parametrize(
+    "y", [-5e-324, -1.0, 1.0000000000000002, 2.0, math.nan, math.inf, -math.inf]
+)
+def test_h2_inv_memo_still_rejects_out_of_range(y):
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(ValueError):
+            h2_inv(y)
+
+
 def test_kernel_matches_pointwise_channel_values():
     # f_H(1-2e) = h2(e) and f_B(1-2e) = 2 sqrt(e(1-e)) across the range.
     for e in np.linspace(0.0, 0.5, 1000):

@@ -602,3 +602,17 @@ def test_descent_matches_benchmark_reference_on_flat_and_mixed_cells():
         assert res.verdict.value == want_verdict, key
         slack = tol["atol"] + tol["rtol"] * abs(want_objective)
         assert abs(res.objective - want_objective) <= slack, key
+
+
+def test_descent_solves_its_matched_crossover_once(monkeypatch):
+    calls = []
+    real = optimizer.best_coordinate
+    monkeypatch.setattr(
+        optimizer, "best_coordinate", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    h2_inv.cache_clear()
+    coordinate_descent(Polynomial.monomial(3), H, 0.37, seed=1, max_sweeps=2)
+    info = h2_inv.cache_info()
+    # the first solve is the only bisection; every best_coordinate re-solve hits
+    assert info.misses == 1
+    assert len(calls) >= 3 and info.hits >= len(calls)
