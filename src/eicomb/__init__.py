@@ -48,6 +48,7 @@ from .bounds import (
     monotone_lower_bound,
     random_channel,
     random_channel_with_value,
+    random_channels_with_value,
 )
 from .area import (
     EnsembleParams,

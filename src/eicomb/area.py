@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import random_channel_with_value, trial_rng
+from .bounds import random_channels_with_value, trial_rng
 from .channel import Channel
 from .convolution import phi_of_poly_convolved, projected_power_support
 from .functionals import Functional, evaluate, h2, h2_inv, h2_vec
@@ -264,12 +264,11 @@ def area_margin_sweep(
     ]
     conditions = [margin_conditions(params, h, c0) for h in grid]
     certified = [gi for gi, cond in enumerate(conditions) if all(cond)]
-    channels = [
-        random_channel_with_value(trial_rng(seed, gi, t), Functional.H, grid[gi])
-        for gi in certified
-        for t in range(channels_per_point)
-    ]
     hs = [grid[gi] for gi in certified for _ in range(channels_per_point)]
+    channels = random_channels_with_value(
+        [trial_rng(seed, gi, t) for gi in certified for t in range(channels_per_point)],
+        Functional.H, hs,
+    )
     values, bounds, capped = [], [], []
     if channels:
         values, bounds, capped = (

@@ -25,9 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, _trusted, bec, bsc, mix
+from .channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, Channel, _settled, _trusted, bec,
+                      bsc, mix)
 from .convolution import check_convolve, check_power, phi_of_poly_convolved
-from .functionals import Functional, complement, evaluate, kernel, kernel_inv
+from .functionals import Functional, complement, evaluate, kernel, kernel_inv, pointwise
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
                      poly_convex_on, poly_increasing_on)
 
@@ -363,19 +364,173 @@ def trial_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
-# The mixing partners of random_channel_with_value; channels are immutable,
+# The mixing partners of the fixed-value sampler; channels are immutable,
 # so every draw shares them.
 _PERFECT = bsc(0.0)
 _USELESS = bsc(0.5)
+
+# numpy sums fewer than 8 floats left to right, as _row_sums does, so a
+# draw of up to 6 points (7 with its mixing partner) settles in the batch
+# bit for bit; wider draws take the one-channel route.
+_BATCH_MAX_POINTS = 6
+
+# A raw draw: crossover probabilities and unnormalized weights, in draw order.
+_Draw = tuple[np.ndarray, np.ndarray]
+
+
+def _draw(rng: np.random.Generator, max_support: int) -> _Draw:
+    """The three generator calls of one raw channel: 1..max_support points,
+    eps uniform on [0, 1/2], weights independent exponentials."""
+    m = int(rng.integers(1, max_support + 1))
+    eps = rng.random(m) * 0.5
+    w = rng.standard_exponential(m)
+    return eps, w
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as numpy sums a short 1-D array."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _settle_draws(draws: Sequence[_Draw]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The raw channels of draws, settled together as padded rows.
+
+    Returns (eps, w, sizes, fast).  Row i of the (n, width) arrays holds
+    draw i in its first sizes[i] entries: normalized in draw order, sorted
+    by eps (stable) and renormalized, as Channel's settle leaves it.
+    fast[i] is False where the draw would merge points or drop a weight,
+    or is too wide to settle here; Channel's settle takes those rows.
+    """
+    sizes = np.fromiter((e.size for e, _ in draws), dtype=np.intp, count=len(draws))
+    real = np.arange(sizes.max()) < sizes[:, None]
+    eps = np.ones(real.shape)  # pads sort after every point
+    w = np.zeros(real.shape)
+    eps[real] = np.concatenate([e for e, _ in draws])
+    w[real] = np.concatenate([v for _, v in draws])
+    w /= _row_sums(w)[:, None]
+    order = eps.argsort(axis=1, kind="stable")
+    eps = np.take_along_axis(eps, order, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    apart = (eps[:, 1:] - eps[:, :-1] > EPS_MERGE_TOL) | ~real[:, 1:]
+    heavy = (w >= WEIGHT_DROP_TOL) | ~real
+    fast = apart.all(axis=1) & heavy.all(axis=1) & (sizes <= _BATCH_MAX_POINTS)
+    w /= _row_sums(w)[:, None]
+    return eps, w, sizes, fast
+
+
+def _raw_channels(draws: Sequence[_Draw]) -> list[Channel]:
+    """The raw channel of each draw, in order."""
+    if not draws:
+        return []
+    eps, w, sizes, fast = _settle_draws(draws)
+    return [
+        _settled(eps[i, :m], w[i, :m]) if ok else _trusted(e, v / v.sum())
+        for i, ((e, v), m, ok) in enumerate(zip(draws, sizes.tolist(), fast.tolist()))
+    ]
+
+
+def _pin(raw: Channel, tag: Functional, target: float, top: float) -> Channel:
+    """raw mixed with the perfect channel (value 0) or the useless one
+    (value top) so that its tag value is target."""
+    v = evaluate(tag, raw)
+    if v == target:
+        return raw
+    if v > target:
+        return mix(raw, _PERFECT, target / v)
+    return mix(raw, _USELESS, (top - target) / (top - v))
+
+
+def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[float],
+                     top: float) -> list[Channel]:
+    """_pin of each draw's raw channel to its target, in order.
+
+    Where the raw channel and its mixture settle without a merge or a
+    dropped weight, the mixture is built here in the arrays: the partner
+    point goes at its known end (eps 0 first, 1/2 last) and the row is
+    renormalized once.  Every other draw goes through _pin, so the merge
+    and drop rules stay Channel's.
+    """
+    eps, w, sizes, fast = _settle_draws(draws)
+    rows = np.flatnonzero(fast)
+    eps, w, sizes = eps[rows], w[rows], sizes[rows]
+    t = np.asarray(targets, dtype=float)[rows]
+    real = np.arange(eps.shape[1]) < sizes[:, None]
+    # one np.dot per row, as evaluate takes it: a vectorized row sum of
+    # the products rounds differently
+    f = pointwise(tag, eps[real])
+    ends = np.cumsum(sizes).tolist()
+    v = np.array([float(np.dot(w[r, : end - start], f[start:end]))
+                  for r, (start, end) in enumerate(zip([0] + ends[:-1], ends))])
+    perfect, useless = v > t, v < t
+    alpha = np.ones_like(v)
+    np.divide(t, v, out=alpha, where=perfect)
+    np.divide(top - t, top - v, out=alpha, where=useless)
+    scaled = w * alpha[:, None]
+    last = eps[np.arange(rows.size), sizes - 1]
+    mixable = (
+        ((perfect & (eps[:, 0] > EPS_MERGE_TOL)) | (useless & (0.5 - last > EPS_MERGE_TOL)))
+        & (1.0 - alpha >= WEIGHT_DROP_TOL)
+        & ((scaled >= WEIGHT_DROP_TOL) | ~real).all(axis=1)
+    )
+    picked = np.flatnonzero(mixable)
+    first = perfect[picked]
+    mix_eps = np.ones((picked.size, eps.shape[1] + 1))
+    mix_w = np.zeros_like(mix_eps)
+    dest = np.arange(eps.shape[1]) + first[:, None]
+    np.put_along_axis(mix_eps, dest, eps[picked], axis=1)
+    np.put_along_axis(mix_w, dest, scaled[picked], axis=1)
+    at = np.where(first, 0, sizes[picked])
+    mix_eps[np.arange(picked.size), at] = np.where(first, 0.0, 0.5)
+    mix_w[np.arange(picked.size), at] = 1.0 - alpha[picked]
+    mix_w /= _row_sums(mix_w)[:, None]
+
+    out: list[Channel | None] = [None] * len(draws)
+    rows = rows.tolist()
+    for q, (r, m) in enumerate(zip(picked.tolist(), (sizes[picked] + 1).tolist())):
+        out[rows[r]] = _settled(mix_eps[q, :m], mix_w[q, :m])
+    for r in np.flatnonzero(~mixable).tolist():
+        m = int(sizes[r])
+        out[rows[r]] = _pin(_settled(eps[r, :m], w[r, :m]), tag, float(t[r]), top)
+    for i, a in enumerate(out):
+        if a is None:
+            e, v = draws[i]
+            out[i] = _pin(_trusted(e, v / v.sum()), tag, float(targets[i]), top)
+    return out
+
+
+def random_channels_with_value(
+    rngs: Iterable[np.random.Generator],
+    tag: Functional,
+    targets: Sequence[float],
+    max_support: int = MAX_RAW_SUPPORT,
+) -> list[Channel]:
+    """Random channels with the selected functional pinned exactly to the
+    targets, one per generator and target, settled as one batch.
+
+    Each generator draws a raw channel (random_channel's three calls), and
+    the channel is mixed with the perfect channel (value 0) or the useless
+    channel (value 1, or 1/2 for E); linearity of the functionals makes
+    the level exact.  Every channel equals the one-channel route's bit for
+    bit.
+    """
+    top = 0.5 if tag is Functional.E else 1.0
+    targets = [float(target) for target in targets]
+    for target in targets:
+        if not 0.0 <= target <= top:
+            raise ValueError(f"target {target!r} out of range for {tag.value}")
+    draws = [_draw(rng, max_support) for rng in rngs]
+    if len(draws) != len(targets):
+        raise ValueError(f"{len(draws)} generators for {len(targets)} targets")
+    return _pinned_channels(draws, tag, targets, top) if draws else []
 
 
 def random_channel(rng: np.random.Generator, max_support: int = MAX_RAW_SUPPORT) -> Channel:
     """Raw random channel: 1..max_support points, eps uniform on [0, 1/2],
     weights from normalized independent exponentials."""
-    m = int(rng.integers(1, max_support + 1))
-    eps = rng.random(m) * 0.5
-    w = rng.standard_exponential(m)
-    return _trusted(eps, w / w.sum())
+    return _raw_channels([_draw(rng, max_support)])[0]
 
 
 def random_channel_with_value(
@@ -384,22 +539,9 @@ def random_channel_with_value(
     target: float,
     max_support: int = MAX_RAW_SUPPORT,
 ) -> Channel:
-    """Random channel with the selected functional pinned exactly to target.
-
-    Draws a raw channel and mixes it with the perfect channel (value 0) or
-    the useless channel (value 1, or 1/2 for E); linearity of the
-    functionals makes the level exact.
-    """
-    top = 0.5 if tag is Functional.E else 1.0
-    if not 0.0 <= target <= top:
-        raise ValueError(f"target {target!r} out of range for {tag.value}")
-    raw = random_channel(rng, max_support)
-    v = evaluate(tag, raw)
-    if v == target:
-        return raw
-    if v > target:
-        return mix(raw, _PERFECT, target / v)
-    return mix(raw, _USELESS, (top - target) / (top - v))
+    """Random channel with the selected functional pinned exactly to target:
+    random_channels_with_value on a batch of one."""
+    return random_channels_with_value([rng], tag, [target], max_support)[0]
 
 
 # ----------------------------------------------------------------------
@@ -448,21 +590,28 @@ def inequality_suite(
 
     Trial t of inequality c draws its own generator from (seed, c, t), so
     results do not depend on execution order.  Each code's trials are drawn
-    first and then evaluated together by the evaluator of check_inequality.
+    first, their raw channels settled as one batch, and then evaluated
+    together by the evaluator of check_inequality.
     """
     codes = sorted(INEQUALITIES if codes is None else codes)
     reports: list[BoundReport] = []
     summaries: dict[int, SuiteSummary] = {}
     for code in codes:
         info = INEQUALITIES[code]
-        cases: list[_Case] = []
+        drawn = []
         for t in range(trials):
             rng = trial_rng(seed, code, t)
             tag = Functional.H if rng.integers(2) == 0 else Functional.B
-            chans = [random_channel(rng) for _ in range(info.channels)]
+            draws = [_draw(rng, MAX_RAW_SUPPORT) for _ in range(info.channels)]
             power = int(rng.integers(2, 7)) if info.needs_power else None
             alpha = float(rng.random()) if info.needs_alpha else None
-            cases.append((tag, chans, alpha, power))
+            drawn.append((tag, draws, alpha, power))
+        chans = _raw_channels([d for _, draws, _, _ in drawn for d in draws])
+        k = info.channels
+        cases: list[_Case] = [
+            (tag, chans[k * t : k * t + k], alpha, power)
+            for t, (tag, _, alpha, power) in enumerate(drawn)
+        ]
         summary = SuiteSummary(name=f"ineq{code}")
         for report in _check_cases(code, cases, seed):
             reports.append(report)
@@ -486,22 +635,38 @@ def _sweep(
     summary = SuiteSummary(name=name)
     for ri, rho in enumerate(rhos):
         for tag in tags:
-            # every channel of the (rho, tag) row goes through one batched
-            # series call; reports keep the (level, item, trial) order
-            cells = []
-            for li, level in enumerate(levels):
-                for item in bound_factory(tag, rho, level):
-                    for t in range(per_cell):
-                        rng = trial_rng(seed, ri, ord(tag.value), li, t)
-                        a = random_channel_with_value(rng, item.constraint, level)
-                        cells.append((level, item, t, a))
-            channels = [a for _, _, _, a in cells]
+            # The channels of one (level, constraint) key are drawn and
+            # evaluated once, and every item of the level with that
+            # constraint (the fixed-error pair) reads them.  Each
+            # constraint's draws are one sampler batch, and the whole
+            # (rho, tag) row one batched series call; reports keep the
+            # (level, item, trial) order.
+            items = [bound_factory(tag, rho, level) for level in levels]
+            keys = dict.fromkeys((li, item.constraint)
+                                 for li, level_items in enumerate(items)
+                                 for item in level_items)
+            channels: list[Channel] = []
+            for constraint in dict.fromkeys(c for _, c in keys):
+                group = [li for li, c in keys if c is constraint]
+                for k, li in enumerate(group):
+                    keys[li, constraint] = len(channels) + k * per_cell
+                channels += random_channels_with_value(
+                    [trial_rng(seed, ri, ord(tag.value), li, t)
+                     for li in group for t in range(per_cell)],
+                    constraint,
+                    [levels[li] for li in group for _ in range(per_cell)],
+                )
             values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
-            for (level, item, t, a), value in zip(cells, values):
-                params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
-                report = item.report(value.value, params=params, seed=seed, witnesses=(a,))
-                reports.append(report)
-                summary.absorb(report, tol)
+            for li, (level, level_items) in enumerate(zip(levels, items)):
+                for item in level_items:
+                    start = keys[li, item.constraint]
+                    for t in range(per_cell):
+                        a, value = channels[start + t], values[start + t]
+                        params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
+                        report = item.report(value.value, params=params, seed=seed,
+                                             witnesses=(a,))
+                        reports.append(report)
+                        summary.absorb(report, tol)
     return reports, summary
 
 
@@ -567,8 +732,9 @@ def bsc_minimizer_counterexamples(
     """
     eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
     reference = phi_of_poly_convolved(tag, rho, bsc(eps_match))
-    channels = [random_channel_with_value(trial_rng(seed, 99, t), tag, phi0)
-                for t in range(trials)]
+    channels = random_channels_with_value(
+        [trial_rng(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
+    )
     values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
     out: list[BoundReport] = []
     for t, (a, value) in enumerate(zip(channels, values)):

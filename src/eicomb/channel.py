@@ -99,7 +99,10 @@ class Channel:
             eps, w = eps[keep], w[keep]
             if eps.size == 0:
                 raise ChannelError("no mass points left after merging")
-        w = w / w.sum()
+        self._freeze(eps, w / w.sum())
+
+    def _freeze(self, eps: np.ndarray, w: np.ndarray) -> None:
+        """Make settled points read-only and the channel's own."""
         eps.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "eps", eps)
@@ -139,6 +142,14 @@ def _trusted(eps: np.ndarray, w: np.ndarray) -> Channel:
     """
     out = object.__new__(Channel)
     out._settle(eps, w)
+    return out
+
+
+def _settled(eps: np.ndarray, w: np.ndarray) -> Channel:
+    """Channel from points a batched settle has already sorted, merged and
+    renormalized with the arithmetic of Channel._settle; only freezes them."""
+    out = object.__new__(Channel)
+    out._freeze(eps, w)
     return out
 
 

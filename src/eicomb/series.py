@@ -283,6 +283,44 @@ def _atom_split(a: Channel) -> tuple[float, np.ndarray, np.ndarray]:
     return float(a.w[x == 1.0].sum()), x[active] ** 2, a.w[active]
 
 
+def _split_points(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The _atom_split of every channel at once.
+
+    Returns each channel's mass at x = 1, then the channel index, y = x^2
+    and weight of every point with 0 < x < 1, by channel and, within a
+    channel, in point order.
+    """
+    sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
+    row = np.repeat(np.arange(len(chans)), sizes)
+    eps = np.concatenate([ch.eps for ch in chans])
+    w = np.concatenate([ch.w for ch in chans])
+    x = 1.0 - 2.0 * eps
+    atoms = np.zeros(len(chans))
+    at_one = x == 1.0
+    np.add.at(atoms, row[at_one], w[at_one])
+    active = (x > 0.0) & (x < 1.0)
+    x = x[active]
+    return atoms, row[active], x * x, w[active]
+
+
+def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(atoms, index, ys, ws): each channel's mass at x = 1, the indices of
+    the channels with a point in 0 < x < 1, and those points' y = x^2 and
+    weights, row r for channel index[r], left-aligned and zero-padded to
+    the widest row (a zero weight times a zero power adds nothing to a
+    moment)."""
+    atoms, row, y, w = _split_points(chans)
+    counts = np.bincount(row, minlength=len(chans))
+    index = np.flatnonzero(counts)
+    rank = np.cumsum(counts > 0) - 1
+    col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    ys = np.zeros((index.size, int(counts.max(initial=0))))
+    ws = np.zeros_like(ys)
+    ys[rank[row], col] = y
+    ws[rank[row], col] = w
+    return atoms, index, ys, ws
+
+
 def _abs_terms(terms: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
     return tuple((k, abs(c)) for k, c in terms)
 
@@ -409,27 +447,18 @@ def phi_of_poly_batch(
     abs_terms = _abs_terms(terms)
     rho_one = float(sum(c for _, c in terms))
     out: list[SeriesValue | None] = [None] * len(channels)
-    active: list[tuple[int, float, np.ndarray, np.ndarray]] = []
-    for i, a in enumerate(channels):
-        atom, y, w = _atom_split(a)
-        if y.size == 0:
-            out[i] = SeriesValue(rho_one - _rho_at(terms, atom), 0.0, 0)
-        else:
-            active.append((i, atom, y, w))
-    if not active:
+    if not channels:
         return out
-
-    index, atom_list, y_list, w_list = zip(*active)
-    index = np.array(index)
-    atoms = np.array(atom_list)
-    rho_atom = np.array([_rho_at(terms, v) for v in atom_list])
-    rho_abs_atom = np.array([_rho_at(abs_terms, v) for v in atom_list])
-    # zero padding: a zero weight times a zero power adds nothing to gamma
-    ys = np.zeros((index.size, max(y.size for y in y_list)))
-    ws = np.zeros_like(ys)
-    for r, (y, w) in enumerate(zip(y_list, w_list)):
-        ys[r, : y.size] = y
-        ws[r, : w.size] = w
+    atoms, index, ys, ws = _padded_rows(channels)
+    idle = np.ones(len(channels), dtype=bool)
+    idle[index] = False
+    for i in np.flatnonzero(idle).tolist():
+        out[i] = SeriesValue(rho_one - _rho_at(terms, float(atoms[i])), 0.0, 0)
+    if not index.size:
+        return out
+    atoms = atoms[index]
+    rho_atom = np.array([_rho_at(terms, v) for v in atoms.tolist()])
+    rho_abs_atom = np.array([_rho_at(abs_terms, v) for v in atoms.tolist()])
     acc = np.zeros(index.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
     n0, block = 1, _BATCH_FIRST_BLOCK
@@ -583,23 +612,14 @@ _Factor = tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]
 
 def _factor_groups(chans: Sequence[Channel]) -> _Factor:
     """The _atom_split of every channel at once, grouped by point count."""
-    sizes = [ch.size for ch in chans]
-    row = np.repeat(np.arange(len(chans)), sizes)
-    eps = np.concatenate([ch.eps for ch in chans])
-    w = np.concatenate([ch.w for ch in chans])
-    x = 1.0 - 2.0 * eps
-    atoms = np.zeros(len(chans))
-    at_one = x == 1.0
-    np.add.at(atoms, row[at_one], w[at_one])
-    active = (x > 0.0) & (x < 1.0)
-    counts = np.bincount(row[active], minlength=len(chans))
-    y_all = np.where(active, x * x, 0.0)
+    atoms, row, y, w = _split_points(chans)
+    counts = np.bincount(row, minlength=len(chans))
     groups = []
     # the point counts present (np.unique would import numpy.ma on first use)
     for m in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        picks = counts[row] == m
         members = np.flatnonzero(counts == m)
-        picks = active & (counts[row] == m)
-        groups.append((members, y_all[picks].reshape(-1, m), w[picks].reshape(-1, m)))
+        groups.append((members, y[picks].reshape(-1, m), w[picks].reshape(-1, m)))
     return atoms, groups
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eicomb import bounds
 from eicomb.bounds import (
     BoundReport,
     INEQUALITIES,
@@ -14,10 +15,11 @@ from eicomb.bounds import (
     monotone_lower_bound,
     random_channel,
     random_channel_with_value,
+    random_channels_with_value,
     trial_rng,
     upper_bound_sweep,
 )
-from eicomb.channel import bec, bsc, mix
+from eicomb.channel import EPS_MERGE_TOL, WEIGHT_DROP_TOL, _trusted, bec, bsc, mix
 from eicomb.convolution import phi_of_poly_convolved
 from eicomb.functionals import Functional, evaluate, h2, kernel_inv
 from eicomb.series import Polynomial, phi_of_poly, poly_from_string
@@ -149,6 +151,152 @@ def test_fixed_value_sampler_rejects_bad_target():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
         random_channel_with_value(rng, E, 0.7)
+
+
+def _scalar_random_channel(rng, max_support=5):
+    """The one-channel sampler the batched settle replaced."""
+    m = int(rng.integers(1, max_support + 1))
+    eps = rng.random(m) * 0.5
+    w = rng.standard_exponential(m)
+    return _trusted(eps, w / w.sum())
+
+
+def _scalar_random_channel_with_value(rng, tag, target, max_support=5):
+    top = 0.5 if tag is Functional.E else 1.0
+    if not 0.0 <= target <= top:
+        raise ValueError(f"target {target!r} out of range for {tag.value}")
+    raw = _scalar_random_channel(rng, max_support)
+    v = evaluate(tag, raw)
+    if v == target:
+        return raw
+    if v > target:
+        return mix(raw, bsc(0.0), target / v)
+    return mix(raw, bsc(0.5), (top - target) / (top - v))
+
+
+def _same_bits(a, b):
+    return a.eps.tobytes() == b.eps.tobytes() and a.w.tobytes() == b.w.tobytes()
+
+
+class _Scripted:
+    """A generator that draws one given raw channel (eps in draw order, and
+    unnormalized weights); random() returns 2*eps, which the sampler halves
+    exactly."""
+
+    def __init__(self, eps, w):
+        self.eps = np.array(eps, dtype=float)
+        self.w = np.array(w, dtype=float)
+
+    def integers(self, low, high):
+        assert low <= self.eps.size < high
+        return self.eps.size
+
+    def random(self, m):
+        return self.eps * 2.0
+
+    def standard_exponential(self, m):
+        return self.w.copy()
+
+
+def _sampler_targets(tag, seed, n, max_support):
+    """Targets 0, top, mid-range and the raw draw's own value, in turn."""
+    top = 0.5 if tag is E else 1.0
+    targets = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            targets.append(0.0)
+        elif kind == 1:
+            targets.append(top)
+        elif kind == 2:
+            targets.append(top * float(trial_rng(seed + 1, i).random()))
+        else:
+            raw = _scalar_random_channel(trial_rng(seed, i), max_support)
+            targets.append(evaluate(tag, raw))
+    return targets
+
+
+@pytest.mark.parametrize("tag", (H, B, E))
+@pytest.mark.parametrize("max_support", (5, 9))
+def test_batched_sampler_is_the_scalar_sampler_bit_for_bit(tag, max_support):
+    n = 400
+    targets = _sampler_targets(tag, 80, n, max_support)
+    got = random_channels_with_value(
+        [trial_rng(80, i) for i in range(n)], tag, targets, max_support
+    )
+    for i, (a, target) in enumerate(zip(got, targets)):
+        want = _scalar_random_channel_with_value(trial_rng(80, i), tag, target, max_support)
+        assert _same_bits(a, want), i
+        assert _same_bits(random_channel_with_value(trial_rng(80, i), tag, target, max_support),
+                          want)
+        assert _same_bits(random_channel(trial_rng(81, i), max_support),
+                          _scalar_random_channel(trial_rng(81, i), max_support))
+    # the v == target rows come back as the raw channel itself
+    raw_rows = [i for i in range(3, n, 4)
+                if _same_bits(got[i], _scalar_random_channel(trial_rng(80, i), max_support))]
+    assert len(raw_rows) == n // 4
+
+
+# Hand-built draws (eps, unnormalized weights, tag, target) that the batch
+# cannot settle or mix in its arrays, each for its own reason.
+_FALLBACK_DRAWS = {
+    "point at 0 meets the perfect partner": ([0.2, 0.0], [1.0, 2.0], H, 0.1),
+    "point near 0 merges with the perfect partner": ([3e-13, 0.3], [1.0, 1.0], H, 0.2),
+    "point at 1/2 meets the useless partner": ([0.5, 0.1], [1.0, 1.0], B, 0.99),
+    "point near 1/2 merges with the useless partner": ([0.1, 0.5 - 4e-13], [1.0, 1.0], E, 0.4),
+    "points within the merge tolerance": ([0.2, 0.3, 0.2 + EPS_MERGE_TOL / 2], [1.0, 2.0, 3.0],
+                                          H, 0.5),
+    "identical points": ([0.25, 0.25], [1.0, 3.0], B, 0.5),
+    "a raw weight under the drop tolerance": ([0.1, 0.2, 0.3], [1.0, 1e-17, 0.5], H, 0.5),
+    "a mixed weight under the drop tolerance": ([0.3, 0.4], [1.0, 1.0], E, 1e-17),
+    "a partner weight under the drop tolerance": ([0.3], [1.0], E, 0.3 * (1.0 - 1e-16)),
+    "target 0 returns the perfect partner": ([0.1, 0.2], [1.0, 1.0], B, 0.0),
+    "target top returns the useless partner": ([0.1, 0.2], [1.0, 1.0], E, 0.5),
+    "a useless mix of weight 1 returns the raw channel": ([2e-17], [1.0], E, 3e-17),
+    "the draw has its target's value": ([0.25], [1.0], E, 0.25),
+    "a draw too wide for the batch": ([0.01 * k for k in range(1, 8)], [1.0] * 7, H, 0.5),
+}
+
+
+def test_batched_sampler_fallback_rows_are_the_scalar_sampler(monkeypatch):
+    pins = []
+    pin = bounds._pin
+    monkeypatch.setattr(bounds, "_pin", lambda *args: pins.append(args) or pin(*args))
+    plain = ([0.3, 0.1], [1.0, 2.0])
+    for tag, target in ((H, 0.2), (B, 0.95), (E, 0.4)):
+        want = _scalar_random_channel_with_value(_Scripted(*plain), tag, target)
+        assert _same_bits(random_channel_with_value(_Scripted(*plain), tag, target), want)
+    assert pins == []  # plain rows mix in the arrays
+    for reason, (eps, w, tag, target) in _FALLBACK_DRAWS.items():
+        want = _scalar_random_channel_with_value(_Scripted(eps, w), tag, target, 7)
+        # alone, and between plain rows of the same batch
+        alone = random_channel_with_value(_Scripted(eps, w), tag, target, 7)
+        assert len(pins) == 1, reason
+        pins.clear()
+        rngs = [_Scripted(*plain), _Scripted(eps, w), _Scripted(*plain)]
+        batch = random_channels_with_value(rngs, tag, [target] * 3, 7)
+        assert _same_bits(alone, want) and _same_bits(batch[1], want), reason
+        plain_want = _scalar_random_channel_with_value(_Scripted(*plain), tag, target)
+        assert _same_bits(batch[0], plain_want) and _same_bits(batch[2], plain_want), reason
+        pins.clear()
+
+
+def test_raw_sampler_fallback_rows_are_the_scalar_sampler():
+    for eps, w in (([0.2, 0.3, 0.2 + EPS_MERGE_TOL / 2], [1.0, 2.0, 3.0]),
+                   ([0.1, 0.2, 0.3], [1.0, 1e-17, 0.5]),
+                   ([0.0, 0.5], [1.0, 1.0]),
+                   ([0.01 * k for k in range(1, 10)], [1.0] * 9)):
+        want = _scalar_random_channel(_Scripted(eps, w), 9)
+        assert _same_bits(random_channel(_Scripted(eps, w), 9), want)
+        assert np.all(want.w >= WEIGHT_DROP_TOL)
+
+
+def test_batched_sampler_checks_its_targets():
+    with pytest.raises(ValueError, match="out of range"):
+        random_channels_with_value([trial_rng(1, i) for i in range(3)], H, [0.5, 1.5, 0.2])
+    with pytest.raises(ValueError, match="3 generators for 2 targets"):
+        random_channels_with_value([trial_rng(1, i) for i in range(3)], H, [0.5, 0.2])
+    assert random_channels_with_value([], B, []) == []
 
 
 def test_trial_rng_reproducible():
@@ -309,6 +457,35 @@ def test_batched_sweep_reports_equal_per_channel_run(tag):
                 w.kind, w.params, w.seed, w.hypothesis_ok)
             assert g.witnesses[0].points == w.witnesses[0].points
             assert abs(g.lhs - w.lhs) <= 1e-14 and abs(g.rhs - w.rhs) <= 1e-14
+
+
+def test_fixed_error_pair_shares_one_draw_per_key(monkeypatch):
+    batches = []
+    batch = bounds.phi_of_poly_batch
+    monkeypatch.setattr(bounds, "phi_of_poly_batch",
+                        lambda tag, rho, chans, tol: batches.append(len(chans)) or
+                        batch(tag, rho, chans, tol=tol))
+    levels, per_cell = (0.05, 0.2, 0.35), 6
+    rhos = (Polynomial.monomial(3), poly_from_string("x^5-0.75x^6"))
+    reports, summary = fixed_error_sweep(seed=12, levels=levels, rhos=rhos, per_cell=per_cell)
+    assert batches == [len(levels) * per_cell] * (len(rhos) * 2)
+    assert len(reports) == summary.trials == len(rhos) * 2 * len(levels) * 2 * per_cell
+    for row in range(len(rhos) * 2):
+        for li, level in enumerate(levels):
+            cell = reports[(row * len(levels) + li) * 2 * per_cell:][: 2 * per_cell]
+            tag = H if row % 2 == 0 else B
+            for t, (lo, hi) in enumerate(zip(cell[:per_cell], cell[per_cell:])):
+                assert (lo.kind, hi.kind) == ("lower", "upper")
+                assert lo.params == hi.params
+                a, b = lo.witnesses[0], hi.witnesses[0]
+                assert a.eps.tobytes() == b.eps.tobytes() and a.w.tobytes() == b.w.tobytes()
+                want = random_channel_with_value(
+                    trial_rng(12, row // 2, ord(tag.value), li, t), E, level)
+                assert a.eps.tobytes() == want.eps.tobytes()
+                assert lo.rhs == hi.lhs  # one evaluation serves both bounds
+    batches.clear()
+    upper_bound_sweep(seed=12, levels=levels, rhos=rhos, per_cell=per_cell)
+    assert batches == [len(levels) * per_cell] * (len(rhos) * 2)
 
 
 def test_bsc_minimizer_checker_matches_per_channel_run():

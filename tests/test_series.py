@@ -318,6 +318,67 @@ def test_batch_blocking_does_not_change_results(monkeypatch):
     assert phi_of_poly_batch(B, rho, rows, tol=1e-12) == wide
 
 
+def _padded_loop(channels):
+    """The per-channel split and padding loop that phi_of_poly_batch ran
+    before _padded_rows: (idle atoms by index, index, atoms, ys, ws)."""
+    idle = {}
+    active = []
+    for i, a in enumerate(channels):
+        atom, y, w = series._atom_split(a)
+        if y.size == 0:
+            idle[i] = atom
+        else:
+            active.append((i, atom, y, w))
+    index, atom_list, y_list, w_list = zip(*active)
+    ys = np.zeros((len(index), max(y.size for y in y_list)))
+    ws = np.zeros_like(ys)
+    for r, (y, w) in enumerate(zip(y_list, w_list)):
+        ys[r, : y.size] = y
+        ws[r, : w.size] = w
+    return idle, np.array(index), np.array(atom_list), ys, ws
+
+
+def _split_rows():
+    """Atoms at x = 1, points at x = 0, all-atom channels and widths 1-10."""
+    rng = np.random.default_rng(17)
+    rows = [bsc(0.0), bec(0.3), bsc(0.5), channel([(0.0, 0.3), (0.5, 0.7)])]
+    for m in range(1, 11):
+        eps = np.sort(rng.random(m)) * 0.5
+        w = rng.random(m) + 0.1
+        rows.append(channel(zip(eps, w / w.sum())))
+        ends = [(0.0, 0.2), (0.5, 0.1), (0.0, 0.2), (0.5, 0.1)][: 1 + m % 4]
+        inner = [(e, 0.6 * v) for e, v in zip(eps[1:-1], w[1:-1] / w[1:-1].sum())] or [(0.25, 0.6)]
+        total = sum(v for _, v in inner) + sum(v for _, v in ends)
+        rows.append(channel([(e, v / total) for e, v in ends + inner]))
+    rows.insert(9, bec(0.8))
+    return rows
+
+
+def test_batch_split_is_the_padded_loop():
+    rows = _split_rows()
+    assert len({a.size for a in rows}) >= 10
+    idle, index, atoms, ys, ws = _padded_loop(rows)
+    assert sorted(idle) == [0, 1, 2, 3, 9]
+    all_atoms, got_index, got_ys, got_ws = series._padded_rows(rows)
+    assert got_index.tolist() == index.tolist()
+    assert all_atoms[index].tobytes() == atoms.tobytes()
+    assert all(all_atoms[i] == atom for i, atom in idle.items())
+    assert got_ys.tobytes() == ys.tobytes() and got_ys.shape == ys.shape
+    assert got_ws.tobytes() == ws.tobytes()
+    assert any(all_atoms[index] > 0.0) and (ys == 0.0).any()
+
+
+@pytest.mark.parametrize("tag", (H, B))
+@pytest.mark.parametrize("rho", BATCH_RHOS, ids=str)
+def test_batch_split_rows_match_phi_of_poly(tag, rho):
+    rows = _split_rows()
+    for a, sv in zip(rows, phi_of_poly_batch(tag, rho, rows, tol=1e-11)):
+        want = phi_of_poly(tag, rho, a, tol=1e-11)
+        assert (sv.terms, sv.capped) == (want.terms, want.capped)
+        assert sv.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-15)
+        assert abs(sv.value - want.value) <= 1e-14
+
+
 def test_batch_empty_and_validation():
     rho = Polynomial.monomial(2)
     assert phi_of_poly_batch(H, rho, []) == []
