@@ -211,6 +211,120 @@ def test_constraint_grid_is_cached_read_only_and_scalar_exact():
 
 
 # ----------------------------------------------------------------------
+# the order cut: only the subset-sum orders that reach a read order are built
+
+
+def _full_add(sums, a):
+    """optimizer._add before the order cut: every order up to len(sums) - 1."""
+    return [sums[0]] + [
+        optimizer._merged_sum((sums[j], optimizer._convolve(sums[j - 1], a)))
+        for j in range(1, len(sums))
+    ]
+
+
+def _full_symmetric_sums(measures, order):
+    """optimizer._symmetric_sums before the order cut: E_0 .. E_order."""
+    sums = [optimizer._IDENTITY] + [optimizer._EMPTY] * order
+    for a in measures:
+        sums = _full_add(sums, a)
+    return sums
+
+
+CUT_RHOS = ("x^2+0.5x", "x^3", "x^5-0.75x^6", "x^9-0.875x^10")
+
+
+def _random_measures(rng, d):
+    channels = [random_channel(rng, max_support=2) for _ in range(d)]
+    return [(1.0 - 2.0 * ch.eps, ch.w) for ch in channels]
+
+
+def _same_measure(a, b):
+    return a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+
+def _descent_sums(measures, order, add):
+    """The descent's prefix and suffix sums of every coordinate, built by
+    add(sums, a, n) with n the number of coordinates after the step."""
+    prefixes = [_full_symmetric_sums((), order)]
+    for n, a in enumerate(measures[:-1], 1):
+        prefixes.append(add(prefixes[-1], a, n))
+    suffixes = [prefixes[0]]
+    for n, a in enumerate(reversed(measures[1:]), 1):
+        suffixes.append(add(suffixes[-1], a, n))
+    return prefixes, suffixes[::-1]
+
+
+@pytest.mark.parametrize("rho_text", CUT_RHOS)
+@pytest.mark.parametrize("extra", (0, 1, 2))
+def test_order_cut_keeps_every_read_order_bit_for_bit(rho_text, extra):
+    rho = poly_from_string(rho_text)
+    d = rho.degree + extra
+    k_low = rho.terms[0][0]
+    measures = _random_measures(trial_rng(71, d, k_low), d)
+
+    # the objective reads orders >= K of all d coordinates
+    full = _full_symmetric_sums(measures, rho.degree)
+    cut = optimizer._symmetric_sums(measures, rho.degree, k_low)
+    for j in range(k_low, rho.degree + 1):
+        assert _same_measure(cut[j], full[j]), j
+    assert all(cut[j][0].size == 0 for j in range(k_low))
+
+    # a profile reads the others' orders >= K-1: a side of n coordinates
+    # keeps its orders >= (K-1) - (d-1-n) and leaves the lower ones empty
+    order = min(rho.degree, d - 1)
+    low = k_low - d
+    full_pre, full_suf = _descent_sums(measures, order, lambda s, a, n: _full_add(s, a))
+    cut_pre, cut_suf = _descent_sums(
+        measures, order, lambda s, a, n: optimizer._add(s, a, low + n)
+    )
+    for i in range(d):
+        for got, want, n in ((cut_pre[i], full_pre[i], i), (cut_suf[i], full_suf[i], d - 1 - i)):
+            for j in range(order + 1):
+                if j >= low + n:
+                    assert _same_measure(got[j], want[j]), (i, n, j)
+                else:
+                    assert got[j][0].size == 0, (i, n, j)
+        got = optimizer._profile_for(rho, H, d, cut_pre[i], cut_suf[i])
+        want = optimizer._profile_for(rho, H, d, full_pre[i], full_suf[i])
+        assert got.x_pts.tobytes() == want.x_pts.tobytes(), i
+        assert got.w_pts.tobytes() == want.w_pts.tobytes(), i
+        assert got.const.hex() == want.const.hex(), i
+
+
+def _full_order_helpers(monkeypatch):
+    monkeypatch.setattr(optimizer, "_add", lambda sums, a, low: _full_add(sums, a))
+    monkeypatch.setattr(
+        optimizer, "_symmetric_sums", lambda ms, order, low=0: _full_symmetric_sums(ms, order)
+    )
+
+
+def test_order_cut_skips_unread_orders_at_5_10(monkeypatch):
+    rho = EnsembleParams(5, 10).area_poly
+    measures = _random_measures(trial_rng(79), rho.degree)
+    cut = optimizer._symmetric_sums(measures, rho.degree, rho.terms[0][0])
+    full = _full_symmetric_sums(measures, rho.degree)
+    assert all(cut[j][0].size == 0 and full[j][0].size > 0 for j in range(8))
+
+    sizes = []
+    real = optimizer._convolve
+    monkeypatch.setattr(
+        optimizer, "_convolve", lambda a, b: sizes.append(a[0].size * b[0].size) or real(a, b)
+    )
+
+    def count():
+        sizes.clear()
+        coordinate_descent(rho, H, 0.5, seed=0, max_sweeps=1)
+        return len(sizes), sum(sizes)
+
+    cut_calls, cut_points = count()
+    _full_order_helpers(monkeypatch)
+    full_calls, full_points = count()
+    # the middle orders, most of the full recursion's points, are never built
+    assert cut_calls < full_calls and cut_points < 0.5 * full_points, (
+        cut_calls, full_calls, cut_points, full_points)
+
+
+# ----------------------------------------------------------------------
 # coordinate descent
 
 
@@ -337,11 +451,14 @@ def _random_profile(rng, tag, support):
 def test_profile_pairs_equal_single_pair_calls(tag, support):
     rng = np.random.default_rng((47, support))
     profile = _random_profile(rng, tag, support)
-    for k in (1, 3, 8, 16):
+    for k in (1, 3, 8, 16, 41):
         eps = 0.5 * rng.random((k, 2))
         eps[0] = (0.0, 0.5)
         got = profile.pairs(eps)
         assert got.shape == (k, 2)
+        # one stacked matmul runs a separate 2-row product per pair, which
+        # numpy does not promise; this guards it
+        assert got.tobytes() == _looped_pairs(profile, eps).tobytes(), k
         for i in range(k):
             assert got[i].tobytes() == profile(eps[i]).tobytes()
 
@@ -359,16 +476,21 @@ def _elementwise_call(self, eps):
     return self.const + _elementwise_kernel(self.tag, xg, self.x_pts) @ self.w_pts
 
 
-def _elementwise_pairs(self, eps):
-    """_Profile.pairs through the elementwise kernel, one 2-row product per pair."""
+def _looped_pairs(self, eps, kernel=optimizer._kernel_matrix):
+    """_Profile.pairs as a Python loop of 2-row products, one per pair."""
     eps = np.asarray(eps, dtype=float).reshape(-1, 2)
     if self.x_pts.size == 0:
         return np.full(eps.shape, self.const)
-    vals = _elementwise_kernel(self.tag, 1.0 - 2.0 * eps.ravel(), self.x_pts)
+    vals = kernel(self.tag, 1.0 - 2.0 * eps.ravel(), self.x_pts)
     out = np.empty(eps.shape)
     for i in range(eps.shape[0]):
         out[i] = self.const + vals[2 * i : 2 * i + 2] @ self.w_pts
     return out
+
+
+def _elementwise_pairs(self, eps):
+    """_Profile.pairs through the elementwise kernel, one 2-row product per pair."""
+    return _looped_pairs(self, eps, _elementwise_kernel)
 
 
 _BLOCK = optimizer.KERNEL_BLOCK
@@ -433,6 +555,35 @@ def test_descent_equals_elementwise_kernel_descent(monkeypatch):
         assert repr(got.coords) == repr(want.coords), cell
         assert repr(got.objective) == repr(want.objective), cell
         assert repr(got.running_objective) == repr(want.running_objective), cell
+        assert (got.sweeps, got.verdict) == (want.sweeps, want.verdict), cell
+        assert repr(got.trace) == repr(want.trace), cell
+
+
+def test_descent_equals_full_order_descent(monkeypatch):
+    def run():
+        descents = [
+            coordinate_descent(
+                EnsembleParams(*ens).area_poly, H, h, minimize=minimize, seed=seed
+            )
+            for ens, h, minimize, seed in _IDENTITY_CELLS
+        ]
+        objectives = []
+        for t in range(20):
+            rng = trial_rng(83, t)
+            rho = poly_from_string(CUT_RHOS[t % len(CUT_RHOS)])
+            d = rho.degree + t % 3
+            channels = [random_channel(rng, max_support=2) for _ in range(d)]
+            objectives.append(symmetrized_objective(rho, (H, B, E)[t % 3], channels).hex())
+        return descents, objectives
+
+    cut_descents, cut_objectives = run()
+    _full_order_helpers(monkeypatch)
+    full_descents, full_objectives = run()
+    assert cut_objectives == full_objectives
+    for cell, got, want in zip(_IDENTITY_CELLS, cut_descents, full_descents):
+        assert repr(got.coords) == repr(want.coords), cell
+        assert got.objective.hex() == want.objective.hex(), cell
+        assert got.running_objective.hex() == want.running_objective.hex(), cell
         assert (got.sweeps, got.verdict) == (want.sweeps, want.verdict), cell
         assert repr(got.trace) == repr(want.trace), cell
 
@@ -616,3 +767,21 @@ def test_descent_solves_its_matched_crossover_once(monkeypatch):
     # the first solve is the only bisection; every best_coordinate re-solve hits
     assert info.misses == 1
     assert len(calls) >= 3 and info.hits >= len(calls)
+
+
+def test_best_coordinate_evaluates_the_constraint_once_per_eps(monkeypatch):
+    rho = EnsembleParams(3, 6).area_poly
+    coords = optimizer._initial_coords(np.random.default_rng((0,)), rho.degree, H, 0.4)
+    profile = _profile(rho, H, [c.channel() for c in coords], 0)
+    optimizer._constraint_grid(H, optimizer.DEFAULT_GRID)  # built before counting
+    calls = []
+    monkeypatch.setattr(optimizer, "h2", lambda e: calls.append(e) or h2(e))
+    counts = []
+    for passes in range(optimizer.DEFAULT_REFINE_PASSES + 1):
+        calls.clear()
+        optimizer.best_coordinate(profile, H, 0.4, coords[0], refine_passes=passes)
+        assert len(calls) == len(set(calls)), passes
+        counts.append(len(calls))
+    # four first-round pairs, then a ring of 8 pairs over at most 6 eps values
+    assert counts[0] <= 8
+    assert all(b - a <= 6 for a, b in zip(counts, counts[1:])), counts
