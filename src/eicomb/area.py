@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import random_channels_with_value, trial_rng
+from .bounds import keyed_channels_with_value
 from .channel import Channel
 from .convolution import phi_of_poly_convolved, projected_power_support
 from .functionals import Functional, evaluate, h2, h2_inv, h2_vec
@@ -253,8 +253,9 @@ def area_margin_sweep(
     For every grid entropy where both conditions hold, samples channels
     pinned to that entropy and records the minimum observed area value;
     rows with `checked == 0` mark grid points outside the certified range.
-    Every trial of every certified point is drawn first (keys
-    trial_rng(seed, gi, t)) and all are evaluated together, one batched
+    Every trial of every certified point is drawn first, trial t of grid
+    point gi from the stream trial_rng(seed, gi, t) through
+    keyed_channels_with_value, and all are evaluated together, one batched
     series call per power.
     """
     if c0 is None:
@@ -265,8 +266,8 @@ def area_margin_sweep(
     conditions = [margin_conditions(params, h, c0) for h in grid]
     certified = [gi for gi, cond in enumerate(conditions) if all(cond)]
     hs = [grid[gi] for gi in certified for _ in range(channels_per_point)]
-    channels = random_channels_with_value(
-        [trial_rng(seed, gi, t) for gi in certified for t in range(channels_per_point)],
+    channels = keyed_channels_with_value(
+        [(seed, gi, t) for gi in certified for t in range(channels_per_point)],
         Functional.H, hs,
     )
     values, bounds, capped = [], [], []

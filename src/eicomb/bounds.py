@@ -20,8 +20,10 @@ holds; hypothesis failures are flagged inconclusive instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -364,6 +366,124 @@ def trial_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
+# numpy's SeedSequence constants (a pool of 4 uint32 words) and the PCG64
+# 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The cross-mix hashes pool word src once per other word dst, with the
+# running hashmix multiplier at call 4 + 3 src + (its rank among the
+# others); row src of the table holds those call numbers by dst, its own
+# entry a dummy whose result is discarded.
+_CROSS_CALLS = np.array([[4, 4, 5, 6], [7, 7, 8, 9], [10, 11, 11, 12], [13, 14, 15, 15]])
+
+_T = TypeVar("_T")
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0..count, as a column."""
+    factors = np.full(count + 1, mult, dtype=np.uint32)
+    factors[0] = init
+    return np.multiply.accumulate(factors, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> _XSHIFT)
+
+
+def _key_words(keys: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(words, lengths): key i coerced as SeedSequence coerces it, its
+    little-endian uint32 words in words[:lengths[i], i] and zeros below,
+    at least 4 rows."""
+    lengths = [len(key) for key in keys]
+    flat = [v for key in keys for v in key]
+    values = np.array(flat)
+    if flat and not (values.dtype.kind == "i" and 0 <= values.min() and values.max() <= _MASK32):
+        # multi-word, negative or non-integer entries: coerce one by one
+        lengths, flat = [], []
+        for key in keys:
+            start = len(flat)
+            for v in key:
+                v = operator.index(v)
+                if v < 0:
+                    raise ValueError("expected non-negative integer")
+                flat.append(v & _MASK32)
+                while v > _MASK32:
+                    v >>= 32
+                    flat.append(v & _MASK32)
+            lengths.append(len(flat) - start)
+        values = np.array(flat)
+    lengths = np.array(lengths)
+    words = np.zeros((max(_POOL, int(lengths.max())), len(keys)), dtype=np.uint32)
+    words.T[np.arange(words.shape[0]) < lengths[:, None]] = values
+    return words, lengths
+
+
+def _seed_states(keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """SeedSequence(key).generate_state(4, uint64) of every key, as
+    (4, n) uint64: numpy's hash run on all keys at once."""
+    words, lengths = _key_words(keys)
+    width = words.shape[0]
+    # hashmix call k xors a[k] and multiplies by a[k + 1]
+    a = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, _POOL * width)
+    pool = _hashmix(words[:_POOL], a[:_POOL], a[1 : _POOL + 1])
+    xors, mults = a[_CROSS_CALLS], a[_CROSS_CALLS + 1]
+    for src in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[src], xors[src], mults[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    # entropy past the pool: word e is mixed into every pool word, by
+    # hashmix calls 4e .. 4e + 3
+    for extra in range(_POOL, width):
+        k = _POOL * extra
+        h = _hashmix(words[extra], a[k : k + _POOL], a[k + 1 : k + _POOL + 1])
+        pool = np.where(lengths > extra, _mix(pool, h), pool)
+    b = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 2 * _POOL)
+    state = _hashmix(np.concatenate([pool, pool]), b[:-1], b[1:]).astype(np.uint64)
+    return state[0::2] | (state[1::2] << np.uint64(32))
+
+
+def trial_map(draw: Callable[[np.random.Generator], _T],
+              keys: Iterable[Sequence[int]]) -> list[_T]:
+    """[draw(trial_rng(*key)) for key in keys], bit for bit.
+
+    One vectorized SeedSequence hash covers every key, and one generator
+    is put into each key's PCG64 state in turn, so draw sees the same
+    stream trial_rng(*key) gives.  The generator is reused: draw must not
+    keep it, or anything that draws from it later.
+    """
+    keys = list(keys)
+    if not keys:
+        return []
+    seeds, incs = _seed_states(keys).reshape(2, 2, -1).tolist()
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds, *incs):
+        # pcg64_set_seed: inc = 2i + 1 and two LCG steps from 0 with s added
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out.append(draw(rng))
+    return out
+
+
 # The mixing partners of the fixed-value sampler; channels are immutable,
 # so every draw shares them.
 _PERFECT = bsc(0.0)
@@ -501,6 +621,23 @@ def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[
     return out
 
 
+def _checked_targets(tag: Functional, targets: Sequence[float]) -> tuple[float, list[float]]:
+    """(top, targets as floats): top is the tag's largest value, 1/2 for E."""
+    top = 0.5 if tag is Functional.E else 1.0
+    targets = [float(target) for target in targets]
+    for target in targets:
+        if not 0.0 <= target <= top:
+            raise ValueError(f"target {target!r} out of range for {tag.value}")
+    return top, targets
+
+
+def _channels_with_value(draws: Sequence[_Draw], tag: Functional, targets: list[float],
+                         top: float) -> list[Channel]:
+    if len(draws) != len(targets):
+        raise ValueError(f"{len(draws)} generators for {len(targets)} targets")
+    return _pinned_channels(draws, tag, targets, top) if draws else []
+
+
 def random_channels_with_value(
     rngs: Iterable[np.random.Generator],
     tag: Functional,
@@ -508,7 +645,7 @@ def random_channels_with_value(
     max_support: int = MAX_RAW_SUPPORT,
 ) -> list[Channel]:
     """Random channels with the selected functional pinned exactly to the
-    targets, one per generator and target, settled as one batch.
+    targets, target i from generator i, settled as one batch.
 
     Each generator draws a raw channel (random_channel's three calls), and
     the channel is mixed with the perfect channel (value 0) or the useless
@@ -516,15 +653,23 @@ def random_channels_with_value(
     the level exact.  Every channel equals the one-channel route's bit for
     bit.
     """
-    top = 0.5 if tag is Functional.E else 1.0
-    targets = [float(target) for target in targets]
-    for target in targets:
-        if not 0.0 <= target <= top:
-            raise ValueError(f"target {target!r} out of range for {tag.value}")
+    top, targets = _checked_targets(tag, targets)
     draws = [_draw(rng, max_support) for rng in rngs]
-    if len(draws) != len(targets):
-        raise ValueError(f"{len(draws)} generators for {len(targets)} targets")
-    return _pinned_channels(draws, tag, targets, top) if draws else []
+    return _channels_with_value(draws, tag, targets, top)
+
+
+def keyed_channels_with_value(
+    keys: Iterable[Sequence[int]],
+    tag: Functional,
+    targets: Sequence[float],
+    max_support: int = MAX_RAW_SUPPORT,
+) -> list[Channel]:
+    """random_channels_with_value([trial_rng(*key) for key in keys], tag,
+    targets, max_support), with every key's stream reached through
+    trial_map."""
+    top, targets = _checked_targets(tag, targets)
+    draws = trial_map(partial(_draw, max_support=max_support), keys)
+    return _channels_with_value(draws, tag, targets, top)
 
 
 def random_channel(rng: np.random.Generator, max_support: int = MAX_RAW_SUPPORT) -> Channel:
@@ -580,6 +725,16 @@ DEFAULT_SWEEP_RHOS = (
 SERIES_TAGS = (Functional.H, Functional.B)
 
 
+def _draw_case(info: InequalityInfo, rng: np.random.Generator
+               ) -> tuple[Functional, list[_Draw], float | None, int | None]:
+    """One catalog trial's generator calls: (tag, raw draws, alpha, power)."""
+    tag = Functional.H if rng.integers(2) == 0 else Functional.B
+    draws = [_draw(rng, MAX_RAW_SUPPORT) for _ in range(info.channels)]
+    power = int(rng.integers(2, 7)) if info.needs_power else None
+    alpha = float(rng.random()) if info.needs_alpha else None
+    return tag, draws, alpha, power
+
+
 def inequality_suite(
     seed: int,
     trials: int,
@@ -588,24 +743,17 @@ def inequality_suite(
 ) -> tuple[list[BoundReport], dict[int, SuiteSummary]]:
     """Run `trials` random instances of each catalog inequality.
 
-    Trial t of inequality c draws its own generator from (seed, c, t), so
+    Trial t of inequality c draws from the stream trial_rng(seed, c, t), so
     results do not depend on execution order.  Each code's trials are drawn
-    first, their raw channels settled as one batch, and then evaluated
-    together by the evaluator of check_inequality.
+    first through trial_map, their raw channels settled as one batch, and
+    then evaluated together by the evaluator of check_inequality.
     """
     codes = sorted(INEQUALITIES if codes is None else codes)
     reports: list[BoundReport] = []
     summaries: dict[int, SuiteSummary] = {}
     for code in codes:
         info = INEQUALITIES[code]
-        drawn = []
-        for t in range(trials):
-            rng = trial_rng(seed, code, t)
-            tag = Functional.H if rng.integers(2) == 0 else Functional.B
-            draws = [_draw(rng, MAX_RAW_SUPPORT) for _ in range(info.channels)]
-            power = int(rng.integers(2, 7)) if info.needs_power else None
-            alpha = float(rng.random()) if info.needs_alpha else None
-            drawn.append((tag, draws, alpha, power))
+        drawn = trial_map(partial(_draw_case, info), [(seed, code, t) for t in range(trials)])
         chans = _raw_channels([d for _, draws, _, _ in drawn for d in draws])
         k = info.channels
         cases: list[_Case] = [
@@ -650,9 +798,8 @@ def _sweep(
                 group = [li for li, c in keys if c is constraint]
                 for k, li in enumerate(group):
                     keys[li, constraint] = len(channels) + k * per_cell
-                channels += random_channels_with_value(
-                    [trial_rng(seed, ri, ord(tag.value), li, t)
-                     for li in group for t in range(per_cell)],
+                channels += keyed_channels_with_value(
+                    [(seed, ri, ord(tag.value), li, t) for li in group for t in range(per_cell)],
                     constraint,
                     [levels[li] for li in group for _ in range(per_cell)],
                 )
@@ -732,8 +879,8 @@ def bsc_minimizer_counterexamples(
     """
     eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
     reference = phi_of_poly_convolved(tag, rho, bsc(eps_match))
-    channels = random_channels_with_value(
-        [trial_rng(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
+    channels = keyed_channels_with_value(
+        [(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
     )
     values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
     out: list[BoundReport] = []

@@ -14,6 +14,7 @@ fixed configuration yields byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Iterable, Sequence
@@ -55,6 +56,17 @@ def _parse_ensemble(text: str) -> area_mod.EnsembleParams:
     if len(parts) != 2:
         raise ValueError(f"ensemble must be `d_l,d_r`, got {text!r}")
     return area_mod.EnsembleParams(int(parts[0]), int(parts[1]))
+
+
+def _seed(text: str) -> int:
+    """A suite seed: a non-negative integer, as the trial streams' keys take it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("expected non-negative integer")
+    return seed
 
 
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="randomized verification suites")
     p_suite.add_argument("name", choices=["ineq", "upper", "lower", "extremes", "area", "claim"])
-    p_suite.add_argument("--seed", type=int, default=0, help="suite seed")
+    p_suite.add_argument("--seed", type=_seed, default=0, help="suite seed (non-negative)")
     p_suite.add_argument("--trials", type=int, default=1000,
                          help="trials per inequality / per sweep cell / per grid point")
     p_suite.add_argument("--tol", type=float, default=None,
@@ -285,9 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process; parse_args leaves it
+    unchanged, so calls share it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ChannelError, ValueError, OSError) as exc:

@@ -181,11 +181,18 @@ def _merged_sum(parts: Sequence[Measure]) -> Measure:
 
 def _add(sums: Sequence[Measure], a: Measure, low: int) -> list[Measure]:
     """E_j(S + a) = E_j(S) + E_{j-1}(S) (*) a for every kept order j >= low;
-    the orders below low are left empty."""
-    return [sums[0] if low <= 0 else _EMPTY] + [
-        _merged_sum((sums[j], _convolve(sums[j - 1], a))) if j >= low else _EMPTY
-        for j in range(1, len(sums))
-    ]
+    the orders below low are left empty.  An empty E_{j-1}(S) (an order
+    above |S|, or one cut below the previous low) is not convolved:
+    _merged_sum would drop the empty product anyway."""
+    out = [sums[0] if low <= 0 else _EMPTY]
+    for j in range(1, len(sums)):
+        if j < low:
+            out.append(_EMPTY)
+        elif sums[j - 1][0].size:
+            out.append(_merged_sum((sums[j], _convolve(sums[j - 1], a))))
+        else:
+            out.append(_merged_sum((sums[j],)))
+    return out
 
 
 def _symmetric_sums(measures: Sequence[Measure], order: int, low: int = 0) -> list[Measure]:

@@ -269,8 +269,8 @@ def test_area_values_flag_a_capped_series():
 
 
 def test_sweep_rejects_an_off_entropy_channel(monkeypatch):
-    monkeypatch.setattr(area, "random_channels_with_value",
-                        lambda rngs, tag, hs: [bsc(0.11) for _ in hs])
+    monkeypatch.setattr(area, "keyed_channels_with_value",
+                        lambda keys, tag, hs: [bsc(0.11) for _ in hs])
     p = EnsembleParams(50, 100)
     first = next(r.h for r in area_margin_sweep(p, 6, grid_points=12, channels_per_point=0)
                  if r.cond_i and r.cond_ii)

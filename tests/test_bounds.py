@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from eicomb import bounds
+from eicomb.area import EnsembleParams, area_margin_sweep
 from eicomb.bounds import (
     BoundReport,
     INEQUALITIES,
@@ -11,11 +14,13 @@ from eicomb.bounds import (
     fixed_error_extremes,
     fixed_error_sweep,
     inequality_suite,
+    keyed_channels_with_value,
     lower_bound_sweep,
     monotone_lower_bound,
     random_channel,
     random_channel_with_value,
     random_channels_with_value,
+    trial_map,
     trial_rng,
     upper_bound_sweep,
 )
@@ -23,6 +28,11 @@ from eicomb.channel import EPS_MERGE_TOL, WEIGHT_DROP_TOL, _trusted, bec, bsc, m
 from eicomb.convolution import phi_of_poly_convolved
 from eicomb.functionals import Functional, evaluate, h2, kernel_inv
 from eicomb.series import Polynomial, phi_of_poly, poly_from_string
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    st = None
 
 H, B, E = Functional.H, Functional.B, Functional.E
 
@@ -304,6 +314,121 @@ def test_trial_rng_reproducible():
     b = trial_rng(3, 5).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, trial_rng(3, 6).random(4))
+
+
+# ----------------------------------------------------------------------
+# keyed streams: trial_map against the one-key oracle trial_rng
+
+# words at the uint32 edges: a word's top, a two-word int, a three-word int
+EDGE_WORDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+def _suite_calls(rng):
+    """The generator's state and the suites' own first calls on it."""
+    state = rng.bit_generator.state
+    m = int(rng.integers(1, 7))
+    return (state, m, int(rng.integers(2)), rng.random(m).tobytes(),
+            rng.standard_exponential(m).tobytes(), float(rng.random()).hex())
+
+
+def _assert_streams_match(keys):
+    assert trial_map(_suite_calls, keys) == [_suite_calls(trial_rng(*key)) for key in keys]
+
+
+def test_trial_map_matches_trial_rng_on_edge_words():
+    keys = [key for n in range(1, 8)
+            for key in itertools.islice(itertools.product(EDGE_WORDS, repeat=n), 0, None, n)]
+    _assert_streams_match(keys)  # mixed word counts within one batch
+    for key in keys[:: len(keys) // 9]:
+        _assert_streams_match([key])
+
+
+def test_trial_map_matches_trial_rng_on_suite_keys():
+    # the suites' key shapes, with seeds of one and of two words
+    for seed in (0, 11, 2**32 - 1, 5000000000):
+        _assert_streams_match([(seed, 9, t) for t in range(25)])
+        _assert_streams_match([(seed, 3, ord("H"), 8, t) for t in range(25)])
+
+
+def test_trial_map_of_an_empty_batch_draws_nothing():
+    assert trial_map(lambda rng: pytest.fail("drew for no key"), []) == []
+
+
+@pytest.mark.parametrize("key", [(-1,), (3, -1, 2), (5, 1, 2, 3, -2**40)])
+def test_trial_map_rejects_a_negative_key_as_trial_rng_does(key):
+    with pytest.raises(ValueError, match="expected non-negative integer") as want:
+        trial_rng(*key)
+    with pytest.raises(ValueError, match="expected non-negative integer") as got:
+        trial_map(_suite_calls, [(1, 2), key])
+    assert str(got.value) == str(want.value)
+
+
+if st is not None:
+    _KEY_WORD = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**96))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(_KEY_WORD, min_size=1, max_size=7).map(tuple), max_size=12))
+    def test_trial_map_matches_trial_rng_property(keys):
+        _assert_streams_match(keys)
+else:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_trial_map_matches_trial_rng_property():
+        pass
+
+
+def test_keyed_channels_equal_the_generator_route():
+    keys = [(21, gi, t) for gi in range(4) for t in range(30)]
+    for tag, top in ((H, 1.0), (B, 1.0), (E, 0.5)):
+        targets = [top * (0.1 + 0.2 * (i % 5)) for i in range(len(keys))]
+        got = keyed_channels_with_value(keys, tag, targets)
+        want = random_channels_with_value([trial_rng(*k) for k in keys], tag, targets)
+        assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+    with pytest.raises(ValueError, match="out of range"):
+        keyed_channels_with_value([(1, 0)], H, [1.5])
+    assert keyed_channels_with_value([], B, []) == []
+
+
+# One CSV row per suite caller of the keyed streams, as the sampler's first
+# version (one default_rng per trial) wrote it.
+_CUBE = poly_from_string("x^3")
+PINNED_ROWS = {
+    "ineq9": (
+        lambda: inequality_suite(5000000000, 3, codes=(9,))[0][2].csv_row(),
+        "ineq9,name=mixture_power;tag=B;d=5;alpha=0.41321138110310807,0.9982565847092291,"
+        "0.9998697857268548,0.0016132010176257428,1,5000000000",
+    ),
+    "upper": (
+        lambda: upper_bound_sweep(11, levels=(0.3,), rhos=(_CUBE,), tags=(B,),
+                                  per_cell=2)[0][1].csv_row(),
+        "upper,rho=x^3;tag=B;level=0.3;trial=1,0.6566892200795769,0.657,"
+        "0.0003107799204231654,1,11",
+    ),
+    "fixed_error": (
+        lambda: fixed_error_sweep(5000000000, levels=(0.15,),
+                                  rhos=(poly_from_string("x^5-0.75x^6"),), tags=(H,),
+                                  per_cell=2)[0][3].csv_row(),
+        "upper,rho=x^5 - 0.75*x^6;tag=H;level=0.15;trial=1,0.22755817690517452,"
+        "0.23703234201148993,0.009474165106315408,1,5000000000",
+    ),
+    "bsc_min": (
+        lambda: bsc_minimizer_counterexamples(B, _CUBE, 0.3, 3, 2, tol=-2.0)[1].csv_row(),
+        "bsc_min_conjecture,rho=x^3;tag=B;phi0=0.3;trial=1,0.49641615606263245,"
+        "0.6536954708398839,0.15727931477725143,1,3",
+    ),
+    "area": (
+        lambda: next(r for r in area_margin_sweep(EnsembleParams(100, 200), 7, grid_points=12,
+                                                   channels_per_point=3)
+                     if r.checked).csv_row(EnsembleParams(100, 200)),
+        "100,200,0.18181818181818182,7.398737188454976e-05,1,1,0.3181818181291476,"
+        "7.398737188454976e-05,0.318107830757263",
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(PINNED_ROWS))
+def test_suite_rows_keep_their_streams(caller):
+    row, want = PINNED_ROWS[caller]
+    assert row() == want
 
 
 # ----------------------------------------------------------------------

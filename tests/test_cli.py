@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eicomb
 from eicomb.channel import bec, parse_channel
 from eicomb.cli import main
@@ -146,13 +148,46 @@ def test_unknown_functional_is_usage_error(capsys):
     assert "unknown functional" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_run(*argv):
+    """The CLI run as `python -m eicomb` in a new process."""
     src = str(Path(eicomb.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eicomb", "eval", "bec:0.3", "--all"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "eicomb", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _fresh_run("eval", "bec:0.3", "--all")
     assert proc.returncode == 0, proc.stderr
     assert "H(a) = 0.3" in proc.stdout
+
+
+def test_in_process_calls_share_the_parser_without_leaking_options(tmp_path, capsys):
+    # the second call has no --rho or --functional, so it must run the
+    # default polynomials on both tags
+    calls = (
+        ("suite", "upper", "--seed", "5", "--trials", "4", "--rho", "x^3",
+         "--functional", "H"),
+        ("suite", "upper", "--seed", "5", "--trials", "3"),
+    )
+    in_process = []
+    for i, argv in enumerate(calls):
+        path = tmp_path / f"in{i}.csv"
+        in_process.append((*run(capsys, *argv, "--out", str(path)), path.read_bytes()))
+    for i, (argv, (code, out, err, csv)) in enumerate(zip(calls, in_process)):
+        path = tmp_path / f"fresh{i}.csv"
+        proc = _fresh_run(*argv, "--out", str(path))
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert csv == path.read_bytes(), argv
+    assert b"rho=x^6" in in_process[1][3] and b"tag=B" in in_process[1][3]
+
+
+@pytest.mark.parametrize("name", ["ineq", "upper", "lower", "extremes", "area", "claim"])
+def test_negative_seed_is_a_usage_error_on_every_suite(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", name, "--seed", "-1", "--trials", "2"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected non-negative integer" in capsys.readouterr().err

@@ -324,6 +324,44 @@ def test_order_cut_skips_unread_orders_at_5_10(monkeypatch):
         cut_calls, full_calls, cut_points, full_points)
 
 
+def _unskipped_add(sums, a, low):
+    """optimizer._add before the empty-operand skip: every kept order convolved."""
+    return [sums[0] if low <= 0 else optimizer._EMPTY] + [
+        optimizer._merged_sum((sums[j], optimizer._convolve(sums[j - 1], a)))
+        if j >= low else optimizer._EMPTY
+        for j in range(1, len(sums))
+    ]
+
+
+def test_add_skips_only_empty_operand_convolutions(monkeypatch):
+    operands = []
+    real = optimizer._convolve
+    monkeypatch.setattr(
+        optimizer, "_convolve", lambda a, b: operands.append(a[0].size) or real(a, b)
+    )
+    cells = [((3, 6), 0.1, False, 0), ((3, 6), 0.5, True, 2), ((5, 10), 0.5, False, 3)]
+
+    def run():
+        operands.clear()
+        results = [
+            coordinate_descent(EnsembleParams(*ens).area_poly, H, h, minimize=minimize,
+                               seed=seed, max_sweeps=1)
+            for ens, h, minimize, seed in cells
+        ]
+        return results, len(operands), operands.count(0)
+
+    skipped, calls, empty = run()
+    monkeypatch.setattr(optimizer, "_add", _unskipped_add)
+    unskipped, unskipped_calls, unskipped_empty = run()
+    for cell, got, want in zip(cells, skipped, unskipped):
+        assert repr(got.coords) == repr(want.coords), cell
+        assert got.objective.hex() == want.objective.hex(), cell
+        assert repr(got.trace) == repr(want.trace), cell
+    # the _convolve call count falls by exactly the empty-operand products
+    assert empty == 0 < unskipped_empty
+    assert calls == unskipped_calls - unskipped_empty
+
+
 # ----------------------------------------------------------------------
 # coordinate descent
 
