@@ -406,27 +406,21 @@ def _key_words(keys: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(words, lengths): key i coerced as SeedSequence coerces it, its
     little-endian uint32 words in words[:lengths[i], i] and zeros below,
     at least 4 rows."""
-    lengths = [len(key) for key in keys]
-    flat = [v for key in keys for v in key]
-    values = np.array(flat)
-    if flat and not (values.dtype.kind == "i" and 0 <= values.min() and values.max() <= _MASK32):
-        # multi-word, negative or non-integer entries: coerce one by one
-        lengths, flat = [], []
-        for key in keys:
-            start = len(flat)
-            for v in key:
-                v = operator.index(v)
-                if v < 0:
-                    raise ValueError("expected non-negative integer")
+    lengths, flat = [], []
+    for key in keys:
+        start = len(flat)
+        for v in key:
+            v = operator.index(v)
+            if v < 0:
+                raise ValueError("expected non-negative integer")
+            flat.append(v & _MASK32)
+            while v > _MASK32:
+                v >>= 32
                 flat.append(v & _MASK32)
-                while v > _MASK32:
-                    v >>= 32
-                    flat.append(v & _MASK32)
-            lengths.append(len(flat) - start)
-        values = np.array(flat)
+        lengths.append(len(flat) - start)
     lengths = np.array(lengths)
     words = np.zeros((max(_POOL, int(lengths.max())), len(keys)), dtype=np.uint32)
-    words.T[np.arange(words.shape[0]) < lengths[:, None]] = values
+    words.T[np.arange(words.shape[0]) < lengths[:, None]] = flat
     return words, lengths
 
 
@@ -662,13 +656,11 @@ def keyed_channels_with_value(
     keys: Iterable[Sequence[int]],
     tag: Functional,
     targets: Sequence[float],
-    max_support: int = MAX_RAW_SUPPORT,
 ) -> list[Channel]:
     """random_channels_with_value([trial_rng(*key) for key in keys], tag,
-    targets, max_support), with every key's stream reached through
-    trial_map."""
+    targets), with every key's stream reached through trial_map."""
     top, targets = _checked_targets(tag, targets)
-    draws = trial_map(partial(_draw, max_support=max_support), keys)
+    draws = trial_map(partial(_draw, max_support=MAX_RAW_SUPPORT), keys)
     return _channels_with_value(draws, tag, targets, top)
 
 
