@@ -797,12 +797,12 @@ def _sweep(
                 )
             values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
             for li, (level, level_items) in enumerate(zip(levels, items)):
+                prefix = f"rho={rho};tag={tag.value};level={level!r};trial="
                 for item in level_items:
                     start = keys[li, item.constraint]
                     for t in range(per_cell):
                         a, value = channels[start + t], values[start + t]
-                        params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
-                        report = item.report(value.value, params=params, seed=seed,
+                        report = item.report(value.value, params=f"{prefix}{t}", seed=seed,
                                              witnesses=(a,))
                         reports.append(report)
                         summary.absorb(report, tol)
@@ -875,13 +875,14 @@ def bsc_minimizer_counterexamples(
         [(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
     )
     values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
+    prefix = f"rho={rho};tag={tag.value};phi0={phi0!r};trial="
     out: list[BoundReport] = []
     for t, (a, value) in enumerate(zip(channels, values)):
         if value.value < reference - tol:
             out.append(
                 BoundReport(
                     kind="bsc_min_conjecture",
-                    params=f"rho={rho};tag={tag.value};phi0={phi0!r};trial={t}",
+                    params=f"{prefix}{t}",
                     lhs=reference,
                     rhs=value.value,
                     seed=seed,

@@ -22,13 +22,13 @@ come out exact instead of converging at the tail rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .channel import Channel
 from .functionals import Functional
@@ -109,6 +109,8 @@ class Polynomial:
             c = c[:-1]
         if not c:
             raise ValueError("polynomial must have degree >= 1")
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"polynomial coefficients must be finite, got {c!r}")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -184,68 +186,179 @@ def poly_from_string(text: str) -> Polynomial:
     return Polynomial(tuple(coeffs.get(k, 0.0) for k in range(1, degree + 1)))
 
 
-_SIGN_GRID = 4097
-_ROOT_REFINE_TOL = 1e-12
+# Polynomials with integer coefficients, as ascending lists with a nonzero
+# last entry ([] is the zero polynomial).  The hypothesis gates decide with
+# them exactly: a float is a dyadic rational, so a float polynomial scales
+# to integers without rounding.
 
 
-def _roots_on(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
-    """Real roots of the ascending-coefficient polynomial inside [lo, hi].
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients (a positive factor)."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
-    Sign-change isolation on a dense grid, refined by bisection; roots of
-    even multiplicity without a sign change are invisible here, which the
-    callers compensate for by also scanning grid values directly.
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with |lc(b)|^k a = q b + r, k = max(deg a - deg b + 1, 0), deg r < deg b.
+
+    The scale |lc(b)|^k is positive, so q and r keep the signs of the
+    quotient and remainder over the rationals.
     """
-    if hi <= lo or not np.any(coeffs[1:]):
-        return []
-    grid = np.linspace(lo, hi, _SIGN_GRID)
-    vals = npoly.polyval(grid, coeffs)
-    roots = grid[vals == 0.0].tolist()
-    idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    for i in idx:
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = float(npoly.polyval(a, coeffs))
-        while b - a > _ROOT_REFINE_TOL:
-            m = 0.5 * (a + b)
-            fm = float(npoly.polyval(m, coeffs))
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(0.5 * (a + b))
-    return roots
+    lead, scale = b[-1], abs(b[-1])
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        f = r[-1] if lead > 0 else -r[-1]
+        r = [scale * c for c in r]
+        q = [scale * c for c in q]
+        q[i] = f
+        for j, c in enumerate(b):
+            r[i + j] -= f * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
-def _nonneg_on(coeffs: np.ndarray, x_max: float, tol: float) -> bool:
-    """Whether the polynomial stays >= -tol on [0, x_max].
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
 
-    Checks a dense grid (endpoints included) plus the refined roots of the
-    derivative, where interior minima live.
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A greatest common divisor of a and b, up to a constant factor."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b up to a positive constant factor, for b dividing a."""
+    return _primitive(_pseudo_divmod(a, b)[0])
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _odd_part(p: list[int]) -> list[int]:
+    """The product of p's distinct irreducible factors of odd multiplicity.
+
+    These are exactly the factors at whose roots p changes sign.  With
+    u_0 = p and u_{j+1} = gcd(u_j, u_j'), s_j = u_j / u_{j+1} is the product
+    of the factors of multiplicity > j, so s_j / s_{j+1} collects those of
+    multiplicity exactly j + 1.  Returned up to a constant factor.
     """
-    grid = np.linspace(0.0, x_max, _SIGN_GRID)
-    if float(npoly.polyval(grid, coeffs).min()) < -tol:
-        return False
-    deriv = npoly.polyder(coeffs) if len(coeffs) > 1 else np.zeros(1)
-    for r in _roots_on(deriv, 0.0, x_max):
-        if float(npoly.polyval(r, coeffs)) < -tol:
-            return False
-    return True
+    u = [p]
+    while len(u[-1]) > 1:
+        u.append(_gcd(u[-1], _derivative(u[-1])))
+    s = [_quotient(a, b) for a, b in zip(u, u[1:])] + [[1]]
+    odd = [1]
+    for j in range(0, len(s) - 1, 2):
+        odd = _product(odd, _quotient(s[j], s[j + 1]))
+    return odd
 
 
-def poly_increasing_on(rho: Polynomial, x_max: float, tol: float = 1e-12) -> bool:
-    """True iff rho' >= -tol everywhere on [0, x_max]."""
+def _sign_at(p: list[int], x: float) -> int:
+    """The exact sign of p at the float x."""
+    n, d = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(p):  # acc = d^deg(p) * p(n/d) at the end
+        acc = acc * n + c * scale
+        scale *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """A Sturm sequence of the squarefree p, each entry up to a positive factor."""
+    chain = [p, _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _variations(chain: list[list[int]], x: float) -> int:
+    """Sign changes along the Sturm sequence at x, zeros dropped."""
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+_GATE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_GATE_CACHE_SIZE)
+def _nonneg_reach(rho: Polynomial, order: int) -> float:
+    """The largest float t in [0, 1] with p = rho^(order) >= 0 on [0, t].
+
+    Certified in exact integer arithmetic.  p = x^m p0 with p0(0) != 0 (a
+    root at 0 is factored out first).  Past 0, p turns negative exactly at
+    r*, the first root in (0, 1) of the odd part q of p0: a root of even
+    multiplicity touches 0 without a sign change.  Sturm's theorem counts
+    q's roots in (0, x) exactly at every float x, and the count grows
+    with x, so bisection over floats ends at adjacent floats t < t' with
+    r* in [t, t').  Returns -1.0 when p(0) < 0 and 1.0 when p >= 0 on
+    all of [0, 1].
+    """
+    fracs = [c.as_integer_ratio() for c in rho.coeffs]
+    denom = max(d for _, d in fracs)  # a power of 2 that every d divides
+    p = [0] + [n * (denom // d) for n, d in fracs]
+    for _ in range(order):
+        p = _derivative(p)
+    m = next((k for k, c in enumerate(p) if c), len(p))
+    p0 = p[m:]
+    if not p0:
+        return 1.0
+    if p0[0] < 0:
+        return 0.0 if m else -1.0
+    chain = _sturm_chain(_odd_part(p0))
+    v0 = _variations(chain, 0.0)
+
+    def roots_below(x: float) -> int:
+        # Sturm counts roots in (0, x]; a root at x itself is not below it
+        return v0 - _variations(chain, x) - (_sign_at(chain[0], x) == 0)
+
+    if roots_below(1.0) == 0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if roots_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _nonneg_on(rho: Polynomial, order: int, x_max: float) -> bool:
     if not 0.0 <= x_max <= 1.0:
         raise ValueError(f"interval end must lie in [0, 1], got {x_max!r}")
-    return _nonneg_on(npoly.polyder(rho.as_array()), x_max, tol)
+    return x_max <= _nonneg_reach(rho, order)
 
 
-def poly_convex_on(rho: Polynomial, x_max: float, tol: float = 1e-12) -> bool:
-    """True iff rho'' >= -tol everywhere on [0, x_max]."""
-    if not 0.0 <= x_max <= 1.0:
-        raise ValueError(f"interval end must lie in [0, 1], got {x_max!r}")
-    return _nonneg_on(npoly.polyder(rho.as_array(), 2), x_max, tol)
+def poly_increasing_on(rho: Polynomial, x_max: float) -> bool:
+    """True iff rho' >= 0 everywhere on [0, x_max], decided exactly.
+
+    The first sign change r* of rho' in [0, 1] is found once per rho, in
+    exact arithmetic, and cached as the largest float t <= r*; the next
+    float above t already lies past r*, so no float x_max falls between
+    them and the gate is the comparison x_max <= t.  Roots of even
+    multiplicity (no sign change) and a root at an exact float are
+    decided correctly; there is no tolerance and no undecided case.
+    """
+    return _nonneg_on(rho, 1, x_max)
+
+
+def poly_convex_on(rho: Polynomial, x_max: float) -> bool:
+    """True iff rho'' >= 0 everywhere on [0, x_max], decided exactly.
+
+    Same certified rule as poly_increasing_on, applied to rho''.
+    """
+    return _nonneg_on(rho, 2, x_max)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,34 @@
 import math
 from fractions import Fraction
 
+from typing import Sequence
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from eicomb.bounds import random_channel, random_channel_with_value, trial_rng
+from eicomb.area import EnsembleParams
+from eicomb.bounds import (
+    DEFAULT_ERROR_LEVELS,
+    DEFAULT_SWEEP_LEVELS,
+    DEFAULT_SWEEP_RHOS,
+    SERIES_TAGS,
+    convexity_upper_bound,
+    fixed_error_extremes,
+    lower_bound_sweep,
+    monotone_lower_bound,
+    random_channel,
+    random_channel_with_value,
+    trial_rng,
+    upper_bound_sweep,
+)
 from eicomb.channel import bec, bsc, channel, mix
 from eicomb.convolution import check_convolve, check_power
-from eicomb.functionals import Functional, evaluate, kernel_inv
+from eicomb.functionals import Functional, evaluate, h2_inv, kernel_inv
 from eicomb import series
 from eicomb.series import (
     Polynomial,
     _phi_terms,
-    _roots_on,
     coefficient,
     coefficient_tail,
     moment,
@@ -24,6 +40,15 @@ from eicomb.series import (
     poly_from_string,
     poly_increasing_on,
 )
+
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+    st = None
+try:
+    import sympy
+except ImportError:  # sympy is an optional test dependency
+    sympy = None
 
 H, B, E = Functional.H, Functional.B, Functional.E
 
@@ -520,16 +545,6 @@ def test_power_matches_numpy_across_underflow(d):
     assert series._power(g, d).tobytes() == want.tobytes()
 
 
-def test_roots_on_keeps_exact_grid_roots():
-    # (x - 1/4)(x - 1/2) vanishes exactly on two dyadic points of the grid
-    coeffs = np.array([0.125, -0.75, 1.0])
-    grid = np.linspace(0.0, 1.0, series._SIGN_GRID)
-    vals = np.polynomial.polynomial.polyval(grid, coeffs)
-    exact = [float(g) for g, v in zip(grid, vals) if v == 0.0]
-    assert exact == [0.25, 0.5]
-    assert _roots_on(coeffs, 0.0, 1.0) == exact
-
-
 # ----------------------------------------------------------------------
 # polynomials
 
@@ -543,6 +558,9 @@ def test_polynomial_basics():
         Polynomial(())
     with pytest.raises(ValueError):
         Polynomial((0.0, 0.0))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial((1.0, bad))
 
 
 def test_polynomial_parsing():
@@ -589,3 +607,247 @@ def test_decreasing_polynomial_detected():
 def test_interval_validation():
     with pytest.raises(ValueError):
         poly_increasing_on(Polynomial((1.0,)), 1.5)
+    for x in (-5e-324, 1.0000000000000002, math.nan, math.inf):
+        for _ in range(2):  # checked before the cached isolation, every call
+            with pytest.raises(ValueError):
+                poly_convex_on(Polynomial.monomial(3), x)
+
+
+# ----------------------------------------------------------------------
+# hypothesis gates: certified against the grid gate they replaced and
+# against sympy's exact real roots
+
+
+# The grid gate the certified one replaced, kept verbatim as an oracle.
+_SIGN_GRID = 4097
+_ROOT_REFINE_TOL = 1e-12
+
+
+def _grid_roots_on(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
+    """Real roots of the ascending-coefficient polynomial inside [lo, hi].
+
+    Sign-change isolation on a dense grid, refined by bisection; roots of
+    even multiplicity without a sign change are invisible here, which the
+    callers compensate for by also scanning grid values directly.
+    """
+    if hi <= lo or not np.any(coeffs[1:]):
+        return []
+    grid = np.linspace(lo, hi, _SIGN_GRID)
+    vals = npoly.polyval(grid, coeffs)
+    roots = grid[vals == 0.0].tolist()
+    idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+    for i in idx:
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa = float(npoly.polyval(a, coeffs))
+        while b - a > _ROOT_REFINE_TOL:
+            m = 0.5 * (a + b)
+            fm = float(npoly.polyval(m, coeffs))
+            if fm == 0.0:
+                a = b = m
+                break
+            if (fa < 0.0) == (fm < 0.0):
+                a, fa = m, fm
+            else:
+                b = m
+        roots.append(0.5 * (a + b))
+    return roots
+
+
+def _grid_nonneg_on(coeffs: np.ndarray, x_max: float, tol: float = 1e-12) -> bool:
+    """Whether the polynomial stays >= -tol on [0, x_max].
+
+    Checks a dense grid (endpoints included) plus the refined roots of the
+    derivative, where interior minima live.
+    """
+    grid = np.linspace(0.0, x_max, _SIGN_GRID)
+    if float(npoly.polyval(grid, coeffs).min()) < -tol:
+        return False
+    deriv = npoly.polyder(coeffs) if len(coeffs) > 1 else np.zeros(1)
+    for r in _grid_roots_on(deriv, 0.0, x_max):
+        if float(npoly.polyval(r, coeffs)) < -tol:
+            return False
+    return True
+
+
+def _grid_gate(rho: Polynomial, order: int, x_max: float) -> bool:
+    return _grid_nonneg_on(npoly.polyder(rho.as_array(), order), x_max)
+
+
+def test_gates_match_the_grid_gate_on_every_sweep_cell():
+    cells = 0
+    for rho in DEFAULT_SWEEP_RHOS:
+        for tag in SERIES_TAGS:
+            for level in DEFAULT_SWEEP_LEVELS:
+                reach = kernel_inv(tag, level) ** 2
+                upper = convexity_upper_bound(tag, rho, level)
+                lower = monotone_lower_bound(tag, rho, level)
+                assert upper.hypothesis_ok == _grid_gate(rho, 2, reach)
+                assert lower.hypothesis_ok == _grid_gate(rho, 1, reach)
+                cells += 2
+            for eps in DEFAULT_ERROR_LEVELS:
+                low, high = fixed_error_extremes(tag, rho, eps)
+                assert low.hypothesis_ok == high.hypothesis_ok == _grid_gate(rho, 1, 1.0 - 2.0 * eps)
+                cells += 1
+    assert cells == 4 * 2 * (2 * 9 + 9)
+
+
+def test_gates_match_the_grid_gate_on_area_polynomials():
+    for l, r in ((3, 6), (5, 10), (50, 100)):
+        rho = EnsembleParams(l, r).area_poly
+        for k in range(0, 101, 5):
+            q = (1.0 - 2.0 * h2_inv(k / 100)) ** 2
+            assert poly_increasing_on(rho, q) == _grid_gate(rho, 1, q)
+            assert poly_convex_on(rho, q) == _grid_gate(rho, 2, q)
+
+
+def test_gate_finds_exact_dyadic_roots():
+    # rho' = 3 (x - 1/4)(x - 1/2) vanishes exactly at two dyadic points
+    rho = Polynomial((0.375, -1.125, 1.0))
+    p = [3, -18, 24]  # 8 rho', in integers
+    assert series._sign_at(p, 0.25) == series._sign_at(p, 0.5) == 0
+    chain = series._sturm_chain(series._odd_part(p))
+    assert series._variations(chain, 0.0) - series._variations(chain, 1.0) == 2
+    assert series._nonneg_reach(rho, 1) == 0.25
+    assert poly_increasing_on(rho, 0.25)
+    assert not poly_increasing_on(rho, math.nextafter(0.25, 1.0))
+    assert not poly_increasing_on(rho, 1.0)  # rho' >= 0 again past 1/2
+
+
+def test_gate_isolates_once_per_polynomial_and_order():
+    series._nonneg_reach.cache_clear()
+    upper_bound_sweep(0, per_cell=1)
+    cells = len(DEFAULT_SWEEP_RHOS) * len(SERIES_TAGS) * len(DEFAULT_SWEEP_LEVELS)
+    info = series._nonneg_reach.cache_info()
+    assert (info.misses, info.hits) == (len(DEFAULT_SWEEP_RHOS), cells - len(DEFAULT_SWEEP_RHOS))
+    lower_bound_sweep(0, per_cell=1)
+    info = series._nonneg_reach.cache_info()
+    assert (info.misses, info.hits) == (2 * len(DEFAULT_SWEEP_RHOS), 2 * (cells - len(DEFAULT_SWEEP_RHOS)))
+
+
+def _rho_from_derivative(p: Sequence[Fraction], order: int, linear: Fraction) -> Polynomial | None:
+    """The rho with rho^(order) = c p for a positive c making every
+    coefficient a float exactly; `linear` is rho's x coefficient when
+    order is 2.  Returns None when no float polynomial represents it."""
+    coeffs = [Fraction(0)] * (order - 1) + [Fraction(c) * math.factorial(j) / math.factorial(j + order)
+                                           for j, c in enumerate(p)]
+    if order == 2:
+        coeffs[0] = linear
+    odd = math.lcm(*(c.denominator >> (c.denominator & -c.denominator).bit_length() - 1 for c in coeffs))
+    coeffs = [c * odd for c in coeffs]
+    if any(Fraction(float(c)) != c for c in coeffs):
+        return None
+    return Polynomial(tuple(float(c) for c in coeffs))
+
+
+def _derivative_of(rho: Polynomial, order: int) -> list[Fraction]:
+    p = [Fraction(0)] + [Fraction(c) for c in rho.coeffs]
+    for _ in range(order):
+        p = [k * c for k, c in enumerate(p)][1:]
+    return p
+
+
+def _sympy_real_roots(p: Sequence[Fraction]) -> list:
+    """sympy's exact real roots of p, repeated by multiplicity."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
+    return sympy.real_roots(sympy.Poly(coeffs, sympy.Symbol("x"))) if any(p) else []
+
+
+def _sympy_nonneg_on(p: Sequence[Fraction], roots: list, x_max: float) -> bool:
+    """Whether p >= 0 on [0, x_max], from p's exact real roots.
+
+    Between its distinct real roots, p has the sign of its leading
+    coefficient times (-1)^(number of real roots above, with multiplicity).
+    """
+    if not any(p):
+        return True
+    if x_max == 0.0:
+        return p[0] >= 0
+    lead = next(c for c in reversed(p) if c)
+    x_max = sympy.Rational(*x_max.as_integer_ratio())
+    # the sign just above 0, then just above each distinct root in (0, x_max)
+    cuts = [sympy.Integer(0)] + [r for r in set(roots) if 0 < r < x_max]
+    return all((lead > 0) == (sum(1 for r in roots if r > cut) % 2 == 0) for cut in cuts)
+
+
+def _gate(rho: Polynomial, order: int, x_max: float) -> bool:
+    return (poly_increasing_on if order == 1 else poly_convex_on)(rho, x_max)
+
+
+def _assert_gate_matches_sympy(rho: Polynomial, order: int, extra: Sequence[float] = ()) -> None:
+    """Compare the gate with sympy at 0, 1, `extra`, and every real root of
+    rho^(order) in [0, 1] with its two float neighbours."""
+    p = _derivative_of(rho, order)
+    roots = _sympy_real_roots(p)
+    probes = {0.0, 1.0, *extra}
+    for r in roots:
+        f = float(r.evalf(30))
+        probes |= {f, math.nextafter(f, 0.0), math.nextafter(f, 2.0)}
+    for x_max in sorted(x for x in probes if 0.0 <= x <= 1.0):
+        assert _gate(rho, order, x_max) == _sympy_nonneg_on(p, roots, x_max), (rho, order, x_max)
+
+
+@pytest.mark.parametrize(
+    "coeffs, order, root",
+    [
+        ((0.0, 0.0, 6.0, -4.0), 2, Fraction(3, 4)),  # rho'' = 12x(3 - 4x): a root on a bisection point
+        ((0.0,) * 8 + (1.0, -0.875), 2, Fraction(72) / Fraction(78.75)),  # rho'' = 72x^7 - 78.75x^8
+        ((0.0, 0.0, 0.0, 0.0, 1.0, -0.75), 2, Fraction(8, 9)),  # rho'' = x^3 (20 - 22.5x)
+        ((0.75, -1.5, 1.0), 1, None),  # rho' = 3 (x - 1/2)^2: a double root, no sign change
+        ((0.0, 0.75, -1.0, 0.5), 2, None),  # rho'' = 6 (x - 1/2)^2
+        ((0.0,) * 11 + (1.0, -1.0), 1, Fraction(12, 13)),  # rho' = x^11 (12 - 13x): root 0 of multiplicity 11
+        ((0.0, 0.0, -1.0), 2, Fraction(0)),  # rho'' = -6x: negative right past its root at 0
+        ((0.0, -0.5, 1.0), 1, Fraction(0)),  # rho' = 3x (x - 1/3): a root at 0, then negative
+        ((-1.0, 1.0), 1, Fraction(-1)),  # rho' = 2x - 1: negative at 0 itself
+        ((0.0, 3.0, -1.0), 2, None),  # rho'' = 6 (1 - x): its root is exactly 1
+        ((1.0,), 2, None),  # rho'' = 0
+    ],
+)
+def test_gate_reach_on_known_roots(coeffs, order, root):
+    # the reach is the largest float at or below the first sign change,
+    # 1.0 when there is none in [0, 1) and -1.0 when negative at 0
+    rho = Polynomial(coeffs)
+    reach = 1.0 if root is None else float(root)
+    if root is not None and Fraction(reach) > root:
+        reach = math.nextafter(reach, -1.0)
+    assert series._nonneg_reach(rho, order) == reach
+    for x_max in (0.0, reach, math.nextafter(reach, -1.0), math.nextafter(reach, 2.0), 1.0):
+        if 0.0 <= x_max <= 1.0:
+            assert _gate(rho, order, x_max) == (x_max <= reach)
+    if sympy is not None:
+        _assert_gate_matches_sympy(rho, order)
+
+
+if st is not None and sympy is not None:
+    _DYADIC_ROOT = st.one_of(
+        st.sampled_from([0.25, 0.5, 0.75, 0.375, 0.625, 0.875, 1.0]),
+        st.integers(-8, 24).map(lambda j: Fraction(j, 16)),
+        st.integers(1, 2**20 - 1).map(lambda j: Fraction(j, 2**20)),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.sampled_from((1, 2)),
+        zero_mult=st.integers(0, 9),
+        roots=st.lists(st.tuples(_DYADIC_ROOT.map(Fraction), st.integers(1, 3)), max_size=4),
+        quadratic=st.one_of(st.none(), st.tuples(_DYADIC_ROOT.map(Fraction), st.integers(1, 64))),
+        sign=st.sampled_from((1, -1)),
+        linear=st.integers(-4, 4).map(lambda j: Fraction(j, 4)),
+        probes=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_gate_matches_sympy_property(order, zero_mult, roots, quadratic, sign, linear, probes):
+        p = [Fraction(0)] * zero_mult + [Fraction(sign)]
+        factors = [[-r, Fraction(1)] for r, mult in roots for _ in range(mult)]
+        if quadratic is not None:  # (x - a)^2 + 1/b: no real root
+            a, b = quadratic
+            factors.append([a * a + Fraction(1, b), -2 * a, Fraction(1)])
+        for f in factors:
+            p = [sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < len(f))
+                 for k in range(len(p) + len(f) - 1)]
+        rho = _rho_from_derivative(p, order, linear)
+        assume(rho is not None)
+        series._nonneg_reach.cache_clear()  # isolate each polynomial afresh
+        _assert_gate_matches_sympy(rho, order, probes)
+else:
+    @pytest.mark.skip(reason="hypothesis or sympy is not installed")
+    def test_gate_matches_sympy_property():
+        pass
