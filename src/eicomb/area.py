@@ -258,6 +258,8 @@ def area_margin_sweep(
     keyed_channels_with_value, and all are evaluated together, one batched
     series call per power.
     """
+    if channels_per_point < 0:
+        raise ValueError(f"channels_per_point must be >= 0, got {channels_per_point!r}")
     if c0 is None:
         c0 = params.default_margin()
     grid = [

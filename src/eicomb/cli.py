@@ -58,15 +58,25 @@ def _parse_ensemble(text: str) -> area_mod.EnsembleParams:
     return area_mod.EnsembleParams(int(parts[0]), int(parts[1]))
 
 
-def _seed(text: str) -> int:
-    """A suite seed: a non-negative integer, as the trial streams' keys take it."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError("expected non-negative integer")
-    return seed
+def _int_at_least(low: int, expected: str):
+    """An argparse type for integers >= low; a smaller one is a usage error
+    before the command prints anything."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}")
+        return value
+
+    return parse
+
+
+# suite seeds are non-negative, as the trial streams' keys take them
+_non_negative = _int_at_least(0, "non-negative integer")
+_positive = _int_at_least(1, "positive integer")
 
 
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
@@ -252,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("channel", help="bsc:<eps>, bec:<h>, or channel file path")
     p_eval.add_argument("--functional", help="E, H or B (default: all)")
     p_eval.add_argument("--all", action="store_true", help="print all three functionals")
-    p_eval.add_argument("--power", type=int, help="evaluate the d-fold self-convolution by series")
+    p_eval.add_argument("--power", type=_positive, help="evaluate the d-fold self-convolution by series")
     p_eval.add_argument("--tol", type=float, default=1e-10, help="series tolerance")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_conv = sub.add_parser("convolve", help="check-node convolution of channels")
     p_conv.add_argument("channels", nargs="+", help="channel specs to convolve left to right")
-    p_conv.add_argument("--power", type=int, help="raise the result to the d-th convolution power")
+    p_conv.add_argument("--power", type=_positive, help="raise the result to the d-th convolution power")
     p_conv.add_argument("--summary", action="store_true", help="append functional values as comments")
     p_conv.add_argument("--cap", type=int, default=10**6, help="support size cap")
     p_conv.add_argument("--out", help="write the channel document here instead of stdout")
@@ -266,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coef = sub.add_parser("coeffs", help="series weights with partial sums and tail bounds")
     p_coef.add_argument("--functional", required=True, help="H or B")
-    p_coef.add_argument("--count", type=int, default=100, help="number of weights to list")
+    p_coef.add_argument("--count", type=_positive, default=100, help="number of weights to list")
     p_coef.add_argument("--out", help="CSV output path (default stdout)")
     p_coef.set_defaults(fn=cmd_coeffs)
 
     p_suite = sub.add_parser("suite", help="randomized verification suites")
     p_suite.add_argument("name", choices=["ineq", "upper", "lower", "extremes", "area", "claim"])
-    p_suite.add_argument("--seed", type=_seed, default=0, help="suite seed (non-negative)")
-    p_suite.add_argument("--trials", type=int, default=1000,
+    p_suite.add_argument("--seed", type=_non_negative, default=0, help="suite seed (non-negative)")
+    p_suite.add_argument("--trials", type=_non_negative, default=1000,
                          help="trials per inequality / per sweep cell / per grid point")
     p_suite.add_argument("--tol", type=float, default=None,
                          help="slack tolerance when judging violations "
@@ -283,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="polynomial like `x^3` or `x^5-0.75*x^6` (repeatable)")
     p_suite.add_argument("--functional", help="restrict sweeps to H or B")
     p_suite.add_argument("--ensemble", default="3,6", help="d_l,d_r for area/claim suites")
-    p_suite.add_argument("--grid-points", type=int, default=50,
+    p_suite.add_argument("--grid-points", type=_positive, default=50,
                          help="entropy grid size for the area suite")
     p_suite.add_argument("--margin", type=float,
                          help="area margin c0 (default (d_l-1)exp(-sqrt(d_r-1)))")
     p_suite.add_argument("--k-const", type=float, default=1.0,
                          help="K in the certified-interval left edge h2(K/sqrt(d_r))")
-    p_suite.add_argument("--restarts", type=int, default=20,
+    p_suite.add_argument("--restarts", type=_positive, default=20,
                          help="seeded restarts per claim cell")
     p_suite.add_argument("--search-grid", type=int, default=256,
                          help="coordinate-descent grid resolution")

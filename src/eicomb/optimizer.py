@@ -711,6 +711,8 @@ def extremal_channel_cells(
     and the maximizer to the matched BEC; full descent results are kept so
     misses can be inspected.
     """
+    if not seeds:
+        raise ValueError("extremal_channel_cells needs at least one seed")
     cells: list[ClaimCell] = []
     for h in h_values:
         for minimize in (True, False):

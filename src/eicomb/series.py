@@ -145,12 +145,17 @@ class Polynomial:
                 parts.append(f"- {term}")
             else:
                 sign = "-" if c < 0 else "+"
-                parts.append(f"{sign} {abs(c):g}*{term}")
+                coef = f"{abs(c):g}"
+                if float(coef) != abs(c):  # %g dropped digits: keep them all
+                    coef = repr(abs(c))
+                parts.append(f"{sign} {coef}*{term}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:] if text.startswith("- ") else text
 
 
-_TERM_RE = re.compile(r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)(?P<var>x)?(?:\^(?P<exp>\d+))?$")
+_TERM_RE = re.compile(r"^(?P<coef>[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)?)(?P<var>x)?(?:\^(?P<exp>\d+))?$")
+# A term runs to the next + or - that is not the sign of an exponent.
+_PIECE_RE = re.compile(r"[+-]?(?:(?<=[\d.]e)[+-]|[^+-])+")
 
 
 def poly_from_string(text: str) -> Polynomial:
@@ -161,7 +166,7 @@ def poly_from_string(text: str) -> Polynomial:
     compact = text.replace(" ", "").replace("*", "").lower()
     if not compact:
         raise ValueError("empty polynomial expression")
-    pieces = re.findall(r"[+-]?[^+-]+", compact)
+    pieces = _PIECE_RE.findall(compact)
     if "".join(pieces) != compact:
         raise ValueError(f"could not tokenize polynomial {text!r}")
     coeffs: dict[int, float] = {}
@@ -389,18 +394,9 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
 
 
-def _atom_split(a: Channel) -> tuple[float, np.ndarray, np.ndarray]:
-    """(mass at x = 1, y = x^2 and weights of the points with 0 < x < 1)."""
-    x = 1.0 - 2.0 * a.eps
-    active = (x > 0.0) & (x < 1.0)
-    return float(a.w[x == 1.0].sum()), x[active] ** 2, a.w[active]
-
-
 def _split_points(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The _atom_split of every channel at once.
-
-    Returns each channel's mass at x = 1, then the channel index, y = x^2
-    and weight of every point with 0 < x < 1, by channel and, within a
+    """Each channel's mass at x = 1, then the channel index, y = x^2 and
+    weight of every point with 0 < x < 1, by channel and, within a
     channel, in point order.
     """
     sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
@@ -442,51 +438,6 @@ def _rho_at(terms: Sequence[tuple[int, float]], v: float) -> float:
     return float(sum(c * v**k for k, c in terms))
 
 
-def _phi_terms(
-    tag: Functional,
-    a: Channel,
-    terms: Sequence[tuple[int, float]],
-    tol: float,
-    term_cap: int,
-) -> SeriesValue:
-    """Shared adaptive evaluator for Phi(rho(a)) given rho's nonzero terms.
-
-    Mass at eps = 0 (x = 1) makes the moments converge to a constant
-    `atom`; that constant subseries is summed exactly via sum_n a_n = 1,
-    and only the geometrically decaying remainder is truncated:
-
-        Phi(rho(a)) = rho(1) - rho(atom) - sum_n a_n (rho(gamma_n) - rho(atom))
-
-    Truncation after N terms is bounded by
-    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)).
-    """
-    _check_tol(tol)
-    atom, y, wa = _atom_split(a)
-    rho_one = float(sum(c for _, c in terms))
-    rho_atom = _rho_at(terms, atom)
-    if y.size == 0:
-        return SeriesValue(rho_one - rho_atom, 0.0, 0)
-    rho_abs_atom = _rho_at(_abs_terms(terms), atom)
-    z = y.copy()
-    gamma = atom + float(np.dot(wa, z))
-    acc = 0.0
-    n = 1
-    while True:
-        acc += coefficient(tag, n) * (
-            sum(c * gamma**k for k, c in terms) - rho_atom
-        )
-        z *= y
-        gamma_next = atom + float(np.dot(wa, z))
-        bound = coefficient_tail(tag, n) * (
-            sum(abs(c) * gamma_next**k for k, c in terms) - rho_abs_atom
-        )
-        if bound <= tol or n >= term_cap:
-            break
-        gamma = gamma_next
-        n += 1
-    return SeriesValue(rho_one - rho_atom - acc, max(bound, 0.0), n, not bound <= tol)
-
-
 def phi_series(
     tag: Functional,
     a: Channel,
@@ -494,10 +445,10 @@ def phi_series(
     tol: float = 1e-10,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SeriesValue:
-    """Phi(a^[power]) by moment series, within tol (or the reported bound)."""
+    """Phi(a^[power]) within tol (or the reported bound): phi_of_poly_batch of X^power on [a]."""
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
-    return _phi_terms(_series_tag(tag), a, ((power, 1.0),), tol, term_cap)
+    return phi_of_poly_batch(tag, Polynomial.monomial(power), [a], tol, term_cap)[0]
 
 
 def phi_of_poly(
@@ -507,8 +458,8 @@ def phi_of_poly(
     tol: float = 1e-10,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SeriesValue:
-    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) by moment series, within tol."""
-    return _phi_terms(_series_tag(tag), a, rho.terms, tol, term_cap)
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) within tol: phi_of_poly_batch on [a]."""
+    return phi_of_poly_batch(tag, rho, [a], tol, term_cap)[0]
 
 
 # Blocks of the batched evaluator start at this many terms and double up
@@ -541,18 +492,23 @@ def phi_of_poly_batch(
     tol: float = 1e-10,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> list[SeriesValue]:
-    """phi_of_poly for each channel, in input order, from one blocked pass.
+    """Phi(rho(a)) for each channel a, in input order, from one blocked pass.
 
-    Terms, stop rule (bound <= tol or n >= term_cap) and the order in which
-    partial sums are added are those of the single-channel loop, so term
-    counts, bounds and the capped flag agree with it.  Values may differ
-    in the last digit (|delta| <= 1e-14): numpy's pow and the w . y^n sums
-    round differently from Python's float pow and BLAS's fused dot product.
-    Terms come in blocks of 8, 16, ... up to 512; powers continue by
-    cumprod from the y^n carried over, partial sums by cumsum from the
-    carried accumulator, and a row leaves the arrays in the block where it
-    stops.  Worth it for a batch: one channel, whose series often stops
-    after a term or two, is faster through phi_of_poly.
+    Mass at eps = 0 (x = 1) makes the moments converge to a constant
+    `atom`; that constant subseries is summed exactly via sum_n a_n = 1,
+    and only the geometrically decaying remainder is truncated:
+
+        Phi(rho(a)) = rho(1) - rho(atom) - sum_n a_n (rho(gamma_n) - rho(atom))
+
+    Truncation after N terms is bounded by
+    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)); a row
+    stops at the first N where it is <= tol, or at N = term_cap (capped if
+    still above tol).  Terms come in blocks of 8, 16, ... up to 512; powers
+    continue by cumprod from the carried y^n, partial sums by cumsum from
+    the carried accumulator, and a row leaves the arrays where it stops.
+    No step mixes rows (padding adds exact zeros to a moment), so a row's
+    result does not depend on the batch: phi_series and phi_of_poly, its
+    batch of one, give the same value bit for bit, after ~0.2 ms of setup.
     """
     tag = _series_tag(tag)
     _check_tol(tol)
@@ -724,7 +680,7 @@ _Factor = tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]
 
 
 def _factor_groups(chans: Sequence[Channel]) -> _Factor:
-    """The _atom_split of every channel at once, grouped by point count."""
+    """_split_points of the channels, with the points grouped by count."""
     atoms, row, y, w = _split_points(chans)
     counts = np.bincount(row, minlength=len(chans))
     groups = []

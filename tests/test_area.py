@@ -17,7 +17,9 @@ from eicomb.area import (
 from eicomb.bounds import monotone_lower_bound, random_channel_with_value, trial_rng
 from eicomb.channel import bec, bsc, channel
 from eicomb.functionals import Functional, evaluate, h2, h2_inv
-from eicomb.series import phi_of_poly, phi_series, poly_increasing_on
+from eicomb.series import DEFAULT_TERM_CAP, phi_of_poly, poly_increasing_on
+
+from test_series import _phi_terms
 
 H = Functional.H
 
@@ -214,7 +216,8 @@ def _sweep_by_channel(params, seed, grid_points, trials):
         for t in range(trials):
             a = random_channel_with_value(trial_rng(seed, gi, t), H, h)
             lo = min(lo, area_quantity(a, params, h, cross_check=False))
-            high, low = phi_series(H, a, r), phi_series(H, a, r - 1)
+            high = _phi_terms(H, a, ((r, 1.0),), 1e-10, DEFAULT_TERM_CAP)
+            low = _phi_terms(H, a, ((r - 1, 1.0),), 1e-10, DEFAULT_TERM_CAP)
             err = max(err, (l - 1 - l / r) * high.error_bound + (l - 1) * low.error_bound)
         rows.append((h, cond_i, cond_ii, trials, lo, err))
     return rows
@@ -276,6 +279,11 @@ def test_sweep_rejects_an_off_entropy_channel(monkeypatch):
                  if r.cond_i and r.cond_ii)
     with pytest.raises(ValueError, match=f"does not match h={first!r}"):
         area_margin_sweep(p, 6, grid_points=12, channels_per_point=3)
+
+
+def test_sweep_rejects_a_negative_trial_count():
+    with pytest.raises(ValueError, match="channels_per_point must be >= 0, got -1"):
+        area_margin_sweep(EnsembleParams(50, 100), 6, grid_points=12, channels_per_point=-1)
 
 
 def test_sweep_without_trials_keeps_certified_rows_empty():

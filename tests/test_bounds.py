@@ -27,7 +27,9 @@ from eicomb.bounds import (
 from eicomb.channel import EPS_MERGE_TOL, WEIGHT_DROP_TOL, _trusted, bec, bsc, mix
 from eicomb.convolution import phi_of_poly_convolved
 from eicomb.functionals import Functional, evaluate, h2, kernel_inv
-from eicomb.series import Polynomial, phi_of_poly, poly_from_string
+from eicomb.series import DEFAULT_TERM_CAP, Polynomial, poly_from_string
+
+from test_series import _phi_terms
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -553,7 +555,7 @@ def test_sweep_flags_hypothesis_failures_not_violations():
 
 
 def _per_channel_sweep(seed, factory, levels, rho, tag, per_cell):
-    """The sweep's reports with one phi_of_poly call per drawn channel."""
+    """The sweep's reports with one scalar-oracle evaluation per drawn channel."""
     out = []
     for li, level in enumerate(levels):
         for item in factory(tag, rho, level):
@@ -561,7 +563,7 @@ def _per_channel_sweep(seed, factory, levels, rho, tag, per_cell):
                 a = random_channel_with_value(
                     trial_rng(seed, 0, ord(tag.value), li, t), item.constraint, level
                 )
-                value = phi_of_poly(tag, rho, a, tol=1e-11).value
+                value = _phi_terms(tag, a, rho.terms, 1e-11, DEFAULT_TERM_CAP).value
                 params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
                 out.append(item.report(value, params=params, seed=seed, witnesses=(a,)))
     return out
@@ -623,7 +625,7 @@ def test_bsc_minimizer_checker_matches_per_channel_run():
         a = random_channel_with_value(trial_rng(3, 99, t), B, 0.3)
         assert h.witnesses[0].points == a.points
         assert h.lhs == reference
-        assert abs(h.rhs - phi_of_poly(B, rho, a, tol=1e-11).value) <= 1e-14
+        assert abs(h.rhs - _phi_terms(B, a, rho.terms, 1e-11, DEFAULT_TERM_CAP).value) <= 1e-14
 
 
 def test_bsc_minimizer_conjecture_checker_reports_only():

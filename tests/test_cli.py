@@ -191,3 +191,45 @@ def test_negative_seed_is_a_usage_error_on_every_suite(name, capsys):
         main(["suite", name, "--seed", "-1", "--trials", "2"])
     assert exc.value.code == 2
     assert "argument --seed: expected non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("suite", "claim", "--restarts", "0"), "argument --restarts: expected positive integer"),
+        (("suite", "area", "--trials", "-1"), "argument --trials: expected non-negative integer"),
+        (("suite", "area", "--grid-points", "0"), "argument --grid-points: expected positive integer"),
+        (("eval", "bec:0.3", "--all", "--power", "0"), "argument --power: expected positive integer"),
+        (("convolve", "bec:0.3", "--power", "-2"), "argument --power: expected positive integer"),
+        (("coeffs", "--functional", "B", "--count", "0"), "argument --count: expected positive integer"),
+        (("coeffs", "--functional", "B", "--count", "ten"), "argument --count: invalid int value: 'ten'"),
+    ],
+)
+def test_bad_counts_are_usage_errors_before_any_output(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_suite_without_trials_runs(tmp_path, capsys):
+    code, out, _ = run(capsys, "suite", "area", "--ensemble", "50,100", "--seed", "2",
+                       "--trials", "0", "--grid-points", "12",
+                       "--out", str(tmp_path / "area.csv"))
+    assert code == 0
+    assert "certified_points=0 violations=0" in out
+
+
+def test_rho_with_signed_exponents(tmp_path, capsys):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for rho, path in zip(("x^5 - 0.75*x^6", "x^5-7.5e-1*x^6"), paths):
+        code, _, _ = run(capsys, "suite", "upper", "--seed", "1", "--trials", "3",
+                         "--rho", rho, "--functional", "H", "--out", str(path))
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    code, _, _ = run(capsys, "suite", "lower", "--seed", "1", "--trials", "3",
+                     "--rho", "1e-7*x^2 + x^3", "--functional", "B", "--out", str(paths[0]))
+    assert code == 0
+    assert "rho=1e-07*x^2 + x^3;tag=B;" in paths[0].read_text()

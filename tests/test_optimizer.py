@@ -446,6 +446,11 @@ def test_claim_cells_driver_shape():
         assert cell.hit_fraction == 1.0
 
 
+def test_claim_cells_need_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        extremal_channel_cells(EnsembleParams(3, 6).area_poly, [0.45], [])
+
+
 # ----------------------------------------------------------------------
 # the coordinate search's precomputed pair table and batched finalists
 

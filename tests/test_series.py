@@ -22,13 +22,16 @@ from eicomb.bounds import (
     trial_rng,
     upper_bound_sweep,
 )
-from eicomb.channel import bec, bsc, channel, mix
+from eicomb.channel import Channel, bec, bsc, channel, mix
 from eicomb.convolution import check_convolve, check_power
 from eicomb.functionals import Functional, evaluate, h2_inv, kernel_inv
 from eicomb import series
 from eicomb.series import (
     Polynomial,
-    _phi_terms,
+    SeriesValue,
+    _abs_terms,
+    _check_tol,
+    _rho_at,
     coefficient,
     coefficient_tail,
     moment,
@@ -197,10 +200,14 @@ def test_series_carries_error_bound():
 def test_series_validates_inputs():
     with pytest.raises(ValueError):
         phi_series(E, bsc(0.1), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power must be a positive integer, got 0"):
         phi_series(H, bsc(0.1), 0)
     with pytest.raises(ValueError):
         phi_series(H, bsc(0.1), 1, tol=0.0)
+    with pytest.raises(ValueError):
+        phi_of_poly(E, Polynomial.monomial(2), bsc(0.1))
+    with pytest.raises(ValueError):
+        phi_of_poly(H, Polynomial.monomial(2), bsc(0.1), tol=0.0)
 
 
 def test_phi_of_poly_collapses_for_the_identity():
@@ -247,6 +254,62 @@ def test_phi_of_poly_handles_atoms_at_zero_exactly():
 # ----------------------------------------------------------------------
 # batched evaluation against the single-channel loop
 
+
+# The scalar evaluator that phi_of_poly_batch replaced, kept verbatim as
+# the oracle for the blocked engine (and for phi_series / phi_of_poly,
+# which are its batch of one).
+def _atom_split(a: Channel) -> tuple[float, np.ndarray, np.ndarray]:
+    """(mass at x = 1, y = x^2 and weights of the points with 0 < x < 1)."""
+    x = 1.0 - 2.0 * a.eps
+    active = (x > 0.0) & (x < 1.0)
+    return float(a.w[x == 1.0].sum()), x[active] ** 2, a.w[active]
+
+
+def _phi_terms(
+    tag: Functional,
+    a: Channel,
+    terms: Sequence[tuple[int, float]],
+    tol: float,
+    term_cap: int,
+) -> SeriesValue:
+    """Shared adaptive evaluator for Phi(rho(a)) given rho's nonzero terms.
+
+    Mass at eps = 0 (x = 1) makes the moments converge to a constant
+    `atom`; that constant subseries is summed exactly via sum_n a_n = 1,
+    and only the geometrically decaying remainder is truncated:
+
+        Phi(rho(a)) = rho(1) - rho(atom) - sum_n a_n (rho(gamma_n) - rho(atom))
+
+    Truncation after N terms is bounded by
+    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)).
+    """
+    _check_tol(tol)
+    atom, y, wa = _atom_split(a)
+    rho_one = float(sum(c for _, c in terms))
+    rho_atom = _rho_at(terms, atom)
+    if y.size == 0:
+        return SeriesValue(rho_one - rho_atom, 0.0, 0)
+    rho_abs_atom = _rho_at(_abs_terms(terms), atom)
+    z = y.copy()
+    gamma = atom + float(np.dot(wa, z))
+    acc = 0.0
+    n = 1
+    while True:
+        acc += coefficient(tag, n) * (
+            sum(c * gamma**k for k, c in terms) - rho_atom
+        )
+        z *= y
+        gamma_next = atom + float(np.dot(wa, z))
+        bound = coefficient_tail(tag, n) * (
+            sum(abs(c) * gamma_next**k for k, c in terms) - rho_abs_atom
+        )
+        if bound <= tol or n >= term_cap:
+            break
+        gamma = gamma_next
+        n += 1
+    return SeriesValue(rho_one - rho_atom - acc, max(bound, 0.0), n, not bound <= tol)
+
+
 BATCH_RHOS = (
     Polynomial.monomial(2),
     Polynomial.monomial(6),
@@ -270,14 +333,19 @@ def _batch_rows():
 
 
 def _assert_matches_oracle(tag, rho, rows, tol, term_cap=series.DEFAULT_TERM_CAP):
+    """Compare the batch with the scalar oracle row by row; returns the
+    oracle's values.  numpy's pow and the w . y^n sums round differently
+    from Python's float pow and BLAS's fused dot product, so values may
+    differ in the last digit."""
     got = phi_of_poly_batch(tag, rho, rows, tol=tol, term_cap=term_cap)
     assert len(got) == len(rows)
-    for a, sv in zip(rows, got):
-        want = _phi_terms(tag, a, rho.terms, tol, term_cap)
+    wants = [_phi_terms(tag, a, rho.terms, tol, term_cap) for a in rows]
+    for sv, want in zip(got, wants):
         assert sv.terms == want.terms
         assert sv.capped == want.capped
         assert abs(sv.value - want.value) <= 1e-14
         assert sv.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-15)
+    return wants
 
 
 @pytest.mark.parametrize("tag", (H, B))
@@ -294,16 +362,13 @@ def test_batch_matches_single_channel_loop(tag, rho):
 
 def test_batch_term_cap_row_is_exact():
     rows = [bsc(0.2), CAPPED, bec(0.4)]
-    got = phi_of_poly_batch(H, Polynomial.monomial(3), rows, tol=1e-11)
-    want = phi_series(H, CAPPED, 3, tol=1e-11)
-    assert got[1] == want
-    assert want.terms == series.DEFAULT_TERM_CAP
-    assert want.error_bound > 1e-11
-    _assert_matches_oracle(H, Polynomial.monomial(3), rows, tol=1e-11)
+    want = _assert_matches_oracle(H, Polynomial.monomial(3), rows, tol=1e-11)
+    assert want[1].terms == series.DEFAULT_TERM_CAP
+    assert want[1].error_bound > 1e-11
 
 
 def test_capped_flag_marks_a_term_cap_stop_above_tol():
-    want = phi_series(H, CAPPED, 3, tol=1e-11)
+    want = _phi_terms(H, CAPPED, ((3, 1.0),), 1e-11, series.DEFAULT_TERM_CAP)
     assert want.capped
     assert want.terms == series.DEFAULT_TERM_CAP
     assert want.error_bound == pytest.approx(1.36e-7, rel=1e-2)
@@ -314,14 +379,14 @@ def test_capped_flag_marks_a_term_cap_stop_above_tol():
     for tag in (H, B):
         for rho in BATCH_RHOS:
             assert not any(sv.capped for sv in phi_of_poly_batch(tag, rho, _batch_rows(), 1e-11))
-            assert not phi_of_poly(tag, rho, _batch_rows()[3], tol=1e-11).capped
+            assert not _phi_terms(tag, _batch_rows()[3], rho.terms, 1e-11, series.DEFAULT_TERM_CAP).capped
 
 
 def test_capped_flag_needs_the_bound_above_tol_at_the_cap():
     rho = Polynomial.monomial(3)
-    natural = phi_of_poly(H, rho, bsc(0.1), tol=1e-11).terms
+    natural = _phi_terms(H, bsc(0.1), rho.terms, 1e-11, series.DEFAULT_TERM_CAP).terms
     for term_cap, capped in ((natural, False), (natural + 1, False), (natural - 1, True)):
-        one = phi_of_poly(H, rho, bsc(0.1), tol=1e-11, term_cap=term_cap)
+        one = _phi_terms(H, bsc(0.1), rho.terms, 1e-11, term_cap)
         batch = phi_of_poly_batch(H, rho, [bsc(0.1)], tol=1e-11, term_cap=term_cap)[0]
         assert one.capped is batch.capped is capped, term_cap
         assert one.terms == batch.terms == min(natural, term_cap)
@@ -349,7 +414,7 @@ def _padded_loop(channels):
     idle = {}
     active = []
     for i, a in enumerate(channels):
-        atom, y, w = series._atom_split(a)
+        atom, y, w = _atom_split(a)
         if y.size == 0:
             idle[i] = atom
         else:
@@ -397,21 +462,43 @@ def test_batch_split_is_the_padded_loop():
 @pytest.mark.parametrize("rho", BATCH_RHOS, ids=str)
 def test_batch_split_rows_match_phi_of_poly(tag, rho):
     rows = _split_rows()
+    _assert_matches_oracle(tag, rho, rows, tol=1e-11)
     for a, sv in zip(rows, phi_of_poly_batch(tag, rho, rows, tol=1e-11)):
-        want = phi_of_poly(tag, rho, a, tol=1e-11)
-        assert (sv.terms, sv.capped) == (want.terms, want.capped)
-        assert sv.error_bound == pytest.approx(want.error_bound, rel=1e-9, abs=1e-15)
-        assert abs(sv.value - want.value) <= 1e-14
+        assert phi_of_poly(tag, rho, a, tol=1e-11) == sv
 
 
 def test_batch_empty_and_validation():
     rho = Polynomial.monomial(2)
     assert phi_of_poly_batch(H, rho, []) == []
-    assert phi_of_poly_batch(B, rho, [bec(0.5)]) == [phi_of_poly(B, rho, bec(0.5))]
+    assert phi_of_poly_batch(B, rho, [bec(0.5)]) == [
+        _phi_terms(B, bec(0.5), rho.terms, 1e-10, series.DEFAULT_TERM_CAP)
+    ]
     with pytest.raises(ValueError):
         phi_of_poly_batch(E, rho, [bsc(0.1)])
     with pytest.raises(ValueError):
         phi_of_poly_batch(H, rho, [bsc(0.1)], tol=0.0)
+    with pytest.raises(ValueError):
+        phi_of_poly_batch(E, rho, [])
+    with pytest.raises(ValueError):
+        phi_of_poly_batch(H, rho, [], tol=-1.0)
+
+
+def test_lone_calls_are_their_row_of_a_mixed_batch():
+    # a lone channel and the same channel inside any batch give one answer,
+    # bit for bit: fast rows, idle rows, a slow row and a term-cap row
+    rows = [CAPPED] + _batch_rows() + _split_rows()
+    for tag in (H, B):
+        for rho in BATCH_RHOS + (Polynomial.monomial(3),):
+            batch = phi_of_poly_batch(tag, rho, rows, tol=1e-11)
+            assert batch[0].capped
+            power = rho.degree if rho.terms == ((rho.degree, 1.0),) else None
+            for a, row in zip(rows, batch):
+                assert phi_of_poly(tag, rho, a, tol=1e-11) == row
+                if power is not None:
+                    assert phi_series(tag, a, power, tol=1e-11) == row
+    short = phi_of_poly_batch(H, BATCH_RHOS[0], rows, tol=1e-11, term_cap=5)
+    assert [phi_of_poly(H, BATCH_RHOS[0], a, 1e-11, 5) for a in rows] == short
+    assert [phi_series(H, a, 2, 1e-11, 5) for a in rows] == short
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +510,7 @@ def _complement_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
     kept verbatim as the reference."""
     atoms, degrees, ys, ws = [], [], [], []
     for ch, d in factors:
-        atom, y, w = series._atom_split(ch)
+        atom, y, w = _atom_split(ch)
         atoms.append(atom)
         degrees.append(d)
         ys.append(y)
@@ -575,6 +662,46 @@ def test_polynomial_parsing():
         poly_from_string("x^0")
     with pytest.raises(ValueError):
         poly_from_string("")
+
+
+def test_polynomial_text_keeps_every_digit():
+    rho = Polynomial((1 / 3, 2 / 3))
+    assert str(rho) == "0.3333333333333333*x + 0.6666666666666666*x^2"
+    assert poly_from_string(str(rho)) == rho
+    # the short form stays wherever it reads back exactly
+    assert [str(r) for r in DEFAULT_SWEEP_RHOS] == ["x^2", "x^3", "x^6", "x^5 - 0.75*x^6"]
+    assert str(Polynomial((-0.5, 0.0, 1e-7))) == "-0.5*x + 1e-07*x^3"
+    assert str(Polynomial((123456789.0,))) == "123456789.0*x"
+    assert str(Polynomial((1e6, -1.0))) == "1e+06*x - x^2"
+
+
+def test_polynomial_parsing_signed_exponents():
+    assert poly_from_string("1e-7*x^2").coeffs == (0.0, 1e-7)
+    assert poly_from_string("1e-07*x^2") == Polynomial((0.0, 1e-7))
+    assert poly_from_string("x^5-7.5e-1*x^6") == DEFAULT_SWEEP_RHOS[3]
+    assert poly_from_string("2.5E+2x").coeffs == (250.0,)
+    assert poly_from_string("x - 2e+1x^2 + .5e-1x^3").coeffs == (1.0, -20.0, 0.05)
+    for bad in ("2e+x", "e5x", "1e-7", "x^2e-1", "1e-7x^-2"):
+        with pytest.raises(ValueError):
+            poly_from_string(bad)
+
+
+if st is not None:
+    _COEFF = st.one_of(
+        st.just(0.0), st.just(1.0), st.just(-1.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1.0, 1.0).map(lambda c: c / 3.0),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_COEFF, min_size=1, max_size=8).filter(any))
+    def test_polynomial_text_round_trips(coeffs):
+        rho = Polynomial(tuple(coeffs))
+        assert poly_from_string(str(rho)) == rho
+else:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_polynomial_text_round_trips():
+        pass
 
 
 def test_monomials_are_increasing_and_convex():
