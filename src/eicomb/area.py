@@ -37,6 +37,9 @@ ENTROPY_MATCH_TOL = 1e-6
 # projected support.
 CROSS_CHECK_SUPPORT = 5000
 CROSS_CHECK_TOL = 1e-8
+# Series tolerance of the area values, and the certified interval's grid.
+AREA_SERIES_TOL = 1e-10
+INTERVAL_GRID_POINTS = 101
 
 AREA_CSV_HEADER = "d_l,d_r,h,c0,cond_i,cond_ii,min_observed_area,bound,margin"
 
@@ -121,7 +124,7 @@ def area_quantity(
     a: Channel,
     params: EnsembleParams,
     h: float,
-    tol: float = 1e-10,
+    tol: float = AREA_SERIES_TOL,
     cross_check: bool = True,
 ) -> float:
     """The area expression -h - (l-1-l/r) H(a^[r]) + (l-1) H(a^[r-1]).
@@ -142,7 +145,7 @@ def area_quantity(
 
 def margin_conditions(params: EnsembleParams, h: float, c0: float) -> tuple[bool, bool]:
     """The two sufficient conditions for the area expression to be >= c0."""
-    if c0 <= 0.0:
+    if not c0 > 0.0:
         raise ValueError(f"margin must be positive, got {c0!r}")
     l, r = params.var_degree, params.check_degree
     cond_i = (1.0 - 2.0 * h2_inv(h)) ** 2 <= (c0 / (l - 1)) ** (1.0 / (r - 1))
@@ -172,9 +175,7 @@ class CertifiedInterval:
     checked_points: int
 
 
-def certified_interval(
-    params: EnsembleParams, k_const: float = 1.0, grid_points: int = 101
-) -> CertifiedInterval:
+def certified_interval(params: EnsembleParams, k_const: float = 1.0) -> CertifiedInterval:
     """Candidate interval [h2(K/sqrt(r)), l/r - 2*c0] with a validity flag.
 
     The flag reports whether every grid entropy inside the interval
@@ -190,8 +191,8 @@ def certified_interval(
     right = params.var_degree / r - 2.0 * c0
     if left > right:
         return CertifiedInterval(left, right, c0, False, 0)
-    step = (right - left) / (grid_points - 1) if grid_points > 1 else 0.0
-    grid = [left + i * step for i in range(grid_points)]
+    step = (right - left) / (INTERVAL_GRID_POINTS - 1)
+    grid = [left + i * step for i in range(INTERVAL_GRID_POINTS)]
     valid = all(all(margin_conditions(params, h, c0)) for h in grid)
     return CertifiedInterval(left, right, c0, valid, len(grid))
 
@@ -246,7 +247,6 @@ def area_margin_sweep(
     c0: float | None = None,
     grid_points: int = 50,
     channels_per_point: int = 200,
-    series_tol: float = 1e-10,
 ) -> list[AreaSweepRow]:
     """Randomized check that the margin conditions do their job.
 
@@ -275,7 +275,7 @@ def area_margin_sweep(
     values, bounds, capped = [], [], []
     if channels:
         values, bounds, capped = (
-            v.tolist() for v in _area_values(params, channels, hs, series_tol)
+            v.tolist() for v in _area_values(params, channels, hs, AREA_SERIES_TOL)
         )
     rows: list[AreaSweepRow] = []
     start = 0

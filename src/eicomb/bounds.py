@@ -605,9 +605,6 @@ def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[
     rows = rows.tolist()
     for q, (r, m) in enumerate(zip(picked.tolist(), (sizes[picked] + 1).tolist())):
         out[rows[r]] = _settled(mix_eps[q, :m], mix_w[q, :m])
-    for r in np.flatnonzero(~mixable).tolist():
-        m = int(sizes[r])
-        out[rows[r]] = _pin(_settled(eps[r, :m], w[r, :m]), tag, float(t[r]), top)
     for i, a in enumerate(out):
         if a is None:
             e, v = draws[i]
@@ -769,41 +766,32 @@ def _sweep(
     tags: Sequence[Functional],
     per_cell: int,
     tol: float,
-    phi_tol: float,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     reports: list[BoundReport] = []
     summary = SuiteSummary(name=name)
     for ri, rho in enumerate(rhos):
         for tag in tags:
-            # The channels of one (level, constraint) key are drawn and
-            # evaluated once, and every item of the level with that
-            # constraint (the fixed-error pair) reads them.  Each
-            # constraint's draws are one sampler batch, and the whole
-            # (rho, tag) row one batched series call; reports keep the
-            # (level, item, trial) order.
+            # Every item of a row shares one constraint (the tag, or E for
+            # the fixed-error pair), so the row's channels are one sampler
+            # batch and one batched series call, and every item of a level
+            # reads that level's channels; reports keep the (level, item,
+            # trial) order.
             items = [bound_factory(tag, rho, level) for level in levels]
-            keys = dict.fromkeys((li, item.constraint)
-                                 for li, level_items in enumerate(items)
-                                 for item in level_items)
-            channels: list[Channel] = []
-            for constraint in dict.fromkeys(c for _, c in keys):
-                group = [li for li, c in keys if c is constraint]
-                for k, li in enumerate(group):
-                    keys[li, constraint] = len(channels) + k * per_cell
-                channels += keyed_channels_with_value(
-                    [(seed, ri, ord(tag.value), li, t) for li in group for t in range(per_cell)],
-                    constraint,
-                    [levels[li] for li in group for _ in range(per_cell)],
-                )
-            values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
+            constraint = items[0][0].constraint if items else tag
+            channels = keyed_channels_with_value(
+                [(seed, ri, ord(tag.value), li, t)
+                 for li in range(len(levels)) for t in range(per_cell)],
+                constraint,
+                [level for level in levels for _ in range(per_cell)],
+            )
+            values = phi_of_poly_batch(tag, rho, channels, tol=SWEEP_PHI_TOL)
             for li, (level, level_items) in enumerate(zip(levels, items)):
                 prefix = f"rho={rho};tag={tag.value};level={level!r};trial="
                 for item in level_items:
-                    start = keys[li, item.constraint]
                     for t in range(per_cell):
-                        a, value = channels[start + t], values[start + t]
-                        report = item.report(value.value, params=f"{prefix}{t}", seed=seed,
-                                             witnesses=(a,))
+                        k = li * per_cell + t
+                        report = item.report(values[k].value, params=f"{prefix}{t}", seed=seed,
+                                             witnesses=(channels[k],))
                         reports.append(report)
                         summary.absorb(report, tol)
     return reports, summary
@@ -816,11 +804,10 @@ def upper_bound_sweep(
     tags: Sequence[Functional] = SERIES_TAGS,
     per_cell: int = 500,
     tol: float = SWEEP_SLACK_TOL,
-    phi_tol: float = SWEEP_PHI_TOL,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-Phi channels against the convexity upper bound."""
     factory = lambda tag, rho, level: (convexity_upper_bound(tag, rho, level),)
-    return _sweep("upper", seed, factory, levels, rhos, tags, per_cell, tol, phi_tol)
+    return _sweep("upper", seed, factory, levels, rhos, tags, per_cell, tol)
 
 
 def lower_bound_sweep(
@@ -830,11 +817,10 @@ def lower_bound_sweep(
     tags: Sequence[Functional] = SERIES_TAGS,
     per_cell: int = 500,
     tol: float = SWEEP_SLACK_TOL,
-    phi_tol: float = SWEEP_PHI_TOL,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-Phi channels against the monotone lower bound."""
     factory = lambda tag, rho, level: (monotone_lower_bound(tag, rho, level),)
-    return _sweep("lower", seed, factory, levels, rhos, tags, per_cell, tol, phi_tol)
+    return _sweep("lower", seed, factory, levels, rhos, tags, per_cell, tol)
 
 
 DEFAULT_ERROR_LEVELS = tuple(round(0.05 * k, 2) for k in range(1, 10))
@@ -847,12 +833,9 @@ def fixed_error_sweep(
     tags: Sequence[Functional] = SERIES_TAGS,
     per_cell: int = 500,
     tol: float = SWEEP_SLACK_TOL,
-    phi_tol: float = SWEEP_PHI_TOL,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-E channels against the BEC-minimum / BSC-maximum bracket."""
-    return _sweep(
-        "fixed_error", seed, fixed_error_extremes, levels, rhos, tags, per_cell, tol, phi_tol
-    )
+    return _sweep("fixed_error", seed, fixed_error_extremes, levels, rhos, tags, per_cell, tol)
 
 
 def bsc_minimizer_counterexamples(
@@ -862,7 +845,6 @@ def bsc_minimizer_counterexamples(
     seed: int,
     trials: int,
     tol: float = SWEEP_SLACK_TOL,
-    phi_tol: float = SWEEP_PHI_TOL,
 ) -> list[BoundReport]:
     """Probe the conjecture that the BSC minimizes Phi(rho(a)) at fixed Phi.
 
@@ -874,7 +856,7 @@ def bsc_minimizer_counterexamples(
     channels = keyed_channels_with_value(
         [(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
     )
-    values = phi_of_poly_batch(tag, rho, channels, tol=phi_tol)
+    values = phi_of_poly_batch(tag, rho, channels, tol=SWEEP_PHI_TOL)
     prefix = f"rho={rho};tag={tag.value};phi0={phi0!r};trial="
     out: list[BoundReport] = []
     for t, (a, value) in enumerate(zip(channels, values)):

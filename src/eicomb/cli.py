@@ -58,16 +58,17 @@ def _parse_ensemble(text: str) -> area_mod.EnsembleParams:
     return area_mod.EnsembleParams(int(parts[0]), int(parts[1]))
 
 
-def _int_at_least(low: int, expected: str):
-    """An argparse type for integers >= low; a smaller one is a usage error
-    before the command prints anything."""
+def _number(kind, accept, expected: str):
+    """An argparse type for numbers of kind (int or float) that accept
+    takes; any other value is a usage error before the command prints
+    anything."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not accept(value):
             raise argparse.ArgumentTypeError(f"expected {expected}")
         return value
 
@@ -75,8 +76,12 @@ def _int_at_least(low: int, expected: str):
 
 
 # suite seeds are non-negative, as the trial streams' keys take them
-_non_negative = _int_at_least(0, "non-negative integer")
-_positive = _int_at_least(1, "positive integer")
+_non_negative = _number(int, lambda v: v >= 0, "non-negative integer")
+_positive = _number(int, lambda v: v >= 1, "positive integer")
+# NaN and the infinities fail each of these
+_finite = _number(float, math.isfinite, "finite number")
+_finite_positive = _number(float, lambda v: 0.0 < v < math.inf, "finite positive number")
+_finite_non_negative = _number(float, lambda v: 0.0 <= v < math.inf, "finite non-negative number")
 
 
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
@@ -200,6 +205,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if name == "area":
         params = _parse_ensemble(args.ensemble)
         c0 = args.margin if args.margin is not None else params.default_margin()
+        # built before the sweep, so a K it rejects fails before any output
+        interval = area_mod.certified_interval(params, args.k_const)
         rows = area_mod.area_margin_sweep(
             params, args.seed, c0=c0, grid_points=args.grid_points,
             channels_per_point=args.trials,
@@ -209,7 +216,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
             cond = area_mod.bec_minimizer_condition(params, row.h)
             lines.append(row.csv_row(params) + f",{int(cond)}")
         _write_lines(args.out, lines)
-        interval = area_mod.certified_interval(params, args.k_const)
         checked = [r for r in rows if r.checked]
         violations = sum(1 for r in checked if r.margin < -tol)
         worst = min((r.margin for r in checked), default=math.nan)
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--functional", help="E, H or B (default: all)")
     p_eval.add_argument("--all", action="store_true", help="print all three functionals")
     p_eval.add_argument("--power", type=_positive, help="evaluate the d-fold self-convolution by series")
-    p_eval.add_argument("--tol", type=float, default=1e-10, help="series tolerance")
+    p_eval.add_argument("--tol", type=_finite_positive, default=1e-10, help="series tolerance")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_conv = sub.add_parser("convolve", help="check-node convolution of channels")
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=_non_negative, default=0, help="suite seed (non-negative)")
     p_suite.add_argument("--trials", type=_non_negative, default=1000,
                          help="trials per inequality / per sweep cell / per grid point")
-    p_suite.add_argument("--tol", type=float, default=None,
+    p_suite.add_argument("--tol", type=_finite, default=None,
                          help="slack tolerance when judging violations "
                               "(default 1e-12 exact suites, 1e-9 series sweeps)")
     p_suite.add_argument("--out", help="CSV output path (default stdout)")
@@ -295,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--ensemble", default="3,6", help="d_l,d_r for area/claim suites")
     p_suite.add_argument("--grid-points", type=_positive, default=50,
                          help="entropy grid size for the area suite")
-    p_suite.add_argument("--margin", type=float,
+    p_suite.add_argument("--margin", type=_finite_positive,
                          help="area margin c0 (default (d_l-1)exp(-sqrt(d_r-1)))")
-    p_suite.add_argument("--k-const", type=float, default=1.0,
+    p_suite.add_argument("--k-const", type=_finite_non_negative, default=1.0,
                          help="K in the certified-interval left edge h2(K/sqrt(d_r))")
     p_suite.add_argument("--restarts", type=_positive, default=20,
                          help="seeded restarts per claim cell")

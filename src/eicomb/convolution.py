@@ -69,9 +69,7 @@ def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
     return out
 
 
-def phi_of_poly_convolved(
-    tag: Functional, rho: "Polynomial", a: Channel, cap: int = DEFAULT_SUPPORT_CAP
-) -> float:
+def phi_of_poly_convolved(tag: Functional, rho: "Polynomial", a: Channel) -> float:
     """Phi(rho(a)) = sum_k c_k Phi(a^[k]) by explicit convolution.
 
     Exact up to rounding, but limited to supports/degrees the cap allows;
@@ -81,12 +79,12 @@ def phi_of_poly_convolved(
     power = a
     last = 1
     for k, c in rho.terms:
-        if projected_power_support(a.size, k) > cap:
+        if projected_power_support(a.size, k) > DEFAULT_SUPPORT_CAP:
             raise SupportCapError(
-                f"polynomial degree {k} on support {a.size} exceeds cap {cap}"
+                f"polynomial degree {k} on support {a.size} exceeds cap {DEFAULT_SUPPORT_CAP}"
             )
         for _ in range(k - last):
-            power = check_convolve(power, a, cap=cap)
+            power = check_convolve(power, a)
         last = k
         total += c * evaluate(tag, power)
     return total

@@ -576,15 +576,14 @@ def _classify(
 def _initial_coords(
     rng: np.random.Generator, d: int, constraint: Functional, target: float
 ) -> list[TwoPointChannel]:
+    # e1 <= eps* <= e2, so every initial pair is feasible
     g = _constraint_fn(constraint)
     eps_star = _constraint_inv(constraint, target)
     out = []
     for _ in range(d):
         e1 = float(rng.random() * eps_star)
         e2 = float(eps_star + rng.random() * (0.5 - eps_star))
-        g1, g2 = g(e1), g(e2)
-        alpha = 1.0 if g2 - g1 < 1e-15 else (g2 - target) / (g2 - g1)
-        out.append(TwoPointChannel(e1, e2, min(1.0, max(0.0, alpha))))
+        out.append(TwoPointChannel(e1, e2, _pair_alpha(g, target, e1, e2)))
     return out
 
 
@@ -600,7 +599,6 @@ def coordinate_descent(
     grid: int = DEFAULT_GRID,
     max_sweeps: int = 60,
     tol: float = 1e-13,
-    refine_passes: int = DEFAULT_REFINE_PASSES,
 ) -> DescentResult:
     """Optimize the symmetrized Phi(rho(.)) at a fixed constraint level.
 
@@ -646,7 +644,6 @@ def coordinate_descent(
                 target,
                 coords[i],
                 grid=grid,
-                refine_passes=refine_passes,
                 minimize=minimize,
             )
             # the incumbent competed in best_coordinate, so its value is
@@ -700,12 +697,9 @@ def extremal_channel_cells(
     h_values: Sequence[float],
     seeds: Sequence[int],
     *,
-    tag: Functional = Functional.H,
     grid: int = DEFAULT_GRID,
-    max_sweeps: int = 60,
-    tol: float = 1e-13,
 ) -> list[ClaimCell]:
-    """Run min and max descents over an entropy grid of seeded restarts.
+    """Run min and max H descents over an entropy grid of seeded restarts.
 
     Each cell records how often the minimizer collapsed to the matched BSC
     and the maximizer to the matched BEC; full descent results are kept so
@@ -720,17 +714,8 @@ def extremal_channel_cells(
             hits = 0
             want = Verdict.ALL_EQUAL_BSC if minimize else Verdict.ALL_EQUAL_BEC
             for seed in seeds:
-                res = coordinate_descent(
-                    rho,
-                    tag,
-                    h,
-                    constraint=Functional.H,
-                    minimize=minimize,
-                    seed=seed,
-                    grid=grid,
-                    max_sweeps=max_sweeps,
-                    tol=tol,
-                )
+                res = coordinate_descent(rho, Functional.H, h, minimize=minimize, seed=seed,
+                                         grid=grid)
                 results.append(res)
                 if res.verdict is want:
                     hits += 1

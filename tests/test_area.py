@@ -92,6 +92,11 @@ def test_margin_conditions_validation():
         margin_conditions(EnsembleParams(3, 6), 0.5, 0.0)
 
 
+def test_margin_conditions_reject_a_nan_margin():
+    with pytest.raises(ValueError, match="margin must be positive"):
+        margin_conditions(EnsembleParams(3, 6), 0.5, math.nan)
+
+
 def test_default_margin_instantiation():
     p = EnsembleParams(100, 200)
     assert p.default_margin() == pytest.approx(99 * math.exp(-math.sqrt(199)), rel=1e-12)

@@ -554,6 +554,14 @@ def test_sweep_flags_hypothesis_failures_not_violations():
     assert summary.violations == 0
 
 
+@pytest.mark.parametrize("runner", (upper_bound_sweep, lower_bound_sweep, fixed_error_sweep))
+def test_sweeps_without_levels_report_nothing(runner):
+    reports, summary = runner(seed=1, levels=(), per_cell=3)
+    assert reports == []
+    assert (summary.trials, summary.violations, summary.inconclusive) == (0, 0, 0)
+    assert summary.ok
+
+
 def _per_channel_sweep(seed, factory, levels, rho, tag, per_cell):
     """The sweep's reports with one scalar-oracle evaluation per drawn channel."""
     out = []

@@ -203,6 +203,12 @@ def test_negative_seed_is_a_usage_error_on_every_suite(name, capsys):
         (("convolve", "bec:0.3", "--power", "-2"), "argument --power: expected positive integer"),
         (("coeffs", "--functional", "B", "--count", "0"), "argument --count: expected positive integer"),
         (("coeffs", "--functional", "B", "--count", "ten"), "argument --count: invalid int value: 'ten'"),
+        (("eval", "bec:0.3", "--all", "--power", "2", "--tol", "0"),
+         "argument --tol: expected finite positive number"),
+        (("suite", "upper", "--trials", "2", "--tol", "nan"), "argument --tol: expected finite number"),
+        (("suite", "area", "--margin", "nan"), "argument --margin: expected finite positive number"),
+        (("suite", "area", "--k-const", "nan"),
+         "argument --k-const: expected finite non-negative number"),
     ],
 )
 def test_bad_counts_are_usage_errors_before_any_output(argv, message, capsys):
@@ -212,6 +218,16 @@ def test_bad_counts_are_usage_errors_before_any_output(argv, message, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert message in out.err
+
+
+def test_rejected_interval_constant_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "p"
+    code, out, err = run(capsys, "suite", "area", "--ensemble", "3,6", "--trials", "1",
+                         "--k-const", "10", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "must stay below 1/2" in err
+    assert not path.exists()
 
 
 def test_suite_without_trials_runs(tmp_path, capsys):
