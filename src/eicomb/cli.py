@@ -84,6 +84,36 @@ _finite_positive = _number(float, lambda v: 0.0 < v < math.inf, "finite positive
 _finite_non_negative = _number(float, lambda v: 0.0 <= v < math.inf, "finite non-negative number")
 
 
+class _Given(argparse.Action):
+    """Stores an option's value, or appends it with append=True, as argparse's
+    own store and append actions do, and records the option in the
+    namespace's `given`, so a command can tell an option passed from a
+    default."""
+
+    def __init__(self, option_strings, dest, append=False, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.append = append
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.append:
+            values = [*(getattr(namespace, self.dest) or ()), values]
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.option_strings[0]}
+
+
+# The options each suite reads; passing any other is a usage error.
+_INEQ_OPTIONS = frozenset({"--seed", "--trials", "--tol", "--out"})
+_SWEEP_OPTIONS = _INEQ_OPTIONS | {"--rho", "--functional"}
+SUITE_OPTIONS = {
+    "ineq": _INEQ_OPTIONS,
+    "upper": _SWEEP_OPTIONS,
+    "lower": _SWEEP_OPTIONS,
+    "extremes": _SWEEP_OPTIONS,
+    "area": _INEQ_OPTIONS | {"--ensemble", "--grid-points", "--margin", "--k-const"},
+    "claim": frozenset({"--seed", "--out", "--ensemble", "--restarts", "--search-grid"}),
+}
+
+
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     if path is None:
         for line in lines:
@@ -170,6 +200,9 @@ def _suite_rhos(args: argparse.Namespace):
 
 def cmd_suite(args: argparse.Namespace) -> int:
     name = args.name
+    unread = sorted(args.given - SUITE_OPTIONS[name])
+    if unread:
+        raise ValueError(f"suite {name} does not read {', '.join(unread)}")
     # Exact-convolution checks are judged at rounding level, series-based
     # sweeps at the series tolerance.
     tol = args.tol if args.tol is not None else (
@@ -286,30 +319,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_coef.add_argument("--out", help="CSV output path (default stdout)")
     p_coef.set_defaults(fn=cmd_coeffs)
 
-    p_suite = sub.add_parser("suite", help="randomized verification suites")
-    p_suite.add_argument("name", choices=["ineq", "upper", "lower", "extremes", "area", "claim"])
-    p_suite.add_argument("--seed", type=_non_negative, default=0, help="suite seed (non-negative)")
-    p_suite.add_argument("--trials", type=_non_negative, default=1000,
+    p_suite = sub.add_parser(
+        "suite", help="randomized verification suites",
+        description="Randomized verification suites.  A suite reads only its own "
+                    "options; passing another is a usage error.  "
+                    + "; ".join(f"{name} reads {', '.join(sorted(options))}"
+                                for name, options in SUITE_OPTIONS.items()) + ".",
+    )
+    p_suite.add_argument("name", choices=list(SUITE_OPTIONS))
+    p_suite.add_argument("--seed", action=_Given, type=_non_negative, default=0,
+                         help="suite seed (non-negative)")
+    p_suite.add_argument("--trials", action=_Given, type=_non_negative, default=1000,
                          help="trials per inequality / per sweep cell / per grid point")
-    p_suite.add_argument("--tol", type=_finite, default=None,
+    p_suite.add_argument("--tol", action=_Given, type=_finite, default=None,
                          help="slack tolerance when judging violations "
                               "(default 1e-12 exact suites, 1e-9 series sweeps)")
-    p_suite.add_argument("--out", help="CSV output path (default stdout)")
-    p_suite.add_argument("--rho", action="append",
+    p_suite.add_argument("--out", action=_Given, help="CSV output path (default stdout)")
+    p_suite.add_argument("--rho", action=_Given, append=True,
                          help="polynomial like `x^3` or `x^5-0.75*x^6` (repeatable)")
-    p_suite.add_argument("--functional", help="restrict sweeps to H or B")
-    p_suite.add_argument("--ensemble", default="3,6", help="d_l,d_r for area/claim suites")
-    p_suite.add_argument("--grid-points", type=_positive, default=50,
+    p_suite.add_argument("--functional", action=_Given, help="restrict sweeps to H or B")
+    p_suite.add_argument("--ensemble", action=_Given, default="3,6",
+                         help="d_l,d_r for area/claim suites")
+    p_suite.add_argument("--grid-points", action=_Given, type=_positive, default=50,
                          help="entropy grid size for the area suite")
-    p_suite.add_argument("--margin", type=_finite_positive,
+    p_suite.add_argument("--margin", action=_Given, type=_finite_positive,
                          help="area margin c0 (default (d_l-1)exp(-sqrt(d_r-1)))")
-    p_suite.add_argument("--k-const", type=_finite_non_negative, default=1.0,
+    p_suite.add_argument("--k-const", action=_Given, type=_finite_non_negative, default=1.0,
                          help="K in the certified-interval left edge h2(K/sqrt(d_r))")
-    p_suite.add_argument("--restarts", type=_positive, default=20,
+    p_suite.add_argument("--restarts", action=_Given, type=_positive, default=20,
                          help="seeded restarts per claim cell")
-    p_suite.add_argument("--search-grid", type=int, default=256,
+    p_suite.add_argument("--search-grid", action=_Given, type=int, default=256,
                          help="coordinate-descent grid resolution")
-    p_suite.set_defaults(fn=cmd_suite)
+    p_suite.set_defaults(fn=cmd_suite, given=frozenset())
     return parser
 
 

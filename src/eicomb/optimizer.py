@@ -48,6 +48,10 @@ both on the eps grid and at the finalist pairs.  It fills the matrix
 Phi(BSC(0.5 * (1 - x_g x_p))) in row blocks of KERNEL_BLOCK elements with
 in-place ufuncs on two block-sized scratch buffers, and every element
 equals the elementwise formula bit for bit.
+
+A descent solves each bit-identical coordinate subproblem (a profile and an
+incumbent) once; repeats arise in the confirming sweep, once the
+coordinates have collapsed onto the matched BSC or BEC.
 """
 
 from __future__ import annotations
@@ -609,8 +613,8 @@ def coordinate_descent(
     """
     if not 0.0 <= target <= _constraint_top(constraint):
         raise ValueError(f"target {target!r} out of range for {constraint.value}")
-    if max_sweeps < 1 or tol <= 0.0:
-        raise ValueError("max_sweeps must be >= 1 and tol positive")
+    if max_sweeps < 1 or not 0.0 < tol < math.inf:
+        raise ValueError(f"max_sweeps must be >= 1 and tol finite and positive, got tol={tol!r}")
     d = rho.degree if num_vars is None else num_vars
     if d < rho.degree:
         raise ValueError(f"need num_vars >= deg(rho) = {rho.degree}, got {d}")
@@ -624,6 +628,11 @@ def coordinate_descent(
     running = symmetrized_objective(rho, tag, [c.channel() for c in coords])
     # the constraint at the incumbents' eps, memoized over this descent
     g = functools.cache(_constraint_fn(constraint))
+    # (new_coord, after, before) of each subproblem this descent solved, keyed
+    # by the bits of the profile's const, x_pts and w_pts and of the
+    # incumbent: with tag, constraint, target, grid and direction fixed,
+    # best_coordinate is a pure function of them
+    solved: dict[tuple[str | bytes, ...], tuple[TwoPointChannel, float, float]] = {}
     trace = [SweepTrace(0, running, tuple(coords))]
     converged = False
     sweeps = 0
@@ -638,17 +647,23 @@ def coordinate_descent(
         suffixes.reverse()
         for i in range(d):
             profile = _profile_for(rho, tag, d, prefix, suffixes[i])
-            new_coord, after = best_coordinate(
-                profile,
-                constraint,
-                target,
-                coords[i],
-                grid=grid,
-                minimize=minimize,
-            )
-            # the incumbent competed in best_coordinate, so its value is
-            # read back from the profile's scored pairs, not recomputed
-            before = _pair_values(profile, g, target, [(coords[i].eps1, coords[i].eps2)])[0][3]
+            c = coords[i]
+            key = (profile.const.hex(), profile.x_pts.tobytes(), profile.w_pts.tobytes(),
+                   c.eps1.hex(), c.eps2.hex(), c.alpha.hex())
+            if key not in solved:
+                new_coord, after = best_coordinate(
+                    profile,
+                    constraint,
+                    target,
+                    c,
+                    grid=grid,
+                    minimize=minimize,
+                )
+                # the incumbent competed in best_coordinate, so its value is
+                # read back from the profile's scored pairs, not recomputed
+                before = _pair_values(profile, g, target, [(c.eps1, c.eps2)])[0][3]
+                solved[key] = (new_coord, after, before)
+            new_coord, after, before = solved[key]
             # Tie-banded selection may trade up to TIE_BAND of dust for a
             # preferred support; only genuine gains feed the running value,
             # which therefore stays exactly monotone.

@@ -249,3 +249,27 @@ def test_rho_with_signed_exponents(tmp_path, capsys):
                      "--rho", "1e-7*x^2 + x^3", "--functional", "B", "--out", str(paths[0]))
     assert code == 0
     assert "rho=1e-07*x^2 + x^3;tag=B;" in paths[0].read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("suite", "ineq", "--trials", "1", "--functional", "H", "--rho", "x^3",
+          "--ensemble", "9,9"), "--ensemble, --functional, --rho"),
+        (("suite", "upper", "--trials", "1", "--ensemble", "1,1", "--margin", "5",
+          "--restarts", "3"), "--ensemble, --margin, --restarts"),
+        (("suite", "claim", "--restarts", "1", "--trials", "7", "--tol", "0.5",
+          "--rho", "x^2"), "--rho, --tol, --trials"),
+        (("suite", "area", "--trials", "1", "--search-grid", "256"), "--search-grid"),
+        (("suite", "lower", "--trials", "1", "--k-const", "1.0", "--grid-points", "50"),
+         "--grid-points, --k-const"),
+    ],
+)
+def test_options_a_suite_does_not_read_are_usage_errors(argv, unread, tmp_path, capsys):
+    # given at their defaults or not, they fail before any output
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"does not read {unread}" in err
+    assert not path.exists()

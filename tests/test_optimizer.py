@@ -828,3 +828,163 @@ def test_best_coordinate_evaluates_the_constraint_once_per_eps(monkeypatch):
     # four first-round pairs, then a ring of 8 pairs over at most 6 eps values
     assert counts[0] <= 8
     assert all(b - a <= 6 for a, b in zip(counts, counts[1:])), counts
+
+
+# ----------------------------------------------------------------------
+# one solve per distinct coordinate subproblem
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_descent_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol finite and positive"):
+        coordinate_descent(Polynomial.monomial(3), H, 0.4, tol=tol, max_sweeps=5)
+
+
+def _unmemoized_descent(rho, tag, target, *, constraint=H, num_vars=None, minimize=True,
+                        seed=0, grid=optimizer.DEFAULT_GRID, max_sweeps=60, tol=1e-13):
+    """coordinate_descent before the subproblem memo: every coordinate of
+    every sweep runs best_coordinate and reads its incumbent's value."""
+    d = rho.degree if num_vars is None else num_vars
+    order = min(rho.degree, d - 1)
+    low = rho.terms[0][0] - d
+    rng = np.random.default_rng((seed,))
+    coords = optimizer._initial_coords(rng, d, constraint, target)
+    running = symmetrized_objective(rho, tag, [c.channel() for c in coords])
+    g = optimizer._constraint_fn(constraint)
+    trace = [optimizer.SweepTrace(0, running, tuple(coords))]
+    converged = False
+    sweeps = 0
+    for sweep in range(1, max_sweeps + 1):
+        sweeps = sweep
+        improvement = 0.0
+        prefix = optimizer._symmetric_sums((), order)
+        suffixes = [prefix]
+        for n, c in enumerate(reversed(coords[1:]), 1):
+            suffixes.append(optimizer._add(suffixes[-1], c.measure(), low + n))
+        suffixes.reverse()
+        for i in range(d):
+            profile = optimizer._profile_for(rho, tag, d, prefix, suffixes[i])
+            new_coord, after = optimizer.best_coordinate(
+                profile, constraint, target, coords[i], grid=grid, minimize=minimize
+            )
+            before = optimizer._pair_values(
+                profile, g, target, [(coords[i].eps1, coords[i].eps2)]
+            )[0][3]
+            delta = max(0.0, before - after if minimize else after - before)
+            if new_coord != coords[i]:
+                coords[i] = new_coord
+            if delta > 0.0:
+                running = running - delta if minimize else running + delta
+                improvement += delta
+            if i < d - 1:
+                prefix = optimizer._add(prefix, coords[i].measure(), low + i + 1)
+        trace.append(optimizer.SweepTrace(sweep, running, tuple(coords)))
+        if improvement < tol:
+            converged = True
+            break
+    return optimizer.DescentResult(
+        coords=tuple(coords),
+        objective=symmetrized_objective(rho, tag, [c.channel() for c in coords]),
+        running_objective=running,
+        sweeps=sweeps,
+        converged=converged,
+        verdict=optimizer._classify(coords, constraint, target),
+        trace=tuple(trace),
+        seed=seed,
+    )
+
+
+def _bits(res):
+    """Every float of a descent result by its bit pattern, with the rest."""
+
+    def coords(cs):
+        return [(c.eps1.hex(), c.eps2.hex(), c.alpha.hex()) for c in cs]
+
+    return (
+        coords(res.coords),
+        res.objective.hex(),
+        res.running_objective.hex(),
+        [(t.sweep, t.objective.hex(), coords(t.coords)) for t in res.trace],
+        res.sweeps,
+        res.converged,
+        res.verdict,
+    )
+
+
+_MEMO_CELLS = [
+    (EnsembleParams(*ens).area_poly, H, h, dict(minimize=minimize, seed=seed))
+    for ens in ((3, 6), (5, 10))
+    for h in (0.1, 0.5, 0.9)
+    for minimize in (True, False)
+    for seed in (0, 7)
+] + [
+    (Polynomial.monomial(2), H, 0.15, dict(constraint=E, minimize=False, seed=1)),
+    (poly_from_string("x^2+0.5x"), B, 0.3, dict(num_vars=4, minimize=True, seed=4)),
+]
+
+
+@pytest.mark.parametrize("rho, tag, target, kw", _MEMO_CELLS)
+def test_memoized_descent_equals_unmemoized_descent(rho, tag, target, kw):
+    assert _bits(coordinate_descent(rho, tag, target, **kw)) == _bits(
+        _unmemoized_descent(rho, tag, target, **kw)
+    )
+
+
+def _subproblem(profile, current):
+    return (profile.const.hex(), profile.x_pts.tobytes(), profile.w_pts.tobytes(),
+            current.eps1.hex(), current.eps2.hex(), current.alpha.hex())
+
+
+def _spied_descent(monkeypatch, rho, h, minimize, nudge=None):
+    """A descent with its best_coordinate calls and profiles recorded; with
+    nudge, every other profile has that field scaled by 1 - 2**-40."""
+    solved, profiles = [], []
+    real_best, real_profile = optimizer.best_coordinate, optimizer._profile_for
+
+    def best(profile, constraint, target, current, **kw):
+        solved.append(_subproblem(profile, current))
+        return real_best(profile, constraint, target, current, **kw)
+
+    def profile_for(*args):
+        profile = real_profile(*args)
+        profiles.append(profile)
+        if nudge and len(profiles) % 2 == 0:
+            setattr(profile, nudge, getattr(profile, nudge) * (1.0 - 2.0**-40))
+        return profile
+
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "best_coordinate", best)
+        m.setattr(optimizer, "_profile_for", profile_for)
+        res = coordinate_descent(rho, H, h, minimize=minimize, seed=0)
+    # coordinate i's incumbent in sweep s is its value after sweep s - 1
+    d = len(res.coords)
+    subproblems = [
+        _subproblem(profile, res.trace[n // d].coords[n % d])
+        for n, profile in enumerate(profiles)
+    ]
+    return res, solved, subproblems
+
+
+@pytest.mark.parametrize("ens, h, minimize", [((3, 6), 0.5, True), ((5, 10), 0.9, False),
+                                              ((3, 6), 0.1, False)])
+def test_descent_solves_each_distinct_subproblem_once(monkeypatch, ens, h, minimize):
+    rho = EnsembleParams(*ens).area_poly
+    res, solved, subproblems = _spied_descent(monkeypatch, rho, h, minimize)
+    assert len(subproblems) == res.sweeps * rho.degree
+    assert solved == list(dict.fromkeys(subproblems))
+    if (ens, h) == ((3, 6), 0.5):
+        # the coordinates collapse onto the matched BSC in the first sweep,
+        # so the confirming sweep repeats solved subproblems
+        assert res.verdict is Verdict.ALL_EQUAL_BSC
+        assert len(solved) < len(subproblems)
+
+
+@pytest.mark.parametrize("field", ["const", "x_pts", "w_pts"])
+def test_subproblems_that_differ_in_one_field_are_solved_apart(monkeypatch, field):
+    # With every other profile nudged in one field, the confirming sweep's
+    # neighbours on a collapsing cell differ in that field alone, and each
+    # must be solved, not read back from the other's solve.
+    rho = EnsembleParams(3, 6).area_poly
+    res, solved, subproblems = _spied_descent(monkeypatch, rho, 0.5, True, nudge=field)
+    assert solved == list(dict.fromkeys(subproblems))
+    assert len(solved) > len(_spied_descent(monkeypatch, rho, 0.5, True)[1])
