@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, Channel, _settled, _trusted, bec,
                       bsc, mix)
-from .convolution import check_convolve, check_power, phi_of_poly_convolved
+from .convolution import _phi, _powers, phi_of_poly_convolved
 from .functionals import Functional, complement, evaluate, kernel, kernel_inv, pointwise
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
                      poly_convex_on, poly_increasing_on)
@@ -284,16 +284,11 @@ def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
     # complements: per-point ones for single channels, the moment-domain
     # series for convolutions (explicit convolution points near eps = 1/2
     # cannot represent tiny complements at full relative precision).
-    phi = lambda ch: evaluate(tag, ch)
     comp = lambda ch: complement(tag, ch)
     if code == 4:
         return comp(a) * comp(b), conv[0]
     if code == 5:
-        values = [phi(a)]
-        p = a
-        for _ in range(power - 1):
-            p = check_convolve(p, a)
-            values.append(phi(p))
+        values = [_phi(tag, p) for p in _powers(a, power)]
         return values[power - 1], values[0] * (power - sum(values[: power - 1]))
     if code == 6:
         return comp(a), math.sqrt(conv[0])
@@ -302,13 +297,13 @@ def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
     if code == 8:
         return conv[0], math.sqrt(conv[1]) * math.sqrt(comp(b))
     if code == 9:
-        lhs = alpha * phi(check_power(a, power)) + (1.0 - alpha) * phi(check_power(b, power))
-        return lhs, phi(check_power(mixed, power))
+        phi_power = partial(phi_of_poly_convolved, tag, Polynomial.monomial(power))
+        return alpha * phi_power(a) + (1.0 - alpha) * phi_power(b), phi_power(mixed)
     if code == 10:
         root = 1.0 / power
         return conv[0] ** root, alpha * conv[1] ** root + (1.0 - alpha) * conv[2] ** root
     if code == 11:
-        return phi(a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))
+        return evaluate(tag, a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))
     # code == 12
     return conv[0], comp(a) * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
 

@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("channels", nargs="+", help="channel specs to convolve left to right")
     p_conv.add_argument("--power", type=_positive, help="raise the result to the d-th convolution power")
     p_conv.add_argument("--summary", action="store_true", help="append functional values as comments")
-    p_conv.add_argument("--cap", type=int, default=10**6, help="support size cap")
+    p_conv.add_argument("--cap", type=_positive, default=10**6, help="support size cap")
     p_conv.add_argument("--out", help="write the channel document here instead of stdout")
     p_conv.set_defaults(fn=cmd_convolve)
 

@@ -15,22 +15,19 @@ monotonically.  A converged tuple whose coordinates all collapse to the
 constraint-matched BSC (or BEC) certifies the corresponding extremality
 hypothesis for the original objective.
 
-The subset sums are computed in the x = 1 - 2*eps domain, where check
-convolution multiplies points and weights (Richardson & Urbanke, *Modern
-Coding Theory*, ch. 4).  A measure is an unnormalized (x, w) pair of
-arrays, and E_j(S) is the sum over the j-subsets T of S of the convolution
-of the channels in T, a measure of mass C(|S|, j).  Adding a coordinate a
-to S is the elementary-symmetric step
+The subset sums are measures of eicomb.convolution ((x, w) arrays in
+x = 1 - 2*eps, where check convolution is an outer product), built with its
+convolve and merged sum.  E_j(S) is the sum over the j-subsets T of S of
+the convolution of the channels in T, a measure of mass C(|S|, j).  Adding
+a coordinate a to S is the elementary-symmetric step
 
     E_j(S + a) = E_j(S) + E_{j-1}(S) (*) a,        E_0 = BSC(0), mass 1,
 
-one outer product per order j.  After each step, points closer than
-X_MERGE_TOL in x merge to their weighted mean, the rule channels apply in
-eps; nothing is dropped or renormalized.  Each sweep builds the suffix sums
-E_j(coordinates i+1..d-1) for every i in one backward pass and carries the
-prefix sums E_j(coordinates 0..i-1) forward as coordinates are updated, so
-the sums over the coordinates other than i are the convolution sums
-sum_t E_t(prefix) (*) E_{j-t}(suffix).
+one outer product and one merged sum per order j.  Each sweep builds the
+suffix sums E_j(coordinates i+1..d-1) for every i in one backward pass and
+carries the prefix sums E_j(coordinates 0..i-1) forward as coordinates are
+updated, so the sums over the coordinates other than i are the convolution
+sums sum_t E_t(prefix) (*) E_{j-t}(suffix).
 
 Only the orders that can reach a read order are built.  With K the lowest
 exponent of rho, the objective reads E_K .. E_deg of all d coordinates and
@@ -64,8 +61,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import EPS_MERGE_TOL, Channel, _merge_points, bec, bsc
-from .functionals import Functional, h2, h2_inv, pointwise
+from . import convolution
+from .channel import Channel, bec, bsc
+from .convolution import Measure
+from .functionals import Functional, h2, h2_inv
 from .series import Polynomial
 
 # Coordinates closer than this (in transport distance) to the matched
@@ -77,16 +76,6 @@ DEFAULT_GRID = 256
 DEFAULT_REFINE_PASSES = 4
 
 RUN_CSV_HEADER = "seed,sweep,objective,coords"
-
-# Measure points closer than this in x = 1 - 2*eps merge: the EPS_MERGE_TOL
-# rule of channels, carried over to x.
-X_MERGE_TOL = 2.0 * EPS_MERGE_TOL
-
-# An unnormalized weight measure: points x = 1 - 2*eps and their weights.
-Measure = tuple[np.ndarray, np.ndarray]
-
-_EMPTY: Measure = (np.empty(0), np.empty(0))
-_IDENTITY: Measure = (np.ones(1), np.ones(1))  # BSC(0), the empty convolution
 
 
 class Verdict(enum.Enum):
@@ -109,25 +98,21 @@ class TwoPointChannel:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"mass must lie in [0, 1], got {self.alpha!r}")
 
-    def channel(self) -> Channel:
+    def _points(self) -> tuple[np.ndarray, np.ndarray]:
+        """eps and weights, one point where the pair collapses."""
         if self.alpha == 1.0 or self.eps1 == self.eps2:
-            return bsc(self.eps1)
+            return np.array([self.eps1]), np.ones(1)
         if self.alpha == 0.0:
-            return bsc(self.eps2)
-        return Channel(
-            np.array([self.eps1, self.eps2]), np.array([self.alpha, 1.0 - self.alpha])
-        )
+            return np.array([self.eps2]), np.ones(1)
+        return np.array([self.eps1, self.eps2]), np.array([self.alpha, 1.0 - self.alpha])
+
+    def channel(self) -> Channel:
+        return Channel(*self._points())
 
     def measure(self) -> Measure:
-        """The weight measure in x = 1 - 2*eps, with the degenerate forms of channel()."""
-        if self.alpha == 1.0 or self.eps1 == self.eps2:
-            return np.array([1.0 - 2.0 * self.eps1]), np.ones(1)
-        if self.alpha == 0.0:
-            return np.array([1.0 - 2.0 * self.eps2]), np.ones(1)
-        return (
-            np.array([1.0 - 2.0 * self.eps1, 1.0 - 2.0 * self.eps2]),
-            np.array([self.alpha, 1.0 - self.alpha]),
-        )
+        """The weight measure in x = 1 - 2*eps, unsettled (not renormalized)."""
+        eps, w = self._points()
+        return 1.0 - 2.0 * eps, w
 
     def constraint_value(self, tag: Functional) -> float:
         g = _constraint_fn(tag)
@@ -169,33 +154,19 @@ def _matched_extremes(tag: Functional, target: float) -> tuple[Channel, Channel]
     return bsc_ref, bec_ref
 
 
-def _convolve(a: Measure, b: Measure) -> Measure:
-    return np.multiply.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel()
-
-
-def _merged_sum(parts: Sequence[Measure]) -> Measure:
-    """Sum of measures with points closer than X_MERGE_TOL merged."""
-    parts = [p for p in parts if p[0].size]
-    if not parts:
-        return _EMPTY
-    return _merge_points(
-        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), X_MERGE_TOL
-    )
-
-
 def _add(sums: Sequence[Measure], a: Measure, low: int) -> list[Measure]:
     """E_j(S + a) = E_j(S) + E_{j-1}(S) (*) a for every kept order j >= low;
     the orders below low are left empty.  An empty E_{j-1}(S) (an order
     above |S|, or one cut below the previous low) is not convolved:
     _merged_sum would drop the empty product anyway."""
-    out = [sums[0] if low <= 0 else _EMPTY]
+    out = [sums[0] if low <= 0 else convolution._EMPTY]
     for j in range(1, len(sums)):
         if j < low:
-            out.append(_EMPTY)
+            out.append(convolution._EMPTY)
         elif sums[j - 1][0].size:
-            out.append(_merged_sum((sums[j], _convolve(sums[j - 1], a))))
+            out.append(convolution._merged_sum((sums[j], convolution._convolve(sums[j - 1], a))))
         else:
-            out.append(_merged_sum((sums[j],)))
+            out.append(convolution._merged_sum((sums[j],)))
     return out
 
 
@@ -205,16 +176,11 @@ def _symmetric_sums(measures: Sequence[Measure], order: int, low: int = 0) -> li
     E_j after the i-th of n additions feeds the final orders >= low only if
     j >= low - (n - i), so the lower orders are never built.
     """
-    sums = [_IDENTITY] + [_EMPTY] * order
+    sums = [convolution._IDENTITY] + [convolution._EMPTY] * order
     n = len(measures)
     for i, a in enumerate(measures, 1):
         sums = _add(sums, a, low - (n - i))
     return sums
-
-
-def _value(tag: Functional, m: Measure) -> float:
-    """Phi of an unnormalized measure: sum_p w_p Phi(BSC((1 - x_p) / 2))."""
-    return float(np.dot(m[1], pointwise(tag, 0.5 * (1.0 - m[0]))))
 
 
 def symmetrized_objective(
@@ -228,12 +194,11 @@ def symmetrized_objective(
     d = len(channels)
     if d < rho.degree:
         raise ValueError(f"need at least deg(rho)={rho.degree} coordinates, got {d}")
-    sums = _symmetric_sums(
-        [(1.0 - 2.0 * ch.eps, ch.w) for ch in channels], rho.degree, rho.terms[0][0]
-    )
+    measures = [convolution._measure(ch) for ch in channels]
+    sums = _symmetric_sums(measures, rho.degree, rho.terms[0][0])
     total = 0.0
     for k, c in rho.terms:
-        total += c / math.comb(d, k) * _value(tag, sums[k])
+        total += c / math.comb(d, k) * convolution._phi(tag, sums[k])
     return total
 
 
@@ -356,8 +321,8 @@ def _profile_for(
 
     def other_sums(j: int) -> Measure:
         if j not in others:
-            others[j] = _merged_sum([
-                _convolve(prefix[t], suffix[j - t])
+            others[j] = convolution._merged_sum([
+                convolution._convolve(prefix[t], suffix[j - t])
                 for t in range(j + 1)
                 if prefix[t][0].size and suffix[j - t][0].size
             ])
@@ -372,7 +337,7 @@ def _profile_for(
         xs.append(x)
         ws.append(scale * w)
         if k <= d - 1:
-            const += scale * _value(tag, other_sums(k))
+            const += scale * convolution._phi(tag, other_sums(k))
     x_all = np.concatenate(xs)
     w_all = np.concatenate(ws)
     x_uniq, inverse = np.unique(x_all, return_inverse=True)

@@ -396,8 +396,8 @@ _CUBE = poly_from_string("x^3")
 PINNED_ROWS = {
     "ineq9": (
         lambda: inequality_suite(5000000000, 3, codes=(9,))[0][2].csv_row(),
-        "ineq9,name=mixture_power;tag=B;d=5;alpha=0.41321138110310807,0.9982565847092291,"
-        "0.9998697857268548,0.0016132010176257428,1,5000000000",
+        "ineq9,name=mixture_power;tag=B;d=5;alpha=0.41321138110310807,0.9982565847092288,"
+        "0.9998697857268558,0.001613201017626964,1,5000000000",
     ),
     "upper": (
         lambda: upper_bound_sweep(11, levels=(0.3,), rhos=(_CUBE,), tags=(B,),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eicomb.bounds import random_channel, trial_rng
-from eicomb.channel import bec, bsc, channel
+from eicomb import convolution
+from eicomb.bounds import _sides, random_channel, trial_rng
+from eicomb.channel import bec, bsc, channel, mix
 from eicomb.convolution import (
     SupportCapError,
     check_convolve,
@@ -11,7 +12,7 @@ from eicomb.convolution import (
     projected_power_support,
 )
 from eicomb.functionals import Functional, evaluate
-from eicomb.series import Polynomial, moments
+from eicomb.series import Polynomial, moments, poly_from_string
 
 H, B, E = Functional.H, Functional.B, Functional.E
 
@@ -142,3 +143,70 @@ def test_phi_of_poly_convolved_general():
         c * evaluate(B, check_power(a, k)) for k, c in rho.terms
     )
     assert phi_of_poly_convolved(B, rho, a) == pytest.approx(expected, abs=1e-14)
+
+
+# ----------------------------------------------------------------------
+# the power chain: one x-domain chain, checked against the per-step fold
+
+
+# |delta| the x-domain chain may move a value from the per-step Channel fold
+# (catalog codes 5 and 9 moved by at most 2.4e-15 over 2400 values each)
+CHAIN_DELTA = 2.5e-15
+
+
+def fold_power(a, d):
+    """Oracle: the per-step Channel fold, check_convolve repeated."""
+    out = a
+    for _ in range(d - 1):
+        out = check_convolve(out, a)
+    return out
+
+
+def test_power_cap_guards_every_step():
+    a = channel([(0.1, 0.5), (0.3, 0.5)])
+    assert projected_power_support(a.size, 40) == 41
+    # the projected support passes the cap; the step from 21 points to 42 does not
+    with pytest.raises(SupportCapError, match="convolution support 42 exceeds cap 41"):
+        check_power(a, 40, cap=41)
+
+
+def test_power_cap_raises_before_any_convolution(monkeypatch):
+    calls = []
+    real = convolution._convolve
+    monkeypatch.setattr(convolution, "_convolve", lambda a, b: calls.append(1) or real(a, b))
+    a = channel([(e, 0.2) for e in (0.05, 0.1, 0.2, 0.3, 0.4)])
+    with pytest.raises(SupportCapError, match="projected support"):
+        check_power(a, 200)
+    # the lower terms fit under the cap, yet nothing is convolved before the error
+    with pytest.raises(SupportCapError, match="for power 200"):
+        phi_of_poly_convolved(H, poly_from_string("x^2+x^200"), a)
+    assert calls == []
+    phi_of_poly_convolved(H, Polynomial.monomial(3), a)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_power_chain_matches_channel_fold(d):
+    for i in range(40):
+        rng = trial_rng(97, d, i)
+        a, b = random_channel(rng), random_channel(rng)
+        alpha = float(rng.random())
+        mixed = mix(a, b, alpha)
+        rho = Polynomial(tuple(rng.uniform(-1.0, 1.0, d)))
+        powers = [fold_power(a, k) for k in range(1, d + 1)]
+        for tag in (H, B, E):
+            values = [evaluate(tag, p) for p in powers]
+            assert abs(evaluate(tag, check_power(a, d)) - values[-1]) <= CHAIN_DELTA
+            want = sum(c * values[k - 1] for k, c in rho.terms)
+            assert abs(phi_of_poly_convolved(tag, rho, a) - want) <= CHAIN_DELTA
+            lhs, rhs = _sides(5, tag, a, None, None, None, d, [])
+            assert abs(lhs - values[-1]) <= CHAIN_DELTA
+            assert abs(rhs - values[0] * (d - sum(values[:-1]))) <= CHAIN_DELTA
+            lhs, rhs = _sides(9, tag, a, b, mixed, alpha, d, [])
+            want = alpha * values[-1] + (1.0 - alpha) * evaluate(tag, fold_power(b, d))
+            assert abs(lhs - want) <= CHAIN_DELTA
+            assert abs(rhs - evaluate(tag, fold_power(mixed, d))) <= CHAIN_DELTA
+        # E(a^[d]) = (1 - (sum_i w_i x_i)^d) / 2
+        closed = 0.5 * (1.0 - float(np.dot(a.w, 1.0 - 2.0 * a.eps)) ** d)
+        assert abs(evaluate(E, check_power(a, d)) - closed) <= 1e-15
+        assert abs(phi_of_poly_convolved(E, Polynomial.monomial(d), a) - closed) <= 1e-15

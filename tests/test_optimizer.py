@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eicomb import optimizer
+from eicomb import convolution, optimizer
 from eicomb.area import EnsembleParams
 from eicomb.bounds import random_channel, trial_rng
 from eicomb.channel import bec, bsc, channel
@@ -217,14 +217,14 @@ def test_constraint_grid_is_cached_read_only_and_scalar_exact():
 def _full_add(sums, a):
     """optimizer._add before the order cut: every order up to len(sums) - 1."""
     return [sums[0]] + [
-        optimizer._merged_sum((sums[j], optimizer._convolve(sums[j - 1], a)))
+        convolution._merged_sum((sums[j], convolution._convolve(sums[j - 1], a)))
         for j in range(1, len(sums))
     ]
 
 
 def _full_symmetric_sums(measures, order):
     """optimizer._symmetric_sums before the order cut: E_0 .. E_order."""
-    sums = [optimizer._IDENTITY] + [optimizer._EMPTY] * order
+    sums = [convolution._IDENTITY] + [convolution._EMPTY] * order
     for a in measures:
         sums = _full_add(sums, a)
     return sums
@@ -306,9 +306,9 @@ def test_order_cut_skips_unread_orders_at_5_10(monkeypatch):
     assert all(cut[j][0].size == 0 and full[j][0].size > 0 for j in range(8))
 
     sizes = []
-    real = optimizer._convolve
+    real = convolution._convolve
     monkeypatch.setattr(
-        optimizer, "_convolve", lambda a, b: sizes.append(a[0].size * b[0].size) or real(a, b)
+        convolution, "_convolve", lambda a, b: sizes.append(a[0].size * b[0].size) or real(a, b)
     )
 
     def count():
@@ -326,18 +326,18 @@ def test_order_cut_skips_unread_orders_at_5_10(monkeypatch):
 
 def _unskipped_add(sums, a, low):
     """optimizer._add before the empty-operand skip: every kept order convolved."""
-    return [sums[0] if low <= 0 else optimizer._EMPTY] + [
-        optimizer._merged_sum((sums[j], optimizer._convolve(sums[j - 1], a)))
-        if j >= low else optimizer._EMPTY
+    return [sums[0] if low <= 0 else convolution._EMPTY] + [
+        convolution._merged_sum((sums[j], convolution._convolve(sums[j - 1], a)))
+        if j >= low else convolution._EMPTY
         for j in range(1, len(sums))
     ]
 
 
 def test_add_skips_only_empty_operand_convolutions(monkeypatch):
     operands = []
-    real = optimizer._convolve
+    real = convolution._convolve
     monkeypatch.setattr(
-        optimizer, "_convolve", lambda a, b: operands.append(a[0].size) or real(a, b)
+        convolution, "_convolve", lambda a, b: operands.append(a[0].size) or real(a, b)
     )
     cells = [((3, 6), 0.1, False, 0), ((3, 6), 0.5, True, 2), ((5, 10), 0.5, False, 3)]
 
