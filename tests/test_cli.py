@@ -201,8 +201,6 @@ def test_negative_seed_is_a_usage_error_on_every_suite(name, capsys):
         (("suite", "area", "--grid-points", "0"), "argument --grid-points: expected positive integer"),
         (("eval", "bec:0.3", "--all", "--power", "0"), "argument --power: expected positive integer"),
         (("convolve", "bec:0.3", "--power", "-2"), "argument --power: expected positive integer"),
-        (("convolve", "bsc:0.1", "--cap", "-5"), "argument --cap: expected positive integer"),
-        (("convolve", "bsc:0.1", "--cap", "0"), "argument --cap: expected positive integer"),
         (("coeffs", "--functional", "B", "--count", "0"), "argument --count: expected positive integer"),
         (("coeffs", "--functional", "B", "--count", "ten"), "argument --count: invalid int value: 'ten'"),
         (("eval", "bec:0.3", "--all", "--power", "2", "--tol", "0"),
@@ -211,6 +209,8 @@ def test_negative_seed_is_a_usage_error_on_every_suite(name, capsys):
         (("suite", "area", "--margin", "nan"), "argument --margin: expected finite positive number"),
         (("suite", "area", "--k-const", "nan"),
          "argument --k-const: expected finite non-negative number"),
+        (("convolve", "bsc:0.1", "--cap", "-5"), "argument --cap: expected positive integer"),
+        (("convolve", "bsc:0.1", "--cap", "0"), "argument --cap: expected positive integer"),
     ],
 )
 def test_bad_counts_are_usage_errors_before_any_output(argv, message, capsys):
