@@ -156,27 +156,11 @@ def fixed_error_extremes(
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"error probability must lie in [0, 1/2], got {eps!r}")
     hyp = poly_increasing_on(rho, 1.0 - 2.0 * eps)
-    lo_channel = bec(2.0 * eps)
-    hi_channel = bsc(eps)
-    lower = ExtremalBound(
-        kind="lower",
-        tag=tag,
-        rho=rho,
-        constraint=Functional.E,
-        level=eps,
-        bound=phi_of_poly_convolved(tag, rho, lo_channel),
-        hypothesis_ok=hyp,
-        extremal=lo_channel,
-    )
-    upper = ExtremalBound(
-        kind="upper",
-        tag=tag,
-        rho=rho,
-        constraint=Functional.E,
-        level=eps,
-        bound=phi_of_poly_convolved(tag, rho, hi_channel),
-        hypothesis_ok=hyp,
-        extremal=hi_channel,
+    lower, upper = (
+        ExtremalBound(kind=kind, tag=tag, rho=rho, constraint=Functional.E, level=eps,
+                      bound=phi_of_poly_convolved(tag, rho, extremal), hypothesis_ok=hyp,
+                      extremal=extremal)
+        for kind, extremal in (("lower", bec(2.0 * eps)), ("upper", bsc(eps)))
     )
     return lower, upper
 
@@ -288,7 +272,7 @@ def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
     if code == 4:
         return comp(a) * comp(b), conv[0]
     if code == 5:
-        values = [_phi(tag, p) for p in _powers(a, power)]
+        values = [evaluate(tag, a)] + [_phi(tag, p) for p in _powers(a, power)]
         return values[power - 1], values[0] * (power - sum(values[: power - 1]))
     if code == 6:
         return comp(a), math.sqrt(conv[0])

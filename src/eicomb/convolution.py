@@ -12,8 +12,8 @@ outer product (Richardson & Urbanke, *Modern Coding Theory*, ch. 4), and a
 merged sum merges points closer than X_MERGE_TOL in x to their weighted
 mean.  A channel's powers are one chain of merged products (_powers):
 check_power settles its last measure into a channel, phi_of_poly_convolved
-and the inequality catalog read Phi off each.  eicomb.optimizer builds its
-subset sums with the same operations.
+and the inequality catalog read Phi off each (and Phi(a) off the channel).
+eicomb.optimizer builds its subset sums with the same operations.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .channel import EPS_MERGE_TOL, Channel, _merge_points, _trusted
-from .functionals import Functional, pointwise
+from .functionals import Functional, evaluate, pointwise
 
 if TYPE_CHECKING:
     from .series import Polynomial
@@ -60,13 +60,21 @@ def _convolve(a: Measure, b: Measure) -> Measure:
     return np.multiply.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel()
 
 
+def _merged(x: np.ndarray, w: np.ndarray) -> Measure:
+    """Points closer than X_MERGE_TOL merged to their weighted mean.  Zero
+    weights (products that underflowed) go first: a run of them has no mean."""
+    keep = w > 0.0
+    if not keep.all():
+        x, w = x[keep], w[keep]
+    return _merge_points(x, w, X_MERGE_TOL)
+
+
 def _merged_sum(parts: Sequence[Measure]) -> Measure:
     """Sum of measures with points closer than X_MERGE_TOL merged."""
     parts = [p for p in parts if p[0].size]
     if not parts:
         return _EMPTY
-    x, w = (np.concatenate(arrays) for arrays in zip(*parts))
-    return _merge_points(x, w, X_MERGE_TOL)
+    return _merged(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def _phi(tag: Functional, m: Measure) -> float:
@@ -92,7 +100,7 @@ def projected_power_support(support: int, d: int) -> int:
 
 
 def _powers(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Iterator[Measure]:
-    """The measures of a, a^[2], ..., a^[d] (d >= 1), each the merged product
+    """The measures of a^[2], ..., a^[d] (d >= 1), each the merged product
     of the one before with a.  Raises SupportCapError before any convolution
     if the projected support of a^[d] exceeds cap, and before forming any
     product of more than cap points."""
@@ -104,10 +112,9 @@ def _powers(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Iterator[Meas
             f"projected support {n} for power {d} exceeds cap {cap}; use series evaluation"
         )
     base = power = _measure(a)
-    yield power
     for _ in range(d - 1):
         _check_support(power[0].size * base[0].size, cap)
-        power = _merged_sum((_convolve(power, base),))
+        power = _merged(*_convolve(power, base))
         yield power
 
 
@@ -121,10 +128,11 @@ def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
 
 def phi_of_poly_convolved(tag: Functional, rho: "Polynomial", a: Channel) -> float:
     """Phi(rho(a)) = sum_k c_k Phi(a^[k]), read off one power chain up to deg
-    rho, whose cap is checked before any convolution; `eicomb.series` covers more."""
+    rho, whose cap is checked before any convolution; `eicomb.series` covers more.
+    Phi(a) is read off the channel in eps, where small crossovers stay exact."""
     coeffs = dict(rho.terms)
-    total = 0.0
-    for k, power in enumerate(_powers(a, rho.degree), 1):
+    total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
+    for k, power in enumerate(_powers(a, rho.degree), 2):
         if k in coeffs:
             total += coeffs[k] * _phi(tag, power)
     return total

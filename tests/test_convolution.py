@@ -185,28 +185,57 @@ def test_power_cap_raises_before_any_convolution(monkeypatch):
     assert len(calls) == 2
 
 
+def assert_chain_matches_fold(a, b, alpha, rho, d, delta=CHAIN_DELTA):
+    """check_power, phi_of_poly_convolved and the code 5/9 sides against the
+    per-step Channel fold, within delta."""
+    mixed = mix(a, b, alpha)
+    powers = [fold_power(a, k) for k in range(1, d + 1)]
+    for tag in (H, B, E):
+        values = [evaluate(tag, p) for p in powers]
+        assert abs(evaluate(tag, check_power(a, d)) - values[-1]) <= delta
+        want = sum(c * values[k - 1] for k, c in rho.terms)
+        assert abs(phi_of_poly_convolved(tag, rho, a) - want) <= delta
+        lhs, rhs = _sides(5, tag, a, None, None, None, d, [])
+        assert abs(lhs - values[-1]) <= delta
+        assert abs(rhs - values[0] * (d - sum(values[:-1]))) <= delta
+        lhs, rhs = _sides(9, tag, a, b, mixed, alpha, d, [])
+        want = alpha * values[-1] + (1.0 - alpha) * evaluate(tag, fold_power(b, d))
+        assert abs(lhs - want) <= delta
+        assert abs(rhs - evaluate(tag, fold_power(mixed, d))) <= delta
+    # E(a^[d]) = (1 - (sum_i w_i x_i)^d) / 2
+    closed = 0.5 * (1.0 - float(np.dot(a.w, 1.0 - 2.0 * a.eps)) ** d)
+    assert abs(evaluate(E, check_power(a, d)) - closed) <= 1e-15
+    assert abs(phi_of_poly_convolved(E, Polynomial.monomial(d), a) - closed) <= 1e-15
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_power_chain_matches_channel_fold(d):
     for i in range(40):
         rng = trial_rng(97, d, i)
         a, b = random_channel(rng), random_channel(rng)
         alpha = float(rng.random())
-        mixed = mix(a, b, alpha)
-        rho = Polynomial(tuple(rng.uniform(-1.0, 1.0, d)))
-        powers = [fold_power(a, k) for k in range(1, d + 1)]
-        for tag in (H, B, E):
-            values = [evaluate(tag, p) for p in powers]
-            assert abs(evaluate(tag, check_power(a, d)) - values[-1]) <= CHAIN_DELTA
-            want = sum(c * values[k - 1] for k, c in rho.terms)
-            assert abs(phi_of_poly_convolved(tag, rho, a) - want) <= CHAIN_DELTA
-            lhs, rhs = _sides(5, tag, a, None, None, None, d, [])
-            assert abs(lhs - values[-1]) <= CHAIN_DELTA
-            assert abs(rhs - values[0] * (d - sum(values[:-1]))) <= CHAIN_DELTA
-            lhs, rhs = _sides(9, tag, a, b, mixed, alpha, d, [])
-            want = alpha * values[-1] + (1.0 - alpha) * evaluate(tag, fold_power(b, d))
-            assert abs(lhs - want) <= CHAIN_DELTA
-            assert abs(rhs - evaluate(tag, fold_power(mixed, d))) <= CHAIN_DELTA
-        # E(a^[d]) = (1 - (sum_i w_i x_i)^d) / 2
-        closed = 0.5 * (1.0 - float(np.dot(a.w, 1.0 - 2.0 * a.eps)) ** d)
-        assert abs(evaluate(E, check_power(a, d)) - closed) <= 1e-15
-        assert abs(phi_of_poly_convolved(E, Polynomial.monomial(d), a) - closed) <= 1e-15
+        assert_chain_matches_fold(a, b, alpha, Polynomial(tuple(rng.uniform(-1.0, 1.0, d))), d)
+
+
+@pytest.mark.parametrize("points", [
+    [(0.1, 1.0 - 1e-14), (0.2, 1e-14)],
+    [(0.2, 1.0 - 1e-14), (0.1, 1e-14)],
+    [(0.1, 1.0 - 1e-300), (0.2, 1e-300)],
+])
+def test_power_chain_matches_channel_fold_with_underflowing_weights(points):
+    # by power ~25 the tiny weight's products underflow to 0; a merge run of
+    # zero weights has no mean, and the chain must drop them, not turn NaN.
+    # Code 5's rhs sums 39 powers, so its bound scales with d.
+    a = channel(points)
+    assert np.isfinite(check_power(a, 40).eps).all()
+    rho = Polynomial((0.5,) + (0.0,) * 28 + (-0.25,) + (0.0,) * 9 + (1.0,))
+    assert_chain_matches_fold(a, bsc(0.3), 0.4, rho, 40, delta=8 * CHAIN_DELTA)
+
+
+def test_power_one_is_read_off_the_channel():
+    # the x round trip would blur eps = 1e-10 by ~1e-12 in B
+    a = bsc(1e-10)
+    for tag in (H, B, E):
+        assert phi_of_poly_convolved(tag, Polynomial.monomial(1), a) == evaluate(tag, a)
+        assert _sides(5, tag, a, None, None, None, 2, [])[1] == evaluate(tag, a) * (
+            2 - evaluate(tag, a))
