@@ -129,7 +129,7 @@ def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
 def phi_of_poly_convolved(tag: Functional, rho: "Polynomial", a: Channel) -> float:
     """Phi(rho(a)) = sum_k c_k Phi(a^[k]), read off one power chain up to deg
     rho, whose cap is checked before any convolution; `eicomb.series` covers more.
-    Phi(a) is read off the channel in eps, where small crossovers stay exact."""
+    Phi(a) is read off the channel in eps, where small crossovers keep precision."""
     coeffs = dict(rho.terms)
     total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
     for k, power in enumerate(_powers(a, rho.degree), 2):
