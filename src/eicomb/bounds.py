@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, Channel, _settled, _trusted, bec,
                       bsc, mix)
-from .convolution import _phi, _powers, phi_of_poly_convolved
+from .convolution import _phis_of_powers, phi_of_poly_convolved, phi_of_poly_convolved_batch
 from .functionals import Functional, complement, evaluate, kernel, kernel_inv, pointwise
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
                      poly_convex_on, poly_increasing_on)
@@ -151,18 +151,29 @@ def fixed_error_extremes(
     """(minimum, maximum) of Phi(rho(a)) over channels with E(a) = eps.
 
     BEC(2*eps) attains the minimum and BSC(eps) the maximum when rho is
-    increasing on [0, 1 - 2*eps].
+    increasing on [0, 1 - 2*eps].  _fixed_error_rows on a batch of one.
     """
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"error probability must lie in [0, 1/2], got {eps!r}")
-    hyp = poly_increasing_on(rho, 1.0 - 2.0 * eps)
-    lower, upper = (
-        ExtremalBound(kind=kind, tag=tag, rho=rho, constraint=Functional.E, level=eps,
-                      bound=phi_of_poly_convolved(tag, rho, extremal), hypothesis_ok=hyp,
-                      extremal=extremal)
-        for kind, extremal in (("lower", bec(2.0 * eps)), ("upper", bsc(eps)))
-    )
-    return lower, upper
+    return _fixed_error_rows(tag, rho, [eps])[0]
+
+
+def _fixed_error_rows(
+    tag: Functional, rho: Polynomial, levels: Sequence[float]
+) -> list[tuple[ExtremalBound, ExtremalBound]]:
+    """fixed_error_extremes at each level, every bound off one batched chain."""
+    for eps in levels:
+        if not 0.0 <= eps <= 0.5:
+            raise ValueError(f"error probability must lie in [0, 1/2], got {eps!r}")
+    extremals = [ch for eps in levels for ch in (bec(2.0 * eps), bsc(eps))]
+    values = iter(phi_of_poly_convolved_batch(tag, rho, extremals))
+    rows = []
+    for li, eps in enumerate(levels):
+        hyp = poly_increasing_on(rho, 1.0 - 2.0 * eps)
+        rows.append(tuple(
+            ExtremalBound(kind=kind, tag=tag, rho=rho, constraint=Functional.E, level=eps,
+                          bound=next(values), hypothesis_ok=hyp, extremal=extremal)
+            for kind, extremal in zip(("lower", "upper"), extremals[2 * li : 2 * li + 2])
+        ))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -260,10 +271,22 @@ def _convolution_complements(code: int, a: Channel, b: Channel | None,
     return ()
 
 
+def _power_reads(code: int, a: Channel, b: Channel | None, mixed: Channel | None,
+                 d: int | None) -> tuple:
+    """The (channel, powers) whose Phi(channel^[k]) inequality `code` reads
+    off power chains, in the order _sides reads them."""
+    if code == 5:
+        return ((a, range(2, d + 1)),)
+    if code == 9:
+        return ((a, (d,)), (b, (d,)), (mixed, (d,)))
+    return ()
+
+
 def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
-           mixed: Channel | None, alpha: float | None, power: int | None,
-           conv: Sequence[float]) -> tuple[float, float]:
-    """(lhs, rhs) of inequality `code`, given its convolution complements."""
+           alpha: float | None, power: int | None, conv: Sequence[float],
+           phis: Sequence[list[float]]) -> tuple[float, float]:
+    """(lhs, rhs) of inequality `code`, given its convolution complements
+    and its power chains' Phi values."""
     # Quantities of the form 1 - Phi(.) go through the cancellation-free
     # complements: per-point ones for single channels, the moment-domain
     # series for convolutions (explicit convolution points near eps = 1/2
@@ -272,8 +295,8 @@ def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
     if code == 4:
         return comp(a) * comp(b), conv[0]
     if code == 5:
-        values = [evaluate(tag, a)] + [_phi(tag, p) for p in _powers(a, power)]
-        return values[power - 1], values[0] * (power - sum(values[: power - 1]))
+        values = [evaluate(tag, a)] + phis[0]
+        return values[-1], values[0] * (power - sum(values[:-1]))
     if code == 6:
         return comp(a), math.sqrt(conv[0])
     if code == 7:
@@ -281,8 +304,8 @@ def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
     if code == 8:
         return conv[0], math.sqrt(conv[1]) * math.sqrt(comp(b))
     if code == 9:
-        phi_power = partial(phi_of_poly_convolved, tag, Polynomial.monomial(power))
-        return alpha * phi_power(a) + (1.0 - alpha) * phi_power(b), phi_power(mixed)
+        (phi_a,), (phi_b,), (phi_mixed,) = phis
+        return alpha * phi_a + (1.0 - alpha) * phi_b, phi_mixed
     if code == 10:
         root = 1.0 / power
         return conv[0] ** root, alpha * conv[1] ** root + (1.0 - alpha) * conv[2] ** root
@@ -296,10 +319,12 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
     """Reports of inequality `code` on each case, in order.
 
     The convolution complements of all cases are grouped by (tag, factor
-    degrees), and each group is one complement_of_convolution_batch call.
+    degrees), and each group is one complement_of_convolution_batch call;
+    the power chains of all cases are one batched chain.
     """
     info = INEQUALITIES[code]
     groups: dict[tuple[Functional, tuple[int, ...]], list[tuple[Channel, ...]]] = {}
+    reads: list[tuple[Functional, Channel, Sequence[int]]] = []
     pending = []
     for tag, chans, alpha, power in cases:
         a = chans[0]
@@ -311,15 +336,18 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
             rows = groups.setdefault(key, [])
             slots.append((key, len(rows)))
             rows.append(tuple(ch for ch, _ in factors))
-        pending.append((tag, chans, a, b, mixed, alpha, power, slots))
+        first = len(reads)
+        reads += [(tag, ch, ks) for ch, ks in _power_reads(code, a, b, mixed, power)]
+        pending.append((tag, chans, a, b, alpha, power, slots, slice(first, len(reads))))
     values = {
         key: complement_of_convolution_batch(key[0], key[1], rows)
         for key, rows in groups.items()
     }
+    phis = _phis_of_powers(reads) if reads else []
     reports = []
-    for tag, chans, a, b, mixed, alpha, power, slots in pending:
+    for tag, chans, a, b, alpha, power, slots, chains in pending:
         conv = [values[key][r] for key, r in slots]
-        lhs, rhs = _sides(code, tag, a, b, mixed, alpha, power, conv)
+        lhs, rhs = _sides(code, tag, a, b, alpha, power, conv, phis[chains])
         params = f"name={info.name};tag={tag.value}"
         if info.needs_power:
             params += f";d={power}"
@@ -714,9 +742,15 @@ def inequality_suite(
     Trial t of inequality c draws from the stream trial_rng(seed, c, t), so
     results do not depend on execution order.  Each code's trials are drawn
     first through trial_map, their raw channels settled as one batch, and
-    then evaluated together by the evaluator of check_inequality.
+    then evaluated together by the evaluator of check_inequality.  Unknown
+    codes and negative trial counts raise ValueError before any draw.
     """
     codes = sorted(INEQUALITIES if codes is None else codes)
+    for code in codes:
+        if code not in INEQUALITIES:
+            raise ValueError(f"unknown inequality code {code!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials!r}")
     reports: list[BoundReport] = []
     summaries: dict[int, SuiteSummary] = {}
     for code in codes:
@@ -750,12 +784,13 @@ def _sweep(
     summary = SuiteSummary(name=name)
     for ri, rho in enumerate(rhos):
         for tag in tags:
-            # Every item of a row shares one constraint (the tag, or E for
-            # the fixed-error pair), so the row's channels are one sampler
-            # batch and one batched series call, and every item of a level
-            # reads that level's channels; reports keep the (level, item,
-            # trial) order.
-            items = [bound_factory(tag, rho, level) for level in levels]
+            # bound_factory gives each level's items in one call.  Every
+            # item of a row shares one constraint (the tag, or E for the
+            # fixed-error pair), so the row's channels are one sampler batch
+            # and one batched series call, and every item of a level reads
+            # that level's channels; reports keep the (level, item, trial)
+            # order.
+            items = bound_factory(tag, rho, levels)
             constraint = items[0][0].constraint if items else tag
             channels = keyed_channels_with_value(
                 [(seed, ri, ord(tag.value), li, t)
@@ -785,7 +820,7 @@ def upper_bound_sweep(
     tol: float = SWEEP_SLACK_TOL,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-Phi channels against the convexity upper bound."""
-    factory = lambda tag, rho, level: (convexity_upper_bound(tag, rho, level),)
+    factory = lambda tag, rho, levels: [(convexity_upper_bound(tag, rho, l),) for l in levels]
     return _sweep("upper", seed, factory, levels, rhos, tags, per_cell, tol)
 
 
@@ -798,7 +833,7 @@ def lower_bound_sweep(
     tol: float = SWEEP_SLACK_TOL,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-Phi channels against the monotone lower bound."""
-    factory = lambda tag, rho, level: (monotone_lower_bound(tag, rho, level),)
+    factory = lambda tag, rho, levels: [(monotone_lower_bound(tag, rho, l),) for l in levels]
     return _sweep("lower", seed, factory, levels, rhos, tags, per_cell, tol)
 
 
@@ -814,7 +849,7 @@ def fixed_error_sweep(
     tol: float = SWEEP_SLACK_TOL,
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-E channels against the BEC-minimum / BSC-maximum bracket."""
-    return _sweep("fixed_error", seed, fixed_error_extremes, levels, rhos, tags, per_cell, tol)
+    return _sweep("fixed_error", seed, _fixed_error_rows, levels, rhos, tags, per_cell, tol)
 
 
 def bsc_minimizer_counterexamples(

@@ -51,9 +51,17 @@ def _merge_points(
     order = eps.argsort(kind="stable")
     eps = eps[order]  # fancy indexing copies
     w = w[order]
-    split = eps[1:] - eps[:-1] > tol
+    return _merge_runs(eps, w, eps[1:] - eps[:-1] > tol)[:2]
+
+
+def _merge_runs(
+    eps: np.ndarray, w: np.ndarray, split: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Merge sorted points into runs, a new run after each True of split:
+    (points, weights, index of each run's first point, or None when every
+    run is one point and nothing merges)."""
     if split.all():
-        return eps, w
+        return eps, w, None
     starts = np.flatnonzero(np.concatenate(([True], split)))
     ends = np.concatenate((starts[1:], [eps.size]))
     w_merged = np.add.reduceat(w, starts)
@@ -62,7 +70,7 @@ def _merge_points(
     eps_merged = np.where(
         first == last, first, np.add.reduceat(eps * w, starts) / w_merged
     )
-    return eps_merged, w_merged
+    return eps_merged, w_merged, starts
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,13 @@ multiplicative under the operation.
 A measure is an unnormalized (x, w) pair of arrays: convolving two is an
 outer product (Richardson & Urbanke, *Modern Coding Theory*, ch. 4), and a
 merged sum merges points closer than X_MERGE_TOL in x to their weighted
-mean.  A channel's powers are one chain of merged products (_powers):
-check_power settles its last measure into a channel, phi_of_poly_convolved
-and the inequality catalog read Phi off each (and Phi(a) off the channel).
-eicomb.optimizer builds its subset sums with the same operations.
+mean.  eicomb.optimizer builds its subset sums with these operations.
+
+A channel's powers are a chain of merged products; all chains of a call
+climb together (_chains), one gather-multiply and one segmented merge per
+power, each row bit for bit its own chain.  check_power settles a batch of
+one; phi_of_poly_convolved_batch and the inequality catalog read Phi off the
+powers (_phis_of_powers), and Phi(a) off the channel.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .channel import EPS_MERGE_TOL, Channel, _merge_points, _trusted
+from .channel import EPS_MERGE_TOL, Channel, _merge_points, _merge_runs, _trusted
 from .functionals import Functional, evaluate, pointwise
 
 if TYPE_CHECKING:
@@ -99,40 +102,124 @@ def projected_power_support(support: int, d: int) -> int:
     return math.comb(d + support - 1, support - 1)
 
 
-def _powers(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Iterator[Measure]:
-    """The measures of a^[2], ..., a^[d] (d >= 1), each the merged product
-    of the one before with a.  Raises SupportCapError before any convolution
-    if the projected support of a^[d] exceeds cap, and before forming any
-    product of more than cap points."""
-    if d < 1:
-        raise ValueError(f"power must be a positive integer, got {d!r}")
-    n = projected_power_support(a.size, d)
-    if n > cap:
-        raise SupportCapError(
-            f"projected support {n} for power {d} exceeds cap {cap}; use series evaluation"
-        )
-    base = power = _measure(a)
-    for _ in range(d - 1):
-        _check_support(power[0].size * base[0].size, cap)
-        power = _merged(*_convolve(power, base))
-        yield power
+def _chains(
+    channels: Sequence[Channel], degrees: Sequence[int], cap: int = DEFAULT_SUPPORT_CAP
+) -> Iterator[tuple[int, np.ndarray, Measure, np.ndarray]]:
+    """Power chains of many channels a_r at once: for k = 2 .. max(degrees),
+    (k, rows, measure, offsets), row i of rows (the r with degrees[r] >= k)
+    holding the measure of a_r^[k] at measure[offsets[i]:offsets[i+1]].
+    The caps are a lone chain's: every row's top power is checked before any
+    convolution, and each row's product before it is formed.
+
+    A row's products lie base-point-major (block j is a^[k-1] times point j
+    of a), a union of ascending runs for the stable sort, and merge bit for
+    bit as np.multiply.outer's would: at k = 2 the layout is a (x) a
+    transposed, equal value for value; later, powers ascend and channels
+    descend, spaced by about X_MERGE_TOL, so products tie only in
+    outer-product order.
+    """
+    for a, d in zip(channels, degrees):
+        if d < 1:
+            raise ValueError(f"power must be a positive integer, got {d!r}")
+        n = projected_power_support(a.size, d)
+        if n > cap:
+            raise SupportCapError(
+                f"projected support {n} for power {d} exceeds cap {cap}; use series evaluation"
+            )
+    ends_at = set(degrees)
+    degrees = np.asarray(degrees, dtype=np.intp)
+    m = np.array([a.size for a in channels], dtype=np.intp)
+    point_degree = degrees.repeat(m)
+    # _measure of every row at once; _EMPTY keeps an empty batch concatenable
+    bx = 1.0 - 2.0 * np.concatenate([a.eps for a in channels] + [_EMPTY[0]])
+    bw = np.concatenate([a.w for a in channels] + [_EMPTY[1]])
+    rows, cols, x, w = np.arange(m.size), np.arange(bx.size), bx, bw
+    off = np.concatenate(([0], m.cumsum()))
+    for k in range(2, max(ends_at, default=1) + 1):
+        start, n = off[:-1], off[1:] - off[:-1]
+        if k - 1 in ends_at:  # rows whose chain ended at k - 1 drop out
+            climbing = degrees[rows] >= k
+            start, n, rows, m = start[climbing], n[climbing], rows[climbing], m[climbing]
+            cols = (point_degree >= k).nonzero()[0]
+        sizes = n * m
+        if (sizes > cap).any():
+            _check_support(int(sizes[sizes > cap][0]), cap)
+        blocks = n.repeat(m)
+        ends = blocks.cumsum()
+        i = np.arange(ends[-1]) + (start.repeat(m) - ends + blocks).repeat(blocks)
+        j = cols.repeat(blocks)
+        off = np.concatenate(([0], sizes.cumsum()))
+        x, w, off = _merged_rows(x[i] * bx[j], w[i] * bw[j], off)
+        yield k, rows, (x, w), off
+
+
+def _merged_rows(x: np.ndarray, w: np.ndarray, off: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_merged on each row of concatenated points, rows at offsets off: the
+    merged points and their offsets."""
+    keep = w > 0.0
+    if not keep.all():
+        x, w = x[keep], w[keep]
+        off = np.concatenate(([0], keep.cumsum()[off[1:] - 1]))
+    key = x
+    if off.size > 2:  # sort by (row, x)
+        key = np.empty(x.size, dtype=complex)
+        key.real = np.arange(off.size - 1).repeat(off[1:] - off[:-1])
+        key.imag = x
+    order = key.argsort(kind="stable")
+    x = x[order]
+    split = x[1:] - x[:-1] > X_MERGE_TOL
+    split[off[1:-1] - 1] = True
+    x, w, starts = _merge_runs(x, w[order], split)
+    return x, w, off if starts is None else starts.searchsorted(off)
+
+
+def _phis_of_powers(
+    reads: Sequence[tuple[Functional, Channel, Sequence[int]]], cap: int = DEFAULT_SUPPORT_CAP
+) -> list[list[float]]:
+    """[Phi(a^[k]) for k in ks] of each row (tag, a, ks), ks ascending from
+    2, off one batched chain: one pointwise call per tag, one dot per value."""
+    parts = []  # (row, x, w) of each power read, in chain order
+    tops = [max(ks, default=1) for _, _, ks in reads]
+    for k, rows, (x, w), off in _chains([a for _, a, _ in reads], tops, cap):
+        parts += [(r, x[off[i]:off[i + 1]], w[off[i]:off[i + 1]])
+                  for i, r in enumerate(rows.tolist()) if k in reads[r][2]]
+    out: list[list[float]] = [[] for _ in reads]
+    for tag in {reads[r][0] for r, _, _ in parts}:
+        mine = [part for part in parts if reads[part[0]][0] is tag]
+        values = pointwise(tag, 0.5 * (1.0 - np.concatenate([x for _, x, _ in mine])))
+        at = 0
+        for r, _, w in mine:
+            out[r].append(float(np.dot(w, values[at:at + w.size])))
+            at += w.size
+    return out
 
 
 def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
     """d-fold check-node convolution of a channel with itself (d >= 1): the
     power chain's last measure, settled into a channel once."""
-    for power in _powers(a, d, cap):
+    for *_, power, _ in _chains([a], [d], cap):
         pass
     return a if d == 1 else _settle(power)
 
 
-def phi_of_poly_convolved(tag: Functional, rho: "Polynomial", a: Channel) -> float:
-    """Phi(rho(a)) = sum_k c_k Phi(a^[k]), read off one power chain up to deg
-    rho, whose cap is checked before any convolution; `eicomb.series` covers more.
-    Phi(a) is read off the channel in eps, where small crossovers keep precision."""
+def phi_of_poly_convolved_batch(tag: Functional, rho: "Polynomial",
+                                channels: Sequence[Channel]) -> list[float]:
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel, read off one
+    batched power chain up to deg rho, whose cap is checked before any
+    convolution; `eicomb.series` covers more.  Phi(a) is read off the
+    channel in eps, where small crossovers keep precision."""
     coeffs = dict(rho.terms)
-    total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
-    for k, power in enumerate(_powers(a, rho.degree), 2):
-        if k in coeffs:
-            total += coeffs[k] * _phi(tag, power)
-    return total
+    ks = [k for k in coeffs if k >= 2]
+    out = []
+    for a, phis in zip(channels, _phis_of_powers([(tag, a, ks) for a in channels])):
+        total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
+        for k, phi in zip(ks, phis):
+            total += coeffs[k] * phi
+        out.append(total)
+    return out
+
+
+def phi_of_poly_convolved(tag: Functional, rho: "Polynomial", a: Channel) -> float:
+    """phi_of_poly_convolved_batch on a batch of one."""
+    return phi_of_poly_convolved_batch(tag, rho, [a])[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from eicomb.convolution import phi_of_poly_convolved
 from eicomb.functionals import Functional, evaluate, h2, kernel_inv
 from eicomb.series import DEFAULT_TERM_CAP, Polynomial, poly_from_string
 
+from test_convolution import count_chain_steps, loop_phi_of_poly
 from test_series import _phi_terms
 
 try:
@@ -507,8 +509,63 @@ def test_suite_equals_per_trial_check_inequality(code):
         assert (g.kind, g.params, g.seed, g.hypothesis_ok) == (w.kind, w.params, w.seed, w.hypothesis_ok)
         assert all(a.points == b.points for a, b in zip(g.witnesses, w.witnesses))
         for u, v in ((g.lhs, w.lhs), (g.rhs, w.rhs)):
-            assert abs(u - v) <= 1e-15 * abs(v)
+            if code in (5, 9):  # a row of the batched chain is its own chain, bit for bit
+                assert u.hex() == v.hex()
+            else:
+                assert abs(u - v) <= 1e-15 * abs(v)
         assert g.violated(1e-12) == w.violated(1e-12)
+
+
+def test_inequality_suite_validates_before_any_draw(monkeypatch):
+    monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
+    with pytest.raises(ValueError, match=r"^unknown inequality code 3$"):
+        inequality_suite(seed=1, trials=5, codes=(3,))
+    with pytest.raises(ValueError, match=r"^unknown inequality code 13$"):
+        inequality_suite(seed=1, trials=5, codes=(5, 13))
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -1"):
+        inequality_suite(seed=1, trials=-1)
+
+
+def test_inequality_suite_without_trials():
+    # codes 5 and 9 then hand the batched chain an empty batch
+    reports, summaries = inequality_suite(seed=1, trials=0)
+    assert reports == []
+    assert sorted(summaries) == sorted(INEQUALITIES)
+    for s in summaries.values():
+        assert (s.trials, s.violations, s.inconclusive, s.min_slack) == (0, 0, 0, math.inf)
+
+
+@pytest.mark.parametrize("code, chains_per_trial", [(5, 1), (9, 3)])
+def test_catalog_chains_take_one_step_per_power(monkeypatch, code, chains_per_trial):
+    # every trial's chains climb together: max(d) - 1 steps, not one per trial and power
+    steps = count_chain_steps(monkeypatch)
+    reports, _ = inequality_suite(seed=31, trials=20, codes=(code,))
+    top = max(int(r.params.split(";d=")[1].split(";")[0]) for r in reports)
+    assert len(steps) == top - 1
+    assert steps[0][0] == chains_per_trial * 20
+
+
+def test_fixed_error_rows_take_one_step_per_power(monkeypatch):
+    steps = count_chain_steps(monkeypatch)
+    fixed_error_sweep(seed=3, rhos=(Polynomial.monomial(6),), tags=(H,), per_cell=2)
+    # BEC(2 eps) and BSC(eps) of all nine levels in one chain
+    assert [rows for rows, _ in steps] == [2 * len(bounds.DEFAULT_ERROR_LEVELS)] * 5
+
+
+@pytest.mark.parametrize("tag", (H, B))
+def test_fixed_error_rows_are_the_per_level_loop(tag):
+    levels = (0.0,) + bounds.DEFAULT_ERROR_LEVELS + (0.5,)
+    for rho in bounds.DEFAULT_SWEEP_RHOS + (Polynomial((0.5, -0.25, 1.0)),):
+        rows = bounds._fixed_error_rows(tag, rho, levels)
+        assert len(rows) == len(levels)
+        for eps, row in zip(levels, rows):
+            for item, alone, extremal in zip(row, fixed_error_extremes(tag, rho, eps),
+                                             (bec(2.0 * eps), bsc(eps))):
+                assert (item.kind, item.level, item.hypothesis_ok) == (
+                    alone.kind, alone.level, alone.hypothesis_ok)
+                assert item.extremal.points == alone.extremal.points == extremal.points
+                assert item.bound.hex() == alone.bound.hex()
+                assert item.bound.hex() == loop_phi_of_poly(tag, rho, extremal).hex()
 
 
 def test_inequality_csv_row_shape():

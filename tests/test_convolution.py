@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from eicomb import convolution
-from eicomb.bounds import _sides, random_channel, trial_rng
-from eicomb.channel import bec, bsc, channel, mix
+from eicomb import bounds, convolution
+from eicomb.bounds import random_channel, trial_rng
+from eicomb.channel import EPS_MERGE_TOL, bec, bsc, channel, mix
 from eicomb.convolution import (
     SupportCapError,
     check_convolve,
     check_power,
     phi_of_poly_convolved,
+    phi_of_poly_convolved_batch,
     projected_power_support,
 )
 from eicomb.functionals import Functional, evaluate
@@ -170,10 +171,17 @@ def test_power_cap_guards_every_step():
         check_power(a, 40, cap=41)
 
 
+def count_chain_steps(monkeypatch):
+    """Record (rows, products) of every power-chain step from now on."""
+    steps = []
+    real = convolution._merged_rows
+    monkeypatch.setattr(convolution, "_merged_rows",
+                        lambda x, w, off: steps.append((off.size - 1, x.size)) or real(x, w, off))
+    return steps
+
+
 def test_power_cap_raises_before_any_convolution(monkeypatch):
-    calls = []
-    real = convolution._convolve
-    monkeypatch.setattr(convolution, "_convolve", lambda a, b: calls.append(1) or real(a, b))
+    calls = count_chain_steps(monkeypatch)
     a = channel([(e, 0.2) for e in (0.05, 0.1, 0.2, 0.3, 0.4)])
     with pytest.raises(SupportCapError, match="projected support"):
         check_power(a, 200)
@@ -183,6 +191,13 @@ def test_power_cap_raises_before_any_convolution(monkeypatch):
     assert calls == []
     phi_of_poly_convolved(H, Polynomial.monomial(3), a)
     assert len(calls) == 2
+
+
+def catalog_sides(code, tag, chans, alpha, power):
+    """(lhs, rhs) of catalog inequality `code` on one case, through the
+    evaluator of check_inequality and the suite (which takes any tag)."""
+    report = bounds._check_cases(code, [(tag, chans, alpha, power)], None)[0]
+    return report.lhs, report.rhs
 
 
 def assert_chain_matches_fold(a, b, alpha, rho, d, delta=CHAIN_DELTA):
@@ -195,10 +210,10 @@ def assert_chain_matches_fold(a, b, alpha, rho, d, delta=CHAIN_DELTA):
         assert abs(evaluate(tag, check_power(a, d)) - values[-1]) <= delta
         want = sum(c * values[k - 1] for k, c in rho.terms)
         assert abs(phi_of_poly_convolved(tag, rho, a) - want) <= delta
-        lhs, rhs = _sides(5, tag, a, None, None, None, d, [])
+        lhs, rhs = catalog_sides(5, tag, [a], None, d)
         assert abs(lhs - values[-1]) <= delta
         assert abs(rhs - values[0] * (d - sum(values[:-1]))) <= delta
-        lhs, rhs = _sides(9, tag, a, b, mixed, alpha, d, [])
+        lhs, rhs = catalog_sides(9, tag, [a, b], alpha, d)
         want = alpha * values[-1] + (1.0 - alpha) * evaluate(tag, fold_power(b, d))
         assert abs(lhs - want) <= delta
         assert abs(rhs - evaluate(tag, fold_power(mixed, d))) <= delta
@@ -237,5 +252,121 @@ def test_power_one_is_read_off_the_channel():
     a = bsc(1e-10)
     for tag in (H, B, E):
         assert phi_of_poly_convolved(tag, Polynomial.monomial(1), a) == evaluate(tag, a)
-        assert _sides(5, tag, a, None, None, None, 2, [])[1] == evaluate(tag, a) * (
+        assert catalog_sides(5, tag, [a], None, 2)[1] == evaluate(tag, a) * (
             2 - evaluate(tag, a))
+
+
+# ----------------------------------------------------------------------
+# the batched chain, bit for bit against the per-row loop it replaced
+
+
+def loop_powers(a, d):
+    """Oracle: a^[2], ..., a^[d] from the per-row chain, one
+    np.multiply.outer product and one merge per step."""
+    base = power = convolution._measure(a)
+    out = []
+    for _ in range(d - 1):
+        power = convolution._merged(*convolution._convolve(power, base))
+        out.append(power)
+    return out
+
+
+def loop_phi_of_poly(tag, rho, a):
+    """Oracle: phi_of_poly_convolved read off the per-row chain."""
+    coeffs = dict(rho.terms)
+    total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
+    for k, power in enumerate(loop_powers(a, rho.degree), 2):
+        if k in coeffs:
+            total += coeffs[k] * convolution._phi(tag, power)
+    return total
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_batch_is_the_loop(rows):
+    """Each (tag, channel, degree) row's powers, their Phi values, its
+    check_power and its phi_of_poly_convolved, all from batched chains,
+    equal the per-row loop's by float.hex."""
+    want = [loop_powers(a, d) for _, a, d in rows]
+    seen = []
+    chains = convolution._chains([a for _, a, _ in rows], [d for *_, d in rows])
+    for k, active, (x, w), off in chains:
+        for i, r in enumerate(active.tolist()):
+            wx, ww = want[r][k - 2]
+            assert hexes(x[off[i]:off[i + 1]]) == hexes(wx), (r, k)
+            assert hexes(w[off[i]:off[i + 1]]) == hexes(ww), (r, k)
+            seen.append((r, k))
+    assert sorted(seen) == [(r, k) for r, (*_, d) in enumerate(rows) for k in range(2, d + 1)]
+    phis = convolution._phis_of_powers([(tag, a, range(2, d + 1)) for tag, a, d in rows])
+    for (tag, a, d), got, chain in zip(rows, phis, want):
+        assert hexes(got) == hexes(convolution._phi(tag, m) for m in chain)
+        power = check_power(a, d)
+        settled = convolution._settle(chain[-1]) if chain else a
+        assert (hexes(power.eps), hexes(power.w)) == (hexes(settled.eps), hexes(settled.w))
+        rho = Polynomial((0.5,) + (0.0,) * (d - 2) + (1.0,)) if d > 1 else Polynomial((1.0,))
+        assert phi_of_poly_convolved(tag, rho, a).hex() == loop_phi_of_poly(tag, rho, a).hex()
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_batched_chain_is_the_per_row_loop(d):
+    rng = trial_rng(61, d)
+    chans = [random_channel(rng) for _ in range(16)]
+    # catalog code 9's mixtures carry up to twice the points
+    chans += [mix(chans[t], chans[t + 1], float(rng.random())) for t in range(0, 8, 2)]
+    assert_batch_is_the_loop([((H, B)[t % 2], a, d) for t, a in enumerate(chans)])
+
+
+def test_batched_chain_mixes_degrees_in_one_batch():
+    rng = trial_rng(62)
+    degrees = (3, 1, 6, 2, 5, 4, 1, 6, 2)
+    assert_batch_is_the_loop([((H, B)[t % 2], random_channel(rng), d)
+                              for t, d in enumerate(degrees)])
+
+
+EDGE_ROWS = [
+    (bsc(0.0), 6),
+    (bsc(0.5), 6),
+    (bec(0.3), 6),
+    (channel([(0.0, 0.25), (0.2, 0.5), (0.5, 0.25)]), 6),  # atoms at eps 0 and 1/2
+    (bsc(0.1), 5),  # one point
+    # x = 1/2, 1/4, 1/8: products tie exactly from power 2 on, with unequal weights
+    (channel([(0.25, 0.5), (0.375, 0.3), (0.4375, 0.2)]), 8),
+    (channel([(0.2, 0.5), (0.2 + 1.5 * EPS_MERGE_TOL, 0.5)]), 6),  # points just apart
+    # weights that underflow to 0 along the chain
+    (channel([(0.1, 1.0 - 1e-14), (0.2, 1e-14)]), 40),
+    (channel([(0.2, 1.0 - 1e-14), (0.1, 1e-14)]), 40),
+    (channel([(0.1, 1.0 - 1e-300), (0.2, 1e-300)]), 40),
+]
+
+
+def test_batched_chain_is_the_per_row_loop_on_edge_rows():
+    rows = [((H, B)[t % 2], a, d) for t, (a, d) in enumerate(EDGE_ROWS)]
+    assert_batch_is_the_loop(rows)
+    for row in rows:
+        assert_batch_is_the_loop([row])
+
+
+def test_empty_batch():
+    assert list(convolution._chains([], [])) == []
+    assert convolution._phis_of_powers([]) == []
+    assert phi_of_poly_convolved_batch(H, Polynomial.monomial(3), []) == []
+
+
+def test_batch_cap_raises_before_any_convolution(monkeypatch):
+    calls = count_chain_steps(monkeypatch)
+    two = channel([(0.1, 0.5), (0.3, 0.5)])
+    wide = channel([(e, 0.2) for e in (0.05, 0.1, 0.2, 0.3, 0.4)])
+    with pytest.raises(SupportCapError, match="projected support 70058751 for power 200"):
+        convolution._phis_of_powers([(H, two, (2, 3)), (B, wide, (200,)), (H, two, (4,))])
+    assert calls == []
+
+
+def test_batch_cap_guards_every_step(monkeypatch):
+    calls = count_chain_steps(monkeypatch)
+    two = channel([(0.1, 0.5), (0.3, 0.5)])
+    # the projected support 41 passes the cap; the step from 21 points to 42 does not
+    with pytest.raises(SupportCapError, match="convolution support 42 exceeds cap 41"):
+        convolution._phis_of_powers([(H, bsc(0.1), (40,)), (B, two, (40,))], cap=41)
+    assert len(calls) == 19  # powers 2 .. 20 formed; 21 points times 2 refused
