@@ -27,8 +27,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, Channel, _settled, _trusted, bec,
-                      bsc, mix)
+from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bec, bsc
 from .convolution import _phis_of_powers, phi_of_poly_convolved, phi_of_poly_convolved_batch
 from .functionals import Functional, complement, evaluate, kernel, kernel_inv, pointwise
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
@@ -163,7 +162,14 @@ def _fixed_error_rows(
     for eps in levels:
         if not 0.0 <= eps <= 0.5:
             raise ValueError(f"error probability must lie in [0, 1/2], got {eps!r}")
-    extremals = [ch for eps in levels for ch in (bec(2.0 * eps), bsc(eps))]
+    # bec(2 eps) and bsc(eps) of every level as one settled batch: a weight
+    # of 0 drops, as bec's h = 0 and h = 1 cases leave one point
+    e = np.asarray(levels, dtype=float)
+    h = 2.0 * e
+    points = np.stack([np.zeros_like(e), np.full_like(e, 0.5), e], axis=1).ravel()
+    weights = np.stack([1.0 - h, h, np.ones_like(e)], axis=1).ravel()
+    off = np.concatenate(([0], np.tile([2, 1], e.size).cumsum()))
+    extremals = _channels(*_settle_rows(points, weights, off))
     values = iter(phi_of_poly_convolved_batch(tag, rho, extremals))
     rows = []
     for li, eps in enumerate(levels):
@@ -326,10 +332,13 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
     groups: dict[tuple[Functional, tuple[int, ...]], list[tuple[Channel, ...]]] = {}
     reads: list[tuple[Functional, Channel, Sequence[int]]] = []
     pending = []
-    for tag, chans, alpha, power in cases:
+    mixtures = [None] * len(cases)
+    if info.needs_alpha:
+        mixtures = _mixtures([c[1][0] for c in cases], [c[1][1] for c in cases],
+                             np.array([c[2] for c in cases], dtype=float))
+    for (tag, chans, alpha, power), mixed in zip(cases, mixtures):
         a = chans[0]
         b = chans[1] if info.channels == 2 else None
-        mixed = mix(a, b, alpha) if info.needs_alpha else None
         slots = []
         for factors in _convolution_complements(code, a, b, mixed, power):
             key = (tag, tuple(d for _, d in factors))
@@ -490,11 +499,6 @@ def trial_map(draw: Callable[[np.random.Generator], _T],
 _PERFECT = bsc(0.0)
 _USELESS = bsc(0.5)
 
-# numpy sums fewer than 8 floats left to right, as _row_sums does, so a
-# draw of up to 6 points (7 with its mixing partner) settles in the batch
-# bit for bit; wider draws take the one-channel route.
-_BATCH_MAX_POINTS = 6
-
 # A raw draw: crossover probabilities and unnormalized weights, in draw order.
 _Draw = tuple[np.ndarray, np.ndarray]
 
@@ -508,115 +512,38 @@ def _draw(rng: np.random.Generator, max_support: int) -> _Draw:
     return eps, w
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as numpy sums a short 1-D array."""
-    total = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
-
-
-def _settle_draws(draws: Sequence[_Draw]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The raw channels of draws, settled together as padded rows.
-
-    Returns (eps, w, sizes, fast).  Row i of the (n, width) arrays holds
-    draw i in its first sizes[i] entries: normalized in draw order, sorted
-    by eps (stable) and renormalized, as Channel's settle leaves it.
-    fast[i] is False where the draw would merge points or drop a weight,
-    or is too wide to settle here; Channel's settle takes those rows.
-    """
+def _raw_rows(draws: Sequence[_Draw]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw channels of draws as settled rows (eps, w, off): each draw
+    normalized in draw order, then settled, as one batch."""
     sizes = np.fromiter((e.size for e, _ in draws), dtype=np.intp, count=len(draws))
-    real = np.arange(sizes.max()) < sizes[:, None]
-    eps = np.ones(real.shape)  # pads sort after every point
-    w = np.zeros(real.shape)
-    eps[real] = np.concatenate([e for e, _ in draws])
-    w[real] = np.concatenate([v for _, v in draws])
-    w /= _row_sums(w)[:, None]
-    order = eps.argsort(axis=1, kind="stable")
-    eps = np.take_along_axis(eps, order, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    apart = (eps[:, 1:] - eps[:, :-1] > EPS_MERGE_TOL) | ~real[:, 1:]
-    heavy = (w >= WEIGHT_DROP_TOL) | ~real
-    fast = apart.all(axis=1) & heavy.all(axis=1) & (sizes <= _BATCH_MAX_POINTS)
-    w /= _row_sums(w)[:, None]
-    return eps, w, sizes, fast
+    off = np.concatenate(([0], sizes.cumsum()))
+    w = np.concatenate([v for _, v in draws])
+    w /= _row_totals(w, off).repeat(sizes)
+    return _settle_rows(np.concatenate([e for e, _ in draws]), w, off)
 
 
 def _raw_channels(draws: Sequence[_Draw]) -> list[Channel]:
     """The raw channel of each draw, in order."""
-    if not draws:
-        return []
-    eps, w, sizes, fast = _settle_draws(draws)
-    return [
-        _settled(eps[i, :m], w[i, :m]) if ok else _trusted(e, v / v.sum())
-        for i, ((e, v), m, ok) in enumerate(zip(draws, sizes.tolist(), fast.tolist()))
-    ]
-
-
-def _pin(raw: Channel, tag: Functional, target: float, top: float) -> Channel:
-    """raw mixed with the perfect channel (value 0) or the useless one
-    (value top) so that its tag value is target."""
-    v = evaluate(tag, raw)
-    if v == target:
-        return raw
-    if v > target:
-        return mix(raw, _PERFECT, target / v)
-    return mix(raw, _USELESS, (top - target) / (top - v))
+    return _channels(*_raw_rows(draws)) if draws else []
 
 
 def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[float],
                      top: float) -> list[Channel]:
-    """_pin of each draw's raw channel to its target, in order.
-
-    Where the raw channel and its mixture settle without a merge or a
-    dropped weight, the mixture is built here in the arrays: the partner
-    point goes at its known end (eps 0 first, 1/2 last) and the row is
-    renormalized once.  Every other draw goes through _pin, so the merge
-    and drop rules stay Channel's.
-    """
-    eps, w, sizes, fast = _settle_draws(draws)
-    rows = np.flatnonzero(fast)
-    eps, w, sizes = eps[rows], w[rows], sizes[rows]
-    t = np.asarray(targets, dtype=float)[rows]
-    real = np.arange(eps.shape[1]) < sizes[:, None]
-    # one np.dot per row, as evaluate takes it: a vectorized row sum of
-    # the products rounds differently
-    f = pointwise(tag, eps[real])
-    ends = np.cumsum(sizes).tolist()
-    v = np.array([float(np.dot(w[r, : end - start], f[start:end]))
-                  for r, (start, end) in enumerate(zip([0] + ends[:-1], ends))])
+    """Each draw's raw channel mixed with the perfect channel (value 0) or
+    the useless one (value top) so that its tag value is its target."""
+    eps, w, off = _raw_rows(draws)
+    raw = _channels(eps, w, off)
+    # one np.dot per row, as evaluate takes it: a vectorized row sum of the
+    # products rounds differently
+    f = pointwise(tag, eps)
+    at = off.tolist()
+    v = np.array([float(np.dot(w[lo:hi], f[lo:hi])) for lo, hi in zip(at[:-1], at[1:])])
+    t = np.asarray(targets, dtype=float)
     perfect, useless = v > t, v < t
-    alpha = np.ones_like(v)
+    alpha = np.ones_like(v)  # v == t keeps the raw channel
     np.divide(t, v, out=alpha, where=perfect)
     np.divide(top - t, top - v, out=alpha, where=useless)
-    scaled = w * alpha[:, None]
-    last = eps[np.arange(rows.size), sizes - 1]
-    mixable = (
-        ((perfect & (eps[:, 0] > EPS_MERGE_TOL)) | (useless & (0.5 - last > EPS_MERGE_TOL)))
-        & (1.0 - alpha >= WEIGHT_DROP_TOL)
-        & ((scaled >= WEIGHT_DROP_TOL) | ~real).all(axis=1)
-    )
-    picked = np.flatnonzero(mixable)
-    first = perfect[picked]
-    mix_eps = np.ones((picked.size, eps.shape[1] + 1))
-    mix_w = np.zeros_like(mix_eps)
-    dest = np.arange(eps.shape[1]) + first[:, None]
-    np.put_along_axis(mix_eps, dest, eps[picked], axis=1)
-    np.put_along_axis(mix_w, dest, scaled[picked], axis=1)
-    at = np.where(first, 0, sizes[picked])
-    mix_eps[np.arange(picked.size), at] = np.where(first, 0.0, 0.5)
-    mix_w[np.arange(picked.size), at] = 1.0 - alpha[picked]
-    mix_w /= _row_sums(mix_w)[:, None]
-
-    out: list[Channel | None] = [None] * len(draws)
-    rows = rows.tolist()
-    for q, (r, m) in enumerate(zip(picked.tolist(), (sizes[picked] + 1).tolist())):
-        out[rows[r]] = _settled(mix_eps[q, :m], mix_w[q, :m])
-    for i, a in enumerate(out):
-        if a is None:
-            e, v = draws[i]
-            out[i] = _pin(_trusted(e, v / v.sum()), tag, float(targets[i]), top)
-    return out
+    return _mixtures(raw, [_PERFECT if p else _USELESS for p in perfect.tolist()], alpha)
 
 
 def _checked_targets(tag: Functional, targets: Sequence[float]) -> tuple[float, list[float]]:
@@ -648,8 +575,9 @@ def random_channels_with_value(
     Each generator draws a raw channel (random_channel's three calls), and
     the channel is mixed with the perfect channel (value 0) or the useless
     channel (value 1, or 1/2 for E); linearity of the functionals makes
-    the level exact.  Every channel equals the one-channel route's bit for
-    bit.
+    the level exact.  The raw channels settle as one batch and so do their
+    mixtures, each row bit for bit the channel mix(raw, partner, alpha)
+    gives alone.
     """
     top, targets = _checked_targets(tag, targets)
     draws = [_draw(rng, max_support) for rng in rngs]
@@ -780,6 +708,10 @@ def _sweep(
     per_cell: int,
     tol: float,
 ) -> tuple[list[BoundReport], SuiteSummary]:
+    """The reports of one sweep; a negative per_cell raises ValueError
+    before any draw."""
+    if per_cell < 0:
+        raise ValueError(f"per_cell must be nonnegative, got {per_cell!r}")
     reports: list[BoundReport] = []
     summary = SuiteSummary(name=name)
     for ri, rho in enumerate(rhos):
@@ -864,7 +796,10 @@ def bsc_minimizer_counterexamples(
 
     This is an open question, so the returned counterexample reports (cases
     strictly below the matched-BSC value) are evidence, never an assertion.
+    A negative trial count raises ValueError before any draw.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials!r}")
     eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
     reference = phi_of_poly_convolved(tag, rho, bsc(eps_match))
     channels = keyed_channels_with_value(

@@ -6,12 +6,19 @@ BSC(eps) is a single mass point, BEC(h) puts mass 1-h at 0 and mass h at
 1/2, and every linear functional of a mixture is the mixture of the
 functionals.  All values are immutable; every operation returns a new
 channel.
+
+Every channel settles by one rule: sort by eps, merge points closer than
+EPS_MERGE_TOL, drop weights below WEIGHT_DROP_TOL and renormalize.
+_settle_rows applies it to a batch of rows, concatenated with offsets, each
+row bit for bit what Channel(...) gives alone; Channel(...), mix and the
+random sampler's draws and mixtures are its batches, and the power chains of
+eicomb.convolution share its sort and merge (_merge_rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,38 +46,89 @@ class ChannelFormatError(ChannelError):
         super().__init__(message)
 
 
-def _merge_points(
-    eps: np.ndarray, w: np.ndarray, tol: float = EPS_MERGE_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by eps and merge runs of points closer than tol.
+def _row_totals(w: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """w[off[i]:off[i+1]].sum() of each row i, bit for bit.
 
-    Bit-identical eps values merge losslessly; nearby ones merge to their
+    np.add.reduceat adds a segment's first entry to the pairwise sum of the
+    rest, where a sum starts from 0.0; so a 0.0 leads each row.
+    """
+    starts = off[:-1] + np.arange(off.size - 1)  # where each row's 0.0 goes
+    led = np.zeros(w.size + starts.size)
+    points = np.ones(led.size, dtype=bool)
+    points[starts] = False
+    led[points] = w
+    return np.add.reduceat(led, starts)
+
+
+def _merge_rows(
+    v: np.ndarray, w: np.ndarray, off: np.ndarray | None, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Sort each row by v (stable) and merge runs of points closer than tol.
+
+    Rows are concatenated, row i at v[off[i]:off[i+1]] and none empty; off
+    None is one row, sorted plainly.  Returns the merged (v, w, off).
+    Bit-identical values merge losslessly; nearby ones merge to their
     weighted mean so functionals move by at most O(tol).  The weights must
     be positive for the mean to stay inside the run.
     """
-    order = eps.argsort(kind="stable")
-    eps = eps[order]  # fancy indexing copies
+    rows = off is not None and off.size > 2
+    key = v
+    if rows:  # sort by (row, v)
+        key = np.empty(v.size, dtype=complex)
+        key.real = np.arange(off.size - 1).repeat(off[1:] - off[:-1])
+        key.imag = v
+    order = key.argsort(kind="stable")
+    v = v[order]  # fancy indexing copies
     w = w[order]
-    return _merge_runs(eps, w, eps[1:] - eps[:-1] > tol)[:2]
-
-
-def _merge_runs(
-    eps: np.ndarray, w: np.ndarray, split: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Merge sorted points into runs, a new run after each True of split:
-    (points, weights, index of each run's first point, or None when every
-    run is one point and nothing merges)."""
+    split = v[1:] - v[:-1] > tol
+    if rows:
+        split[off[1:-1] - 1] = True
     if split.all():
-        return eps, w, None
+        return v, w, off
     starts = np.flatnonzero(np.concatenate(([True], split)))
-    ends = np.concatenate((starts[1:], [eps.size]))
+    ends = np.concatenate((starts[1:], [v.size]))
     w_merged = np.add.reduceat(w, starts)
-    first = eps[starts]
-    last = eps[ends - 1]
-    eps_merged = np.where(
-        first == last, first, np.add.reduceat(eps * w, starts) / w_merged
-    )
-    return eps_merged, w_merged, starts
+    v_merged = v[starts]  # a run of equal values keeps its value
+    np.divide(np.add.reduceat(v * w, starts), w_merged, out=v_merged,
+              where=v_merged != v[ends - 1])
+    return v_merged, w_merged, None if off is None else starts.searchsorted(off)
+
+
+def _settle_rows(
+    eps: np.ndarray, w: np.ndarray, off: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Channel's settle on each row of concatenated points, rows at offsets
+    off (None: one row): merge, drop near-zero weights, renormalize.
+
+    Returns the settled (eps, w, off).  A row that would lose more than
+    WEIGHT_SUM_TOL of mass, or every point, raises the ChannelError of
+    Channel(...); the first such row in order raises.
+    """
+    eps, w, off = _merge_rows(eps, w, off, EPS_MERGE_TOL)
+    keep = w >= WEIGHT_DROP_TOL
+    if off is None:
+        if not keep.all():
+            _check_drop(float(w[~keep].sum()), keep.any())
+            eps, w = eps[keep], w[keep]
+        return eps, w / w.sum(), None
+    if not keep.all():
+        kept = np.concatenate(([0], keep.cumsum()))[off]
+        dropped = _row_totals(w[~keep], off - kept)
+        empty = kept[1:] == kept[:-1]
+        bad = (dropped > WEIGHT_SUM_TOL) | empty
+        if bad.any():
+            first = int(bad.argmax())
+            _check_drop(float(dropped[first]), not empty[first])
+        eps, w, off = eps[keep], w[keep], kept
+    return eps, w / _row_totals(w, off).repeat(off[1:] - off[:-1]), off
+
+
+def _check_drop(dropped: float, left: bool) -> None:
+    """The weight drop's two checks: the mass it loses, and what is left."""
+    if dropped > WEIGHT_SUM_TOL:
+        raise ChannelError(f"dropping near-zero weights would lose mass {dropped!r}")
+    if not left:
+        raise ChannelError("no mass points left after merging")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +155,10 @@ class Channel:
         self._settle(eps, w)
 
     def _settle(self, eps: np.ndarray, w: np.ndarray) -> None:
-        """Merge, drop near-zero weights, renormalize and freeze the points."""
-        eps, w = _merge_points(eps, w)
-        keep = w >= WEIGHT_DROP_TOL
-        if not keep.all():
-            dropped = float(w[~keep].sum())
-            if dropped > WEIGHT_SUM_TOL:
-                raise ChannelError(f"dropping near-zero weights would lose mass {dropped!r}")
-            eps, w = eps[keep], w[keep]
-            if eps.size == 0:
-                raise ChannelError("no mass points left after merging")
-        self._freeze(eps, w / w.sum())
+        """Merge, drop near-zero weights, renormalize and freeze the points:
+        _settle_rows on a batch of one."""
+        eps, w, _ = _settle_rows(eps, w)
+        self._freeze(eps, w)
 
     def _freeze(self, eps: np.ndarray, w: np.ndarray) -> None:
         """Make settled points read-only and the channel's own."""
@@ -142,8 +193,8 @@ def _trusted(eps: np.ndarray, w: np.ndarray) -> Channel:
     """Channel from the float arrays of an internal result, skipping the
     input-domain checks of Channel(...).
 
-    For convolutions, mixtures of channels and sampler draws, whose points
-    lie in [0, 1/2] with nonnegative weights summing to 1 by construction.
+    For convolutions, whose points lie in [0, 1/2] with nonnegative weights
+    summing to 1 by construction.
     Merging, the weight drop with its checks and the renormalization are
     those of Channel(...), so on valid input the result is the same bit for
     bit; a weight that underflowed to zero is dropped with the tiny ones.
@@ -153,11 +204,18 @@ def _trusted(eps: np.ndarray, w: np.ndarray) -> Channel:
     return out
 
 
-def _settled(eps: np.ndarray, w: np.ndarray) -> Channel:
-    """Channel from points a batched settle has already sorted, merged and
-    renormalized with the arithmetic of Channel._settle; only freezes them."""
-    out = object.__new__(Channel)
-    out._freeze(eps, w)
+def _channels(eps: np.ndarray, w: np.ndarray, off: np.ndarray) -> list[Channel]:
+    """The channel of each row _settle_rows settled; only freezes them.  The
+    rows are views of the batch, which is made read-only once."""
+    eps.flags.writeable = False
+    w.flags.writeable = False
+    out = []
+    at = off.tolist()
+    for lo, hi in zip(at[:-1], at[1:]):
+        a = object.__new__(Channel)
+        object.__setattr__(a, "eps", eps[lo:hi])
+        object.__setattr__(a, "w", w[lo:hi])
+        out.append(a)
     return out
 
 
@@ -193,13 +251,27 @@ def mix(a: Channel, b: Channel, alpha: float) -> Channel:
     """Convex combination alpha*a + (1-alpha)*b of the weight measures."""
     if not 0.0 <= alpha <= 1.0:
         raise ChannelError(f"mixture weight must lie in [0, 1], got {alpha!r}")
-    if alpha == 1.0:
-        return a
-    if alpha == 0.0:
-        return b
-    eps = np.concatenate([a.eps, b.eps])
-    w = np.concatenate([a.w * alpha, b.w * (1.0 - alpha)])
-    return _trusted(eps, w)
+    return _mixtures([a], [b], np.array([alpha], dtype=float))[0]
+
+
+def _mixtures(a: Sequence[Channel], b: Sequence[Channel], alpha: np.ndarray) -> list[Channel]:
+    """mix(a[i], b[i], alpha[i]) of each row, alpha in [0, 1]: a row of
+    alpha 1 is a[i] and one of alpha 0 is b[i]; the others settle as one
+    batch, whose input-domain checks their construction guarantees."""
+    out: list[Channel | None] = [
+        x if t == 1.0 else y if t == 0.0 else None for x, y, t in zip(a, b, alpha.tolist())
+    ]
+    rows = [i for i, c in enumerate(out) if c is None]
+    if rows:
+        parts = [c for i in rows for c in (a[i], b[i])]  # row i is a[i] then b[i]
+        weights = [c.w for c in parts]
+        sizes = np.fromiter(map(len, weights), dtype=np.intp, count=len(weights))
+        t = alpha[rows]
+        w = np.concatenate(weights) * np.stack([t, 1.0 - t], axis=1).ravel().repeat(sizes)
+        off = np.concatenate(([0], sizes.cumsum()[1::2]))
+        mixed = iter(_channels(*_settle_rows(np.concatenate([c.eps for c in parts]), w, off)))
+        out = [c if c is not None else next(mixed) for c in out]
+    return out
 
 
 def parse_channel(text: str) -> Channel:

@@ -16,7 +16,9 @@ A channel's powers are a chain of merged products; all chains of a call
 climb together (_chains), one gather-multiply and one segmented merge per
 power, each row bit for bit its own chain.  check_power settles a batch of
 one; phi_of_poly_convolved_batch and the inequality catalog read Phi off the
-powers (_phis_of_powers), and Phi(a) off the channel.
+powers (_phis_of_powers), and Phi(a) off the channel.  Every merge, of one
+measure or of a batch of rows, is channel._merge_rows: the sort and merge of
+channels, carried over to x.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .channel import EPS_MERGE_TOL, Channel, _merge_points, _merge_runs, _trusted
+from .channel import EPS_MERGE_TOL, Channel, _merge_rows, _trusted
 from .functionals import Functional, evaluate, pointwise
 
 if TYPE_CHECKING:
@@ -63,13 +65,18 @@ def _convolve(a: Measure, b: Measure) -> Measure:
     return np.multiply.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel()
 
 
-def _merged(x: np.ndarray, w: np.ndarray) -> Measure:
-    """Points closer than X_MERGE_TOL merged to their weighted mean.  Zero
-    weights (products that underflowed) go first: a run of them has no mean."""
+def _merged(x: np.ndarray, w: np.ndarray, off: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Points closer than X_MERGE_TOL merged to their weighted mean, in each
+    row at offsets off (None: one row), by channel._merge_rows: (x, w, off).
+    Zero weights (products that underflowed) go first: a run of them has no
+    mean."""
     keep = w > 0.0
     if not keep.all():
         x, w = x[keep], w[keep]
-    return _merge_points(x, w, X_MERGE_TOL)
+        if off is not None:
+            off = np.concatenate(([0], keep.cumsum()[off[1:] - 1]))
+    return _merge_rows(x, w, off, X_MERGE_TOL)
 
 
 def _merged_sum(parts: Sequence[Measure]) -> Measure:
@@ -77,7 +84,7 @@ def _merged_sum(parts: Sequence[Measure]) -> Measure:
     parts = [p for p in parts if p[0].size]
     if not parts:
         return _EMPTY
-    return _merged(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    return _merged(*(np.concatenate(arrays) for arrays in zip(*parts)))[:2]
 
 
 def _phi(tag: Functional, m: Measure) -> float:
@@ -149,29 +156,8 @@ def _chains(
         i = np.arange(ends[-1]) + (start.repeat(m) - ends + blocks).repeat(blocks)
         j = cols.repeat(blocks)
         off = np.concatenate(([0], sizes.cumsum()))
-        x, w, off = _merged_rows(x[i] * bx[j], w[i] * bw[j], off)
+        x, w, off = _merged(x[i] * bx[j], w[i] * bw[j], off)
         yield k, rows, (x, w), off
-
-
-def _merged_rows(x: np.ndarray, w: np.ndarray, off: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_merged on each row of concatenated points, rows at offsets off: the
-    merged points and their offsets."""
-    keep = w > 0.0
-    if not keep.all():
-        x, w = x[keep], w[keep]
-        off = np.concatenate(([0], keep.cumsum()[off[1:] - 1]))
-    key = x
-    if off.size > 2:  # sort by (row, x)
-        key = np.empty(x.size, dtype=complex)
-        key.real = np.arange(off.size - 1).repeat(off[1:] - off[:-1])
-        key.imag = x
-    order = key.argsort(kind="stable")
-    x = x[order]
-    split = x[1:] - x[:-1] > X_MERGE_TOL
-    split[off[1:-1] - 1] = True
-    x, w, starts = _merge_runs(x, w[order], split)
-    return x, w, off if starts is None else starts.searchsorted(off)
 
 
 def _phis_of_powers(

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -25,13 +26,17 @@ from eicomb.bounds import (
     trial_rng,
     upper_bound_sweep,
 )
-from eicomb.channel import EPS_MERGE_TOL, WEIGHT_DROP_TOL, _trusted, bec, bsc, mix
+from eicomb.channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, _mixtures, _trusted, bec, bsc,
+                            channel, mix)
 from eicomb.convolution import phi_of_poly_convolved
 from eicomb.functionals import Functional, evaluate, h2, kernel_inv
 from eicomb.series import DEFAULT_TERM_CAP, Polynomial, poly_from_string
 
 from test_convolution import count_chain_steps, loop_phi_of_poly
 from test_series import _phi_terms
+
+# eicomb.channel the module; the package's `channel` is the constructor
+channel_module = importlib.import_module("eicomb.channel")
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -153,9 +158,9 @@ def test_fixed_value_sampler_mixes_exactly_as_with_fresh_partners():
             raw = random_channel(trial_rng(57, i))
             v = evaluate(tag, raw)
             if v > target:
-                want = mix(raw, bsc(0.0), target / v)
+                want = _scalar_mix(raw, bsc(0.0), target / v)
             elif v < target:
-                want = mix(raw, bsc(0.5), (top - target) / (top - v))
+                want = _scalar_mix(raw, bsc(0.5), (top - target) / (top - v))
             else:
                 want = raw
             assert np.array_equal(a.eps, want.eps) and np.array_equal(a.w, want.w)
@@ -165,6 +170,16 @@ def test_fixed_value_sampler_rejects_bad_target():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
         random_channel_with_value(rng, E, 0.7)
+
+
+def _scalar_mix(a, b, alpha):
+    """The one-channel mix the batched mixtures replaced."""
+    if alpha == 1.0:
+        return a
+    if alpha == 0.0:
+        return b
+    return _trusted(np.concatenate([a.eps, b.eps]),
+                    np.concatenate([a.w * alpha, b.w * (1.0 - alpha)]))
 
 
 def _scalar_random_channel(rng, max_support=5):
@@ -184,8 +199,8 @@ def _scalar_random_channel_with_value(rng, tag, target, max_support=5):
     if v == target:
         return raw
     if v > target:
-        return mix(raw, bsc(0.0), target / v)
-    return mix(raw, bsc(0.5), (top - target) / (top - v))
+        return _scalar_mix(raw, bsc(0.0), target / v)
+    return _scalar_mix(raw, bsc(0.5), (top - target) / (top - v))
 
 
 def _same_bits(a, b):
@@ -231,7 +246,7 @@ def _sampler_targets(tag, seed, n, max_support):
 
 
 @pytest.mark.parametrize("tag", (H, B, E))
-@pytest.mark.parametrize("max_support", (5, 9))
+@pytest.mark.parametrize("max_support", (5, 9, 12))
 def test_batched_sampler_is_the_scalar_sampler_bit_for_bit(tag, max_support):
     n = 400
     targets = _sampler_targets(tag, 80, n, max_support)
@@ -251,9 +266,10 @@ def test_batched_sampler_is_the_scalar_sampler_bit_for_bit(tag, max_support):
     assert len(raw_rows) == n // 4
 
 
-# Hand-built draws (eps, unnormalized weights, tag, target) that the batch
-# cannot settle or mix in its arrays, each for its own reason.
-_FALLBACK_DRAWS = {
+# Hand-built draws (eps, unnormalized weights, tag, target) whose settle or
+# mixture merges points, drops a weight or passes a channel through, each
+# for its own reason.
+_EDGE_DRAWS = {
     "point at 0 meets the perfect partner": ([0.2, 0.0], [1.0, 2.0], H, 0.1),
     "point near 0 merges with the perfect partner": ([3e-13, 0.3], [1.0, 1.0], H, 0.2),
     "point at 1/2 meets the useless partner": ([0.5, 0.1], [1.0, 1.0], B, 0.99),
@@ -272,27 +288,20 @@ _FALLBACK_DRAWS = {
 }
 
 
-def test_batched_sampler_fallback_rows_are_the_scalar_sampler(monkeypatch):
-    pins = []
-    pin = bounds._pin
-    monkeypatch.setattr(bounds, "_pin", lambda *args: pins.append(args) or pin(*args))
+def test_batched_sampler_fallback_rows_are_the_scalar_sampler():
     plain = ([0.3, 0.1], [1.0, 2.0])
     for tag, target in ((H, 0.2), (B, 0.95), (E, 0.4)):
         want = _scalar_random_channel_with_value(_Scripted(*plain), tag, target)
         assert _same_bits(random_channel_with_value(_Scripted(*plain), tag, target), want)
-    assert pins == []  # plain rows mix in the arrays
-    for reason, (eps, w, tag, target) in _FALLBACK_DRAWS.items():
+    for reason, (eps, w, tag, target) in _EDGE_DRAWS.items():
         want = _scalar_random_channel_with_value(_Scripted(eps, w), tag, target, 7)
         # alone, and between plain rows of the same batch
         alone = random_channel_with_value(_Scripted(eps, w), tag, target, 7)
-        assert len(pins) == 1, reason
-        pins.clear()
         rngs = [_Scripted(*plain), _Scripted(eps, w), _Scripted(*plain)]
         batch = random_channels_with_value(rngs, tag, [target] * 3, 7)
         assert _same_bits(alone, want) and _same_bits(batch[1], want), reason
         plain_want = _scalar_random_channel_with_value(_Scripted(*plain), tag, target)
         assert _same_bits(batch[0], plain_want) and _same_bits(batch[2], plain_want), reason
-        pins.clear()
 
 
 def test_raw_sampler_fallback_rows_are_the_scalar_sampler():
@@ -566,6 +575,100 @@ def test_fixed_error_rows_are_the_per_level_loop(tag):
                 assert item.extremal.points == alone.extremal.points == extremal.points
                 assert item.bound.hex() == alone.bound.hex()
                 assert item.bound.hex() == loop_phi_of_poly(tag, rho, extremal).hex()
+
+
+def test_fixed_error_extremals_settle_as_bec_and_bsc_bit_for_bit():
+    levels = (0.0, 1e-300, 1e-16, 0.25, 0.5)
+    rows = bounds._fixed_error_rows(H, Polynomial.monomial(3), levels)
+    for eps, (lo, hi) in zip(levels, rows):
+        assert _same_bits(lo.extremal, bec(2.0 * eps)), eps
+        assert _same_bits(hi.extremal, bsc(eps)), eps
+
+
+# (a, b, alpha) of mixtures at their edges: pass-through at alpha 0 and 1,
+# points of a and b that merge, and weights that the settle drops
+_EDGE_MIXTURES = (
+    (bec(0.3), bsc(0.1), 0.0),
+    (bec(0.3), bsc(0.1), 1.0),
+    (channel([(0.2, 0.5), (0.3, 0.5)]), bsc(0.2 + EPS_MERGE_TOL / 2), 0.4),
+    (channel([(0.2, 0.5), (0.3, 0.5)]), bsc(0.3), 0.7),
+    (bsc(0.25), bec(0.5), 0.5),
+    (bec(0.3), bsc(0.1), 1.0 - 1e-17),  # rounds to 1
+    (bec(0.3), bsc(0.1), float(np.nextafter(1.0, 0.0))),  # b's weight is dropped
+    (bec(0.3), channel([(0.1, 0.5), (0.3, 0.5)]), 1e-17),  # a's weights are dropped
+    (channel([(0.1, 0.5), (0.3, 0.5)]), bsc(0.2), 5e-324),  # a's weights underflow
+)
+
+
+def test_batched_mixtures_are_the_one_channel_mix():
+    a, b, alpha = zip(*_EDGE_MIXTURES)
+    got = _mixtures(a, b, np.array(alpha))
+    for (x, y, t), m in zip(_EDGE_MIXTURES, got):
+        want = _scalar_mix(x, y, t)
+        assert _same_bits(m, want) and _same_bits(mix(x, y, t), want), t
+        if t in (0.0, 1.0):
+            assert m is want and mix(x, y, t) is want
+    assert _mixtures([], [], np.empty(0)) == []
+
+
+@pytest.mark.parametrize("code", (9, 10))
+@pytest.mark.parametrize("tag", (H, B))
+def test_catalog_mixtures_of_a_batch_are_each_cases_own(code, tag):
+    cases = [(tag, (x, y), t, 3) for x, y, t in _EDGE_MIXTURES]
+    for case, report in zip(cases, bounds._check_cases(code, cases, None)):
+        alone = check_inequality(code, case[1], tag, alpha=case[2], power=3)
+        assert (report.lhs.hex(), report.rhs.hex()) == (alone.lhs.hex(), alone.rhs.hex())
+
+
+def count_batch_settles(monkeypatch):
+    """Record the row count of every batched settle from now on; the batch
+    of one behind Channel(...) is not counted."""
+    rows = []
+    real = channel_module._settle_rows
+
+    def settle(eps, w, off=None):
+        if off is not None:
+            rows.append(off.size - 1)
+        return real(eps, w, off)
+
+    monkeypatch.setattr(channel_module, "_settle_rows", settle)
+    monkeypatch.setattr(bounds, "_settle_rows", settle)
+    return rows
+
+
+@pytest.mark.parametrize("code", (9, 10))
+def test_catalog_settles_draws_once_and_mixtures_once(monkeypatch, code):
+    rows = count_batch_settles(monkeypatch)
+    inequality_suite(seed=31, trials=20, codes=(code,))
+    assert rows == [40, 20]
+
+
+@pytest.mark.parametrize("runner, extremals",
+                         ((upper_bound_sweep, []), (lower_bound_sweep, []),
+                          (fixed_error_sweep, [2 * len(bounds.DEFAULT_ERROR_LEVELS)])))
+def test_sweep_row_settles_draws_once_and_mixtures_once(monkeypatch, runner, extremals):
+    rows = count_batch_settles(monkeypatch)
+    runner(seed=5, rhos=(Polynomial.monomial(3),), tags=(B,), per_cell=4)
+    draws = 9 * 4  # both default level grids have nine levels
+    assert rows == extremals + [draws, draws]
+
+
+@pytest.mark.parametrize("runner", (upper_bound_sweep, lower_bound_sweep, fixed_error_sweep))
+def test_sweeps_reject_a_negative_count_before_any_draw(monkeypatch, runner):
+    monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
+    with pytest.raises(ValueError, match="per_cell must be nonnegative, got -3"):
+        runner(seed=1, per_cell=-3)
+    monkeypatch.undo()
+    reports, summary = runner(seed=1, per_cell=0)
+    assert reports == [] and summary.trials == 0
+
+
+def test_bsc_minimizer_checker_rejects_a_negative_count_before_any_draw(monkeypatch):
+    monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -2"):
+        bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=-2)
+    monkeypatch.undo()
+    assert bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=0) == []
 
 
 def test_inequality_csv_row_shape():

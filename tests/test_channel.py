@@ -5,6 +5,9 @@ from eicomb.channel import (
     Channel,
     ChannelError,
     ChannelFormatError,
+    _row_totals,
+    _settle_rows,
+    _trusted,
     bec,
     bsc,
     channel,
@@ -139,6 +142,33 @@ def test_parse_rejects_out_of_range_eps():
 def test_parse_handles_comments_and_blank_lines():
     a = parse_channel("# heading\n\n0.0 0.7  # perfect part\n0.5 0.3\n")
     assert a.approx_eq(bec(0.3))
+
+
+def test_row_totals_are_each_rows_own_sum():
+    rng = np.random.default_rng(18)
+    for width in range(1, 65):
+        rows = [rng.standard_exponential(width) * scale for scale in (1.0, 1e-9, 1e7)]
+        rows += [rng.random(n) for n in rng.integers(0, 2 * width, 5)]  # some empty
+        w = np.concatenate(rows)
+        off = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+        want = np.array([w[lo:hi].sum() for lo, hi in zip(off[:-1], off[1:])])
+        assert _row_totals(w, off).tobytes() == want.tobytes(), width
+    assert _row_totals(np.empty(0), np.zeros(1, dtype=np.intp)).size == 0
+
+
+def test_batched_settle_raises_the_first_failing_rows_error():
+    # rows a settle of one rejects, each behind a row that settles
+    ok = (np.array([0.1, 0.2]), np.array([0.5, 0.5]))
+    emptied = (np.array([0.1, 0.3]), np.array([1e-16, 1e-16]))
+    lossy = (np.linspace(0.0, 0.5, 2000), np.full(2000, 9e-16))
+    for bad in (emptied, lossy):
+        with pytest.raises(ChannelError) as alone:
+            _trusted(*bad)
+        eps, w = (np.concatenate(parts) for parts in zip(ok, bad, ok, bad))
+        off = np.array([0, 2, 2 + bad[0].size, 4 + bad[0].size, eps.size])
+        with pytest.raises(ChannelError) as batch:
+            _settle_rows(eps, w, off)
+        assert str(batch.value) == str(alone.value)
 
 
 def test_parse_normalizes_small_weight_drift():

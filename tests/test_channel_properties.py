@@ -1,8 +1,10 @@
-"""Property checks of the trusted internal channel constructor.
+"""Property checks of the trusted internal channel constructor and of the
+batched settle.
 
 Internal results (convolutions, mixtures, sampler draws) skip the
 input-domain checks of Channel(...); everything else must stay the same,
-so on valid input both constructors give the same points bit for bit.
+so on valid input both constructors give the same points bit for bit, and
+each row of a batched settle is the channel Channel(...) gives alone.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from eicomb.channel import (  # noqa: E402
     WEIGHT_DROP_TOL,
     Channel,
     ChannelError,
+    _channels,
+    _settle_rows,
     _trusted,
     mix,
 )
@@ -47,6 +51,16 @@ def valid_points(draw):
         eps.append(draw(st.floats(0.0, 0.5)))
         w = np.append(w * (1.0 - t * WEIGHT_DROP_TOL), t * WEIGHT_DROP_TOL)
     return np.array(eps), w
+
+
+@st.composite
+def lossy_points(draw):
+    """(eps, w) summing to 1 whose ~1000 weights under WEIGHT_DROP_TOL drop
+    about WEIGHT_SUM_TOL of mass: Channel(...) rejects some, keeps others."""
+    n = draw(st.integers(900, 1100))
+    eps = np.append(np.linspace(0.0, 0.5, n), draw(st.floats(0.0, 0.5)))
+    w = np.append(np.full(n, 0.95 * WEIGHT_DROP_TOL), 1.0 - n * 0.95 * WEIGHT_DROP_TOL)
+    return eps, w
 
 
 def _same_bits(a: Channel, b: Channel) -> bool:
@@ -89,3 +103,28 @@ def test_mix_drops_weights_that_underflow():
     b = Channel(np.array([0.2]), np.array([1.0]))
     m = mix(a, b, 5e-324)
     assert m.points == ((0.2, 1.0),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(valid_points(), valid_points(), lossy_points()), min_size=1, max_size=4))
+def test_batched_settle_is_each_rows_channel(rows):
+    wants = []
+    for eps, w in rows:
+        try:
+            wants.append(Channel(eps.copy(), w.copy()))
+        except ChannelError as error:
+            wants.append(error)
+    eps = np.concatenate([e for e, _ in rows])
+    w = np.concatenate([v for _, v in rows])
+    off = np.concatenate(([0], np.cumsum([e.size for e, _ in rows])))
+    failed = [want for want in wants if isinstance(want, ChannelError)]
+    if failed:  # the first row that loses too much mass raises its own error
+        with pytest.raises(ChannelError) as error:
+            _settle_rows(eps, w, off)
+        assert str(error.value) == str(failed[0])
+        return
+    got = _channels(*_settle_rows(eps, w, off))
+    assert len(got) == len(wants)
+    for a, want in zip(got, wants):
+        assert _same_bits(a, want)
+        assert not a.eps.flags.writeable and not a.w.flags.writeable

@@ -174,9 +174,14 @@ def test_power_cap_guards_every_step():
 def count_chain_steps(monkeypatch):
     """Record (rows, products) of every power-chain step from now on."""
     steps = []
-    real = convolution._merged_rows
-    monkeypatch.setattr(convolution, "_merged_rows",
-                        lambda x, w, off: steps.append((off.size - 1, x.size)) or real(x, w, off))
+    real = convolution._merged
+
+    def merged(x, w, off=None):
+        if off is not None:  # a chain step, not a one-measure merged sum
+            steps.append((off.size - 1, x.size))
+        return real(x, w, off)
+
+    monkeypatch.setattr(convolution, "_merged", merged)
     return steps
 
 
@@ -266,7 +271,7 @@ def loop_powers(a, d):
     base = power = convolution._measure(a)
     out = []
     for _ in range(d - 1):
-        power = convolution._merged(*convolution._convolve(power, base))
+        power = convolution._merged(*convolution._convolve(power, base))[:2]
         out.append(power)
     return out
 
