@@ -258,6 +258,8 @@ def area_margin_sweep(
     keyed_channels_with_value, and all are evaluated together, one batched
     series call per power.
     """
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
     if channels_per_point < 0:
         raise ValueError(f"channels_per_point must be >= 0, got {channels_per_point!r}")
     if c0 is None:

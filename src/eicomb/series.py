@@ -18,14 +18,20 @@ telescope against central binomial ratios, sum_{n>N} a_{B,n} = C(2N,N)/4^N.
 Mass at eps=0 contributes a constant subsequence to every moment; it is
 summed in closed form through sum_n a_{Phi,n} = 1 so that e.g. BEC values
 come out exact instead of converging at the tail rate.
+
+Each functional's weights and tail bounds live in one table (`_weights`),
+from which coefficient, coefficient_tail and both blocked engines
+(phi_of_poly_batch, complement_of_convolution_batch) read.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,26 +49,44 @@ DEFAULT_TERM_CAP = 10**5
 # floating-point summation of the partial sums.
 _B_TAIL_SLACK = 1e-9
 
-# Cache of t_n = C(2n,n)/4^n starting at t_0 = 1; a_{B,n} = t_{n-1}/(2n).
-_B_TAIL_CACHE: list[float] = [1.0]
+_WEIGHTS: dict[Functional, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _b_tail_raw(n: int) -> float:
-    while len(_B_TAIL_CACHE) <= n:
-        m = len(_B_TAIL_CACHE)
-        _B_TAIL_CACHE.append(_B_TAIL_CACHE[-1] * (2 * m - 1) / (2 * m))
-    return _B_TAIL_CACHE[n]
+def _weights(tag: Functional, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, tail) with a[m] = a_{Phi,m} and tail[m] = coefficient_tail(tag, m)
+    for 1 <= m <= n at least: read-only arrays, entry 0 unused (NaN), grown
+    geometrically from 1024 entries.  B takes t_m = C(2m,m)/4^m from the
+    recurrence t_m = t_{m-1} (2m-1) / (2m) in Python floats; then
+    a_{B,m} = t_{m-1} / (2m) and the tail is t_m (1 + _B_TAIL_SLACK).
+    """
+    table = _WEIGHTS.get(tag)
+    if table is None or table[0].size <= n:
+        if tag not in (Functional.H, Functional.B):
+            raise ValueError("the error-probability functional has no series weights")
+        size = max(1024, n, 2 * (table[0].size - 1) if table else 0)
+        m = np.arange(size + 1, dtype=float)
+        m[0] = np.nan
+        if tag is Functional.H:
+            a = 1.0 / (2.0 * LN2 * m * (2.0 * m - 1.0))
+            tail = 1.0 / (4.0 * LN2 * m)
+        else:
+            t = np.array(list(itertools.accumulate(
+                range(1, size + 1), lambda prev, k: prev * (2 * k - 1) / (2 * k), initial=1.0
+            )))
+            a = np.append(np.nan, t[:-1]) / (2.0 * m)
+            tail = t * (1.0 + _B_TAIL_SLACK)
+            tail[0] = np.nan
+        a.flags.writeable = tail.flags.writeable = False
+        _WEIGHTS[tag] = table = (a, tail)
+    return table
 
 
 def coefficient(tag: Functional, n: int) -> float:
     """Series weight a_{Phi,n} for Phi in {H, B}; positive, sums to 1 over n."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"coefficient index must be >= 1, got {n!r}")
-    if tag is Functional.H:
-        return 1.0 / (2.0 * LN2 * n * (2 * n - 1))
-    if tag is Functional.B:
-        return _b_tail_raw(n - 1) / (2 * n)
-    raise ValueError("the error-probability functional has no series weights")
+    return float(_weights(tag, n)[0][n])
 
 
 def coefficient_tail(tag: Functional, n: int) -> float:
@@ -71,13 +95,10 @@ def coefficient_tail(tag: Functional, n: int) -> float:
     H uses the telescoping majorant 1/(4 ln(2) n); B uses the exact tail
     C(2n,n)/4^n (inflated by a hair against rounding of partial sums).
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"tail index must be >= 1, got {n!r}")
-    if tag is Functional.H:
-        return 1.0 / (4.0 * LN2 * n)
-    if tag is Functional.B:
-        return _b_tail_raw(n) * (1.0 + _B_TAIL_SLACK)
-    raise ValueError("the error-probability functional has no series weights")
+    return float(_weights(tag, n)[1][n])
 
 
 def moment(a: Channel, n: int) -> float:
@@ -102,6 +123,8 @@ class Polynomial:
     """Real polynomial rho(X) = sum_{k>=1} c_k X^k with rho(0) = 0."""
 
     coeffs: tuple[float, ...]
+    # Nonzero (exponent, coefficient) pairs, ascending exponent.
+    terms: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.coeffs)
@@ -112,15 +135,11 @@ class Polynomial:
         if not all(map(math.isfinite, c)):
             raise ValueError(f"polynomial coefficients must be finite, got {c!r}")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "terms", tuple((k + 1, v) for k, v in enumerate(c) if v != 0.0))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def terms(self) -> tuple[tuple[int, float], ...]:
-        """Nonzero (exponent, coefficient) pairs, ascending exponent."""
-        return tuple((k + 1, c) for k, c in enumerate(self.coeffs) if c != 0.0)
 
     def __call__(self, x: float) -> float:
         return float(sum(c * x**k for k, c in self.terms))
@@ -389,9 +408,11 @@ def _series_tag(tag: Functional) -> Functional:
     return tag
 
 
-def _check_tol(tol: float) -> None:
-    if tol <= 0.0:
+def _check_stop(tol: float, term_cap: int) -> None:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if term_cap < 1:
+        raise ValueError(f"term cap must be >= 1, got {term_cap!r}")
 
 
 def _split_points(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -430,14 +451,6 @@ def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.n
     return atoms, index, ys, ws
 
 
-def _abs_terms(terms: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    return tuple((k, abs(c)) for k, c in terms)
-
-
-def _rho_at(terms: Sequence[tuple[int, float]], v: float) -> float:
-    return float(sum(c * v**k for k, c in terms))
-
-
 def phi_series(
     tag: Functional,
     a: Channel,
@@ -467,14 +480,6 @@ def phi_of_poly(
 _BATCH_FIRST_BLOCK = 8
 _BATCH_MAX_BLOCK = 512
 _BATCH_MAX_ENTRIES = 1 << 22
-
-
-def _tail_block(tag: Functional, n0: int, n1: int) -> np.ndarray:
-    """coefficient_tail(tag, n) for n in [n0, n1), with the scalar arithmetic."""
-    if tag is Functional.H:
-        return 1.0 / (4.0 * LN2 * np.arange(n0, n1, dtype=float))
-    _b_tail_raw(n1)
-    return np.asarray(_B_TAIL_CACHE[n0:n1]) * (1.0 + _B_TAIL_SLACK)
 
 
 def _rho_columns(terms: Sequence[tuple[int, float]], g: np.ndarray) -> np.ndarray:
@@ -511,10 +516,9 @@ def phi_of_poly_batch(
     batch of one, give the same value bit for bit, after ~0.2 ms of setup.
     """
     tag = _series_tag(tag)
-    _check_tol(tol)
-    terms = rho.terms
-    abs_terms = _abs_terms(terms)
-    rho_one = float(sum(c for _, c in terms))
+    _check_stop(tol, term_cap)
+    rho_abs = rho if min(rho.coeffs) >= 0.0 else Polynomial(tuple(map(abs, rho.coeffs)))
+    rho_one = rho(1.0)
     out: list[SeriesValue | None] = [None] * len(channels)
     if not channels:
         return out
@@ -522,12 +526,12 @@ def phi_of_poly_batch(
     idle = np.ones(len(channels), dtype=bool)
     idle[index] = False
     for i in np.flatnonzero(idle).tolist():
-        out[i] = SeriesValue(rho_one - _rho_at(terms, float(atoms[i])), 0.0, 0)
+        out[i] = SeriesValue(rho_one - rho(float(atoms[i])), 0.0, 0)
     if not index.size:
         return out
     atoms = atoms[index]
-    rho_atom = np.array([_rho_at(terms, v) for v in atoms.tolist()])
-    rho_abs_atom = np.array([_rho_at(abs_terms, v) for v in atoms.tolist()])
+    rho_atom = np.array([rho(v) for v in atoms.tolist()])
+    rho_abs_atom = np.array([rho_abs(v) for v in atoms.tolist()])
     acc = np.zeros(index.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
     n0, block = 1, _BATCH_FIRST_BLOCK
@@ -537,15 +541,14 @@ def phi_of_poly_batch(
         powers[:, :, 0] = z
         np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
         gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
-        rho_g = _rho_columns(terms, gamma)
-        rho_abs_g = rho_g if abs_terms == terms else _rho_columns(abs_terms, gamma)
+        rho_g = _rho_columns(rho.terms, gamma)
+        rho_abs_g = rho_g if rho_abs is rho else _rho_columns(rho_abs.terms, gamma)
+        a, tail = _weights(tag, n0 + count - 1)
         sums = np.empty((index.size, count + 1))
         sums[:, 0] = acc
-        sums[:, 1:] = _coefficient_block(tag, n0, n0 + count) * (
-            rho_g[:, :-1] - rho_atom[:, None]
-        )
+        sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - rho_atom[:, None])
         partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
-        bound = _tail_block(tag, n0, n0 + count) * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
+        bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
         stop = (bound <= tol) | (np.arange(n0, n0 + count) >= term_cap)
         acc = partial[:, -1]
         z = powers[:, :, -1].copy()  # frees the table before the next block
@@ -568,27 +571,6 @@ def phi_of_poly_batch(
 
 # ----------------------------------------------------------------------
 # complements of convolutions, in the x = 1 - 2*eps domain
-
-_COEF_ARRAYS: dict[Functional, np.ndarray] = {}
-
-
-def _coefficient_block(tag: Functional, n0: int, n1: int) -> np.ndarray:
-    """Weights a_{Phi,n} for n in [n0, n1) from a geometrically grown cache."""
-    arr = _COEF_ARRAYS.get(tag)
-    if arr is None or arr.size < n1 - 1:
-        size = max(1024, n1 - 1)
-        if arr is not None:
-            size = max(size, 2 * arr.size)
-        n = np.arange(1, size + 1, dtype=float)
-        if tag is Functional.H:
-            full = 1.0 / (2.0 * LN2 * n * (2.0 * n - 1.0))
-        else:
-            _b_tail_raw(size)  # ensure the tail cache reaches far enough
-            tails = np.asarray(_B_TAIL_CACHE[: size + 1])
-            full = tails[:-1] / (2.0 * n)
-        _COEF_ARRAYS[tag] = arr = full
-    return arr[n0 - 1 : n1 - 1]
-
 
 # The complement series checks its stop rule every _COMPLEMENT_BLOCK terms;
 # one pass of the batched evaluator covers 1, 2, 4, ... up to
@@ -636,6 +618,7 @@ def complement_of_convolution_batch(
     a one-row call bit for bit.
     """
     tag = _series_tag(tag)
+    _check_stop(rel_tol, term_cap)
     degrees = tuple(degrees)
     for d in degrees:
         if d < 1:
@@ -760,14 +743,14 @@ def _complement_rows(
                 group[3] = powers[:, :, -1] * y
             prod *= _power(gamma, d)
         prod = prod.reshape(index.size, k, 1, count) - floor[:, None, None, None]
-        coefs = _coefficient_block(tag, n, n + span).reshape(k, count, 1)
+        a, tail = _weights(tag, n + span - 1)
+        coefs = a[n : n + span].reshape(k, count, 1)
         sums = np.empty((index.size, k + 1))
         sums[:, 0] = total
         sums[:, 1:] = np.matmul(prod, coefs)[:, :, 0, 0]
         partial = np.cumsum(sums, axis=1)[:, 1:]  # running sum after each block
-        ends = [n + count * (b + 1) for b in range(k)]  # next term after each block
-        tails = np.array([coefficient_tail(tag, e - 1) for e in ends])
-        stop = (tails * prod[:, :, 0, -1] <= rel_tol * partial) | (np.array(ends) > term_cap)
+        ends = n + count * np.arange(1, k + 1)  # next term after each block
+        stop = (tail[ends - 1] * prod[:, :, 0, -1] <= rel_tol * partial) | (ends > term_cap)
         total = partial[:, -1]
         n += span
         blocks = min(2 * blocks, _COMPLEMENT_MAX_BLOCKS)

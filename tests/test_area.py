@@ -291,6 +291,12 @@ def test_sweep_rejects_a_negative_trial_count():
         area_margin_sweep(EnsembleParams(50, 100), 6, grid_points=12, channels_per_point=-1)
 
 
+@pytest.mark.parametrize("grid_points", (0, -3))
+def test_sweep_rejects_an_empty_grid(grid_points):
+    with pytest.raises(ValueError, match=f"grid_points must be >= 1, got {grid_points}"):
+        area_margin_sweep(EnsembleParams(50, 100), 6, grid_points=grid_points)
+
+
 def test_sweep_without_trials_keeps_certified_rows_empty():
     rows = area_margin_sweep(EnsembleParams(50, 100), 6, grid_points=12, channels_per_point=0)
     certified = [r for r in rows if r.cond_i and r.cond_ii]

@@ -29,9 +29,6 @@ from eicomb import series
 from eicomb.series import (
     Polynomial,
     SeriesValue,
-    _abs_terms,
-    _check_tol,
-    _rho_at,
     coefficient,
     coefficient_tail,
     moment,
@@ -70,10 +67,72 @@ def test_first_weights():
 def test_weights_reject_bad_index_and_tag():
     with pytest.raises(ValueError):
         coefficient(H, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the error-probability functional has no series weights"):
         coefficient(E, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the error-probability functional has no series weights"):
         coefficient_tail(E, 5)
+
+
+@pytest.mark.parametrize("read", (coefficient, coefficient_tail))
+def test_weights_take_integer_indices_only(read):
+    for n in (2.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            read(H, n)
+    assert read(B, np.int64(7)) == read(B, 7)
+
+
+# The closed forms and the B list recurrence the weight table replaced,
+# kept as its oracle.
+def _b_tails_oracle(n: int) -> list[float]:
+    """t_m = C(2m,m)/4^m for m = 0..n, by the Python float recurrence."""
+    t = [1.0]
+    while len(t) <= n:
+        m = len(t)
+        t.append(t[-1] * (2 * m - 1) / (2 * m))
+    return t
+
+
+def _weight_oracle(tag, n, t):
+    if tag is H:
+        return 1.0 / (2.0 * math.log(2.0) * n * (2 * n - 1))
+    return t[n - 1] / (2 * n)
+
+
+def _tail_oracle(tag, n, t):
+    if tag is H:
+        return 1.0 / (4.0 * math.log(2.0) * n)
+    return t[n] * (1.0 + 1e-9)
+
+
+def _assert_table_matches_oracle(ns):
+    t = _b_tails_oracle(max(ns))
+    for tag in (H, B):
+        for n in ns:
+            assert coefficient(tag, n).hex() == _weight_oracle(tag, n, t).hex(), (tag, n)
+            assert coefficient_tail(tag, n).hex() == _tail_oracle(tag, n, t).hex(), (tag, n)
+
+
+def test_weight_table_matches_the_scalar_formulas_bit_for_bit():
+    _assert_table_matches_oracle(range(1, 5001))
+
+
+def test_weight_table_is_bit_stable_across_growth(monkeypatch):
+    # a fresh table holds 1024 entries and doubles: read each side of the
+    # boundaries in the order that makes the table grow through them
+    monkeypatch.setattr(series, "_WEIGHTS", {})
+    _assert_table_matches_oracle([1, 1023, 1024])
+    assert series._weights(H, 1)[0].size == series._weights(B, 1)[0].size == 1025
+    _assert_table_matches_oracle([1025, 2048, 2049, 1024, 1])
+    assert series._weights(H, 1)[0].size == 4097
+    _assert_table_matches_oracle([10**5, 10**6, 2049, 1])
+
+
+def test_weight_table_is_read_only():
+    for tag in (H, B):
+        for arr in series._weights(tag, 10):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
 
 
 def test_bhattacharyya_recurrence_matches_exact_binomials():
@@ -258,6 +317,14 @@ def test_phi_of_poly_handles_atoms_at_zero_exactly():
 # The scalar evaluator that phi_of_poly_batch replaced, kept verbatim as
 # the oracle for the blocked engine (and for phi_series / phi_of_poly,
 # which are its batch of one).
+def _abs_terms(terms: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    return tuple((k, abs(c)) for k, c in terms)
+
+
+def _rho_at(terms: Sequence[tuple[int, float]], v: float) -> float:
+    return float(sum(c * v**k for k, c in terms))
+
+
 def _atom_split(a: Channel) -> tuple[float, np.ndarray, np.ndarray]:
     """(mass at x = 1, y = x^2 and weights of the points with 0 < x < 1)."""
     x = 1.0 - 2.0 * a.eps
@@ -283,7 +350,7 @@ def _phi_terms(
     Truncation after N terms is bounded by
     coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)).
     """
-    _check_tol(tol)
+    series._check_stop(tol, term_cap)
     atom, y, wa = _atom_split(a)
     rho_one = float(sum(c for _, c in terms))
     rho_atom = _rho_at(terms, atom)
@@ -483,6 +550,19 @@ def test_batch_empty_and_validation():
         phi_of_poly_batch(H, rho, [], tol=-1.0)
 
 
+def test_batch_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+        phi_of_poly_batch(H, Polynomial.monomial(2), [bsc(0.1)], tol=math.nan)
+
+
+@pytest.mark.parametrize("term_cap", (0, -1))
+def test_batch_rejects_a_term_cap_below_one(term_cap):
+    with pytest.raises(ValueError, match=f"term cap must be >= 1, got {term_cap}"):
+        phi_of_poly_batch(H, Polynomial.monomial(2), [bsc(0.1)], term_cap=term_cap)
+    with pytest.raises(ValueError, match="term cap must be >= 1"):
+        phi_series(H, bsc(0.1), 2, 1e-10, term_cap)
+
+
 def test_lone_calls_are_their_row_of_a_mixed_batch():
     # a lone channel and the same channel inside any batch give one answer,
     # bit for bit: fast rows, idle rows, a slow row and a term-cap row
@@ -534,7 +614,7 @@ def _complement_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
                 gamma = atom + w @ powers
                 zs[i] = powers[:, -1] * y
             prod_block *= gamma**d if d > 1 else gamma
-        coefs = series._coefficient_block(tag, n, n + count)
+        coefs = np.array([coefficient(tag, m) for m in range(n, n + count)])
         total += float(np.dot(coefs, prod_block - atom_prod))
         n += count
         bound = coefficient_tail(tag, n - 1) * (float(prod_block[-1]) - atom_prod)
@@ -621,6 +701,20 @@ def test_complement_batch_empty_and_validation():
         series.complement_of_convolution_batch(H, (1, 1), [(bsc(0.1),)])
     with pytest.raises(ValueError):
         series.complement_of_convolution(H, [(bsc(0.1), 0)])
+
+
+@pytest.mark.parametrize("term_cap", (0, -5))
+def test_complement_rejects_a_term_cap_below_one(term_cap):
+    with pytest.raises(ValueError, match=f"term cap must be >= 1, got {term_cap}"):
+        series.complement_of_convolution(H, [(bsc(0.1), 2)], term_cap=term_cap)
+
+
+@pytest.mark.parametrize("rel_tol", (0.0, -1e-14, math.nan))
+def test_complement_rejects_a_bad_relative_tolerance(rel_tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        series.complement_of_convolution(H, [(bsc(0.1), 2)], rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        series.complement_of_convolution_batch(B, (1,), [], rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 6))
