@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bec, bsc
 from .convolution import _phis_of_powers, phi_of_poly_convolved, phi_of_poly_convolved_batch
-from .functionals import Functional, complement, evaluate, kernel, kernel_inv, pointwise
+from .functionals import Functional, _complements, evaluate, kernel, kernel_inv, pointwise
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
                      poly_convex_on, poly_increasing_on)
 
@@ -277,6 +277,12 @@ def _convolution_complements(code: int, a: Channel, b: Channel | None,
     return ()
 
 
+def _single_complements(code: int, a: Channel, b: Channel | None) -> tuple:
+    """The channels whose complements 1 - Phi(.) inequality `code` reads,
+    in the order _sides reads them."""
+    return {4: (a, b), 6: (a,), 8: (b,), 12: (a,)}.get(code, ())
+
+
 def _power_reads(code: int, a: Channel, b: Channel | None, mixed: Channel | None,
                  d: int | None) -> tuple:
     """The (channel, powers) whose Phi(channel^[k]) inequality `code` reads
@@ -290,25 +296,24 @@ def _power_reads(code: int, a: Channel, b: Channel | None, mixed: Channel | None
 
 def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
            alpha: float | None, power: int | None, conv: Sequence[float],
-           phis: Sequence[list[float]]) -> tuple[float, float]:
-    """(lhs, rhs) of inequality `code`, given its convolution complements
-    and its power chains' Phi values."""
+           comp: Sequence[float], phis: Sequence[list[float]]) -> tuple[float, float]:
+    """(lhs, rhs) of inequality `code`, given its convolution complements,
+    its single-channel complements and its power chains' Phi values."""
     # Quantities of the form 1 - Phi(.) go through the cancellation-free
     # complements: per-point ones for single channels, the moment-domain
     # series for convolutions (explicit convolution points near eps = 1/2
     # cannot represent tiny complements at full relative precision).
-    comp = lambda ch: complement(tag, ch)
     if code == 4:
-        return comp(a) * comp(b), conv[0]
+        return comp[0] * comp[1], conv[0]
     if code == 5:
         values = [evaluate(tag, a)] + phis[0]
         return values[-1], values[0] * (power - sum(values[:-1]))
     if code == 6:
-        return comp(a), math.sqrt(conv[0])
+        return comp[0], math.sqrt(conv[0])
     if code == 7:
         return conv[0], math.sqrt(conv[1]) * math.sqrt(conv[2])
     if code == 8:
-        return conv[0], math.sqrt(conv[1]) * math.sqrt(comp(b))
+        return conv[0], math.sqrt(conv[1]) * math.sqrt(comp[0])
     if code == 9:
         (phi_a,), (phi_b,), (phi_mixed,) = phis
         return alpha * phi_a + (1.0 - alpha) * phi_b, phi_mixed
@@ -318,7 +323,7 @@ def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
     if code == 11:
         return evaluate(tag, a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))
     # code == 12
-    return conv[0], comp(a) * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
+    return conv[0], comp[0] * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
 
 
 def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[BoundReport]:
@@ -326,10 +331,12 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
 
     The convolution complements of all cases are grouped by (tag, factor
     degrees), and each group is one complement_of_convolution_batch call;
-    the power chains of all cases are one batched chain.
+    the single-channel complements are one batch per tag, and the power
+    chains of all cases are one batched chain.
     """
     info = INEQUALITIES[code]
     groups: dict[tuple[Functional, tuple[int, ...]], list[tuple[Channel, ...]]] = {}
+    singles: dict[Functional, list[Channel]] = {}
     reads: list[tuple[Functional, Channel, Sequence[int]]] = []
     pending = []
     mixtures = [None] * len(cases)
@@ -345,18 +352,24 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
             rows = groups.setdefault(key, [])
             slots.append((key, len(rows)))
             rows.append(tuple(ch for ch, _ in factors))
+        chs = singles.setdefault(tag, [])
+        start = len(chs)
+        chs += _single_complements(code, a, b)
+        comps = slice(start, len(chs))
         first = len(reads)
         reads += [(tag, ch, ks) for ch, ks in _power_reads(code, a, b, mixed, power)]
-        pending.append((tag, chans, a, b, alpha, power, slots, slice(first, len(reads))))
+        pending.append((tag, chans, a, b, alpha, power, slots, comps, slice(first, len(reads))))
     values = {
         key: complement_of_convolution_batch(key[0], key[1], rows)
         for key, rows in groups.items()
     }
+    comp_values = {tag: _complements(tag, chs) for tag, chs in singles.items()}
     phis = _phis_of_powers(reads) if reads else []
     reports = []
-    for tag, chans, a, b, alpha, power, slots, chains in pending:
+    for tag, chans, a, b, alpha, power, slots, comps, chains in pending:
         conv = [values[key][r] for key, r in slots]
-        lhs, rhs = _sides(code, tag, a, b, alpha, power, conv, phis[chains])
+        lhs, rhs = _sides(code, tag, a, b, alpha, power, conv, comp_values[tag][comps],
+                          phis[chains])
         params = f"name={info.name};tag={tag.value}"
         if info.needs_power:
             params += f";d={power}"
@@ -530,9 +543,15 @@ def _raw_channels(draws: Sequence[_Draw]) -> list[Channel]:
 def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[float],
                      top: float) -> list[Channel]:
     """Each draw's raw channel mixed with the perfect channel (value 0) or
-    the useless one (value top) so that its tag value is its target."""
+    the useless one (value top) so that its tag value is its target.
+
+    Every row mixes straight from the settled raw points, as
+    mix(raw, partner, alpha) builds it: the raw points weighted alpha, then
+    the partner's one point weighted 1 - alpha, all rows in one settle.  A
+    row of alpha 1 returns its raw channel and one of alpha 0 its partner,
+    so only the other mixtures and those raw channels become Channels.
+    """
     eps, w, off = _raw_rows(draws)
-    raw = _channels(eps, w, off)
     # one np.dot per row, as evaluate takes it: a vectorized row sum of the
     # products rounds differently
     f = pointwise(tag, eps)
@@ -543,7 +562,16 @@ def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[
     alpha = np.ones_like(v)  # v == t keeps the raw channel
     np.divide(t, v, out=alpha, where=perfect)
     np.divide(top - t, top - v, out=alpha, where=useless)
-    return _mixtures(raw, [_PERFECT if p else _USELESS for p in perfect.tolist()], alpha)
+    # each row's partner point goes after its last raw point
+    mixed_eps = np.insert(eps, off[1:], np.where(perfect, 0.0, 0.5))
+    mixed_w = np.insert(w * alpha.repeat(np.diff(off)), off[1:], 1.0 - alpha)
+    mixed = iter(_channels(*_settle_rows(mixed_eps, mixed_w, off + np.arange(off.size)),
+                           np.flatnonzero((alpha != 1.0) & (alpha != 0.0))))
+    unmixed = iter(_channels(eps, w, off, np.flatnonzero(alpha == 1.0)))
+    return [
+        next(unmixed) if s == 1.0 else (_PERFECT if p else _USELESS) if s == 0.0 else next(mixed)
+        for s, p in zip(alpha.tolist(), perfect.tolist())
+    ]
 
 
 def _checked_targets(tag: Functional, targets: Sequence[float]) -> tuple[float, list[float]]:

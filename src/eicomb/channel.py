@@ -102,8 +102,12 @@ def _settle_rows(
 
     Returns the settled (eps, w, off).  A row that would lose more than
     WEIGHT_SUM_TOL of mass, or every point, raises the ChannelError of
-    Channel(...); the first such row in order raises.
+    Channel(...); the first such row in order raises.  One row takes the
+    plain path (its sums are the same bits).
     """
+    if off is not None and off.size == 2:
+        eps, w, _ = _settle_rows(eps, w)
+        return eps, w, np.array([0, eps.size])
     eps, w, off = _merge_rows(eps, w, off, EPS_MERGE_TOL)
     keep = w >= WEIGHT_DROP_TOL
     if off is None:
@@ -204,14 +208,17 @@ def _trusted(eps: np.ndarray, w: np.ndarray) -> Channel:
     return out
 
 
-def _channels(eps: np.ndarray, w: np.ndarray, off: np.ndarray) -> list[Channel]:
-    """The channel of each row _settle_rows settled; only freezes them.  The
-    rows are views of the batch, which is made read-only once."""
+def _channels(eps: np.ndarray, w: np.ndarray, off: np.ndarray,
+              rows: np.ndarray | None = None) -> list[Channel]:
+    """The channel of each row _settle_rows settled (or of the rows listed);
+    only freezes them.  The rows are views of the batch, which is made
+    read-only once."""
     eps.flags.writeable = False
     w.flags.writeable = False
-    out = []
     at = off.tolist()
-    for lo, hi in zip(at[:-1], at[1:]):
+    spans = zip(at[:-1], at[1:]) if rows is None else ((at[i], at[i + 1]) for i in rows.tolist())
+    out = []
+    for lo, hi in spans:
         a = object.__new__(Channel)
         object.__setattr__(a, "eps", eps[lo:hi])
         object.__setattr__(a, "w", w[lo:hi])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,18 @@ def _complement_points(tag: Functional, eps: np.ndarray) -> np.ndarray:
 def complement(tag: Functional, a: Channel) -> float:
     """1 - Phi(a) (the capacity when Phi = H), computed without the
     catastrophic cancellation the direct subtraction suffers for channels
-    close to useless."""
-    # summed left to right, the order of a point-by-point loop
-    return float(sum((a.w * _complement_points(tag, a.eps)).tolist()))
+    close to useless.  _complements on a batch of one."""
+    return _complements(tag, [a])[0]
+
+
+def _complements(tag: Functional, chans: list[Channel]) -> list[float]:
+    """complement of each channel, in order, from one _complement_points
+    call over all their points (a per-point formula, so batching changes no
+    bit); each channel's terms are summed left to right, the order of a
+    point-by-point loop."""
+    if not chans:
+        return []
+    eps = np.concatenate([a.eps for a in chans])
+    terms = (np.concatenate([a.w for a in chans]) * _complement_points(tag, eps)).tolist()
+    at = [0, *itertools.accumulate(a.eps.size for a in chans)]
+    return [float(sum(terms[lo:hi])) for lo, hi in zip(at[:-1], at[1:])]

@@ -103,6 +103,7 @@ def coefficient_tail(tag: Functional, n: int) -> float:
 
 def moment(a: Channel, n: int) -> float:
     """n-th moment sum_i w_i (1 - 2*eps_i)^(2n); decreasing in n."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"moment index must be >= 1, got {n!r}")
     x = 1.0 - 2.0 * a.eps
@@ -111,6 +112,7 @@ def moment(a: Channel, n: int) -> float:
 
 def moments(a: Channel, count: int) -> np.ndarray:
     """Moments 1..count as an array (decreasing, within [0, 1])."""
+    count = operator.index(count)
     if count < 1:
         raise ValueError(f"moment count must be >= 1, got {count!r}")
     y = (1.0 - 2.0 * a.eps) ** 2
@@ -408,47 +410,37 @@ def _series_tag(tag: Functional) -> Functional:
     return tag
 
 
-def _check_stop(tol: float, term_cap: int) -> None:
+def _check_stop(tol: float, term_cap: int) -> int:
+    """The term cap as an int, after checking both stop settings."""
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    term_cap = operator.index(term_cap)
     if term_cap < 1:
         raise ValueError(f"term cap must be >= 1, got {term_cap!r}")
+    return term_cap
 
 
-def _split_points(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each channel's mass at x = 1, then the channel index, y = x^2 and
-    weight of every point with 0 < x < 1, by channel and, within a
-    channel, in point order.
-    """
+def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(atoms, counts, ys, ws): each channel's mass at x = 1 and number of
+    points in 0 < x < 1, and those points' y = x^2 and weights, row r for
+    channel r, in point order, left-aligned and zero-padded to the widest
+    row (a zero weight times a zero power adds nothing to a moment)."""
     sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
     row = np.repeat(np.arange(len(chans)), sizes)
-    eps = np.concatenate([ch.eps for ch in chans])
     w = np.concatenate([ch.w for ch in chans])
-    x = 1.0 - 2.0 * eps
+    x = 1.0 - 2.0 * np.concatenate([ch.eps for ch in chans])
     atoms = np.zeros(len(chans))
     at_one = x == 1.0
     np.add.at(atoms, row[at_one], w[at_one])
     active = (x > 0.0) & (x < 1.0)
-    x = x[active]
-    return atoms, row[active], x * x, w[active]
-
-
-def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(atoms, index, ys, ws): each channel's mass at x = 1, the indices of
-    the channels with a point in 0 < x < 1, and those points' y = x^2 and
-    weights, row r for channel index[r], left-aligned and zero-padded to
-    the widest row (a zero weight times a zero power adds nothing to a
-    moment)."""
-    atoms, row, y, w = _split_points(chans)
+    row, x, w = row[active], x[active], w[active]
     counts = np.bincount(row, minlength=len(chans))
-    index = np.flatnonzero(counts)
-    rank = np.cumsum(counts > 0) - 1
     col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-    ys = np.zeros((index.size, int(counts.max(initial=0))))
+    ys = np.zeros((len(chans), int(counts.max(initial=0))))
     ws = np.zeros_like(ys)
-    ys[rank[row], col] = y
-    ws[rank[row], col] = w
-    return atoms, index, ys, ws
+    ys[row, col] = x * x
+    ws[row, col] = w
+    return atoms, counts, ys, ws
 
 
 def phi_series(
@@ -459,6 +451,7 @@ def phi_series(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SeriesValue:
     """Phi(a^[power]) within tol (or the reported bound): phi_of_poly_batch of X^power on [a]."""
+    power = operator.index(power)
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
     return phi_of_poly_batch(tag, Polynomial.monomial(power), [a], tol, term_cap)[0]
@@ -516,16 +509,16 @@ def phi_of_poly_batch(
     batch of one, give the same value bit for bit, after ~0.2 ms of setup.
     """
     tag = _series_tag(tag)
-    _check_stop(tol, term_cap)
+    term_cap = _check_stop(tol, term_cap)
     rho_abs = rho if min(rho.coeffs) >= 0.0 else Polynomial(tuple(map(abs, rho.coeffs)))
     rho_one = rho(1.0)
     out: list[SeriesValue | None] = [None] * len(channels)
     if not channels:
         return out
-    atoms, index, ys, ws = _padded_rows(channels)
-    idle = np.ones(len(channels), dtype=bool)
-    idle[index] = False
-    for i in np.flatnonzero(idle).tolist():
+    atoms, counts, ys, ws = _padded_rows(channels)
+    index = np.flatnonzero(counts)
+    ys, ws = ys[index], ws[index]
+    for i in np.flatnonzero(counts == 0).tolist():
         out[i] = SeriesValue(rho_one - rho(float(atoms[i])), 0.0, 0)
     if not index.size:
         return out
@@ -572,11 +565,12 @@ def phi_of_poly_batch(
 # ----------------------------------------------------------------------
 # complements of convolutions, in the x = 1 - 2*eps domain
 
-# The complement series checks its stop rule every _COMPLEMENT_BLOCK terms;
-# one pass of the batched evaluator covers 1, 2, 4, ... up to
-# _COMPLEMENT_MAX_BLOCKS such blocks.
-_COMPLEMENT_BLOCK = 512
-_COMPLEMENT_MAX_BLOCKS = 32
+# Blocks of the complement engine start at this many terms and double up
+# to the largest; a block's power tables hold at most _BATCH_MAX_ENTRIES
+# values.  Longer blocks only overshoot a slow row's stop by more, and
+# their work arrays leave the cache.
+_COMPLEMENT_FIRST_BLOCK = 64
+_COMPLEMENT_MAX_BLOCK = 1 << 14
 
 
 def complement_of_convolution(
@@ -609,16 +603,17 @@ def complement_of_convolution_batch(
     """complement_of_convolution of each row's factors at the shared degrees,
     in input order, from one blocked pass.
 
-    Row r is the convolution of rows[r][i]^[degrees[i]] over i.  Terms come
-    in blocks of 512; after each block a row stops once the tail bound
-    coefficient_tail(n) * (prod_i gamma_{i,n}^{d_i} - floor) falls to
-    rel_tol times its running sum, or n passes term_cap, and then leaves
-    the arrays.  Rows with no point strictly inside 0 < x < 1 return their
-    floor, the product of the factors' atom^d.  Every value equals that of
-    a one-row call bit for bit.
+    Row r is the convolution of rows[r][i]^[degrees[i]] over i; its floor is
+    the product of the factors' atom^d.  Term n adds
+    a_n (prod_i gamma_{i,n}^{d_i} - floor) to a running sum that starts at
+    the floor, and a row stops at the first n where the tail bound
+    coefficient_tail(n) * (prod_n - floor) falls to rel_tol times its
+    running sum, or at n = term_cap.  Rows with no point strictly inside
+    0 < x < 1 return their floor.  Every value equals that of a one-row
+    call bit for bit.
     """
     tag = _series_tag(tag)
-    _check_stop(rel_tol, term_cap)
+    term_cap = _check_stop(rel_tol, term_cap)
     degrees = tuple(degrees)
     for d in degrees:
         if d < 1:
@@ -626,68 +621,22 @@ def complement_of_convolution_batch(
     for r, chans in enumerate(rows):
         if len(chans) != len(degrees):
             raise ValueError(f"row {r} has {len(chans)} factors for {len(degrees)} degrees")
-    if not rows:
-        return []
-    factors = [_factor_groups([chans[i] for chans in rows]) for i in range(len(degrees))]
-    atoms = [a.tolist() for a, _ in factors]
+    if not rows or not degrees:  # no factor: the perfect channel
+        return [1.0] * len(rows)
+    factors = [_padded_rows([chans[i] for chans in rows]) for i in range(len(degrees))]
+    atoms = [f[0].tolist() for f in factors]
     floor = np.array([math.prod(atoms[i][r] ** d for i, d in enumerate(degrees))
-                      for r in range(len(rows))], dtype=float)
-    widest = max((y.shape[1] for _, groups in factors for _, y, _ in groups), default=1)
-    chunk = max(1, _BATCH_MAX_ENTRIES // (widest * _COMPLEMENT_BLOCK))
-    if chunk >= len(rows):
-        out = _complement_rows(tag, degrees, factors, floor, rel_tol, term_cap)
-    else:
-        out = np.empty(len(rows))
-        for start in range(0, len(rows), chunk):
-            part = np.arange(start, min(start + chunk, len(rows)))
-            out[part] = _complement_rows(
-                tag, degrees, [_take_rows(f, part) for f in factors], floor[part],
-                rel_tol, term_cap,
-            )
-    # rows with no such point are their floor exactly (the series would
+                      for r in range(len(rows))])
+    live = np.any([f[1] > 0 for f in factors], axis=0)
+    # rows with no inner point are their floor exactly (the series would
     # add numpy's atom^d - floor, which may differ from it in the last bit)
-    bare = np.ones(len(rows), dtype=bool)
-    for _, groups in factors:
-        for members, _, _ in groups:
-            bare[members] = False
-    out[bare] = floor[bare]
+    out = floor.copy()
+    if live.any():
+        out[live] = _complement_rows(
+            tag, degrees, [[v[live] for v in f] for f in factors], floor[live],
+            rel_tol, term_cap,
+        )
     return out.tolist()
-
-
-# A factor of a batch: the rows' masses at x = 1, and the rows with m points
-# in 0 < x < 1 grouped by m, as (row indices, y = x^2, weights) with (rows, m)
-# arrays.  Each group's moments are then a product of width m, as a one-row
-# evaluation takes them; zero padding to a common width would let the BLAS
-# kernel sum in another order.
-_Factor = tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]
-
-
-def _factor_groups(chans: Sequence[Channel]) -> _Factor:
-    """_split_points of the channels, with the points grouped by count."""
-    atoms, row, y, w = _split_points(chans)
-    counts = np.bincount(row, minlength=len(chans))
-    groups = []
-    # the point counts present (np.unique would import numpy.ma on first use)
-    for m in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
-        picks = counts[row] == m
-        members = np.flatnonzero(counts == m)
-        groups.append((members, y[picks].reshape(-1, m), w[picks].reshape(-1, m)))
-    return atoms, groups
-
-
-def _take_rows(factor: _Factor, keep: np.ndarray) -> _Factor:
-    """The factor restricted to the rows `keep` (increasing indices, or a
-    boolean mask), renumbered from 0 in order."""
-    atoms, groups = factor
-    mask = np.zeros(atoms.size, dtype=bool)
-    mask[keep] = True
-    renumber = np.cumsum(mask) - 1
-    out = []
-    for members, *arrays in groups:
-        sel = mask[members]
-        if sel.any():
-            out.append([renumber[members[sel]], *(v[sel] for v in arrays)])
-    return atoms[mask], out
 
 
 def _power(g: np.ndarray, d: int) -> np.ndarray:
@@ -705,62 +654,73 @@ def _power(g: np.ndarray, d: int) -> np.ndarray:
 def _complement_rows(
     tag: Functional,
     degrees: tuple[int, ...],
-    factors: Sequence[_Factor],
+    factors: Sequence[list[np.ndarray]],
     floor: np.ndarray,
     rel_tol: float,
     term_cap: int,
 ) -> np.ndarray:
-    """The blocked series of complement_of_convolution_batch on rows given
-    by their factors and floor.
+    """The series of complement_of_convolution_batch on rows given by each
+    factor's _padded_rows layout [atoms, counts, ys, ws] and their floor.
 
-    Powers continue by cumprod from the carried y^n, each block's sum
-    sum_n a_n (prod_n - floor) is one dot product per row, and the running
-    sums add them block by block, so a row's value does not depend on how
-    many blocks a pass holds or which rows share it.
+    Blocks start at _COMPLEMENT_FIRST_BLOCK terms and double up to
+    _COMPLEMENT_MAX_BLOCK.  Powers continue by cumprod from the carried
+    y^n, moments are one einsum per factor, and the running sums continue
+    by cumsum from the carried sum, so each row's sum is added term by
+    term; a row leaves the arrays at the block where it stops, and the
+    padding shrinks to the widest row left.  No step mixes rows (padding
+    adds exact zeros to a moment), so a row's value depends neither on the
+    batch nor on the blocks.
     """
-    # per factor: atoms, and groups [members, y, w, y^n for the pass starting at n]
-    factors = [(atoms, [[m, y, w, y.copy()] for m, y, w in groups]) for atoms, groups in factors]
-    widest = max((g[1].shape[1] for _, groups in factors for g in groups), default=1)
+    factors = [[*f, f[2]] for f in factors]  # and y^n for the next block
     out = np.empty(floor.size)
     index = np.arange(floor.size)
-    total = floor.copy()
-    n, blocks = 1, 1
+    total, comp = floor.copy(), np.zeros(floor.size)
+    n0, block = 1, _COMPLEMENT_FIRST_BLOCK
     while index.size:
-        count = min(_COMPLEMENT_BLOCK, term_cap - n + 1)
-        k = max(1, min(blocks, (term_cap - n + 1) // count,
-                       _BATCH_MAX_ENTRIES // (index.size * widest * count)))
-        span = k * count
-        prod = np.ones((index.size, span))
-        for (atoms, groups), d in zip(factors, degrees):
-            gamma = np.repeat(atoms[:, None], span, axis=1)
-            for group in groups:
-                members, y, w, z = group
-                # powers[r, :, j] is y^(n+j)
-                powers = np.repeat(y[:, :, None], span, axis=2)
-                powers[:, :, 0] = z
-                np.cumprod(powers, axis=2, out=powers)
-                gamma[members] = atoms[members, None] + np.matmul(w[:, None, :], powers)[:, 0, :]
-                group[3] = powers[:, :, -1] * y
-            prod *= _power(gamma, d)
-        prod = prod.reshape(index.size, k, 1, count) - floor[:, None, None, None]
-        a, tail = _weights(tag, n + span - 1)
-        coefs = a[n : n + span].reshape(k, count, 1)
-        sums = np.empty((index.size, k + 1))
+        width = max(1, sum(f[2].shape[1] for f in factors))
+        count = max(1, min(block, term_cap - n0 + 1,
+                           _BATCH_MAX_ENTRIES // (index.size * width) - 1))
+        prod = 1.0
+        for f, d in zip(factors, degrees):
+            atoms, _, ys, ws, z = f
+            powers = np.repeat(ys[:, :, None], count + 1, axis=2)
+            powers[:, :, 0] = z
+            np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
+            f[4] = powers[:, :, -1].copy()
+            # einsum sums each moment left to right over the points, at any
+            # width, but only when it has at least two columns
+            moments = np.einsum("rm,rmc->rc", ws, powers)[:, :-1]
+            prod = prod * _power(atoms[:, None] + moments, d)
+        terms = prod - floor[:, None]
+        a, tail = _weights(tag, n0 + count - 1)
+        sums = np.empty((index.size, count + 1))
         sums[:, 0] = total
-        sums[:, 1:] = np.matmul(prod, coefs)[:, :, 0, 0]
-        partial = np.cumsum(sums, axis=1)[:, 1:]  # running sum after each block
-        ends = n + count * np.arange(1, k + 1)  # next term after each block
-        stop = (tail[ends - 1] * prod[:, :, 0, -1] <= rel_tol * partial) | (ends > term_cap)
-        total = partial[:, -1]
-        n += span
-        blocks = min(2 * blocks, _COMPLEMENT_MAX_BLOCKS)
+        np.multiply(a[n0 : n0 + count], terms, out=sums[:, 1:])
+        partial = np.cumsum(sums, axis=1)  # running sums before term n0 and after each term
+        # the rounding error of each addition, exactly (TwoSum), summed
+        # alongside: the late terms of a slow row fall far below the last
+        # bit of its sum (a plain sum of BSC(1e-4)'s ~5e4 terms lost 9e-14)
+        shift = partial[:, 1:] - partial[:, :-1]
+        sums[:, 1:] -= shift
+        sums[:, 1:] += partial[:, :-1] - (partial[:, 1:] - shift)
+        sums[:, 0] = comp
+        comps = np.cumsum(sums, axis=1)[:, 1:]
+        partial = partial[:, 1:]
+        stop = tail[n0 : n0 + count] * terms <= rel_tol * partial
+        if n0 + count > term_cap:
+            stop[:, -1] = True
+        total, comp = partial[:, -1], comps[:, -1]
+        n0 += count
+        block = min(2 * block, _COMPLEMENT_MAX_BLOCK)
         done = stop.any(axis=1)
         if done.any():
             rows = np.flatnonzero(done)
-            out[index[rows]] = partial[rows, stop[rows].argmax(axis=1)]
-            if rows.size == index.size:
-                break
+            first = stop[rows].argmax(axis=1)
+            out[index[rows]] = partial[rows, first] + comps[rows, first]
             keep = ~done
-            index, total, floor = index[keep], total[keep], floor[keep]
-            factors = [_take_rows(f, keep) for f in factors]
+            index, total, comp, floor = index[keep], total[keep], comp[keep], floor[keep]
+            for f in factors:
+                counts = f[1][keep]
+                width = int(counts.max(initial=0))
+                f[:] = [f[0][keep], counts, *(v[keep, :width] for v in f[2:])]
     return out

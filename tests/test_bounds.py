@@ -314,6 +314,27 @@ def test_raw_sampler_fallback_rows_are_the_scalar_sampler():
         assert np.all(want.w >= WEIGHT_DROP_TOL)
 
 
+def test_sampler_freezes_only_the_raw_channels_it_returns(monkeypatch):
+    frozen = []
+    real = bounds._channels
+
+    def channels(eps, w, off, rows=None):
+        out = real(eps, w, off, rows)
+        frozen.append(len(out))
+        return out
+
+    monkeypatch.setattr(bounds, "_channels", channels)
+    n = 400
+    targets = _sampler_targets(H, 80, n, 5)
+    got = random_channels_with_value([trial_rng(80, i) for i in range(n)], H, targets)
+    # of every four rows, targets 0 and top return the partners themselves,
+    # the mid-range target's mixture settles in one batch with the others,
+    # and only the row at its own value freezes its raw channel
+    assert frozen == [n // 4, n // 4]
+    assert all(got[i] is bounds._PERFECT for i in range(0, n, 4))
+    assert all(got[i] is bounds._USELESS for i in range(1, n, 4))
+
+
 def test_batched_sampler_checks_its_targets():
     with pytest.raises(ValueError, match="out of range"):
         random_channels_with_value([trial_rng(1, i) for i in range(3)], H, [0.5, 1.5, 0.2])
@@ -518,10 +539,9 @@ def test_suite_equals_per_trial_check_inequality(code):
         assert (g.kind, g.params, g.seed, g.hypothesis_ok) == (w.kind, w.params, w.seed, w.hypothesis_ok)
         assert all(a.points == b.points for a, b in zip(g.witnesses, w.witnesses))
         for u, v in ((g.lhs, w.lhs), (g.rhs, w.rhs)):
-            if code in (5, 9):  # a row of the batched chain is its own chain, bit for bit
-                assert u.hex() == v.hex()
-            else:
-                assert abs(u - v) <= 1e-15 * abs(v)
+            # a row of a batched chain, complement series or single-channel
+            # complement is its own, bit for bit
+            assert u.hex() == v.hex()
         assert g.violated(1e-12) == w.violated(1e-12)
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from eicomb.channel import (
     Channel,
     ChannelError,
     ChannelFormatError,
+    _mixtures,
     _row_totals,
     _settle_rows,
     _trusted,
@@ -75,6 +78,20 @@ def test_mix_identity_cases():
     a, b = bec(0.3), bsc(0.2)
     assert mix(a, b, 1.0).approx_eq(a)
     assert mix(a, b, 0.0).approx_eq(b)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 1.0, 1e-17, 0.3))
+def test_mix_is_its_row_of_a_batch_bit_for_bit(monkeypatch, alpha):
+    a = channel([(0.0, 0.2), (0.1, 0.5), (0.3, 0.3)])
+    b = channel([(0.1 + 4e-13, 0.6), (0.5, 0.4)])
+    row = _mixtures([bec(0.2), a, bsc(0.4)], [bsc(0.1), b, bec(0.7)],
+                    np.array([0.5, alpha, 0.25]))[1]
+    # a batch of one settles on the plain path: no row totals, no offsets
+    module = importlib.import_module("eicomb.channel")
+    monkeypatch.setattr(module, "_row_totals", lambda *args: pytest.fail("row totals"))
+    one = mix(a, b, alpha)
+    assert one.eps.tobytes() == row.eps.tobytes()
+    assert one.w.tobytes() == row.w.tobytes()
 
 
 def test_mix_of_extremes_is_erasure_channel():

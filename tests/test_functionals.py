@@ -8,6 +8,7 @@ from eicomb.channel import bec, bsc, channel, mix
 from eicomb.functionals import (
     Functional,
     _complement_points,
+    _complements,
     complement,
     evaluate,
     h2,
@@ -206,6 +207,20 @@ def test_vectorized_complement_matches_per_point_loops():
         for tag, loop in ((H, _h2_complement_loop), (B, _b_complement_loop)):
             want = float(sum(w * loop(e) for e, w in zip(a.eps, a.w)))
             assert abs(complement(tag, a) - want) <= 1e-15 * want
+
+
+def test_batched_complements_are_each_channels_complement():
+    # the per-channel sum complement() took before it became a batch of one
+    def one(tag, a):
+        return float(sum((a.w * _complement_points(tag, a.eps)).tolist()))
+
+    chans = [random_channel(trial_rng(13, t)) for t in range(200)]
+    chans += [bsc(0.0), bsc(0.5), bec(0.3), bsc(0.5 - 1e-9), channel([(0.3, 0.5), (0.49, 0.5)])]
+    for tag in (H, B):
+        got = _complements(tag, chans)
+        assert [v.hex() for v in got] == [one(tag, a).hex() for a in chans]
+        assert [v.hex() for v in got] == [complement(tag, a).hex() for a in chans]
+        assert _complements(tag, []) == []
 
 
 def test_complement_rejects_error_probability_tag():

@@ -197,6 +197,20 @@ def test_moments_decreasing_and_jensen():
         assert np.all(ms + 1e-12 >= ms[0] ** np.arange(1, 31))
 
 
+def test_moment_takes_an_integer_index_only():
+    for n in (2.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            moment(bsc(0.1), n)
+    assert moment(bsc(0.1), np.int64(2)) == moment(bsc(0.1), 2)
+
+
+def test_moments_take_an_integer_count_only():
+    for count in (2.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            moments(bsc(0.1), count)
+    assert moments(bsc(0.1), np.int64(3)).tolist() == moments(bsc(0.1), 3).tolist()
+
+
 def test_first_moment_maximized_by_matched_bsc():
     # Among channels with Phi fixed, gamma_1 <= f_Phi^{-1}(phi0)^2, with
     # equality exactly at the matched BSC.
@@ -516,12 +530,16 @@ def test_batch_split_is_the_padded_loop():
     assert len({a.size for a in rows}) >= 10
     idle, index, atoms, ys, ws = _padded_loop(rows)
     assert sorted(idle) == [0, 1, 2, 3, 9]
-    all_atoms, got_index, got_ys, got_ws = series._padded_rows(rows)
-    assert got_index.tolist() == index.tolist()
+    all_atoms, counts, got_ys, got_ws = series._padded_rows(rows)
+    assert np.flatnonzero(counts).tolist() == index.tolist()
+    assert counts[index].tolist() == [int((w > 0.0).sum()) for w in ws]
     assert all_atoms[index].tobytes() == atoms.tobytes()
     assert all(all_atoms[i] == atom for i, atom in idle.items())
-    assert got_ys.tobytes() == ys.tobytes() and got_ys.shape == ys.shape
-    assert got_ws.tobytes() == ws.tobytes()
+    assert got_ys.shape == (len(rows), ys.shape[1])
+    assert got_ys[index].tobytes() == ys.tobytes()
+    assert got_ws[index].tobytes() == ws.tobytes()
+    # the idle rows are all padding
+    assert not got_ys[counts == 0].any() and not got_ws[counts == 0].any()
     assert any(all_atoms[index] > 0.0) and (ys == 0.0).any()
 
 
@@ -563,6 +581,29 @@ def test_batch_rejects_a_term_cap_below_one(term_cap):
         phi_series(H, bsc(0.1), 2, 1e-10, term_cap)
 
 
+def test_phi_series_takes_an_integer_power_only(monkeypatch):
+    want = phi_series(H, bsc(0.1), 2, 1e-10)
+    assert phi_series(H, bsc(0.1), np.int64(2), 1e-10) == want
+    monkeypatch.setattr(series, "phi_of_poly_batch", lambda *args: pytest.fail("ran the series"))
+    for power in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            phi_series(H, bsc(0.1), power, 1e-10)
+
+
+def test_term_caps_are_integers_only(monkeypatch):
+    rho = Polynomial.monomial(2)
+    assert phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, np.int64(50)) == \
+        phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, 50)
+    monkeypatch.setattr(series, "_padded_rows", lambda *args: pytest.fail("ran the series"))
+    for term_cap in (2.5, 100.0, "100"):
+        with pytest.raises(TypeError):
+            phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, term_cap)
+        with pytest.raises(TypeError):
+            phi_series(H, bsc(0.1), 2, 1e-10, term_cap)
+        with pytest.raises(TypeError):
+            series.complement_of_convolution(H, [(bsc(0.1), 2)], term_cap=term_cap)
+
+
 def test_lone_calls_are_their_row_of_a_mixed_batch():
     # a lone channel and the same channel inside any batch give one answer,
     # bit for bit: fast rows, idle rows, a slow row and a term-cap row
@@ -586,8 +627,46 @@ def test_lone_calls_are_their_row_of_a_mixed_batch():
 
 
 def _complement_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
-    """The scalar complement_of_convolution the blocked engine replaced,
-    kept verbatim as the reference."""
+    """complement_of_convolution term by term, the reference: term n adds
+    a_n (prod_n - floor) to a running sum that starts at the floor, and the
+    sum stops at the first n with tail_n (prod_n - floor) <= rel_tol * sum,
+    or at n = term_cap.  Each moment is summed over the points in order,
+    and each addition's rounding error is kept (TwoSum) and added at the
+    end."""
+    atoms, degrees, ys, ws = [], [], [], []
+    for ch, d in factors:
+        atom, y, w = _atom_split(ch)
+        atoms.append(atom)
+        degrees.append(d)
+        ys.append(y.tolist())
+        ws.append(w.tolist())
+    atom_prod = math.prod(a**d for a, d in zip(atoms, degrees))
+    if not any(ys):
+        return atom_prod
+    total, comp = atom_prod, 0.0
+    zs = [list(y) for y in ys]
+    for n in range(1, term_cap + 1):
+        prod = 1.0
+        for i, (atom, d, y, w) in enumerate(zip(atoms, degrees, ys, ws)):
+            moment = 0.0
+            for wj, zj in zip(w, zs[i]):
+                moment += wj * zj
+            zs[i] = [zj * yj for zj, yj in zip(zs[i], y)]
+            prod *= float(np.float64(atom + moment) ** d)
+        term = prod - atom_prod
+        step = coefficient(tag, n) * term
+        new = total + step
+        shift = new - total
+        comp += (total - (new - shift)) + (step - shift)
+        total = new
+        if coefficient_tail(tag, n) * term <= rel_tol * total:
+            break
+    return total + comp
+
+
+def _complement_block_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
+    """The scalar complement_of_convolution that checked its stop rule
+    after each block of 512 terms, kept verbatim as a second reference."""
     atoms, degrees, ys, ws = [], [], [], []
     for ch, d in factors:
         atom, y, w = _atom_split(ch)
@@ -672,8 +751,7 @@ def test_complement_batch_stops_where_the_loop_stops(rel_tol):
 
 @pytest.mark.parametrize("term_cap", (100, 512, 513, 1000, 5000))
 def test_complement_batch_term_cap_rows(term_cap):
-    # the eps = 1e-4 rows stop at the cap; stop checks fall after each
-    # 512-term block and at the cap, inside passes of several blocks
+    # the eps = 1e-4 rows stop at the cap, inside a block or at its end
     rows = [(bsc(1e-4),), (channel([(2e-4, 0.5), (0.3, 0.5)]),), (bsc(0.2),), (bec(0.5),)]
     for tag in (H, B):
         _assert_complements_match_loop(tag, (1,), rows, term_cap=term_cap)
@@ -689,6 +767,54 @@ def test_complement_batch_chunking_does_not_change_results(monkeypatch):
     want = series.complement_of_convolution_batch(B, (2, 1), rows)
     monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", 2048)
     assert series.complement_of_convolution_batch(B, (2, 1), rows) == want
+
+
+@pytest.mark.parametrize("first_block, max_block, max_entries",
+                         ((1, 1, 1), (5, 7, 1 << 22), (64, 1 << 14, 300), (4096, 1 << 20, 1 << 22)))
+def test_complement_block_schedule_does_not_change_results(monkeypatch, first_block, max_block,
+                                                          max_entries):
+    # blocks of one term, odd blocks, blocks squeezed by the entries budget
+    # and blocks past every stop all give the same bits; the slow rows of
+    # ~5e4 terms (BSC(1e-4) at degree 1) run at block sizes 7 and up
+    degree_sets = ((2, 1), (3, 1, 2)) + (((1,),) if max_block > 1 else ())
+    cases = [(tag, degrees, _complement_rows(len(degrees)))
+             for tag in (H, B) for degrees in degree_sets]
+    wants = [series.complement_of_convolution_batch(*case) for case in cases]
+    monkeypatch.setattr(series, "_COMPLEMENT_FIRST_BLOCK", first_block)
+    monkeypatch.setattr(series, "_COMPLEMENT_MAX_BLOCK", max_block)
+    monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", max_entries)
+    for case, want in zip(cases, wants):
+        assert series.complement_of_convolution_batch(*case) == want
+
+
+@pytest.mark.parametrize("rel_tol", (1e-6, 1e-10, 1e-14))
+def test_complement_batch_is_the_block_loop_up_to_its_later_stop(rel_tol):
+    # the 512-term blocks stopped at the first block end past the first
+    # converged term; the terms in between add at most rel_tol of the sum
+    for tag in (H, B):
+        for degrees in ((1,), (2, 1), (3, 1, 2)):
+            rows = _complement_rows(len(degrees))
+            got = series.complement_of_convolution_batch(tag, degrees, rows, rel_tol=rel_tol)
+            for row, value in zip(rows, got):
+                old = _complement_block_loop(tag, list(zip(row, degrees)), rel_tol=rel_tol)
+                assert abs(value - old) <= 2.0 * rel_tol * abs(old)
+
+
+def test_complement_pads_bare_rows_next_to_wide_rows():
+    # in each factor, rows with no inner point (all atoms) sit next to rows
+    # of 1-10 inner points, and rows live in one factor only
+    wide = [channel(zip(0.05 + 0.04 * np.arange(m), np.full(m, 1.0 / m))) for m in (1, 4, 10)]
+    bare = [bec(0.3), bsc(0.0), bsc(0.5)]
+    rows = [(x, y) for x in bare + wide for y in bare + wide]
+    assert max(a.size for r in rows for a in r) == 10
+    for tag in (H, B):
+        for degrees in ((1, 1), (2, 3)):
+            _assert_complements_match_loop(tag, degrees, rows)
+            got = series.complement_of_convolution_batch(tag, degrees, rows)
+            for (x, y), value in zip(rows, got):
+                if x in bare and y in bare:
+                    atom = lambda a: float(a.w[a.eps == 0.0].sum())
+                    assert value == atom(x) ** degrees[0] * atom(y) ** degrees[1]
 
 
 def test_complement_batch_empty_and_validation():
