@@ -233,6 +233,7 @@ def check_inequality(
 
     Orientation: lhs <= rhs, so slack = rhs - lhs is nonnegative when the
     inequality holds.  The evaluator of inequality_suite on a batch of one.
+    A power goes through operator.index first: a float raises TypeError.
     """
     info = INEQUALITIES.get(code)
     if info is None:
@@ -244,6 +245,7 @@ def check_inequality(
             f"inequality {code} takes {info.channels} channel(s), got {len(channels)}"
         )
     if info.needs_power:
+        power = None if power is None else operator.index(power)
         if power is None or power < 2:
             raise ValueError(f"inequality {code} needs a power d >= 2")
     elif power is not None:
@@ -260,116 +262,98 @@ def check_inequality(
 _Case = tuple[Functional, Sequence[Channel], float | None, int | None]
 
 
-def _convolution_complements(code: int, a: Channel, b: Channel | None,
-                             mixed: Channel | None, d: int | None) -> tuple:
-    """The factor tuples of the convolution complements 1 - Phi(...) that
-    inequality `code` reads, in the order _sides reads them."""
-    if code in (4, 12):
-        return (((a, 1), (b, 1)),)
-    if code == 6:
-        return (((a, 2),),)
-    if code == 7:
-        return (((a, 1), (b, 1)), ((a, 2),), ((b, 2),))
-    if code == 8:
-        return (((a, 1), (b, 1)), ((a, 2), (b, 1)))
-    if code == 10:
-        return (((mixed, d),), ((a, d),), ((b, d),))
-    return ()
+def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
+             mixed: Channel | None, alpha: float | None, d: int | None) -> tuple:
+    """(reads, sides) of inequality `code` on one case: the values it reads,
+    and its (lhs, rhs) as a function of them, taken in read order.
 
-
-def _single_complements(code: int, a: Channel, b: Channel | None) -> tuple:
-    """The channels whose complements 1 - Phi(.) inequality `code` reads,
-    in the order _sides reads them."""
-    return {4: (a, b), 6: (a,), 8: (b,), 12: (a,)}.get(code, ())
-
-
-def _power_reads(code: int, a: Channel, b: Channel | None, mixed: Channel | None,
-                 d: int | None) -> tuple:
-    """The (channel, powers) whose Phi(channel^[k]) inequality `code` reads
-    off power chains, in the order _sides reads them."""
-    if code == 5:
-        return ((a, range(2, d + 1)),)
-    if code == 9:
-        return ((a, (d,)), (b, (d,)), (mixed, (d,)))
-    return ()
-
-
-def _sides(code: int, tag: Functional, a: Channel, b: Channel | None,
-           alpha: float | None, power: int | None, conv: Sequence[float],
-           comp: Sequence[float], phis: Sequence[list[float]]) -> tuple[float, float]:
-    """(lhs, rhs) of inequality `code`, given its convolution complements,
-    its single-channel complements and its power chains' Phi values."""
-    # Quantities of the form 1 - Phi(.) go through the cancellation-free
-    # complements: per-point ones for single channels, the moment-domain
-    # series for convolutions (explicit convolution points near eps = 1/2
-    # cannot represent tiny complements at full relative precision).
+    A read is ("conv", factors), 1 - Phi of the convolution of the
+    (channel, degree) factors; ("comp", c), 1 - Phi(c); or ("phi", (c, k)),
+    Phi(c^[k]).  Quantities of the form 1 - Phi(.) go through the
+    cancellation-free complements: per-point ones for single channels, the
+    moment-domain series for convolutions (explicit convolution points near
+    eps = 1/2 cannot represent tiny complements at full relative precision).
+    """
     if code == 4:
-        return comp[0] * comp[1], conv[0]
+        return ((("conv", ((a, 1), (b, 1))), ("comp", a), ("comp", b)),
+                lambda ab, ca, cb: (ca * cb, ab))
     if code == 5:
-        values = [evaluate(tag, a)] + phis[0]
-        return values[-1], values[0] * (power - sum(values[:-1]))
+        return (tuple(("phi", (a, k)) for k in range(1, d + 1)),
+                lambda *phi: (phi[-1], phi[0] * (d - sum(phi[:-1]))))
     if code == 6:
-        return comp[0], math.sqrt(conv[0])
+        return (("comp", a), ("conv", ((a, 2),))), lambda ca, aa: (ca, math.sqrt(aa))
     if code == 7:
-        return conv[0], math.sqrt(conv[1]) * math.sqrt(conv[2])
+        return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 2),)), ("conv", ((b, 2),))),
+                lambda ab, aa, bb: (ab, math.sqrt(aa) * math.sqrt(bb)))
     if code == 8:
-        return conv[0], math.sqrt(conv[1]) * math.sqrt(comp[0])
+        return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 2), (b, 1))), ("comp", b)),
+                lambda ab, aab, cb: (ab, math.sqrt(aab) * math.sqrt(cb)))
     if code == 9:
-        (phi_a,), (phi_b,), (phi_mixed,) = phis
-        return alpha * phi_a + (1.0 - alpha) * phi_b, phi_mixed
+        return ((("phi", (a, d)), ("phi", (b, d)), ("phi", (mixed, d))),
+                lambda pa, pb, pm: (alpha * pa + (1.0 - alpha) * pb, pm))
     if code == 10:
-        root = 1.0 / power
-        return conv[0] ** root, alpha * conv[1] ** root + (1.0 - alpha) * conv[2] ** root
+        root = 1.0 / d
+        return ((("conv", ((mixed, d),)), ("conv", ((a, d),)), ("conv", ((b, d),))),
+                lambda cm, ca, cb: (cm ** root, alpha * ca ** root + (1.0 - alpha) * cb ** root))
     if code == 11:
-        return evaluate(tag, a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))
+        return ((("phi", (a, 1)),),
+                lambda pa: (pa, kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))))
     # code == 12
-    return conv[0], comp[0] * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
+    return ((("conv", ((a, 1), (b, 1))), ("comp", a)),
+            lambda ab, ca: (ab, ca * float(np.dot(b.w, 1.0 - 2.0 * b.eps))))
 
 
 def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[BoundReport]:
     """Reports of inequality `code` on each case, in order.
 
-    The convolution complements of all cases are grouped by (tag, factor
-    degrees), and each group is one complement_of_convolution_batch call;
-    the single-channel complements are one batch per tag, and the power
-    chains of all cases are one batched chain.
+    Every case's reads (_formula) are gathered and evaluated in batches:
+    the convolution complements as one complement_of_convolution_batch per
+    (tag, factor degrees), the single-channel complements as one batch per
+    tag, and every Phi(c^[k]) from one _phis_of_powers call, where a case's
+    consecutive powers of one channel share one chain.  Each case's formula
+    then takes its values in read order.
     """
     info = INEQUALITIES[code]
-    groups: dict[tuple[Functional, tuple[int, ...]], list[tuple[Channel, ...]]] = {}
-    singles: dict[Functional, list[Channel]] = {}
-    reads: list[tuple[Functional, Channel, Sequence[int]]] = []
-    pending = []
     mixtures = [None] * len(cases)
     if info.needs_alpha:
         mixtures = _mixtures([c[1][0] for c in cases], [c[1][1] for c in cases],
                              np.array([c[2] for c in cases], dtype=float))
+    pools: dict[Functional, tuple[dict[tuple[int, ...], list], list[Channel]]] = {}
+    powers: list[tuple[Functional, Channel, list[int]]] = []  # rows of _phis_of_powers
+    phi_pool: list = []
+    formulas = []
     for (tag, chans, alpha, power), mixed in zip(cases, mixtures):
-        a = chans[0]
         b = chans[1] if info.channels == 2 else None
-        slots = []
-        for factors in _convolution_complements(code, a, b, mixed, power):
-            key = (tag, tuple(d for _, d in factors))
-            rows = groups.setdefault(key, [])
-            slots.append((key, len(rows)))
-            rows.append(tuple(ch for ch, _ in factors))
-        chs = singles.setdefault(tag, [])
-        start = len(chs)
-        chs += _single_complements(code, a, b)
-        comps = slice(start, len(chs))
-        first = len(reads)
-        reads += [(tag, ch, ks) for ch, ks in _power_reads(code, a, b, mixed, power)]
-        pending.append((tag, chans, a, b, alpha, power, slots, comps, slice(first, len(reads))))
-    values = {
-        key: complement_of_convolution_batch(key[0], key[1], rows)
-        for key, rows in groups.items()
-    }
-    comp_values = {tag: _complements(tag, chs) for tag, chs in singles.items()}
-    phis = _phis_of_powers(reads) if reads else []
+        reads, sides = _formula(code, tag, chans[0], b, mixed, alpha, power)
+        convs, comps = pools.setdefault(tag, ({}, []))
+        sources = []  # the pool each read is drawn from
+        for kind, arg in reads:
+            if kind == "conv":
+                pool = convs.setdefault(tuple(d for _, d in arg), [])
+                pool.append(tuple(ch for ch, _ in arg))
+            elif kind == "comp":
+                pool = comps
+                pool.append(arg)
+            else:
+                pool = phi_pool
+                ch, k = arg
+                last = powers[-1] if powers else None
+                if last and last[0] is tag and last[1] is ch and last[2][-1] < k:
+                    last[2].append(k)
+                else:
+                    powers.append((tag, ch, [k]))
+            sources.append(pool)
+        formulas.append((sides, sources))
+    # each pool now takes its values, last read first, so that pop() hands
+    # them out in read order
+    for tag, (convs, comps) in pools.items():
+        for degrees, rows in convs.items():
+            rows[:] = complement_of_convolution_batch(tag, degrees, rows)[::-1]
+        comps[:] = _complements(tag, comps)[::-1]
+    phi_pool[:] = [v for row in _phis_of_powers(powers) for v in row][::-1]
     reports = []
-    for tag, chans, a, b, alpha, power, slots, comps, chains in pending:
-        conv = [values[key][r] for key, r in slots]
-        lhs, rhs = _sides(code, tag, a, b, alpha, power, conv, comp_values[tag][comps],
-                          phis[chains])
+    for (tag, chans, alpha, power), (sides, sources) in zip(cases, formulas):
+        lhs, rhs = sides(*[pool.pop() for pool in sources])
         params = f"name={info.name};tag={tag.value}"
         if info.needs_power:
             params += f";d={power}"
@@ -645,6 +629,11 @@ def random_channel_with_value(
 # Randomized suites
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):  # no slack is < -nan: a NaN tol passes every case
+        raise ValueError(f"tol must be a finite number, got {tol!r}")
+
+
 @dataclass
 class SuiteSummary:
     name: str
@@ -699,7 +688,8 @@ def inequality_suite(
     results do not depend on execution order.  Each code's trials are drawn
     first through trial_map, their raw channels settled as one batch, and
     then evaluated together by the evaluator of check_inequality.  Unknown
-    codes and negative trial counts raise ValueError before any draw.
+    codes, negative trial counts and a non-finite tol raise ValueError
+    before any draw.
     """
     codes = sorted(INEQUALITIES if codes is None else codes)
     for code in codes:
@@ -707,6 +697,7 @@ def inequality_suite(
             raise ValueError(f"unknown inequality code {code!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials!r}")
+    _check_tol(tol)
     reports: list[BoundReport] = []
     summaries: dict[int, SuiteSummary] = {}
     for code in codes:
@@ -736,10 +727,11 @@ def _sweep(
     per_cell: int,
     tol: float,
 ) -> tuple[list[BoundReport], SuiteSummary]:
-    """The reports of one sweep; a negative per_cell raises ValueError
-    before any draw."""
+    """The reports of one sweep; a negative per_cell or a non-finite tol
+    raises ValueError before any draw."""
     if per_cell < 0:
         raise ValueError(f"per_cell must be nonnegative, got {per_cell!r}")
+    _check_tol(tol)
     reports: list[BoundReport] = []
     summary = SuiteSummary(name=name)
     for ri, rho in enumerate(rhos):
@@ -824,10 +816,12 @@ def bsc_minimizer_counterexamples(
 
     This is an open question, so the returned counterexample reports (cases
     strictly below the matched-BSC value) are evidence, never an assertion.
-    A negative trial count raises ValueError before any draw.
+    A negative trial count or a non-finite tol raises ValueError before any
+    draw.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials!r}")
+    _check_tol(tol)
     eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
     reference = phi_of_poly_convolved(tag, rho, bsc(eps_match))
     channels = keyed_channels_with_value(

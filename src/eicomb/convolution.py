@@ -15,10 +15,11 @@ mean.  eicomb.optimizer builds its subset sums with these operations.
 A channel's powers are a chain of merged products; all chains of a call
 climb together (_chains), one gather-multiply and one segmented merge per
 power, each row bit for bit its own chain.  check_power settles a batch of
-one; phi_of_poly_convolved_batch and the inequality catalog read Phi off the
-powers (_phis_of_powers), and Phi(a) off the channel.  Every merge, of one
-measure or of a batch of rows, is channel._merge_rows: the sort and merge of
-channels, carried over to x.
+one.  _phis_of_powers is the one home of Phi(a^[k]) for every k >= 1:
+phi_of_poly_convolved_batch and the inequality catalog read every power
+there, Phi(a) off the channel in eps and higher powers off the chains.
+Every merge, of one measure or of a batch of rows, is channel._merge_rows:
+the sort and merge of channels, carried over to x.
 """
 
 from __future__ import annotations
@@ -164,13 +165,17 @@ def _phis_of_powers(
     reads: Sequence[tuple[Functional, Channel, Sequence[int]]], cap: int = DEFAULT_SUPPORT_CAP
 ) -> list[list[float]]:
     """[Phi(a^[k]) for k in ks] of each row (tag, a, ks), ks ascending from
-    2, off one batched chain: one pointwise call per tag, one dot per value."""
-    parts = []  # (row, x, w) of each power read, in chain order
+    1: Phi(a) off the channel in eps (evaluate), where small crossovers keep
+    precision, and higher powers off one batched chain, entered only when a
+    row climbs past 1, with one pointwise call per tag and one dot per value."""
+    out = [[evaluate(tag, a)] if 1 in ks else [] for tag, a, ks in reads]
     tops = [max(ks, default=1) for _, _, ks in reads]
+    if max(tops, default=1) < 2:
+        return out
+    parts = []  # (row, x, w) of each power read, in chain order
     for k, rows, (x, w), off in _chains([a for _, a, _ in reads], tops, cap):
         parts += [(r, x[off[i]:off[i + 1]], w[off[i]:off[i + 1]])
                   for i, r in enumerate(rows.tolist()) if k in reads[r][2]]
-    out: list[list[float]] = [[] for _ in reads]
     for tag in {reads[r][0] for r, _, _ in parts}:
         mine = [part for part in parts if reads[part[0]][0] is tag]
         values = pointwise(tag, 0.5 * (1.0 - np.concatenate([x for _, x, _ in mine])))
@@ -191,17 +196,15 @@ def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
 
 def phi_of_poly_convolved_batch(tag: Functional, rho: "Polynomial",
                                 channels: Sequence[Channel]) -> list[float]:
-    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel, read off one
-    batched power chain up to deg rho, whose cap is checked before any
-    convolution; `eicomb.series` covers more.  Phi(a) is read off the
-    channel in eps, where small crossovers keep precision."""
-    coeffs = dict(rho.terms)
-    ks = [k for k in coeffs if k >= 2]
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel, every Phi(a^[k])
+    from one _phis_of_powers call up to deg rho, whose cap is checked before
+    any convolution; `eicomb.series` covers more."""
+    ks = [k for k, _ in rho.terms]
     out = []
-    for a, phis in zip(channels, _phis_of_powers([(tag, a, ks) for a in channels])):
-        total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
-        for k, phi in zip(ks, phis):
-            total += coeffs[k] * phi
+    for phis in _phis_of_powers([(tag, a, ks) for a in channels]):
+        total = -0.0 if ks[0] == 1 else 0.0  # -0.0 + v is v: a linear term starts as is
+        for (_, c), phi in zip(rho.terms, phis):
+            total += c * phi
         out.append(total)
     return out
 

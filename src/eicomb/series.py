@@ -610,11 +610,11 @@ def complement_of_convolution_batch(
     coefficient_tail(n) * (prod_n - floor) falls to rel_tol times its
     running sum, or at n = term_cap.  Rows with no point strictly inside
     0 < x < 1 return their floor.  Every value equals that of a one-row
-    call bit for bit.
+    call bit for bit.  A float degree raises TypeError (operator.index).
     """
     tag = _series_tag(tag)
     term_cap = _check_stop(rel_tol, term_cap)
-    degrees = tuple(degrees)
+    degrees = tuple(map(operator.index, degrees))
     for d in degrees:
         if d < 1:
             raise ValueError(f"power must be a positive integer, got {d!r}")

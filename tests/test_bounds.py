@@ -29,8 +29,9 @@ from eicomb.bounds import (
 from eicomb.channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, _mixtures, _trusted, bec, bsc,
                             channel, mix)
 from eicomb.convolution import phi_of_poly_convolved
-from eicomb.functionals import Functional, evaluate, h2, kernel_inv
-from eicomb.series import DEFAULT_TERM_CAP, Polynomial, poly_from_string
+from eicomb.functionals import Functional, complement, evaluate, h2, kernel, kernel_inv
+from eicomb.series import (DEFAULT_TERM_CAP, Polynomial, complement_of_convolution,
+                           poly_from_string)
 
 from test_convolution import count_chain_steps, loop_phi_of_poly
 from test_series import _phi_terms
@@ -491,6 +492,22 @@ def test_inequality_arity_validation():
         check_inequality(11, [a], E)
 
 
+def test_check_inequality_takes_an_integer_power_only(monkeypatch):
+    a, b = bsc(0.1), bec(0.3)
+    want = check_inequality(10, [a, b], H, alpha=0.3, power=2)
+    got = check_inequality(10, [a, b], H, alpha=0.3, power=np.int64(2))
+    assert (got.params, got.lhs.hex(), got.rhs.hex()) == (
+        want.params, want.lhs.hex(), want.rhs.hex())
+    assert ";d=2;" in got.params
+    monkeypatch.setattr(bounds, "_check_cases", lambda *args: pytest.fail("ran the check"))
+    # a float power runs nothing: 2.5 would be reported as d=2.5
+    for power in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            check_inequality(10, [a, b], H, alpha=0.3, power=power)
+        with pytest.raises(TypeError):
+            check_inequality(5, [a], B, power=power)
+
+
 def test_product_lower_equality_for_erasure_factor():
     # equality holds whenever one factor has constant moments
     for i in range(50):
@@ -553,6 +570,10 @@ def test_inequality_suite_validates_before_any_draw(monkeypatch):
         inequality_suite(seed=1, trials=5, codes=(5, 13))
     with pytest.raises(ValueError, match="trials must be nonnegative, got -1"):
         inequality_suite(seed=1, trials=-1)
+    # no slack is < -nan, so a NaN tolerance would pass every case
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"tol must be a finite number, got {tol!r}"):
+            inequality_suite(seed=1, trials=5, codes=(4,), tol=tol)
 
 
 def test_inequality_suite_without_trials():
@@ -640,6 +661,63 @@ def test_catalog_mixtures_of_a_batch_are_each_cases_own(code, tag):
         assert (report.lhs.hex(), report.rhs.hex()) == (alone.lhs.hex(), alone.rhs.hex())
 
 
+def _catalog_oracle(code, tag, chans, alpha, d):
+    """(lhs, rhs) of catalog inequality `code`, the formulas written out
+    with one public single-value call per value read."""
+    a, b = chans[0], chans[-1]
+    conv = lambda *factors: complement_of_convolution(tag, list(factors))
+    comp = lambda c: complement(tag, c)
+    phi = lambda c, k: phi_of_poly_convolved(tag, Polynomial.monomial(k), c)
+    if code == 4:
+        return comp(a) * comp(b), conv((a, 1), (b, 1))
+    if code == 5:
+        values = [phi(a, k) for k in range(1, d + 1)]
+        return values[-1], values[0] * (d - sum(values[:-1]))
+    if code == 6:
+        return comp(a), math.sqrt(conv((a, 2)))
+    if code == 7:
+        return conv((a, 1), (b, 1)), math.sqrt(conv((a, 2))) * math.sqrt(conv((b, 2)))
+    if code == 8:
+        return conv((a, 1), (b, 1)), math.sqrt(conv((a, 2), (b, 1))) * math.sqrt(comp(b))
+    if code == 9:
+        return alpha * phi(a, d) + (1.0 - alpha) * phi(b, d), phi(mix(a, b, alpha), d)
+    if code == 10:
+        root = 1.0 / d
+        return (conv((mix(a, b, alpha), d)) ** root,
+                alpha * conv((a, d)) ** root + (1.0 - alpha) * conv((b, d)) ** root)
+    if code == 11:
+        return evaluate(tag, a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(E, a)))
+    return conv((a, 1), (b, 1)), comp(a) * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
+
+
+def _report_case(report):
+    """(tag, channels, alpha, power) of a catalog report."""
+    fields = dict(item.split("=", 1) for item in report.params.split(";"))
+    power = int(fields["d"]) if "d" in fields else None
+    alpha = float(fields["alpha"]) if "alpha" in fields else None
+    return Functional(fields["tag"]), report.witnesses, alpha, power
+
+
+@pytest.mark.parametrize("code", sorted(INEQUALITIES))
+def test_catalog_sides_are_the_written_out_formulas(code):
+    # guards each code's reads against a swapped or misrouted value
+    info = INEQUALITIES[code]
+    reports, _ = inequality_suite(seed=11, trials=150, codes=(code,))
+    assert {_report_case(r)[0] for r in reports} == {H, B}
+    cases = [_report_case(r) for r in reports]
+    edges = [((x, y) if info.channels == 2 else (c,),
+              t if info.needs_alpha else None, 3 if info.needs_power else None)
+             for x, y, t in _EDGE_MIXTURES for c in ((x, y) if info.channels == 1 else (x,))]
+    checked = list(zip(cases, reports))
+    for tag in (H, B):
+        batch = [(tag, chans, alpha, power) for _, chans, alpha, power in cases]
+        batch += [(tag, chans, alpha, power) for chans, alpha, power in edges]
+        checked += zip(batch, bounds._check_cases(code, batch, None))
+    for case, report in checked:
+        lhs, rhs = _catalog_oracle(code, *case)
+        assert (report.lhs.hex(), report.rhs.hex()) == (lhs.hex(), rhs.hex()), case
+
+
 def count_batch_settles(monkeypatch):
     """Record the row count of every batched settle from now on; the batch
     of one behind Channel(...) is not counted."""
@@ -678,6 +756,9 @@ def test_sweeps_reject_a_negative_count_before_any_draw(monkeypatch, runner):
     monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
     with pytest.raises(ValueError, match="per_cell must be nonnegative, got -3"):
         runner(seed=1, per_cell=-3)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"tol must be a finite number, got {tol!r}"):
+            runner(seed=1, per_cell=2, tol=tol)
     monkeypatch.undo()
     reports, summary = runner(seed=1, per_cell=0)
     assert reports == [] and summary.trials == 0
@@ -687,6 +768,10 @@ def test_bsc_minimizer_checker_rejects_a_negative_count_before_any_draw(monkeypa
     monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
     with pytest.raises(ValueError, match="trials must be nonnegative, got -2"):
         bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=-2)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"tol must be a finite number, got {tol!r}"):
+            bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=2,
+                                          tol=tol)
     monkeypatch.undo()
     assert bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=0) == []
 

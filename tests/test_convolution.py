@@ -359,6 +359,43 @@ def test_empty_batch():
     assert phi_of_poly_convolved_batch(H, Polynomial.monomial(3), []) == []
 
 
+def test_power_one_reads_are_the_channel_value():
+    rng = trial_rng(64)
+    rows = [((H, B, E)[t % 3], random_channel(rng), ks)
+            for t, ks in enumerate([(1,), (1, 2), (1, 3, 5), (2, 4), (1,), (1, 6)] * 3)]
+    rows += [(tag, a, (1, 2, 3)) for tag in (H, B) for a, _ in EDGE_ROWS]
+    got = convolution._phis_of_powers(rows)
+    higher = convolution._phis_of_powers([(tag, a, [k for k in ks if k > 1])
+                                          for tag, a, ks in rows])
+    for (tag, a, ks), values, rest in zip(rows, got, higher):
+        assert len(values) == len(ks)
+        if 1 in ks:
+            assert values[0].hex() == evaluate(tag, a).hex()
+            values = values[1:]
+        assert hexes(values) == hexes(rest)
+
+
+def test_power_one_batches_take_no_chain_step(monkeypatch):
+    monkeypatch.setattr(convolution, "_chains", lambda *args: pytest.fail("entered the chains"))
+    rng = trial_rng(65)
+    rows = [((H, B)[t % 2], random_channel(rng), (1,)) for t in range(6)] + [(H, bsc(0.1), ())]
+    got = convolution._phis_of_powers(rows)
+    assert got == [[evaluate(tag, a)] for tag, a, _ in rows[:-1]] + [[]]
+    channels = [a for _, a, _ in rows]
+    assert phi_of_poly_convolved_batch(B, Polynomial((0.5,)), channels) == [
+        0.5 * evaluate(B, a) for a in channels]
+
+
+def test_linear_term_keeps_its_signed_zero():
+    # -1 * Phi(BSC(0)) is -0.0; a sum without a linear term starts at 0.0
+    assert phi_of_poly_convolved(H, Polynomial((-1.0,)), bsc(0.0)).hex() == "-0x0.0p+0"
+    for rho in (Polynomial((-1.0,)), Polynomial((0.0, -1.0)), Polynomial((-1.0, -1.0)),
+                Polynomial((0.0, -0.5, -1.0))):
+        for tag in (H, B, E):
+            got = phi_of_poly_convolved(tag, rho, bsc(0.0))
+            assert got.hex() == loop_phi_of_poly(tag, rho, bsc(0.0)).hex()
+
+
 def test_batch_cap_raises_before_any_convolution(monkeypatch):
     calls = count_chain_steps(monkeypatch)
     two = channel([(0.1, 0.5), (0.3, 0.5)])

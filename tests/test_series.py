@@ -604,6 +604,19 @@ def test_term_caps_are_integers_only(monkeypatch):
             series.complement_of_convolution(H, [(bsc(0.1), 2)], term_cap=term_cap)
 
 
+def test_complement_takes_integer_degrees_only(monkeypatch):
+    want = series.complement_of_convolution(H, [(bsc(0.1), 2)])
+    assert series.complement_of_convolution(H, [(bsc(0.1), np.int64(2))]) == want
+    assert series.complement_of_convolution_batch(H, (np.int64(2),), [(bsc(0.1),)]) == [want]
+    monkeypatch.setattr(series, "_padded_rows", lambda *args: pytest.fail("ran the series"))
+    # a float degree runs nothing: 1.5 would be summed as degree 1
+    for degree in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            series.complement_of_convolution(H, [(bsc(0.1), degree)])
+        with pytest.raises(TypeError):
+            series.complement_of_convolution_batch(B, (1, degree), [(bsc(0.1), bsc(0.2))])
+
+
 def test_lone_calls_are_their_row_of_a_mixed_batch():
     # a lone channel and the same channel inside any batch give one answer,
     # bit for bit: fast rows, idle rows, a slow row and a term-cap row
