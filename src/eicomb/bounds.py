@@ -307,32 +307,33 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
     """Reports of inequality `code` on each case, in order.
 
     Every case's reads (_formula) are gathered and evaluated in batches:
-    the convolution complements as one complement_of_convolution_batch per
-    (tag, factor degrees), the single-channel complements as one batch per
-    tag, and every Phi(c^[k]) from one _phis_of_powers call, where a case's
-    consecutive powers of one channel share one chain.  Each case's formula
-    then takes its values in read order.
+    every convolution complement, of either tag and any factor degrees, in
+    one complement_of_convolution_batch call, the single-channel
+    complements as one _complements call per tag, and every Phi(c^[k])
+    from one _phis_of_powers call, where a case's consecutive powers of one
+    channel share one chain.  Each case's formula then takes its values in
+    read order.
     """
     info = INEQUALITIES[code]
     mixtures = [None] * len(cases)
     if info.needs_alpha:
         mixtures = _mixtures([c[1][0] for c in cases], [c[1][1] for c in cases],
                              np.array([c[2] for c in cases], dtype=float))
-    pools: dict[Functional, tuple[dict[tuple[int, ...], list], list[Channel]]] = {}
+    convs: list = []  # (tag, factors) reads
+    comps: dict[Functional, list[Channel]] = {}
     powers: list[tuple[Functional, Channel, list[int]]] = []  # rows of _phis_of_powers
     phi_pool: list = []
     formulas = []
     for (tag, chans, alpha, power), mixed in zip(cases, mixtures):
         b = chans[1] if info.channels == 2 else None
         reads, sides = _formula(code, tag, chans[0], b, mixed, alpha, power)
-        convs, comps = pools.setdefault(tag, ({}, []))
         sources = []  # the pool each read is drawn from
         for kind, arg in reads:
             if kind == "conv":
-                pool = convs.setdefault(tuple(d for _, d in arg), [])
-                pool.append(tuple(ch for ch, _ in arg))
+                pool = convs
+                pool.append((tag, arg))
             elif kind == "comp":
-                pool = comps
+                pool = comps.setdefault(tag, [])
                 pool.append(arg)
             else:
                 pool = phi_pool
@@ -346,10 +347,10 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
         formulas.append((sides, sources))
     # each pool now takes its values, last read first, so that pop() hands
     # them out in read order
-    for tag, (convs, comps) in pools.items():
-        for degrees, rows in convs.items():
-            rows[:] = complement_of_convolution_batch(tag, degrees, rows)[::-1]
-        comps[:] = _complements(tag, comps)[::-1]
+    if convs:
+        convs[:] = complement_of_convolution_batch(convs)[::-1]
+    for tag, chans in comps.items():
+        chans[:] = _complements(tag, chans)[::-1]
     phi_pool[:] = [v for row in _phis_of_powers(powers) for v in row][::-1]
     reports = []
     for (tag, chans, alpha, power), (sides, sources) in zip(cases, formulas):

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, bsc
 from .functionals import Functional
 
 LN2 = math.log(2.0)
@@ -49,36 +49,46 @@ DEFAULT_TERM_CAP = 10**5
 # floating-point summation of the partial sums.
 _B_TAIL_SLACK = 1e-9
 
-_WEIGHTS: dict[Functional, tuple[np.ndarray, np.ndarray]] = {}
+# tag -> (a, tail, t): the tables and, for B, the last raw t_m they reach
+_WEIGHTS: dict[Functional, tuple[np.ndarray, np.ndarray, float | None]] = {}
+# A growing table computes this many new entries at a time.
+_WEIGHT_CHUNK = 1 << 16
 
 
 def _weights(tag: Functional, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, tail) with a[m] = a_{Phi,m} and tail[m] = coefficient_tail(tag, m)
     for 1 <= m <= n at least: read-only arrays, entry 0 unused (NaN), grown
-    geometrically from 1024 entries.  B takes t_m = C(2m,m)/4^m from the
-    recurrence t_m = t_{m-1} (2m-1) / (2m) in Python floats; then
-    a_{B,m} = t_{m-1} / (2m) and the tail is t_m (1 + _B_TAIL_SLACK).
+    geometrically from 1024 entries, each growth filling the new entries
+    in chunks.  B takes t_m = C(2m,m)/4^m from the recurrence
+    t_m = t_{m-1} (2m-1) / (2m) in Python floats, continued from the last
+    t_m of the table; then a_{B,m} = t_{m-1} / (2m) and the tail is
+    t_m (1 + _B_TAIL_SLACK).
     """
     table = _WEIGHTS.get(tag)
     if table is None or table[0].size <= n:
         if tag not in (Functional.H, Functional.B):
             raise ValueError("the error-probability functional has no series weights")
-        size = max(1024, n, 2 * (table[0].size - 1) if table else 0)
-        m = np.arange(size + 1, dtype=float)
-        m[0] = np.nan
-        if tag is Functional.H:
-            a = 1.0 / (2.0 * LN2 * m * (2.0 * m - 1.0))
-            tail = 1.0 / (4.0 * LN2 * m)
-        else:
-            t = np.array(list(itertools.accumulate(
-                range(1, size + 1), lambda prev, k: prev * (2 * k - 1) / (2 * k), initial=1.0
-            )))
-            a = np.append(np.nan, t[:-1]) / (2.0 * m)
-            tail = t * (1.0 + _B_TAIL_SLACK)
-            tail[0] = np.nan
+        old = table[0].size - 1 if table else 0
+        size = max(1024, n, 2 * old)
+        a, tail = np.empty(size + 1), np.empty(size + 1)
+        a[: old + 1], tail[: old + 1] = table[:2] if table else (np.nan, np.nan)
+        t_last = table[2] if table else 1.0
+        for lo in range(old + 1, size + 1, _WEIGHT_CHUNK):
+            hi = min(lo + _WEIGHT_CHUNK, size + 1)
+            m = np.arange(lo, hi, dtype=float)
+            if tag is Functional.H:
+                a[lo:hi] = 1.0 / (2.0 * LN2 * m * (2.0 * m - 1.0))
+                tail[lo:hi] = 1.0 / (4.0 * LN2 * m)
+                continue
+            t = np.fromiter(itertools.accumulate(
+                range(lo, hi), lambda prev, k: prev * (2 * k - 1) / (2 * k), initial=t_last,
+            ), dtype=float, count=hi - lo + 1)  # t_(lo-1) .. t_(hi-1)
+            a[lo:hi] = t[:-1] / (2.0 * m)
+            tail[lo:hi] = t[1:] * (1.0 + _B_TAIL_SLACK)
+            t_last = float(t[-1])
         a.flags.writeable = tail.flags.writeable = False
-        _WEIGHTS[tag] = table = (a, tail)
-    return table
+        _WEIGHTS[tag] = table = (a, tail, t_last if tag is Functional.B else None)
+    return table[0], table[1]
 
 
 def coefficient(tag: Functional, n: int) -> float:
@@ -524,7 +534,7 @@ def phi_of_poly_batch(
         return out
     atoms = atoms[index]
     rho_atom = np.array([rho(v) for v in atoms.tolist()])
-    rho_abs_atom = np.array([rho_abs(v) for v in atoms.tolist()])
+    rho_abs_atom = rho_atom if rho_abs is rho else np.array([rho_abs(v) for v in atoms.tolist()])
     acc = np.zeros(index.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
     n0, block = 1, _BATCH_FIRST_BLOCK
@@ -588,52 +598,61 @@ def complement_of_convolution(
     constant floor summed in closed form.  A one-row call of
     complement_of_convolution_batch.
     """
-    degrees = tuple(d for _, d in factors)
-    row = tuple(ch for ch, _ in factors)
-    return complement_of_convolution_batch(tag, degrees, [row], rel_tol, term_cap)[0]
+    return complement_of_convolution_batch([(tag, factors)], rel_tol, term_cap)[0]
+
+
+# Pads a row with fewer factors than the widest: its moments are exactly
+# 1.0 at degree 1, and x * 1.0 is exact.
+_PERFECT = bsc(0.0)
 
 
 def complement_of_convolution_batch(
-    tag: Functional,
-    degrees: Sequence[int],
-    rows: Sequence[Sequence[Channel]],
+    reads: Sequence[tuple[Functional, Sequence[tuple[Channel, int]]]],
     rel_tol: float = 1e-14,
     term_cap: int = 10**6,
 ) -> list[float]:
-    """complement_of_convolution of each row's factors at the shared degrees,
-    in input order, from one blocked pass.
+    """complement_of_convolution of each read (tag, factors), in input
+    order, from one blocked pass over rows of both functionals and any
+    degrees.
 
-    Row r is the convolution of rows[r][i]^[degrees[i]] over i; its floor is
+    Row r is the convolution of c^[d] over its (c, d) factors; its floor is
     the product of the factors' atom^d.  Term n adds
     a_n (prod_i gamma_{i,n}^{d_i} - floor) to a running sum that starts at
-    the floor, and a row stops at the first n where the tail bound
-    coefficient_tail(n) * (prod_n - floor) falls to rel_tol times its
-    running sum, or at n = term_cap.  Rows with no point strictly inside
-    0 < x < 1 return their floor.  Every value equals that of a one-row
-    call bit for bit.  A float degree raises TypeError (operator.index).
+    the floor, with a_n from the row's own functional, and a row stops at
+    the first n where the tail bound coefficient_tail(n) * (prod_n - floor)
+    falls to rel_tol times its running sum, or at n = term_cap.  A row with
+    fewer factors than the widest is padded with the perfect channel at
+    degree 1.  Rows with no point strictly inside 0 < x < 1 return their
+    floor, and a row with no factor is the perfect channel (1.0).  Every
+    value equals that of a one-row call bit for bit.  A float degree raises
+    TypeError (operator.index).
     """
-    tag = _series_tag(tag)
     term_cap = _check_stop(rel_tol, term_cap)
-    degrees = tuple(map(operator.index, degrees))
-    for d in degrees:
-        if d < 1:
-            raise ValueError(f"power must be a positive integer, got {d!r}")
-    for r, chans in enumerate(rows):
-        if len(chans) != len(degrees):
-            raise ValueError(f"row {r} has {len(chans)} factors for {len(degrees)} degrees")
-    if not rows or not degrees:  # no factor: the perfect channel
+    tags, rows = [], []
+    for tag, factors in reads:
+        tags.append(_series_tag(tag))
+        row = [(ch, operator.index(d)) for ch, d in factors]
+        for _, d in row:
+            if d < 1:
+                raise ValueError(f"power must be a positive integer, got {d!r}")
+        rows.append(row)
+    width = max(map(len, rows), default=0)
+    if not width:
         return [1.0] * len(rows)
-    factors = [_padded_rows([chans[i] for chans in rows]) for i in range(len(degrees))]
-    atoms = [f[0].tolist() for f in factors]
-    floor = np.array([math.prod(atoms[i][r] ** d for i, d in enumerate(degrees))
-                      for r in range(len(rows))])
+    rows = [row + [(_PERFECT, 1)] * (width - len(row)) for row in rows]
+    factors = [_padded_rows([row[i][0] for row in rows]) for i in range(width)]
+    atoms = np.column_stack([f[0] for f in factors]).tolist()
+    floor = np.array([math.prod(a ** d for a, (_, d) in zip(row_atoms, row))
+                      for row_atoms, row in zip(atoms, rows)])
     live = np.any([f[1] > 0 for f in factors], axis=0)
     # rows with no inner point are their floor exactly (the series would
     # add numpy's atom^d - floor, which may differ from it in the last bit)
     out = floor.copy()
     if live.any():
+        degrees = np.array([[d for _, d in row] for row in rows])
+        is_b = np.array([tag is Functional.B for tag in tags])
         out[live] = _complement_rows(
-            tag, degrees, [[v[live] for v in f] for f in factors], floor[live],
+            is_b[live], degrees[live], [[v[live] for v in f] for f in factors], floor[live],
             rel_tol, term_cap,
         )
     return out.tolist()
@@ -652,24 +671,28 @@ def _power(g: np.ndarray, d: int) -> np.ndarray:
 
 
 def _complement_rows(
-    tag: Functional,
-    degrees: tuple[int, ...],
+    is_b: np.ndarray,
+    degrees: np.ndarray,
     factors: Sequence[list[np.ndarray]],
     floor: np.ndarray,
     rel_tol: float,
     term_cap: int,
 ) -> np.ndarray:
-    """The series of complement_of_convolution_batch on rows given by each
-    factor's _padded_rows layout [atoms, counts, ys, ws] and their floor.
+    """The series of complement_of_convolution_batch on rows of functional
+    B where is_b holds and H elsewhere, degrees[r, i] of factor i, each
+    factor given by its _padded_rows layout [atoms, counts, ys, ws], and
+    their floor.
 
     Blocks start at _COMPLEMENT_FIRST_BLOCK terms and double up to
     _COMPLEMENT_MAX_BLOCK.  Powers continue by cumprod from the carried
-    y^n, moments are one einsum per factor, and the running sums continue
-    by cumsum from the carried sum, so each row's sum is added term by
-    term; a row leaves the arrays at the block where it stops, and the
-    padding shrinks to the widest row left.  No step mixes rows (padding
-    adds exact zeros to a moment), so a row's value depends neither on the
-    batch nor on the blocks.
+    y^n, moments are one einsum per factor, each raised by _power once per
+    degree among its rows, and the running sums continue by cumsum from
+    the carried sum, so each row's sum is added term by term; a row leaves
+    the arrays at the block where it stops, and the padding shrinks to the
+    widest row left.  Each row reads a_n and its tail from its own
+    functional's table, which grows only while such a row is live.  No
+    step mixes rows (padding adds exact zeros to a moment), so a row's
+    value depends neither on the batch nor on the blocks.
     """
     factors = [[*f, f[2]] for f in factors]  # and y^n for the next block
     out = np.empty(floor.size)
@@ -681,7 +704,7 @@ def _complement_rows(
         count = max(1, min(block, term_cap - n0 + 1,
                            _BATCH_MAX_ENTRIES // (index.size * width) - 1))
         prod = 1.0
-        for f, d in zip(factors, degrees):
+        for f, d in zip(factors, degrees.T):
             atoms, _, ys, ws, z = f
             powers = np.repeat(ys[:, :, None], count + 1, axis=2)
             powers[:, :, 0] = z
@@ -689,13 +712,20 @@ def _complement_rows(
             f[4] = powers[:, :, -1].copy()
             # einsum sums each moment left to right over the points, at any
             # width, but only when it has at least two columns
-            moments = np.einsum("rm,rmc->rc", ws, powers)[:, :-1]
-            prod = prod * _power(atoms[:, None] + moments, d)
+            gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)[:, :-1]
+            if (d == d[0]).all():
+                prod = prod * _power(gamma, int(d[0]))
+                continue
+            raised = np.empty_like(gamma)
+            for k in np.unique(d).tolist():
+                sel = d == k
+                raised[sel] = _power(gamma[sel], k)
+            prod = prod * raised
         terms = prod - floor[:, None]
-        a, tail = _weights(tag, n0 + count - 1)
+        a, tail = _block_weights(is_b, n0, count)
         sums = np.empty((index.size, count + 1))
         sums[:, 0] = total
-        np.multiply(a[n0 : n0 + count], terms, out=sums[:, 1:])
+        np.multiply(a, terms, out=sums[:, 1:])
         partial = np.cumsum(sums, axis=1)  # running sums before term n0 and after each term
         # the rounding error of each addition, exactly (TwoSum), summed
         # alongside: the late terms of a slow row fall far below the last
@@ -706,7 +736,7 @@ def _complement_rows(
         sums[:, 0] = comp
         comps = np.cumsum(sums, axis=1)[:, 1:]
         partial = partial[:, 1:]
-        stop = tail[n0 : n0 + count] * terms <= rel_tol * partial
+        stop = tail * terms <= rel_tol * partial
         if n0 + count > term_cap:
             stop[:, -1] = True
         total, comp = partial[:, -1], comps[:, -1]
@@ -719,8 +749,24 @@ def _complement_rows(
             out[index[rows]] = partial[rows, first] + comps[rows, first]
             keep = ~done
             index, total, comp, floor = index[keep], total[keep], comp[keep], floor[keep]
+            is_b, degrees = is_b[keep], degrees[keep]
             for f in factors:
                 counts = f[1][keep]
                 width = int(counts.max(initial=0))
                 f[:] = [f[0][keep], counts, *(v[keep, :width] for v in f[2:])]
     return out
+
+
+def _block_weights(is_b: np.ndarray, n0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, tail) at terms n0 .. n0+count-1 for rows of functional B where
+    is_b holds and H elsewhere: one table's slice when every row shares a
+    functional, else a (row, term) gather from both tables."""
+    tables = [_weights(tag, n0 + count - 1) for tag, present in
+              ((Functional.H, not is_b.all()), (Functional.B, is_b.any())) if present]
+    if len(tables) == 1:
+        a, tail = tables[0]
+        return a[n0 : n0 + count], tail[n0 : n0 + count]
+    (a_h, tail_h), (a_b, tail_b) = tables
+    rows = is_b[:, None]
+    return (np.where(rows, a_b[n0 : n0 + count], a_h[n0 : n0 + count]),
+            np.where(rows, tail_b[n0 : n0 + count], tail_h[n0 : n0 + count]))

@@ -562,6 +562,23 @@ def test_suite_equals_per_trial_check_inequality(code):
         assert g.violated(1e-12) == w.violated(1e-12)
 
 
+@pytest.mark.parametrize("code", sorted(INEQUALITIES))
+def test_suite_call_evaluates_its_complements_in_one_batch(monkeypatch, code):
+    # every convolution complement of a call, of both tags and all degrees,
+    # in one series call; single-channel complements in one call per tag
+    conv_calls, comp_calls = [], []
+    conv, comp = bounds.complement_of_convolution_batch, bounds._complements
+    monkeypatch.setattr(bounds, "complement_of_convolution_batch",
+                        lambda reads: conv_calls.append({t for t, _ in reads}) or conv(reads))
+    monkeypatch.setattr(bounds, "_complements",
+                        lambda tag, chans: comp_calls.append(tag) or comp(tag, chans))
+    inequality_suite(seed=3, trials=20, codes=(code,))
+    assert len(conv_calls) == (1 if code in (4, 6, 7, 8, 10, 12) else 0)
+    assert all(tags == {H, B} for tags in conv_calls)
+    assert len(comp_calls) == len(set(comp_calls))
+    assert bool(comp_calls) == (code in (4, 6, 8, 12))
+
+
 def test_inequality_suite_validates_before_any_draw(monkeypatch):
     monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
     with pytest.raises(ValueError, match=r"^unknown inequality code 3$"):

@@ -79,7 +79,8 @@ def _relative_error(tag, degrees, row, value):
 def test_complement_matches_explicit_convolution(tag, degrees):
     rows = _rows(len(degrees), 2024)
     assert any(ch.eps.min() < 1e-2 for row in rows for ch in row)
-    got = series.complement_of_convolution_batch(tag, degrees, rows, rel_tol=REL_TOL)
+    got = series.complement_of_convolution_batch(
+        [(tag, list(zip(row, degrees))) for row in rows], rel_tol=REL_TOL)
     for row, value in zip(rows, got):
         assert _relative_error(tag, degrees, row, value) <= 10 * REL_TOL, row
 
@@ -100,5 +101,6 @@ SLOW_ROWS = (
 @pytest.mark.parametrize("tag", (H, B))
 @pytest.mark.parametrize("degrees, row", SLOW_ROWS, ids=str)
 def test_complement_of_slow_points_matches_explicit_convolution(tag, degrees, row):
-    value = series.complement_of_convolution_batch(tag, degrees, [row], rel_tol=REL_TOL)[0]
+    value = series.complement_of_convolution_batch(
+        [(tag, list(zip(row, degrees)))], rel_tol=REL_TOL)[0]
     assert _relative_error(tag, degrees, row, value) <= 10 * REL_TOL

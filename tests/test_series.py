@@ -607,14 +607,14 @@ def test_term_caps_are_integers_only(monkeypatch):
 def test_complement_takes_integer_degrees_only(monkeypatch):
     want = series.complement_of_convolution(H, [(bsc(0.1), 2)])
     assert series.complement_of_convolution(H, [(bsc(0.1), np.int64(2))]) == want
-    assert series.complement_of_convolution_batch(H, (np.int64(2),), [(bsc(0.1),)]) == [want]
+    assert series.complement_of_convolution_batch([(H, [(bsc(0.1), np.int64(2))])]) == [want]
     monkeypatch.setattr(series, "_padded_rows", lambda *args: pytest.fail("ran the series"))
     # a float degree runs nothing: 1.5 would be summed as degree 1
     for degree in (1.5, 2.0, "2"):
         with pytest.raises(TypeError):
             series.complement_of_convolution(H, [(bsc(0.1), degree)])
         with pytest.raises(TypeError):
-            series.complement_of_convolution_batch(B, (1, degree), [(bsc(0.1), bsc(0.2))])
+            series.complement_of_convolution_batch([(B, [(bsc(0.1), 1), (bsc(0.2), degree)])])
 
 
 def test_lone_calls_are_their_row_of_a_mixed_batch():
@@ -732,8 +732,13 @@ def _complement_rows(width):
     return rows
 
 
+def _reads(tag, degrees, rows):
+    """complement_of_convolution_batch reads: each row's channels at degrees."""
+    return [(tag, list(zip(row, degrees))) for row in rows]
+
+
 def _assert_complements_match_loop(tag, degrees, rows, **kw):
-    got = series.complement_of_convolution_batch(tag, degrees, rows, **kw)
+    got = series.complement_of_convolution_batch(_reads(tag, degrees, rows), **kw)
     assert len(got) == len(rows)
     for row, value in zip(rows, got):
         want = _complement_loop(tag, list(zip(row, degrees)), **kw)
@@ -771,15 +776,49 @@ def test_complement_batch_term_cap_rows(term_cap):
 
 
 def test_complement_batch_all_atom_rows_are_their_floor():
-    got = series.complement_of_convolution_batch(H, (1, 2), _complement_rows(2)[:4])
+    got = series.complement_of_convolution_batch(_reads(H, (1, 2), _complement_rows(2)[:4]))
     assert got == [0.7 * 1.0**2, 1.0 * 0.0**2, 0.0 * 0.25**2, 0.25 * 0.7**2]
 
 
 def test_complement_batch_chunking_does_not_change_results(monkeypatch):
-    rows = _complement_rows(2)
-    want = series.complement_of_convolution_batch(B, (2, 1), rows)
+    reads = _reads(B, (2, 1), _complement_rows(2))
+    want = series.complement_of_convolution_batch(reads)
     monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", 2048)
-    assert series.complement_of_convolution_batch(B, (2, 1), rows) == want
+    assert series.complement_of_convolution_batch(reads) == want
+
+
+# Single factors at every degree the catalog's code 10 draws, next to the
+# sets above.
+MIXED_DEGREES = tuple(dict.fromkeys(COMPLEMENT_DEGREES + tuple((d,) for d in range(2, 7))))
+
+
+def _mixed_reads(degree_sets):
+    """H and B rows of 1-3 factors at every degree tuple of degree_sets,
+    shuffled into one batch."""
+    reads = [(tag, list(zip(row, degrees))) for degrees in degree_sets
+             for row in _complement_rows(len(degrees)) for tag in (H, B)]
+    return [reads[i] for i in np.random.default_rng(5).permutation(len(reads))]
+
+
+def test_mixed_complement_batch_is_each_rows_lone_call():
+    reads = _mixed_reads(MIXED_DEGREES)
+    assert {len(factors) for _, factors in reads} == {1, 2, 3}
+    got = series.complement_of_convolution_batch(reads)
+    assert len(got) == len(reads)
+    for (tag, factors), value in zip(reads, got):
+        assert value.hex() == series.complement_of_convolution(tag, factors).hex()
+
+
+def test_slow_rows_grow_only_their_own_weight_table(monkeypatch):
+    # fast B rows next to a slow H row (eps = 1e-4, ~5e4 terms): B's table
+    # keeps its first 1024 terms while H's grows past the slow row's stop
+    monkeypatch.setattr(series, "_WEIGHTS", {})
+    fast = [(B, [(bsc(0.2), 1)]), (B, [(bsc(0.3), 2), (bec(0.4), 1)]), (B, [(bsc(0.1), 3)])]
+    reads = fast[:2] + [(H, [(bsc(1e-4), 1)])] + fast[2:]
+    got = series.complement_of_convolution_batch(reads)
+    assert series._WEIGHTS[B][0].size == 1025
+    assert series._WEIGHTS[H][0].size > 10**4
+    assert got == [series.complement_of_convolution(*read) for read in reads]
 
 
 @pytest.mark.parametrize("first_block, max_block, max_entries",
@@ -790,14 +829,16 @@ def test_complement_block_schedule_does_not_change_results(monkeypatch, first_bl
     # and blocks past every stop all give the same bits; the slow rows of
     # ~5e4 terms (BSC(1e-4) at degree 1) run at block sizes 7 and up
     degree_sets = ((2, 1), (3, 1, 2)) + (((1,),) if max_block > 1 else ())
-    cases = [(tag, degrees, _complement_rows(len(degrees)))
+    cases = [_reads(tag, degrees, _complement_rows(len(degrees)))
              for tag in (H, B) for degrees in degree_sets]
-    wants = [series.complement_of_convolution_batch(*case) for case in cases]
+    # and the mixed batch, its single-factor (slow) rows at block sizes 7 and up
+    cases.append(_mixed_reads([d for d in MIXED_DEGREES if max_block > 1 or len(d) > 1]))
+    wants = [series.complement_of_convolution_batch(case) for case in cases]
     monkeypatch.setattr(series, "_COMPLEMENT_FIRST_BLOCK", first_block)
     monkeypatch.setattr(series, "_COMPLEMENT_MAX_BLOCK", max_block)
     monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", max_entries)
     for case, want in zip(cases, wants):
-        assert series.complement_of_convolution_batch(*case) == want
+        assert series.complement_of_convolution_batch(case) == want
 
 
 @pytest.mark.parametrize("rel_tol", (1e-6, 1e-10, 1e-14))
@@ -807,7 +848,7 @@ def test_complement_batch_is_the_block_loop_up_to_its_later_stop(rel_tol):
     for tag in (H, B):
         for degrees in ((1,), (2, 1), (3, 1, 2)):
             rows = _complement_rows(len(degrees))
-            got = series.complement_of_convolution_batch(tag, degrees, rows, rel_tol=rel_tol)
+            got = series.complement_of_convolution_batch(_reads(tag, degrees, rows), rel_tol=rel_tol)
             for row, value in zip(rows, got):
                 old = _complement_block_loop(tag, list(zip(row, degrees)), rel_tol=rel_tol)
                 assert abs(value - old) <= 2.0 * rel_tol * abs(old)
@@ -823,7 +864,7 @@ def test_complement_pads_bare_rows_next_to_wide_rows():
     for tag in (H, B):
         for degrees in ((1, 1), (2, 3)):
             _assert_complements_match_loop(tag, degrees, rows)
-            got = series.complement_of_convolution_batch(tag, degrees, rows)
+            got = series.complement_of_convolution_batch(_reads(tag, degrees, rows))
             for (x, y), value in zip(rows, got):
                 if x in bare and y in bare:
                     atom = lambda a: float(a.w[a.eps == 0.0].sum())
@@ -831,13 +872,13 @@ def test_complement_pads_bare_rows_next_to_wide_rows():
 
 
 def test_complement_batch_empty_and_validation():
-    assert series.complement_of_convolution_batch(H, (1, 1), []) == []
+    assert series.complement_of_convolution_batch([]) == []
     with pytest.raises(ValueError):
-        series.complement_of_convolution_batch(E, (1,), [(bsc(0.1),)])
+        series.complement_of_convolution_batch([(E, [(bsc(0.1), 1)])])
     with pytest.raises(ValueError):
-        series.complement_of_convolution_batch(H, (0,), [(bsc(0.1),)])
+        series.complement_of_convolution_batch([(H, [(bsc(0.1), 0)])])
     with pytest.raises(ValueError):
-        series.complement_of_convolution_batch(H, (1, 1), [(bsc(0.1),)])
+        series.complement_of_convolution_batch([(H, [(bsc(0.1),)])])  # a factor with no degree
     with pytest.raises(ValueError):
         series.complement_of_convolution(H, [(bsc(0.1), 0)])
 
@@ -853,7 +894,7 @@ def test_complement_rejects_a_bad_relative_tolerance(rel_tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
         series.complement_of_convolution(H, [(bsc(0.1), 2)], rel_tol=rel_tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        series.complement_of_convolution_batch(B, (1,), [], rel_tol=rel_tol)
+        series.complement_of_convolution_batch([], rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 6))
