@@ -29,7 +29,7 @@ from .bounds import keyed_channels_with_value
 from .channel import Channel
 from .convolution import phi_of_poly_convolved, projected_power_support
 from .functionals import Functional, evaluate, h2, h2_inv, h2_vec
-from .series import Polynomial, phi_of_poly_batch
+from .series import Polynomial, phi_of_poly_columns
 
 # Caller-supplied entropy must match the channel this closely.
 ENTROPY_MATCH_TOL = 1e-6
@@ -107,17 +107,12 @@ def _area_values(
     hs = np.asarray(hs, dtype=float)
     _check_entropies(channels, hs)
     l, r = params.var_degree, params.check_degree
-    high = phi_of_poly_batch(Functional.H, Polynomial.monomial(r), channels, tol=tol)
-    low = phi_of_poly_batch(Functional.H, Polynomial.monomial(r - 1), channels, tol=tol)
+    high = phi_of_poly_columns(Functional.H, Polynomial.monomial(r), channels, tol)
+    low = phi_of_poly_columns(Functional.H, Polynomial.monomial(r - 1), channels, tol)
     k_high, k_low = l - 1 - l / r, l - 1
-    values = -hs - k_high * np.array([s.value for s in high]) + k_low * np.array(
-        [s.value for s in low]
-    )
-    bounds = k_high * np.array([s.error_bound for s in high]) + k_low * np.array(
-        [s.error_bound for s in low]
-    )
-    capped = np.array([hi.capped or lo.capped for hi, lo in zip(high, low)], dtype=bool)
-    return values, bounds, capped
+    values = -hs - k_high * high.value + k_low * low.value
+    bounds = k_high * high.error_bound + k_low * low.error_bound
+    return values, bounds, high.capped | low.capped
 
 
 def area_quantity(

@@ -23,14 +23,14 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bec, bsc
 from .convolution import _phis_of_powers, phi_of_poly_convolved, phi_of_poly_convolved_batch
 from .functionals import Functional, _complements, evaluate, kernel, kernel_inv, pointwise
-from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_batch,
+from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_columns,
                      poly_convex_on, poly_increasing_on)
 
 # Default slack tolerances: exact-convolution checks are trusted to
@@ -462,6 +462,22 @@ def _seed_states(keys: Sequence[Sequence[int]]) -> np.ndarray:
     return state[0::2] | (state[1::2] << np.uint64(32))
 
 
+def _pcg64_states(keys: list[Sequence[int]]) -> Iterator[dict]:
+    """trial_rng(*key).bit_generator.state of every key, in order, from one
+    vectorized SeedSequence hash."""
+    seeds, incs = _seed_states(keys).reshape(2, 2, -1).tolist()
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds, *incs):
+        # pcg64_set_seed: inc = 2i + 1 and two LCG steps from 0 with s added
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
 def trial_map(draw: Callable[[np.random.Generator], _T],
               keys: Iterable[Sequence[int]]) -> list[_T]:
     """[draw(trial_rng(*key)) for key in keys], bit for bit.
@@ -469,25 +485,18 @@ def trial_map(draw: Callable[[np.random.Generator], _T],
     One vectorized SeedSequence hash covers every key, and one generator
     is put into each key's PCG64 state in turn, so draw sees the same
     stream trial_rng(*key) gives.  The generator is reused: draw must not
-    keep it, or anything that draws from it later.
+    keep it, or anything that draws from it later.  This is the route for
+    any draw; keyed_channels_with_value reads the sampler's own draws off
+    the same states as raw words.
     """
     keys = list(keys)
     if not keys:
         return []
-    seeds, incs = _seed_states(keys).reshape(2, 2, -1).tolist()
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seeds, *incs):
-        # pcg64_set_seed: inc = 2i + 1 and two LCG steps from 0 with s added
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for state in _pcg64_states(keys):
+        bit_generator.state = state
         out.append(draw(rng))
     return out
 
@@ -499,6 +508,15 @@ _USELESS = bsc(0.5)
 
 # A raw draw: crossover probabilities and unnormalized weights, in draw order.
 _Draw = tuple[np.ndarray, np.ndarray]
+# Raw draws back to back: (sizes, eps, w), draw i's points after the
+# sizes[:i].sum() points of the draws before it.
+_Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Generator.integers(1, MAX_RAW_SUPPORT + 1) is numpy's Lemire rule: a
+# uint32 word times the range MAX_RAW_SUPPORT, whose high 32 bits are the
+# draw minus 1; numpy rejects the word while the product's low 32 bits fall
+# below this threshold, (2^32 - range) mod range.
+_SIZE_THRESHOLD = (_MASK32 - (MAX_RAW_SUPPORT - 1)) % MAX_RAW_SUPPORT
 
 
 def _draw(rng: np.random.Generator, max_support: int) -> _Draw:
@@ -510,22 +528,69 @@ def _draw(rng: np.random.Generator, max_support: int) -> _Draw:
     return eps, w
 
 
-def _raw_rows(draws: Sequence[_Draw]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _concatenated(draws: Sequence[_Draw]) -> _Draws:
+    """A non-empty list of draws, back to back."""
+    sizes = np.fromiter((e.size for e, _ in draws), dtype=np.intp, count=len(draws))
+    return sizes, np.concatenate([e for e, _ in draws]), np.concatenate([w for _, w in draws])
+
+
+def _rejected_size(word: int, raw: Callable[[], int]) -> int:
+    """The Lemire product once the low half of word is rejected: numpy
+    tries the buffered high half next, then each new word's low half and
+    high half in turn."""
+    m = (word >> 32) * MAX_RAW_SUPPORT
+    while m & _MASK32 < _SIZE_THRESHOLD:
+        word = raw()
+        for half in (word & _MASK32, word >> 32):
+            m = half * MAX_RAW_SUPPORT
+            if m & _MASK32 >= _SIZE_THRESHOLD:
+                break
+    return m
+
+
+def _keyed_draws(keys: list[Sequence[int]]) -> _Draws:
+    """_draw(trial_rng(*key), MAX_RAW_SUPPORT) for each of a non-empty list
+    of keys, back to back and bit for bit, read as raw PCG64 words.
+
+    Each key's state is set once, as trial_map sets it.  integers(1, m + 1)
+    reads the low half of one word by the Lemire rule, and its buffered
+    high half is read by nothing after it; random(m) maps m words u to
+    (u >> 11) * 2**-53, so every eps converts at once.  Only
+    standard_exponential stays a Generator call: its ziggurat tables are
+    numpy's own.
+    """
+    bit_generator = np.random.PCG64(0)
+    raw = bit_generator.random_raw
+    exponentials = np.random.Generator(bit_generator).standard_exponential
+    sizes, words, weights = [], [], []
+    for state in _pcg64_states(keys):
+        bit_generator.state = state
+        word = raw()
+        m = (word & _MASK32) * MAX_RAW_SUPPORT
+        if m & _MASK32 < _SIZE_THRESHOLD:
+            m = _rejected_size(word, raw)
+        size = (m >> 32) + 1
+        sizes.append(size)
+        words.append(raw(size))
+        weights.append(exponentials(size))
+    eps = (np.concatenate(words) >> np.uint64(11)) * 2.0**-53 * 0.5
+    return np.array(sizes, dtype=np.intp), eps, np.concatenate(weights)
+
+
+def _raw_rows(sizes: np.ndarray, eps: np.ndarray, w: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The raw channels of draws as settled rows (eps, w, off): each draw
     normalized in draw order, then settled, as one batch."""
-    sizes = np.fromiter((e.size for e, _ in draws), dtype=np.intp, count=len(draws))
     off = np.concatenate(([0], sizes.cumsum()))
-    w = np.concatenate([v for _, v in draws])
-    w /= _row_totals(w, off).repeat(sizes)
-    return _settle_rows(np.concatenate([e for e, _ in draws]), w, off)
+    return _settle_rows(eps, w / _row_totals(w, off).repeat(sizes), off)
 
 
 def _raw_channels(draws: Sequence[_Draw]) -> list[Channel]:
     """The raw channel of each draw, in order."""
-    return _channels(*_raw_rows(draws)) if draws else []
+    return _channels(*_raw_rows(*_concatenated(draws))) if draws else []
 
 
-def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[float],
+def _pinned_channels(draws: _Draws, tag: Functional, targets: Sequence[float],
                      top: float) -> list[Channel]:
     """Each draw's raw channel mixed with the perfect channel (value 0) or
     the useless one (value top) so that its tag value is its target.
@@ -536,7 +601,7 @@ def _pinned_channels(draws: Sequence[_Draw], tag: Functional, targets: Sequence[
     row of alpha 1 returns its raw channel and one of alpha 0 its partner,
     so only the other mixtures and those raw channels become Channels.
     """
-    eps, w, off = _raw_rows(draws)
+    eps, w, off = _raw_rows(*draws)
     # one np.dot per row, as evaluate takes it: a vectorized row sum of the
     # products rounds differently
     f = pointwise(tag, eps)
@@ -569,11 +634,9 @@ def _checked_targets(tag: Functional, targets: Sequence[float]) -> tuple[float, 
     return top, targets
 
 
-def _channels_with_value(draws: Sequence[_Draw], tag: Functional, targets: list[float],
-                         top: float) -> list[Channel]:
-    if len(draws) != len(targets):
-        raise ValueError(f"{len(draws)} generators for {len(targets)} targets")
-    return _pinned_channels(draws, tag, targets, top) if draws else []
+def _check_count(count: int, targets: list[float]) -> None:
+    if count != len(targets):
+        raise ValueError(f"{count} generators for {len(targets)} targets")
 
 
 def random_channels_with_value(
@@ -594,7 +657,8 @@ def random_channels_with_value(
     """
     top, targets = _checked_targets(tag, targets)
     draws = [_draw(rng, max_support) for rng in rngs]
-    return _channels_with_value(draws, tag, targets, top)
+    _check_count(len(draws), targets)
+    return _pinned_channels(_concatenated(draws), tag, targets, top) if draws else []
 
 
 def keyed_channels_with_value(
@@ -603,10 +667,12 @@ def keyed_channels_with_value(
     targets: Sequence[float],
 ) -> list[Channel]:
     """random_channels_with_value([trial_rng(*key) for key in keys], tag,
-    targets), with every key's stream reached through trial_map."""
+    targets), bit for bit, with every key's draw read off its PCG64 state
+    as raw words (_keyed_draws) instead of through Generator calls."""
     top, targets = _checked_targets(tag, targets)
-    draws = trial_map(partial(_draw, max_support=MAX_RAW_SUPPORT), keys)
-    return _channels_with_value(draws, tag, targets, top)
+    keys = list(keys)
+    _check_count(len(keys), targets)
+    return _pinned_channels(_keyed_draws(keys), tag, targets, top) if keys else []
 
 
 def random_channel(rng: np.random.Generator, max_support: int = MAX_RAW_SUPPORT) -> Channel:
@@ -751,13 +817,13 @@ def _sweep(
                 constraint,
                 [level for level in levels for _ in range(per_cell)],
             )
-            values = phi_of_poly_batch(tag, rho, channels, tol=SWEEP_PHI_TOL)
+            values = phi_of_poly_columns(tag, rho, channels, SWEEP_PHI_TOL).value.tolist()
             for li, (level, level_items) in enumerate(zip(levels, items)):
                 prefix = f"rho={rho};tag={tag.value};level={level!r};trial="
                 for item in level_items:
                     for t in range(per_cell):
                         k = li * per_cell + t
-                        report = item.report(values[k].value, params=f"{prefix}{t}", seed=seed,
+                        report = item.report(values[k], params=f"{prefix}{t}", seed=seed,
                                              witnesses=(channels[k],))
                         reports.append(report)
                         summary.absorb(report, tol)
@@ -828,17 +894,17 @@ def bsc_minimizer_counterexamples(
     channels = keyed_channels_with_value(
         [(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
     )
-    values = phi_of_poly_batch(tag, rho, channels, tol=SWEEP_PHI_TOL)
+    values = phi_of_poly_columns(tag, rho, channels, SWEEP_PHI_TOL).value.tolist()
     prefix = f"rho={rho};tag={tag.value};phi0={phi0!r};trial="
     out: list[BoundReport] = []
     for t, (a, value) in enumerate(zip(channels, values)):
-        if value.value < reference - tol:
+        if value < reference - tol:
             out.append(
                 BoundReport(
                     kind="bsc_min_conjecture",
                     params=f"{prefix}{t}",
                     lhs=reference,
-                    rhs=value.value,
+                    rhs=value,
                     seed=seed,
                     witnesses=(a,),
                 )

@@ -21,7 +21,7 @@ come out exact instead of converging at the tail rate.
 
 Each functional's weights and tail bounds live in one table (`_weights`),
 from which coefficient, coefficient_tail and both blocked engines
-(phi_of_poly_batch, complement_of_convolution_batch) read.
+(phi_of_poly_columns, complement_of_convolution_batch) read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,7 +154,13 @@ class Polynomial:
         return len(self.coeffs)
 
     def __call__(self, x: float) -> float:
-        return float(sum(c * x**k for k, c in self.terms))
+        # terms added one by one from 0.0, in ascending exponent order, as
+        # the batched evaluators add their columns (sum() compensates its
+        # float additions from Python 3.12 on)
+        out = 0.0
+        for k, c in self.terms:
+            out += c * x**k
+        return float(out)
 
     def as_array(self) -> np.ndarray:
         """Ascending coefficient array including the zero constant term."""
@@ -414,6 +420,16 @@ class SeriesValue:
         return self.value
 
 
+class SeriesColumns(NamedTuple):
+    """The SeriesValue fields of a batch of rows, one array per field, in
+    row order."""
+
+    value: np.ndarray
+    error_bound: np.ndarray
+    terms: np.ndarray
+    capped: np.ndarray
+
+
 def _series_tag(tag: Functional) -> Functional:
     if tag not in (Functional.H, Functional.B):
         raise ValueError("series evaluation is defined for H and B only")
@@ -436,7 +452,7 @@ def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.n
     channel r, in point order, left-aligned and zero-padded to the widest
     row (a zero weight times a zero power adds nothing to a moment)."""
     sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
-    row = np.repeat(np.arange(len(chans)), sizes)
+    row = np.arange(len(chans)).repeat(sizes)
     w = np.concatenate([ch.w for ch in chans])
     x = 1.0 - 2.0 * np.concatenate([ch.eps for ch in chans])
     atoms = np.zeros(len(chans))
@@ -445,7 +461,7 @@ def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.n
     active = (x > 0.0) & (x < 1.0)
     row, x, w = row[active], x[active], w[active]
     counts = np.bincount(row, minlength=len(chans))
-    col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    col = np.arange(row.size) - (counts.cumsum() - counts)[row]
     ys = np.zeros((len(chans), int(counts.max(initial=0))))
     ws = np.zeros_like(ys)
     ys[row, col] = x * x
@@ -493,6 +509,16 @@ def _rho_columns(terms: Sequence[tuple[int, float]], g: np.ndarray) -> np.ndarra
     return out
 
 
+def _rho_at(terms: Sequence[tuple[int, float]], xs: list[float]) -> np.ndarray:
+    """Polynomial.__call__ at each float of xs, bit for bit: each power by
+    Python's float pow (numpy's power rounds differently on some hosts),
+    and the terms added as _rho_columns adds them."""
+    out = 0.0
+    for k, c in terms:
+        out = out + c * np.fromiter(map(pow, xs, itertools.repeat(k)), dtype=float, count=len(xs))
+    return out
+
+
 def phi_of_poly_batch(
     tag: Functional,
     rho: Polynomial,
@@ -500,7 +526,21 @@ def phi_of_poly_batch(
     tol: float = 1e-10,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> list[SeriesValue]:
-    """Phi(rho(a)) for each channel a, in input order, from one blocked pass.
+    """Phi(rho(a)) for each channel a, in input order: phi_of_poly_columns
+    as one SeriesValue per row."""
+    cols = phi_of_poly_columns(tag, rho, channels, tol, term_cap)
+    return [SeriesValue(*row) for row in zip(*(c.tolist() for c in cols))]
+
+
+def phi_of_poly_columns(
+    tag: Functional,
+    rho: Polynomial,
+    channels: Sequence[Channel],
+    tol: float = 1e-10,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> SeriesColumns:
+    """Phi(rho(a)) for each channel a, in input order, from one blocked
+    pass, as value, error bound, term and capped columns.
 
     Mass at eps = 0 (x = 1) makes the moments converge to a constant
     `atom`; that constant subseries is summed exactly via sum_n a_n = 1,
@@ -511,30 +551,32 @@ def phi_of_poly_batch(
     Truncation after N terms is bounded by
     coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)); a row
     stops at the first N where it is <= tol, or at N = term_cap (capped if
-    still above tol).  Terms come in blocks of 8, 16, ... up to 512; powers
-    continue by cumprod from the carried y^n, partial sums by cumsum from
-    the carried accumulator, and a row leaves the arrays where it stops.
-    No step mixes rows (padding adds exact zeros to a moment), so a row's
-    result does not depend on the batch: phi_series and phi_of_poly, its
-    batch of one, give the same value bit for bit, after ~0.2 ms of setup.
+    still above tol).  A row with no point in 0 < x < 1 is rho(1) - rho(atom)
+    after 0 terms.  rho is evaluated at the atoms as Polynomial.__call__
+    evaluates it (_rho_at).  Terms come in blocks of 8, 16, ... up to 512;
+    powers continue by cumprod from the carried y^n, partial sums by cumsum
+    from the carried accumulator, and a row leaves the arrays where it
+    stops, its results written into the columns.  No step mixes rows
+    (padding adds exact zeros to a moment), so a row's result does not
+    depend on the batch: phi_series and phi_of_poly, its batch of one, give
+    the same value bit for bit.
     """
     tag = _series_tag(tag)
     term_cap = _check_stop(tol, term_cap)
     rho_abs = rho if min(rho.coeffs) >= 0.0 else Polynomial(tuple(map(abs, rho.coeffs)))
     rho_one = rho(1.0)
-    out: list[SeriesValue | None] = [None] * len(channels)
     if not channels:
-        return out
+        return SeriesColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp),
+                             np.zeros(0, dtype=bool))
     atoms, counts, ys, ws = _padded_rows(channels)
+    rho_atom = _rho_at(rho.terms, atoms.tolist())
+    # a row with no term to sum keeps these
+    value = rho_one - rho_atom
+    error_bound = np.zeros(len(channels))
+    terms = np.zeros(len(channels), dtype=np.intp)
     index = np.flatnonzero(counts)
-    ys, ws = ys[index], ws[index]
-    for i in np.flatnonzero(counts == 0).tolist():
-        out[i] = SeriesValue(rho_one - rho(float(atoms[i])), 0.0, 0)
-    if not index.size:
-        return out
-    atoms = atoms[index]
-    rho_atom = np.array([rho(v) for v in atoms.tolist()])
-    rho_abs_atom = rho_atom if rho_abs is rho else np.array([rho_abs(v) for v in atoms.tolist()])
+    ys, ws, atoms, rho_atom = ys[index], ws[index], atoms[index], rho_atom[index]
+    rho_abs_atom = rho_atom if rho_abs is rho else _rho_at(rho_abs.terms, atoms.tolist())
     acc = np.zeros(index.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
     n0, block = 1, _BATCH_FIRST_BLOCK
@@ -552,24 +594,29 @@ def phi_of_poly_batch(
         sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - rho_atom[:, None])
         partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
         bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
-        stop = (bound <= tol) | (np.arange(n0, n0 + count) >= term_cap)
+        steps = np.arange(n0, n0 + count)
+        stop = (bound <= tol) | (steps >= term_cap)
         acc = partial[:, -1]
         z = powers[:, :, -1].copy()  # frees the table before the next block
         done = stop.any(axis=1)
         if done.any():
             rows = np.flatnonzero(done)
             first = stop[rows].argmax(axis=1)
-            values = (rho_one - rho_atom[rows]) - partial[rows, first + 1]
-            for r, j, v in zip(rows.tolist(), first.tolist(), values.tolist()):
-                b = float(bound[r, j])
-                out[index[r]] = SeriesValue(v, max(b, 0.0), n0 + j, not b <= tol)
+            at = index[rows]
+            value[at] = (rho_one - rho_atom[rows]) - partial[rows, first + 1]
+            error_bound[at] = bound[rows, first]
+            terms[at] = steps[first]
+            if rows.size == index.size:
+                break
             keep = ~done
             index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z = (
                 v[keep] for v in (index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z)
             )
         n0 += count
         block = min(2 * block, _BATCH_MAX_BLOCK)
-    return out
+    capped = ~(error_bound <= tol)  # before the clip: NaN is capped, a rounding below 0 is not
+    error_bound[error_bound < 0.0] = 0.0  # max(b, 0.0): keeps NaN and -0.0
+    return SeriesColumns(value, error_bound, terms, capped)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -250,16 +249,16 @@ def test_batched_sweep_matches_per_channel_loop(degrees, seed):
 
 
 def test_sweep_row_carries_a_capped_series(monkeypatch):
-    real = area.phi_of_poly_batch
+    real = area.phi_of_poly_columns
 
     def first_capped(tag, rho, channels, tol):
-        out = real(tag, rho, channels, tol=tol)
+        out = real(tag, rho, channels, tol)
         if rho.degree == p.check_degree:  # only H(a^[r]) of the first channel
-            out[0] = dataclasses.replace(out[0], error_bound=1.0, capped=True)
+            out.error_bound[0], out.capped[0] = 1.0, True
         return out
 
     p = EnsembleParams(50, 100)
-    monkeypatch.setattr(area, "phi_of_poly_batch", first_capped)
+    monkeypatch.setattr(area, "phi_of_poly_columns", first_capped)
     rows = [r for r in area_margin_sweep(p, 6, grid_points=12, channels_per_point=5) if r.checked]
     assert len(rows) >= 2
     k_high = p.var_degree - 1 - p.var_degree / p.check_degree

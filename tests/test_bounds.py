@@ -411,6 +411,15 @@ else:
         pass
 
 
+def _generator_draws(rngs):
+    """The sampler's draws on each generator, back to back."""
+    return bounds._concatenated([bounds._draw(rng, bounds.MAX_RAW_SUPPORT) for rng in rngs])
+
+
+def _assert_same_draws(got, want):
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 def test_keyed_channels_equal_the_generator_route():
     keys = [(21, gi, t) for gi in range(4) for t in range(30)]
     for tag, top in ((H, 1.0), (B, 1.0), (E, 0.5)):
@@ -420,7 +429,76 @@ def test_keyed_channels_equal_the_generator_route():
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
     with pytest.raises(ValueError, match="out of range"):
         keyed_channels_with_value([(1, 0)], H, [1.5])
+    with pytest.raises(ValueError, match="2 generators for 1 targets"):
+        keyed_channels_with_value([(1, 0), (1, 1)], H, [0.5])
     assert keyed_channels_with_value([], B, []) == []
+
+
+@pytest.mark.parametrize("seed", (0, 11, 2**32 - 1, 5000000000))
+def test_keyed_draws_equal_the_generator_route_on_suite_keys(seed):
+    # the suites' key shapes (area, sweep, bsc probe), with seeds of one
+    # and of two words
+    for keys in ([(seed, gi, t) for gi in range(3) for t in range(40)],
+                 [(seed, ri, ord(tag), li, t) for ri in range(2) for tag in "HB"
+                  for li in range(3) for t in range(10)],
+                 [(seed, 99, t) for t in range(60)]):
+        _assert_same_draws(bounds._keyed_draws(keys), _generator_draws(trial_rng(*k) for k in keys))
+        targets = [0.05 + 0.9 * (i % 7) / 6 for i in range(len(keys))]
+        for tag in (H, B):
+            got = keyed_channels_with_value(keys, tag, targets)
+            want = random_channels_with_value([trial_rng(*k) for k in keys], tag, targets)
+            assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+
+
+# PCG64 steps its 128-bit LCG state s -> s * mult + inc and then outputs
+# XSL-RR of the new state: (hi ^ lo) rotated right by the state's top 6 bits.
+_MASK64 = 2**64 - 1
+_MOD128 = 2**128
+_LCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _state_with_output(word, hi):
+    """A 128-bit state, its high word hi, whose XSL-RR output is word."""
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & _MASK64)
+    return hi << 64 | lo
+
+
+def _pcg64_state_before(words, hi=(0x9E3779B97F4A7C15, 0xD1B54A32D192ED03)):
+    """A PCG64 state dict whose first random_raw() outputs are words (one or
+    two of them): the first output state stepped back by the inverse of the
+    multiplier, the increment chosen so that the second follows."""
+    s1 = _state_with_output(words[0], hi[0])
+    inc = 0xDA3E39CB94B95BDB
+    if len(words) > 1:
+        s2 = _state_with_output(words[1], hi[1])
+        if (s2 - s1 * _LCG_MULT) % 2 == 0:  # inc must be odd: flip the low bit of s2
+            s2 = _state_with_output(words[1], hi[1] ^ 1)
+        inc = (s2 - s1 * _LCG_MULT) % _MOD128
+    pre = (s1 - inc) * pow(_LCG_MULT, -1, _MOD128) % _MOD128
+    state = {"bit_generator": "PCG64", "state": {"state": pre, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    assert [bit_generator.random_raw() for _ in words] == list(words)
+    return state
+
+
+@pytest.mark.parametrize("words", [
+    (0xBEEF0001 << 32,),  # low half rejected: the buffered high half draws
+    (0, 0xC0FFEE00),      # both halves rejected: the next word's low half draws
+    (0, 0xFACE << 32),    # then its low half too: that word's high half draws
+    (0x7FFF_FFFF,),       # no rejection
+])
+def test_keyed_draws_follow_the_lemire_rejections(monkeypatch, words):
+    state = _pcg64_state_before(words)
+    generator = np.random.PCG64(0)
+    generator.state = state
+    want = _generator_draws([np.random.Generator(generator)])
+    monkeypatch.setattr(bounds, "_pcg64_states", lambda keys: iter([state] * len(keys)))
+    _assert_same_draws(bounds._keyed_draws([(0,)]), want)
+    # a key after it starts from its own state, whatever the rejections read
+    _assert_same_draws(bounds._keyed_draws([(0,), (1,)]), [np.concatenate([v, v]) for v in want])
 
 
 # One CSV row per suite caller of the keyed streams, as the sampler's first
@@ -878,8 +956,8 @@ def test_batched_sweep_reports_equal_per_channel_run(tag):
 
 def test_fixed_error_pair_shares_one_draw_per_key(monkeypatch):
     batches = []
-    batch = bounds.phi_of_poly_batch
-    monkeypatch.setattr(bounds, "phi_of_poly_batch",
+    batch = bounds.phi_of_poly_columns
+    monkeypatch.setattr(bounds, "phi_of_poly_columns",
                         lambda tag, rho, chans, tol: batches.append(len(chans)) or
                         batch(tag, rho, chans, tol=tol))
     levels, per_cell = (0.05, 0.2, 0.35), 6

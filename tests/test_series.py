@@ -568,6 +568,64 @@ def test_batch_empty_and_validation():
         phi_of_poly_batch(H, rho, [], tol=-1.0)
 
 
+# rho at the atoms: the engine's Python-pow columns against Polynomial.__call__
+_ATOM_RHOS = (
+    DEFAULT_SWEEP_RHOS
+    + tuple(EnsembleParams(*e).area_poly for e in ((100, 200), (50, 100), (30, 60), (20, 40), (3, 6)))
+    + tuple(Polynomial.monomial(d) for d in range(1, 201))
+)
+_EDGE_ATOMS = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+
+
+def test_rho_at_the_atoms_is_polynomial_call():
+    rng = np.random.default_rng(23)
+    xs = _EDGE_ATOMS + rng.random(300).tolist() + (10.0 ** rng.uniform(-320, 0, 100)).tolist()
+    for rho in _ATOM_RHOS:
+        for p in (rho, Polynomial(tuple(map(abs, rho.coeffs)))):  # and the bound's rho_abs
+            got = series._rho_at(p.terms, xs)
+            assert [v.hex() for v in got.tolist()] == [p(x).hex() for x in xs], str(p)
+
+
+def test_polynomial_adds_its_terms_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so a compensated sum would give 1.0
+    rho = Polynomial((1e16, 1.0, -1e16))
+    assert rho(1.0) == 0.0
+    assert series._rho_at(rho.terms, [1.0]).tolist() == [0.0]
+
+
+def test_rows_without_interior_points_are_rho_one_minus_rho_atom():
+    # points only at x = 1 and x = 0: the value is rho(1) - rho(atom) after no term
+    plain = [bec(0.5), bec(0.25), bec(1.0), bsc(0.0), bsc(0.5), bec(1e-17), bec(1.0 - 2.0**-53)]
+    rows = plain + [bsc(0.1)] + plain[::-1]
+    for tag in (H, B):
+        for rho in _ATOM_RHOS[:9] + (Polynomial.monomial(200),):
+            cols = series.phi_of_poly_columns(tag, rho, rows)
+            for i, a in enumerate(rows):
+                if i == len(plain):
+                    continue
+                atom = float(a.w[a.eps == 0.0].sum())
+                want = SeriesValue(rho(1.0) - rho(atom), 0.0, 0, False)
+                got = SeriesValue(*(c[i].item() for c in cols))
+                assert got == want and got.value.hex() == want.value.hex()
+            assert phi_of_poly_batch(tag, rho, rows)[: len(plain)] == [
+                phi_of_poly(tag, rho, a) for a in plain
+            ]
+
+
+def test_batch_rows_are_the_columns_as_python_values():
+    rows = [bsc(0.1), bec(0.3), channel([(1e-6, 0.5), (0.3, 0.5)]), bsc(0.0)]
+    cols = series.phi_of_poly_columns(H, Polynomial.monomial(3), rows, 1e-11)
+    assert cols.terms.dtype.kind == "i" and cols.capped.dtype == bool
+    batch = phi_of_poly_batch(H, Polynomial.monomial(3), rows, 1e-11)
+    assert [sv.capped for sv in batch] == [False, False, True, False]
+    for i, sv in enumerate(batch):
+        assert [type(v) for v in (sv.value, sv.error_bound, sv.terms, sv.capped)] == [
+            float, float, int, bool]
+        assert (sv.value, sv.error_bound, sv.terms, sv.capped) == tuple(c[i] for c in cols)
+    empty = series.phi_of_poly_columns(B, Polynomial.monomial(2), [])
+    assert [c.size for c in empty] == [0, 0, 0, 0]
+
+
 def test_batch_rejects_a_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
         phi_of_poly_batch(H, Polynomial.monomial(2), [bsc(0.1)], tol=math.nan)
