@@ -552,12 +552,12 @@ def _keyed_draws(keys: list[Sequence[int]]) -> _Draws:
     """_draw(trial_rng(*key), MAX_RAW_SUPPORT) for each of a non-empty list
     of keys, back to back and bit for bit, read as raw PCG64 words.
 
-    Each key's state is set once, as trial_map sets it.  integers(1, m + 1)
-    reads the low half of one word by the Lemire rule, and its buffered
-    high half is read by nothing after it; random(m) maps m words u to
-    (u >> 11) * 2**-53, so every eps converts at once.  Only
-    standard_exponential stays a Generator call: its ziggurat tables are
-    numpy's own.
+    Each key's state is set once, as trial_map sets it.  The support
+    size's integers call reads the low half of one word by the Lemire
+    rule, and its buffered high half is read by nothing after it;
+    random(m) maps m words u to (u >> 11) * 2**-53, so every eps converts
+    at once.  Only standard_exponential stays a Generator call: its
+    ziggurat tables are numpy's own.
     """
     bit_generator = np.random.PCG64(0)
     raw = bit_generator.random_raw

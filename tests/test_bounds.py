@@ -427,6 +427,20 @@ def test_keyed_channels_equal_the_generator_route():
         got = keyed_channels_with_value(keys, tag, targets)
         want = random_channels_with_value([trial_rng(*k) for k in keys], tag, targets)
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+    # the suites' key shapes (area, sweep, bsc probe), with seeds of one
+    # and of two words
+    for seed in (0, 11, 2**32 - 1, 5000000000):
+        for keys in ([(seed, gi, t) for gi in range(3) for t in range(40)],
+                     [(seed, ri, ord(tag), li, t) for ri in range(2) for tag in "HB"
+                      for li in range(3) for t in range(10)],
+                     [(seed, 99, t) for t in range(60)]):
+            _assert_same_draws(bounds._keyed_draws(keys),
+                               _generator_draws(trial_rng(*k) for k in keys))
+            targets = [0.05 + 0.9 * (i % 7) / 6 for i in range(len(keys))]
+            for tag in (H, B):
+                got = keyed_channels_with_value(keys, tag, targets)
+                want = random_channels_with_value([trial_rng(*k) for k in keys], tag, targets)
+                assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
     with pytest.raises(ValueError, match="out of range"):
         keyed_channels_with_value([(1, 0)], H, [1.5])
     with pytest.raises(ValueError, match="2 generators for 1 targets"):
@@ -434,27 +448,11 @@ def test_keyed_channels_equal_the_generator_route():
     assert keyed_channels_with_value([], B, []) == []
 
 
-@pytest.mark.parametrize("seed", (0, 11, 2**32 - 1, 5000000000))
-def test_keyed_draws_equal_the_generator_route_on_suite_keys(seed):
-    # the suites' key shapes (area, sweep, bsc probe), with seeds of one
-    # and of two words
-    for keys in ([(seed, gi, t) for gi in range(3) for t in range(40)],
-                 [(seed, ri, ord(tag), li, t) for ri in range(2) for tag in "HB"
-                  for li in range(3) for t in range(10)],
-                 [(seed, 99, t) for t in range(60)]):
-        _assert_same_draws(bounds._keyed_draws(keys), _generator_draws(trial_rng(*k) for k in keys))
-        targets = [0.05 + 0.9 * (i % 7) / 6 for i in range(len(keys))]
-        for tag in (H, B):
-            got = keyed_channels_with_value(keys, tag, targets)
-            want = random_channels_with_value([trial_rng(*k) for k in keys], tag, targets)
-            assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
-
-
 # PCG64 steps its 128-bit LCG state s -> s * mult + inc and then outputs
 # XSL-RR of the new state: (hi ^ lo) rotated right by the state's top 6 bits.
 _MASK64 = 2**64 - 1
 _MOD128 = 2**128
-_LCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LCG_MULT = bounds._PCG64_MULT
 
 
 def _state_with_output(word, hi):
