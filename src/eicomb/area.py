@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import keyed_channels_with_value
 from .channel import Channel
 from .convolution import phi_of_poly_convolved, projected_power_support
-from .functionals import Functional, evaluate, h2, h2_inv, h2_vec
+from .functionals import Functional, evaluate, h2, h2_vec, kernel_inv
 from .series import Polynomial, phi_of_poly_columns
 
 # Caller-supplied entropy must match the channel this closely.
@@ -37,9 +37,8 @@ ENTROPY_MATCH_TOL = 1e-6
 # projected support.
 CROSS_CHECK_SUPPORT = 5000
 CROSS_CHECK_TOL = 1e-8
-# Series tolerance of the area values, and the certified interval's grid.
+# Series tolerance of the area values.
 AREA_SERIES_TOL = 1e-10
-INTERVAL_GRID_POINTS = 101
 
 AREA_CSV_HEADER = "d_l,d_r,h,c0,cond_i,cond_ii,min_observed_area,bound,margin"
 
@@ -143,7 +142,7 @@ def margin_conditions(params: EnsembleParams, h: float, c0: float) -> tuple[bool
     if not c0 > 0.0:
         raise ValueError(f"margin must be positive, got {c0!r}")
     l, r = params.var_degree, params.check_degree
-    cond_i = (1.0 - 2.0 * h2_inv(h)) ** 2 <= (c0 / (l - 1)) ** (1.0 / (r - 1))
+    cond_i = kernel_inv(Functional.H, h) ** 2 <= (c0 / (l - 1)) ** (1.0 / (r - 1))
     cond_ii = h <= l / r - 2.0 * c0
     return cond_i, cond_ii
 
@@ -155,27 +154,29 @@ def rho_at_max_moment(params: EnsembleParams, h: float) -> float:
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"entropy must lie in [0, 1], got {h!r}")
-    q = (1.0 - 2.0 * h2_inv(h)) ** 2
+    q = kernel_inv(Functional.H, h) ** 2
     return (params.var_degree - 1) * params.area_poly(q)
 
 
 @dataclass(frozen=True)
 class CertifiedInterval:
-    """Entropy interval with a certification sweep of the margin conditions."""
+    """Entropy interval and whether both margin conditions hold on all of it."""
 
     left: float
     right: float
     c0: float
     valid: bool
-    checked_points: int
 
 
 def certified_interval(params: EnsembleParams, k_const: float = 1.0) -> CertifiedInterval:
     """Candidate interval [h2(K/sqrt(r)), l/r - 2*c0] with a validity flag.
 
-    The flag reports whether every grid entropy inside the interval
-    actually satisfies both margin conditions at c0 = (l-1) exp(-sqrt(r-1));
-    at small degrees the interval is typically empty or uncertified.
+    The flag reports whether every entropy of the interval satisfies both
+    margin conditions at c0 = (l-1) exp(-sqrt(r-1)), decided at its left
+    end: right is condition (ii)'s own bound, so (ii) holds on the interval
+    exactly when it is not empty, and (1 - 2 h2_inv(h))^2 decreases in h, so
+    (i) holds on it when it holds at the left end.  At small degrees the
+    interval is typically empty or uncertified.
     """
     r = params.check_degree
     arg = k_const / math.sqrt(r)
@@ -184,12 +185,8 @@ def certified_interval(params: EnsembleParams, k_const: float = 1.0) -> Certifie
     c0 = params.default_margin()
     left = h2(arg)
     right = params.var_degree / r - 2.0 * c0
-    if left > right:
-        return CertifiedInterval(left, right, c0, False, 0)
-    step = (right - left) / (INTERVAL_GRID_POINTS - 1)
-    grid = [left + i * step for i in range(INTERVAL_GRID_POINTS)]
-    valid = all(all(margin_conditions(params, h, c0)) for h in grid)
-    return CertifiedInterval(left, right, c0, valid, len(grid))
+    valid = left <= right and all(margin_conditions(params, left, c0))
+    return CertifiedInterval(left, right, c0, valid)
 
 
 def bec_minimizer_condition(params: EnsembleParams, h: float) -> bool:
@@ -202,7 +199,7 @@ def bec_minimizer_condition(params: EnsembleParams, h: float) -> bool:
         raise ValueError(f"entropy must lie in [0, 1], got {h!r}")
     kappa = params.kappa
     r = params.check_degree
-    return (1.0 - 2.0 * h2_inv(h)) ** 2 <= (r - 2.0) / (kappa * r)
+    return kernel_inv(Functional.H, h) ** 2 <= (r - 2.0) / (kappa * r)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bec, bsc
-from .convolution import _phis_of_powers, phi_of_poly_convolved, phi_of_poly_convolved_batch
+from .convolution import _phis_of_powers, phi_of_poly_convolved_batch
 from .functionals import Functional, _complements, evaluate, kernel, kernel_inv, pointwise
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_columns,
                      poly_convex_on, poly_increasing_on)
@@ -277,9 +277,9 @@ def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
     if code == 4:
         return ((("conv", ((a, 1), (b, 1))), ("comp", a), ("comp", b)),
                 lambda ab, ca, cb: (ca * cb, ab))
-    if code == 5:
+    if code == 5:  # Phi(a^[k]) added left to right from 0.0 on every Python version
         return (tuple(("phi", (a, k)) for k in range(1, d + 1)),
-                lambda *phi: (phi[-1], phi[0] * (d - sum(phi[:-1]))))
+                lambda *phi: (phi[-1], phi[0] * (d - reduce(operator.add, phi[:-1], 0.0))))
     if code == 6:
         return (("comp", a), ("conv", ((a, 2),))), lambda ca, aa: (ca, math.sqrt(aa))
     if code == 7:
@@ -869,44 +869,3 @@ def fixed_error_sweep(
 ) -> tuple[list[BoundReport], SuiteSummary]:
     """Fixed-E channels against the BEC-minimum / BSC-maximum bracket."""
     return _sweep("fixed_error", seed, _fixed_error_rows, levels, rhos, tags, per_cell, tol)
-
-
-def bsc_minimizer_counterexamples(
-    tag: Functional,
-    rho: Polynomial,
-    phi0: float,
-    seed: int,
-    trials: int,
-    tol: float = SWEEP_SLACK_TOL,
-) -> list[BoundReport]:
-    """Probe the conjecture that the BSC minimizes Phi(rho(a)) at fixed Phi.
-
-    This is an open question, so the returned counterexample reports (cases
-    strictly below the matched-BSC value) are evidence, never an assertion.
-    A negative trial count or a non-finite tol raises ValueError before any
-    draw.
-    """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials!r}")
-    _check_tol(tol)
-    eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
-    reference = phi_of_poly_convolved(tag, rho, bsc(eps_match))
-    channels = keyed_channels_with_value(
-        [(seed, 99, t) for t in range(trials)], tag, [phi0] * trials
-    )
-    values = phi_of_poly_columns(tag, rho, channels, SWEEP_PHI_TOL).value.tolist()
-    prefix = f"rho={rho};tag={tag.value};phi0={phi0!r};trial="
-    out: list[BoundReport] = []
-    for t, (a, value) in enumerate(zip(channels, values)):
-        if value < reference - tol:
-            out.append(
-                BoundReport(
-                    kind="bsc_min_conjecture",
-                    params=f"{prefix}{t}",
-                    lhs=reference,
-                    rhs=value,
-                    seed=seed,
-                    witnesses=(a,),
-                )
-            )
-    return out

@@ -290,6 +290,8 @@ def parse_channel(text: str) -> Channel:
     """
     eps: list[float] = []
     w: list[float] = []
+    # added line by line, left to right (sum() compensates from Python 3.12 on)
+    total = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -309,9 +311,9 @@ def parse_channel(text: str) -> Channel:
             raise ChannelFormatError(f"weight {v!r} must be positive", lineno)
         eps.append(e)
         w.append(v)
+        total += v
     if not eps:
         raise ChannelFormatError("document contains no mass points")
-    total = sum(w)
     if abs(total - 1.0) > PARSE_WEIGHT_SUM_TOL:
         raise ChannelFormatError(f"weights sum to {total!r}, expected 1 within 1e-9")
     scale = 1.0 / total

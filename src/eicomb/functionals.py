@@ -17,6 +17,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .channel import Channel
 # Bisection for h2_inv: iteration cap comfortably past double-precision
 # resolution of [0, 1/2]; the loop exits early once the midpoint collapses.
 _BISECT_MAX_ITER = 120
-# h2_inv memo: the area sweep, its certified interval and the descent solve
-# the same few hundred entropies over and over.
+# h2_inv memo: the area sweep and the descent solve the same few hundred
+# entropies over and over.
 _H2_INV_CACHE_SIZE = 4096
 
 
@@ -176,11 +177,12 @@ def complement(tag: Functional, a: Channel) -> float:
 def _complements(tag: Functional, chans: list[Channel]) -> list[float]:
     """complement of each channel, in order, from one _complement_points
     call over all their points (a per-point formula, so batching changes no
-    bit); each channel's terms are summed left to right, the order of a
-    point-by-point loop."""
+    bit); each channel's terms are added left to right from 0.0, the order
+    of a point-by-point loop (sum() compensates from Python 3.12 on)."""
     if not chans:
         return []
     eps = np.concatenate([a.eps for a in chans])
     terms = (np.concatenate([a.w for a in chans]) * _complement_points(tag, eps)).tolist()
     at = [0, *itertools.accumulate(a.eps.size for a in chans)]
-    return [float(sum(terms[lo:hi])) for lo, hi in zip(at[:-1], at[1:])]
+    return [functools.reduce(operator.add, terms[lo:hi], 0.0)
+            for lo, hi in zip(at[:-1], at[1:])]

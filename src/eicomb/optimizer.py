@@ -57,14 +57,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import convolution
 from .channel import Channel, bec, bsc
 from .convolution import Measure
-from .functionals import Functional, h2, h2_inv
+from .functionals import Functional, h2, h2_inv, kernel_inv
 from .series import Polynomial
 
 # Coordinates closer than this (in transport distance) to the matched
@@ -115,7 +115,7 @@ class TwoPointChannel:
         return 1.0 - 2.0 * eps, w
 
     def constraint_value(self, tag: Functional) -> float:
-        g = _constraint_fn(tag)
+        g = _CONSTRAINTS[tag].value
         return self.alpha * g(self.eps1) + (1.0 - self.alpha) * g(self.eps2)
 
 
@@ -129,29 +129,30 @@ def transport_distance(a: Channel, b: Channel) -> float:
     return float(np.sum(np.abs(cdf) * np.diff(pts)))
 
 
-def _constraint_fn(tag: Functional) -> Callable[[float], float]:
-    if tag is Functional.H:
-        return h2
-    if tag is Functional.E:
-        return lambda e: e
-    raise ValueError("coordinate constraints support the H and E functionals")
+class _Constraint(NamedTuple):
+    """What the descent reads of its constraint functional g: g(BSC(eps)),
+    the eps of the BSC with g = t, g's largest value, and the BEC with g = t."""
+
+    value: Callable[[float], float]
+    inverse: Callable[[float], float]
+    top: float
+    matched_bec: Callable[[float], Channel]
 
 
-def _constraint_inv(tag: Functional, target: float) -> float:
-    if tag is Functional.H:
-        return h2_inv(target)
-    return target
-
-
-def _constraint_top(tag: Functional) -> float:
-    return 1.0 if tag is Functional.H else 0.5
+# One entry per functional.  B(BSC(eps)) is pointwise(B, .)'s formula (sqrt
+# is correctly rounded in both), and its inverse monotone_lower_bound's.
+_CONSTRAINTS = {
+    Functional.H: _Constraint(h2, h2_inv, 1.0, bec),
+    Functional.E: _Constraint(lambda e: e, lambda t: t, 0.5, lambda t: bec(2.0 * t)),
+    Functional.B: _Constraint(lambda e: 2.0 * math.sqrt(e * (1.0 - e)),
+                              lambda t: (1.0 - kernel_inv(Functional.B, t)) / 2.0, 1.0, bec),
+}
 
 
 def _matched_extremes(tag: Functional, target: float) -> tuple[Channel, Channel]:
     """(BSC, BEC) with the constrained functional pinned to target."""
-    bsc_ref = bsc(_constraint_inv(tag, target))
-    bec_ref = bec(target) if tag is Functional.H else bec(2.0 * target)
-    return bsc_ref, bec_ref
+    facts = _CONSTRAINTS[tag]
+    return bsc(facts.inverse(target)), facts.matched_bec(target)
 
 
 def _add(sums: Sequence[Measure], a: Measure, low: int) -> list[Measure]:
@@ -360,7 +361,7 @@ TIE_BAND = 1e-14
 @functools.lru_cache(maxsize=16)
 def _constraint_grid(constraint: Functional, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The eps grid on [0, 1/2] and the constraint values on it, read-only."""
-    g = _constraint_fn(constraint)
+    g = _CONSTRAINTS[constraint].value
     eps_grid = np.linspace(0.0, 0.5, grid)
     g_vals = np.array([g(e) for e in eps_grid])
     eps_grid.flags.writeable = False
@@ -454,8 +455,9 @@ def best_coordinate(
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
+    facts = _CONSTRAINTS[constraint]
     # a refinement ring of 8 pairs has at most 6 distinct eps values
-    g = functools.cache(_constraint_fn(constraint))
+    g = functools.cache(facts.value)
     sign = 1.0 if minimize else -1.0
 
     eps_grid, _ = _constraint_grid(constraint, grid)
@@ -482,7 +484,7 @@ def best_coordinate(
     # The incumbent always competes, as do the two corner structures a
     # single linear constraint admits: the matched one-point channel and
     # the full-spread pair on {0, 1/2}; the grid winner joins them.
-    eps_star = _constraint_inv(constraint, target)
+    eps_star = facts.inverse(target)
     first = [(float(current.eps1), float(current.eps2)), (eps_star, eps_star), (0.0, 0.5)]
     best = int(np.argmin(vals)) if vals.size else -1
     refine = best >= 0 and math.isfinite(vals[best])
@@ -546,13 +548,13 @@ def _initial_coords(
     rng: np.random.Generator, d: int, constraint: Functional, target: float
 ) -> list[TwoPointChannel]:
     # e1 <= eps* <= e2, so every initial pair is feasible
-    g = _constraint_fn(constraint)
-    eps_star = _constraint_inv(constraint, target)
+    facts = _CONSTRAINTS[constraint]
+    eps_star = facts.inverse(target)
     out = []
     for _ in range(d):
         e1 = float(rng.random() * eps_star)
         e2 = float(eps_star + rng.random() * (0.5 - eps_star))
-        out.append(TwoPointChannel(e1, e2, _pair_alpha(g, target, e1, e2)))
+        out.append(TwoPointChannel(e1, e2, _pair_alpha(facts.value, target, e1, e2)))
     return out
 
 
@@ -576,7 +578,8 @@ def coordinate_descent(
     objective (accumulated from per-update improvements) is exactly
     monotone.  Stops when a full sweep improves by less than tol.
     """
-    if not 0.0 <= target <= _constraint_top(constraint):
+    facts = _CONSTRAINTS[constraint]
+    if not 0.0 <= target <= facts.top:
         raise ValueError(f"target {target!r} out of range for {constraint.value}")
     if max_sweeps < 1 or not 0.0 < tol < math.inf:
         raise ValueError(f"max_sweeps must be >= 1 and tol finite and positive, got tol={tol!r}")
@@ -592,7 +595,7 @@ def coordinate_descent(
     coords = _initial_coords(rng, d, constraint, target)
     running = symmetrized_objective(rho, tag, [c.channel() for c in coords])
     # the constraint at the incumbents' eps, memoized over this descent
-    g = functools.cache(_constraint_fn(constraint))
+    g = functools.cache(facts.value)
     # (new_coord, after, before) of each subproblem this descent solved, keyed
     # by the bits of the profile's const, x_pts and w_pts and of the
     # incumbent: with tag, constraint, target, grid and direction fixed,

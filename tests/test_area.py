@@ -173,6 +173,45 @@ def test_certified_interval_becomes_valid_at_large_degrees():
     assert got.valid
 
 
+def _grid_flag(params, interval):
+    """The flag as 101 evenly spaced entropies of the interval decided it,
+    and the grid points that failed a condition."""
+    if interval.left > interval.right:
+        return False, []
+    step = (interval.right - interval.left) / 100
+    grid = [interval.left + i * step for i in range(101)]
+    failed = [h for h in grid if not all(margin_conditions(params, h, interval.c0))]
+    return not failed, failed
+
+
+def _interval_scan():
+    for r in [*range(3, 120), 150, 200, 300, 500, 1000]:
+        for l in sorted({*range(2, 7), r // 4, r // 2, r - 1}):
+            for k_const in (0.25, 1.0, 1.5):
+                if 2 <= l < r and k_const / math.sqrt(r) < 0.5:
+                    yield EnsembleParams(l, r), k_const
+
+
+def test_certified_interval_is_decided_at_its_left_end():
+    nonempty, moved = 0, []
+    for params, k_const in _interval_scan():
+        got = certified_interval(params, k_const)
+        nonempty += got.left <= got.right
+        want, failed = _grid_flag(params, got)
+        if got.valid == want:
+            continue
+        moved.append((params.var_degree, params.check_degree, k_const))
+        # the grid's last point rounds above right, where (ii) fails and (i)
+        # holds; every entropy of the interval passes both conditions
+        assert got.valid
+        assert len(failed) == 1 and failed[0] > got.right
+        assert margin_conditions(params, failed[0], got.c0) == (True, False)
+        assert margin_conditions(params, got.right, got.c0) == (True, True)
+    assert nonempty == 509
+    assert len(moved) == 18
+    assert (50, 100, 0.25) in moved
+
+
 def test_bec_minimizer_condition_forms():
     p = EnsembleParams(3, 6)
     # holds above h2((1-sqrt(8/9))/2)

@@ -8,9 +8,7 @@ import pytest
 from eicomb import bounds
 from eicomb.area import EnsembleParams, area_margin_sweep
 from eicomb.bounds import (
-    BoundReport,
     INEQUALITIES,
-    bsc_minimizer_counterexamples,
     check_inequality,
     convexity_upper_bound,
     fixed_error_extremes,
@@ -29,7 +27,7 @@ from eicomb.bounds import (
 from eicomb.channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, _mixtures, _trusted, bec, bsc,
                             channel, mix)
 from eicomb.convolution import phi_of_poly_convolved
-from eicomb.functionals import Functional, complement, evaluate, h2, kernel, kernel_inv
+from eicomb.functionals import Functional, complement, evaluate, h2, kernel
 from eicomb.series import (DEFAULT_TERM_CAP, Polynomial, complement_of_convolution,
                            poly_from_string)
 
@@ -427,8 +425,8 @@ def test_keyed_channels_equal_the_generator_route():
         got = keyed_channels_with_value(keys, tag, targets)
         want = random_channels_with_value([trial_rng(*k) for k in keys], tag, targets)
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
-    # the suites' key shapes (area, sweep, bsc probe), with seeds of one
-    # and of two words
+    # key shapes of two, three and five words (those of the area sweep and
+    # of the bound sweeps among them), with seeds of one and of two words
     for seed in (0, 11, 2**32 - 1, 5000000000):
         for keys in ([(seed, gi, t) for gi in range(3) for t in range(40)],
                      [(seed, ri, ord(tag), li, t) for ri in range(2) for tag in "HB"
@@ -520,11 +518,6 @@ PINNED_ROWS = {
                                   per_cell=2)[0][3].csv_row(),
         "upper,rho=x^5 - 0.75*x^6;tag=H;level=0.15;trial=1,0.22755817690517452,"
         "0.23703234201148993,0.009474165106315408,1,5000000000",
-    ),
-    "bsc_min": (
-        lambda: bsc_minimizer_counterexamples(B, _CUBE, 0.3, 3, 2, tol=-2.0)[1].csv_row(),
-        "bsc_min_conjecture,rho=x^3;tag=B;phi0=0.3;trial=1,0.49641615606263245,"
-        "0.6536954708398839,0.15727931477725143,1,3",
     ),
     "area": (
         lambda: next(r for r in area_margin_sweep(EnsembleParams(100, 200), 7, grid_points=12,
@@ -656,7 +649,8 @@ def test_suite_call_evaluates_its_complements_in_one_batch(monkeypatch, code):
 
 
 def test_inequality_suite_validates_before_any_draw(monkeypatch):
-    monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
+    # both draw routes, trial_map and _keyed_draws, set their states here
+    monkeypatch.setattr(bounds, "_pcg64_states", lambda keys: pytest.fail("drew a trial"))
     with pytest.raises(ValueError, match=r"^unknown inequality code 3$"):
         inequality_suite(seed=1, trials=5, codes=(3,))
     with pytest.raises(ValueError, match=r"^unknown inequality code 13$"):
@@ -765,7 +759,10 @@ def _catalog_oracle(code, tag, chans, alpha, d):
         return comp(a) * comp(b), conv((a, 1), (b, 1))
     if code == 5:
         values = [phi(a, k) for k in range(1, d + 1)]
-        return values[-1], values[0] * (d - sum(values[:-1]))
+        total = 0.0  # left to right: sum() compensates from Python 3.12 on
+        for v in values[:-1]:
+            total += v
+        return values[-1], values[0] * (d - total)
     if code == 6:
         return comp(a), math.sqrt(conv((a, 2)))
     if code == 7:
@@ -846,7 +843,8 @@ def test_sweep_row_settles_draws_once_and_mixtures_once(monkeypatch, runner, ext
 
 @pytest.mark.parametrize("runner", (upper_bound_sweep, lower_bound_sweep, fixed_error_sweep))
 def test_sweeps_reject_a_negative_count_before_any_draw(monkeypatch, runner):
-    monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
+    # both draw routes, trial_map and _keyed_draws, set their states here
+    monkeypatch.setattr(bounds, "_pcg64_states", lambda keys: pytest.fail("drew a trial"))
     with pytest.raises(ValueError, match="per_cell must be nonnegative, got -3"):
         runner(seed=1, per_cell=-3)
     for tol in (math.nan, math.inf, -math.inf):
@@ -855,18 +853,6 @@ def test_sweeps_reject_a_negative_count_before_any_draw(monkeypatch, runner):
     monkeypatch.undo()
     reports, summary = runner(seed=1, per_cell=0)
     assert reports == [] and summary.trials == 0
-
-
-def test_bsc_minimizer_checker_rejects_a_negative_count_before_any_draw(monkeypatch):
-    monkeypatch.setattr(bounds, "trial_map", lambda *args: pytest.fail("drew a trial"))
-    with pytest.raises(ValueError, match="trials must be nonnegative, got -2"):
-        bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=-2)
-    for tol in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"tol must be a finite number, got {tol!r}"):
-            bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=2,
-                                          tol=tol)
-    monkeypatch.undo()
-    assert bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=1, trials=0) == []
 
 
 def test_inequality_csv_row_shape():
@@ -979,24 +965,3 @@ def test_fixed_error_pair_shares_one_draw_per_key(monkeypatch):
     batches.clear()
     upper_bound_sweep(seed=12, levels=levels, rhos=rhos, per_cell=per_cell)
     assert batches == [len(levels) * per_cell] * (len(rhos) * 2)
-
-
-def test_bsc_minimizer_checker_matches_per_channel_run():
-    # a tolerance of -1 reports every trial, so each batched value is compared
-    rho = poly_from_string("x^5-0.75x^6")
-    hits = bsc_minimizer_counterexamples(B, rho, 0.3, seed=3, trials=40, tol=-1.0)
-    reference = phi_of_poly_convolved(B, rho, bsc((1.0 - kernel_inv(B, 0.3)) / 2.0))
-    assert [h.params for h in hits] == [f"rho={rho};tag=B;phi0=0.3;trial={t}" for t in range(40)]
-    for t, h in enumerate(hits):
-        a = random_channel_with_value(trial_rng(3, 99, t), B, 0.3)
-        assert h.witnesses[0].points == a.points
-        assert h.lhs == reference
-        assert abs(h.rhs - _phi_terms(B, a, rho.terms, 1e-11, DEFAULT_TERM_CAP).value) <= 1e-14
-
-
-def test_bsc_minimizer_conjecture_checker_reports_only():
-    # evidence only: on a modest run the conjectured minimizer stands
-    hits = bsc_minimizer_counterexamples(H, Polynomial.monomial(3), 0.5, seed=8, trials=100)
-    assert isinstance(hits, list)
-    assert all(isinstance(r, BoundReport) for r in hits)
-    assert hits == []

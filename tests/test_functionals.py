@@ -1,10 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from eicomb.bounds import random_channel, trial_rng
-from eicomb.channel import bec, bsc, channel, mix
+from eicomb import bounds, functionals
+from eicomb.bounds import inequality_suite, random_channel, trial_rng
+from eicomb.channel import bec, bsc, channel, mix, parse_channel
 from eicomb.functionals import (
     Functional,
     _complement_points,
@@ -18,6 +20,8 @@ from eicomb.functionals import (
 )
 
 H, B, E = Functional.H, Functional.B, Functional.E
+# eicomb.channel the module; the package's `channel` is the constructor
+channel_module = importlib.import_module("eicomb.channel")
 
 
 def test_h2_known_values():
@@ -210,9 +214,12 @@ def test_vectorized_complement_matches_per_point_loops():
 
 
 def test_batched_complements_are_each_channels_complement():
-    # the per-channel sum complement() took before it became a batch of one
+    # the per-channel loop complement() took before it became a batch of one
     def one(tag, a):
-        return float(sum((a.w * _complement_points(tag, a.eps)).tolist()))
+        total = 0.0
+        for term in (a.w * _complement_points(tag, a.eps)).tolist():
+            total += term
+        return total
 
     chans = [random_channel(trial_rng(13, t)) for t in range(200)]
     chans += [bsc(0.0), bsc(0.5), bec(0.3), bsc(0.5 - 1e-9), channel([(0.3, 0.5), (0.49, 0.5)])]
@@ -226,3 +233,44 @@ def test_batched_complements_are_each_channels_complement():
 def test_complement_rejects_error_probability_tag():
     with pytest.raises(ValueError):
         complement(E, bsc(0.1))
+
+
+def _neumaier_sum(values, start=0):
+    """sum() of floats as Python 3.12 and later compute it: the running sum
+    carries each addition's rounding error (Neumaier) and adds it at the end."""
+    total, carried = float(start), 0.0
+    for v in values:
+        t = total + v
+        carried += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + carried
+
+
+def _complement_outputs():
+    chans = [random_channel(trial_rng(31, t)) for t in range(300)]
+    return [_complements(tag, chans) for tag in (H, B)]
+
+
+def _power_budget_outputs():
+    return [(r.lhs, r.rhs) for r in inequality_suite(seed=0, trials=300, codes=(5,))[0]]
+
+
+def _parsed_weights():
+    docs = []
+    for t in range(300):
+        w = trial_rng(32, t).standard_exponential(5)
+        docs.append("".join(f"{0.1 * i!r} {v!r}\n" for i, v in enumerate((w / w.sum()).tolist(), 1)))
+    return [parse_channel(doc).w.tolist() for doc in docs]
+
+
+@pytest.mark.parametrize("module, outputs", [
+    (functionals, _complement_outputs),
+    (bounds, _power_budget_outputs),  # code 5's sum of Phi(a^[k])
+    (channel_module, _parsed_weights),
+], ids=["complements", "power_budget", "parse_channel"])
+def test_float_sums_do_not_follow_the_python_version(monkeypatch, module, outputs):
+    # each module adds its floats left to right from 0.0, so a compensated
+    # sum() (Python >= 3.12) in its namespace changes no output bit
+    want = outputs()
+    monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    assert outputs() == want

@@ -8,10 +8,11 @@ import pytest
 
 from eicomb import convolution, optimizer
 from eicomb.area import EnsembleParams
-from eicomb.bounds import random_channel, trial_rng
+from eicomb.bounds import (DEFAULT_SWEEP_LEVELS, DEFAULT_SWEEP_RHOS, monotone_lower_bound,
+                           random_channel, trial_rng)
 from eicomb.channel import bec, bsc, channel
-from eicomb.convolution import check_convolve
-from eicomb.functionals import Functional, evaluate, h2, h2_inv, h2_vec, pointwise
+from eicomb.convolution import check_convolve, phi_of_poly_convolved
+from eicomb.functionals import Functional, evaluate, h2, h2_inv, h2_vec, kernel_inv, pointwise
 from eicomb.optimizer import (
     TwoPointChannel,
     Verdict,
@@ -107,6 +108,24 @@ def test_two_point_constraint_value():
     c = TwoPointChannel(0.0, 0.5, 0.55)
     assert c.constraint_value(H) == pytest.approx(0.45, abs=1e-15)
     assert c.constraint_value(E) == pytest.approx(0.225, abs=1e-15)
+    assert c.constraint_value(B) == pytest.approx(0.45, abs=1e-15)
+    c = TwoPointChannel(0.1, 0.3, 0.25)
+    assert c.constraint_value(B) == pytest.approx(evaluate(B, c.channel()), abs=1e-15)
+
+
+def test_b_constraint_value_is_pointwise_b():
+    eps = np.concatenate([np.linspace(0.0, 0.5, 1001), trial_rng(4).random(2000) * 0.5])
+    g = optimizer._CONSTRAINTS[B].value
+    assert [g(float(e)) for e in eps] == pointwise(B, eps).tolist()
+
+
+@pytest.mark.parametrize("target", [0.0, 1e-3, 0.05, 0.3, 0.7, 0.99, 1.0])
+def test_b_matched_extremes(target):
+    bsc_ref, bec_ref = optimizer._matched_extremes(B, target)
+    # the BSC of the monotone lower bound, bit for bit
+    assert bsc_ref.points == monotone_lower_bound(B, Polynomial.monomial(2), target).extremal.points
+    assert evaluate(B, bsc_ref) == pytest.approx(target, abs=1e-12)
+    assert bec_ref.points == bec(target).points
 
 
 def test_transport_distance_basics():
@@ -370,6 +389,10 @@ def test_descent_validates_arguments():
     rho = Polynomial.monomial(2)
     with pytest.raises(ValueError):
         coordinate_descent(rho, H, 1.5)
+    for constraint, top in ((H, 1.0), (B, 1.0), (E, 0.5)):
+        for target in (-0.1, top + 0.01):
+            with pytest.raises(ValueError, match=f"out of range for {constraint.value}"):
+                coordinate_descent(rho, B, target, constraint=constraint)
     with pytest.raises(ValueError):
         coordinate_descent(rho, H, 0.5, num_vars=1)
     with pytest.raises(ValueError):
@@ -434,6 +457,27 @@ def test_descent_fixed_error_minimizer_is_bec():
         Polynomial.monomial(2), H, 0.15, constraint=E, minimize=True, seed=1
     )
     assert res.verdict is Verdict.ALL_EQUAL_BEC
+
+
+@pytest.mark.parametrize("tag", [H, B])
+def test_min_descents_collapse_to_the_matched_bsc(tag):
+    # the BSC-minimizer question at fixed Phi, on the bound sweeps' cells: no
+    # minimizing descent over tuples of two-point channels beats the matched BSC
+    for rho in DEFAULT_SWEEP_RHOS:
+        for level in DEFAULT_SWEEP_LEVELS:
+            reference = phi_of_poly_convolved(
+                tag, rho, bsc((1.0 - kernel_inv(tag, level)) / 2.0))
+            for seed in range(3):
+                res = coordinate_descent(rho, tag, level, constraint=tag, seed=seed)
+                assert res.verdict is Verdict.ALL_EQUAL_BSC, (str(rho), level, seed)
+                assert res.objective >= reference - 1e-12, (str(rho), level, seed)
+
+
+def test_b_constrained_descent_at_the_top_level():
+    # B = 1 leaves only the useless channel
+    res = coordinate_descent(Polynomial.monomial(2), B, 1.0, constraint=B, seed=0)
+    assert res.verdict is Verdict.ALL_EQUAL_BSC
+    assert all(c.channel().points == bsc(0.5).points for c in res.coords)
 
 
 def test_claim_cells_driver_shape():
@@ -633,7 +677,7 @@ def test_descent_equals_full_order_descent(monkeypatch):
 
 def _dense_best_coordinate(profile, constraint, target, current, grid, refine_passes, minimize):
     """best_coordinate before the pair table: dense grid, one kernel pass per finalist."""
-    g = optimizer._constraint_fn(constraint)
+    g = optimizer._CONSTRAINTS[constraint].value
     sign = 1.0 if minimize else -1.0
 
     def pair_value(e1, e2):
@@ -670,7 +714,7 @@ def _dense_best_coordinate(profile, constraint, target, current, grid, refine_pa
         return min((f for f in finalists if f[0] <= cutoff), key=lambda f: f[1:])
 
     consider(float(current.eps1), float(current.eps2))
-    eps_star = optimizer._constraint_inv(constraint, target)
+    eps_star = optimizer._CONSTRAINTS[constraint].inverse(target)
     consider(eps_star, eps_star)
     consider(0.0, 0.5)
     if math.isfinite(vals[p, q]):
@@ -850,7 +894,7 @@ def _unmemoized_descent(rho, tag, target, *, constraint=H, num_vars=None, minimi
     rng = np.random.default_rng((seed,))
     coords = optimizer._initial_coords(rng, d, constraint, target)
     running = symmetrized_objective(rho, tag, [c.channel() for c in coords])
-    g = optimizer._constraint_fn(constraint)
+    g = optimizer._CONSTRAINTS[constraint].value
     trace = [optimizer.SweepTrace(0, running, tuple(coords))]
     converged = False
     sweeps = 0
