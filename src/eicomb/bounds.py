@@ -27,9 +27,10 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bec, bsc
+from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bsc
 from .convolution import _phis_of_powers, phi_of_poly_convolved_batch
-from .functionals import Functional, _complements, evaluate, kernel, kernel_inv, pointwise
+from .functionals import (SERIES_TAGS, Functional, _complements, _level_facts, _series_tag,
+                          evaluate, kernel, kernel_inv, pointwise)
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_columns,
                      poly_convex_on, poly_increasing_on)
 
@@ -107,8 +108,7 @@ def convexity_upper_bound(tag: Functional, rho: Polynomial, phi0: float) -> Extr
 
     Attained by BEC(phi0); requires rho convex on [0, f_Phi^{-1}(phi0)^2].
     """
-    if not 0.0 <= phi0 <= 1.0:
-        raise ValueError(f"constraint level must lie in [0, 1], got {phi0!r}")
+    facts = _level_facts(tag, phi0)
     reach = kernel_inv(tag, phi0) ** 2
     return ExtremalBound(
         kind="upper",
@@ -118,7 +118,7 @@ def convexity_upper_bound(tag: Functional, rho: Polynomial, phi0: float) -> Extr
         level=phi0,
         bound=rho(1.0) - rho(1.0 - phi0),
         hypothesis_ok=poly_convex_on(rho, reach),
-        extremal=bec(phi0),
+        extremal=facts.matched_bec(phi0),
     )
 
 
@@ -126,12 +126,10 @@ def monotone_lower_bound(tag: Functional, rho: Polynomial, phi0: float) -> Extre
     """Lower bound rho(1) - rho(f_Phi^{-1}(phi0)^2) on Phi(rho(a)).
 
     Requires rho increasing on [0, f_Phi^{-1}(phi0)^2]; the bound feeds the
-    area-margin analysis.
+    area-margin analysis.  Attained by the BSC with Phi = phi0.
     """
-    if not 0.0 <= phi0 <= 1.0:
-        raise ValueError(f"constraint level must lie in [0, 1], got {phi0!r}")
+    facts = _level_facts(tag, phi0)
     reach = kernel_inv(tag, phi0) ** 2
-    eps_match = (1.0 - kernel_inv(tag, phi0)) / 2.0
     return ExtremalBound(
         kind="lower",
         tag=tag,
@@ -140,7 +138,7 @@ def monotone_lower_bound(tag: Functional, rho: Polynomial, phi0: float) -> Extre
         level=phi0,
         bound=rho(1.0) - rho(reach),
         hypothesis_ok=poly_increasing_on(rho, reach),
-        extremal=bsc(eps_match),
+        extremal=bsc(facts.inverse(phi0)),
     )
 
 
@@ -238,8 +236,7 @@ def check_inequality(
     info = INEQUALITIES.get(code)
     if info is None:
         raise ValueError(f"unknown inequality code {code!r}")
-    if tag not in (Functional.H, Functional.B):
-        raise ValueError("inequalities are stated for the H and B functionals")
+    _series_tag(tag)
     if len(channels) != info.channels:
         raise ValueError(
             f"inequality {code} takes {info.channels} channel(s), got {len(channels)}"
@@ -626,12 +623,8 @@ def _pinned_channels(draws: _Draws, tag: Functional, targets: Sequence[float],
 
 def _checked_targets(tag: Functional, targets: Sequence[float]) -> tuple[float, list[float]]:
     """(top, targets as floats): top is the tag's largest value, 1/2 for E."""
-    top = 0.5 if tag is Functional.E else 1.0
     targets = [float(target) for target in targets]
-    for target in targets:
-        if not 0.0 <= target <= top:
-            raise ValueError(f"target {target!r} out of range for {tag.value}")
-    return top, targets
+    return _level_facts(tag, *targets).top, targets
 
 
 def _check_count(count: int, targets: list[float]) -> None:
@@ -730,7 +723,6 @@ DEFAULT_SWEEP_RHOS = (
     Polynomial.monomial(6),
     Polynomial((0.0, 0.0, 0.0, 0.0, 1.0, -0.75)),  # x^5 - 0.75 x^6
 )
-SERIES_TAGS = (Functional.H, Functional.B)
 
 
 def _draw_case(info: InequalityInfo, rng: np.random.Generator

@@ -23,8 +23,8 @@ from . import area as area_mod
 from . import bounds as bounds_mod
 from .channel import Channel, ChannelError, bec, bsc, parse_channel, serialize_channel
 from .convolution import SupportCapError, check_convolve, check_power
-from .functionals import Functional, evaluate
-from .optimizer import extremal_channel_cells
+from .functionals import Functional, _series_tag, evaluate
+from .optimizer import RUN_CSV_HEADER, extremal_channel_cells
 from .series import coefficient, coefficient_tail, phi_series, poly_from_string
 
 EXIT_OK = 0
@@ -167,9 +167,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    tag = _parse_functional(args.functional)
-    if tag is Functional.E:
-        raise ValueError("series weights exist for H and B only")
+    tag = _series_tag(_parse_functional(args.functional))
     lines = ["n,coefficient,partial_sum,tail_bound"]
     partial = 0.0
     for n in range(1, args.count + 1):
@@ -186,10 +184,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def _suite_tags(args: argparse.Namespace) -> Sequence[Functional]:
     if args.functional is None:
         return bounds_mod.SERIES_TAGS
-    tag = _parse_functional(args.functional)
-    if tag is Functional.E:
-        raise ValueError("sweeps run over the H and B functionals")
-    return (tag,)
+    return (_series_tag(_parse_functional(args.functional)),)
 
 
 def _suite_rhos(args: argparse.Namespace):
@@ -266,7 +261,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         cells = extremal_channel_cells(
             params.area_poly, h_values, seeds, grid=args.search_grid,
         )
-        lines = ["direction,h,seed,sweep,objective,coords"]
+        lines = ["direction,h," + RUN_CSV_HEADER]
         for cell in cells:
             direction = "min" if cell.minimize else "max"
             for res in cell.results:

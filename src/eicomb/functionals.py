@@ -18,10 +18,11 @@ import functools
 import itertools
 import math
 import operator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, bec
 
 # Bisection for h2_inv: iteration cap comfortably past double-precision
 # resolution of [0, 1/2]; the loop exits early once the midpoint collapses.
@@ -37,6 +38,17 @@ class Functional(enum.Enum):
     E = "E"
     H = "H"
     B = "B"
+
+
+# The functionals with a kernel and series weights.
+SERIES_TAGS = (Functional.H, Functional.B)
+
+
+def _series_tag(tag: Functional) -> Functional:
+    """tag, after checking that it is H or B."""
+    if tag not in SERIES_TAGS:
+        raise ValueError("the error-probability functional has no series weights or kernel")
+    return tag
 
 
 def h2(x: float) -> float:
@@ -85,24 +97,22 @@ def h2_inv(y: float) -> float:
 
 def kernel(tag: Functional, x: float) -> float:
     """The kernel f_Phi(x) on [0, 1] for Phi in {H, B}; decreasing, 1 -> 0."""
+    _series_tag(tag)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"kernel argument must lie in [0, 1], got {x!r}")
     if tag is Functional.H:
         return h2((1.0 - x) / 2.0)
-    if tag is Functional.B:
-        return math.sqrt(max(0.0, 1.0 - x * x))
-    raise ValueError("the error-probability functional has no kernel")
+    return math.sqrt(max(0.0, 1.0 - x * x))
 
 
 def kernel_inv(tag: Functional, y: float) -> float:
     """Inverse kernel on [0, 1]: f_H^{-1}(y) = 1 - 2*h2_inv(y), f_B is self-inverse."""
+    _series_tag(tag)
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"kernel_inv argument must lie in [0, 1], got {y!r}")
     if tag is Functional.H:
         return 1.0 - 2.0 * h2_inv(y)
-    if tag is Functional.B:
-        return math.sqrt(max(0.0, 1.0 - y * y))
-    raise ValueError("the error-probability functional has no kernel")
+    return math.sqrt(max(0.0, 1.0 - y * y))
 
 
 def pointwise(tag: Functional, eps: np.ndarray) -> np.ndarray:
@@ -123,6 +133,36 @@ def pointwise(tag: Functional, eps: np.ndarray) -> np.ndarray:
 def evaluate(tag: Functional, a: Channel) -> float:
     """Closed-form value of the selected functional on a discrete channel."""
     return float(np.dot(a.w, pointwise(tag, a.eps)))
+
+
+class _Facts(NamedTuple):
+    """Phi(BSC(eps)), the eps of the BSC with Phi = t, Phi's largest value
+    (the useless channel's) and the BEC with Phi = t."""
+
+    value: Callable[[float], float]
+    inverse: Callable[[float], float]
+    top: float
+    matched_bec: Callable[[float], Channel]
+
+
+# One entry per functional, read by the descent, the extremal bounds and the
+# sampler.  B(BSC(eps)) is pointwise(B, .)'s formula, and its inverse is
+# (1 - sqrt(1 - t^2)) / 2 written without the cancellation at small t.
+_FACTS = {
+    Functional.H: _Facts(h2, h2_inv, 1.0, bec),
+    Functional.E: _Facts(lambda e: e, lambda t: t, 0.5, lambda t: bec(2.0 * t)),
+    Functional.B: _Facts(lambda e: 2.0 * math.sqrt(e * (1.0 - e)),
+                         lambda t: t * t / (2.0 * (1.0 + math.sqrt(1.0 - t * t))), 1.0, bec),
+}
+
+
+def _level_facts(tag: Functional, *levels: float) -> _Facts:
+    """tag's entry, after checking that each level lies in [0, top]."""
+    facts = _FACTS[tag]
+    for level in levels:
+        if not 0.0 <= level <= facts.top:
+            raise ValueError(f"target {level!r} out of range for {tag.value}")
+    return facts
 
 
 _LN2 = math.log(2.0)
@@ -146,13 +186,12 @@ def _complement_points(tag: Functional, eps: np.ndarray) -> np.ndarray:
     is already well conditioned.  B uses the exact square identity
     1 - 2 sqrt(eps (1-eps)) = (x / (sqrt(1-eps) + sqrt(eps)))^2.
     """
+    _series_tag(tag)
     eps = np.asarray(eps, dtype=float)
     x = 1.0 - 2.0 * eps
     if tag is Functional.B:
         root = x / (np.sqrt(1.0 - eps) + np.sqrt(eps))
         return root * root
-    if tag is not Functional.H:
-        raise ValueError("the complement is defined for the H and B functionals")
     out = 1.0 - h2_vec(eps)
     series = np.abs(x) < 0.5
     if series.any():

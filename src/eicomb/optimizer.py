@@ -57,14 +57,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import convolution
-from .channel import Channel, bec, bsc
+from .channel import Channel, bsc
 from .convolution import Measure
-from .functionals import Functional, h2, h2_inv, kernel_inv
+from .functionals import _FACTS, Functional, _level_facts
 from .series import Polynomial
 
 # Coordinates closer than this (in transport distance) to the matched
@@ -115,7 +115,7 @@ class TwoPointChannel:
         return 1.0 - 2.0 * eps, w
 
     def constraint_value(self, tag: Functional) -> float:
-        g = _CONSTRAINTS[tag].value
+        g = _FACTS[tag].value
         return self.alpha * g(self.eps1) + (1.0 - self.alpha) * g(self.eps2)
 
 
@@ -129,29 +129,9 @@ def transport_distance(a: Channel, b: Channel) -> float:
     return float(np.sum(np.abs(cdf) * np.diff(pts)))
 
 
-class _Constraint(NamedTuple):
-    """What the descent reads of its constraint functional g: g(BSC(eps)),
-    the eps of the BSC with g = t, g's largest value, and the BEC with g = t."""
-
-    value: Callable[[float], float]
-    inverse: Callable[[float], float]
-    top: float
-    matched_bec: Callable[[float], Channel]
-
-
-# One entry per functional.  B(BSC(eps)) is pointwise(B, .)'s formula (sqrt
-# is correctly rounded in both), and its inverse monotone_lower_bound's.
-_CONSTRAINTS = {
-    Functional.H: _Constraint(h2, h2_inv, 1.0, bec),
-    Functional.E: _Constraint(lambda e: e, lambda t: t, 0.5, lambda t: bec(2.0 * t)),
-    Functional.B: _Constraint(lambda e: 2.0 * math.sqrt(e * (1.0 - e)),
-                              lambda t: (1.0 - kernel_inv(Functional.B, t)) / 2.0, 1.0, bec),
-}
-
-
 def _matched_extremes(tag: Functional, target: float) -> tuple[Channel, Channel]:
     """(BSC, BEC) with the constrained functional pinned to target."""
-    facts = _CONSTRAINTS[tag]
+    facts = _FACTS[tag]
     return bsc(facts.inverse(target)), facts.matched_bec(target)
 
 
@@ -361,7 +341,7 @@ TIE_BAND = 1e-14
 @functools.lru_cache(maxsize=16)
 def _constraint_grid(constraint: Functional, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The eps grid on [0, 1/2] and the constraint values on it, read-only."""
-    g = _CONSTRAINTS[constraint].value
+    g = _FACTS[constraint].value
     eps_grid = np.linspace(0.0, 0.5, grid)
     g_vals = np.array([g(e) for e in eps_grid])
     eps_grid.flags.writeable = False
@@ -455,7 +435,7 @@ def best_coordinate(
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}, got {grid}")
-    facts = _CONSTRAINTS[constraint]
+    facts = _FACTS[constraint]
     # a refinement ring of 8 pairs has at most 6 distinct eps values
     g = functools.cache(facts.value)
     sign = 1.0 if minimize else -1.0
@@ -548,7 +528,7 @@ def _initial_coords(
     rng: np.random.Generator, d: int, constraint: Functional, target: float
 ) -> list[TwoPointChannel]:
     # e1 <= eps* <= e2, so every initial pair is feasible
-    facts = _CONSTRAINTS[constraint]
+    facts = _FACTS[constraint]
     eps_star = facts.inverse(target)
     out = []
     for _ in range(d):
@@ -578,9 +558,7 @@ def coordinate_descent(
     objective (accumulated from per-update improvements) is exactly
     monotone.  Stops when a full sweep improves by less than tol.
     """
-    facts = _CONSTRAINTS[constraint]
-    if not 0.0 <= target <= facts.top:
-        raise ValueError(f"target {target!r} out of range for {constraint.value}")
+    facts = _level_facts(constraint, target)
     if max_sweeps < 1 or not 0.0 < tol < math.inf:
         raise ValueError(f"max_sweeps must be >= 1 and tol finite and positive, got tol={tol!r}")
     d = rho.degree if num_vars is None else num_vars

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import Channel, bsc
-from .functionals import Functional
+from .functionals import Functional, _series_tag
 
 LN2 = math.log(2.0)
 
@@ -66,8 +66,7 @@ def _weights(tag: Functional, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     table = _WEIGHTS.get(tag)
     if table is None or table[0].size <= n:
-        if tag not in (Functional.H, Functional.B):
-            raise ValueError("the error-probability functional has no series weights")
+        _series_tag(tag)
         old = table[0].size - 1 if table else 0
         size = max(1024, n, 2 * old)
         a, tail = np.empty(size + 1), np.empty(size + 1)
@@ -428,12 +427,6 @@ class SeriesColumns(NamedTuple):
     error_bound: np.ndarray
     terms: np.ndarray
     capped: np.ndarray
-
-
-def _series_tag(tag: Functional) -> Functional:
-    if tag not in (Functional.H, Functional.B):
-        raise ValueError("series evaluation is defined for H and B only")
-    return tag
 
 
 def _check_stop(tol: float, term_cap: int) -> int:

@@ -275,3 +275,21 @@ def test_options_a_suite_does_not_read_are_usage_errors(argv, unread, tmp_path, 
     assert out == ""
     assert f"does not read {unread}" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--functional", "E", "--count", "5"),
+        ("suite", "upper", "--trials", "1", "--functional", "E"),
+        ("suite", "lower", "--trials", "1", "--functional", "e"),
+        ("suite", "extremes", "--trials", "1", "--functional", "E"),
+    ],
+)
+def test_error_probability_has_no_series_commands(argv, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "the error-probability functional has no series weights" in err
+    assert not path.exists()

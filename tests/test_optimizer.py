@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eicomb import convolution, optimizer
+from eicomb import convolution, functionals, optimizer
 from eicomb.area import EnsembleParams
 from eicomb.bounds import (DEFAULT_SWEEP_LEVELS, DEFAULT_SWEEP_RHOS, monotone_lower_bound,
                            random_channel, trial_rng)
@@ -115,8 +115,19 @@ def test_two_point_constraint_value():
 
 def test_b_constraint_value_is_pointwise_b():
     eps = np.concatenate([np.linspace(0.0, 0.5, 1001), trial_rng(4).random(2000) * 0.5])
-    g = optimizer._CONSTRAINTS[B].value
+    g = functionals._FACTS[B].value
     assert [g(float(e)) for e in eps] == pointwise(B, eps).tolist()
+
+
+def test_b_matched_bsc_round_trips_down_to_tiny_levels():
+    inverse, value = functionals._FACTS[B].inverse, functionals._FACTS[B].value
+    for t in np.logspace(-15.0, 0.0, 1501).tolist():
+        assert abs(value(inverse(t)) - t) <= 4e-16 * t, t
+    # a B-constrained descent at a level where the cancelling inverse left
+    # no feasible initial pair; its objective is not asserted: the x-domain
+    # measure layer rounds it to 0
+    res = coordinate_descent(Polynomial.monomial(2), B, 1e-8, constraint=B)
+    assert res.verdict is Verdict.ALL_EQUAL_BSC
 
 
 @pytest.mark.parametrize("target", [0.0, 1e-3, 0.05, 0.3, 0.7, 0.99, 1.0])
@@ -677,7 +688,7 @@ def test_descent_equals_full_order_descent(monkeypatch):
 
 def _dense_best_coordinate(profile, constraint, target, current, grid, refine_passes, minimize):
     """best_coordinate before the pair table: dense grid, one kernel pass per finalist."""
-    g = optimizer._CONSTRAINTS[constraint].value
+    g = functionals._FACTS[constraint].value
     sign = 1.0 if minimize else -1.0
 
     def pair_value(e1, e2):
@@ -714,7 +725,7 @@ def _dense_best_coordinate(profile, constraint, target, current, grid, refine_pa
         return min((f for f in finalists if f[0] <= cutoff), key=lambda f: f[1:])
 
     consider(float(current.eps1), float(current.eps2))
-    eps_star = optimizer._CONSTRAINTS[constraint].inverse(target)
+    eps_star = functionals._FACTS[constraint].inverse(target)
     consider(eps_star, eps_star)
     consider(0.0, 0.5)
     if math.isfinite(vals[p, q]):
@@ -862,7 +873,8 @@ def test_best_coordinate_evaluates_the_constraint_once_per_eps(monkeypatch):
     profile = _profile(rho, H, [c.channel() for c in coords], 0)
     optimizer._constraint_grid(H, optimizer.DEFAULT_GRID)  # built before counting
     calls = []
-    monkeypatch.setattr(optimizer, "h2", lambda e: calls.append(e) or h2(e))
+    counted = functionals._FACTS[H]._replace(value=lambda e: calls.append(e) or h2(e))
+    monkeypatch.setitem(functionals._FACTS, H, counted)
     counts = []
     for passes in range(optimizer.DEFAULT_REFINE_PASSES + 1):
         calls.clear()
@@ -894,7 +906,7 @@ def _unmemoized_descent(rho, tag, target, *, constraint=H, num_vars=None, minimi
     rng = np.random.default_rng((seed,))
     coords = optimizer._initial_coords(rng, d, constraint, target)
     running = symmetrized_objective(rho, tag, [c.channel() for c in coords])
-    g = optimizer._CONSTRAINTS[constraint].value
+    g = functionals._FACTS[constraint].value
     trace = [optimizer.SweepTrace(0, running, tuple(coords))]
     converged = False
     sweeps = 0
