@@ -29,8 +29,8 @@ import numpy as np
 
 from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bsc
 from .convolution import _phis_of_powers, phi_of_poly_convolved_batch
-from .functionals import (SERIES_TAGS, Functional, _complements, _level_facts, _series_tag,
-                          evaluate, kernel, kernel_inv, pointwise)
+from .functionals import (SERIES_TAGS, Functional, _level_facts, _series_tag, evaluate, kernel,
+                          kernel_inv, pointwise)
 from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_columns,
                      poly_convex_on, poly_increasing_on)
 
@@ -265,25 +265,24 @@ def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
     and its (lhs, rhs) as a function of them, taken in read order.
 
     A read is ("conv", factors), 1 - Phi of the convolution of the
-    (channel, degree) factors; ("comp", c), 1 - Phi(c); or ("phi", (c, k)),
-    Phi(c^[k]).  Quantities of the form 1 - Phi(.) go through the
-    cancellation-free complements: per-point ones for single channels, the
-    moment-domain series for convolutions (explicit convolution points near
-    eps = 1/2 cannot represent tiny complements at full relative precision).
+    (channel, degree) factors, 1 - Phi(c) itself being ("conv", ((c, 1),));
+    or ("phi", (c, k)), Phi(c^[k]).  Every 1 - Phi(.) is an exact sum over
+    the convolution's product points, each point's complement free of the
+    cancellation near eps = 1/2 (series.complement_of_convolution_batch).
     """
     if code == 4:
-        return ((("conv", ((a, 1), (b, 1))), ("comp", a), ("comp", b)),
+        return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 1),)), ("conv", ((b, 1),))),
                 lambda ab, ca, cb: (ca * cb, ab))
     if code == 5:  # Phi(a^[k]) added left to right from 0.0 on every Python version
         return (tuple(("phi", (a, k)) for k in range(1, d + 1)),
                 lambda *phi: (phi[-1], phi[0] * (d - reduce(operator.add, phi[:-1], 0.0))))
     if code == 6:
-        return (("comp", a), ("conv", ((a, 2),))), lambda ca, aa: (ca, math.sqrt(aa))
+        return (("conv", ((a, 1),)), ("conv", ((a, 2),))), lambda ca, aa: (ca, math.sqrt(aa))
     if code == 7:
         return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 2),)), ("conv", ((b, 2),))),
                 lambda ab, aa, bb: (ab, math.sqrt(aa) * math.sqrt(bb)))
     if code == 8:
-        return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 2), (b, 1))), ("comp", b)),
+        return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 2), (b, 1))), ("conv", ((b, 1),))),
                 lambda ab, aab, cb: (ab, math.sqrt(aab) * math.sqrt(cb)))
     if code == 9:
         return ((("phi", (a, d)), ("phi", (b, d)), ("phi", (mixed, d))),
@@ -296,7 +295,7 @@ def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
         return ((("phi", (a, 1)),),
                 lambda pa: (pa, kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))))
     # code == 12
-    return ((("conv", ((a, 1), (b, 1))), ("comp", a)),
+    return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 1),))),
             lambda ab, ca: (ab, ca * float(np.dot(b.w, 1.0 - 2.0 * b.eps))))
 
 
@@ -304,10 +303,9 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
     """Reports of inequality `code` on each case, in order.
 
     Every case's reads (_formula) are gathered and evaluated in batches:
-    every convolution complement, of either tag and any factor degrees, in
-    one complement_of_convolution_batch call, the single-channel
-    complements as one _complements call per tag, and every Phi(c^[k])
-    from one _phis_of_powers call, where a case's consecutive powers of one
+    every complement, of either tag and any factor degrees, in one
+    complement_of_convolution_batch call, and every Phi(c^[k]) from one
+    _phis_of_powers call, where a case's consecutive powers of one
     channel share one chain.  Each case's formula then takes its values in
     read order.
     """
@@ -317,7 +315,6 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
         mixtures = _mixtures([c[1][0] for c in cases], [c[1][1] for c in cases],
                              np.array([c[2] for c in cases], dtype=float))
     convs: list = []  # (tag, factors) reads
-    comps: dict[Functional, list[Channel]] = {}
     powers: list[tuple[Functional, Channel, list[int]]] = []  # rows of _phis_of_powers
     phi_pool: list = []
     formulas = []
@@ -329,9 +326,6 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
             if kind == "conv":
                 pool = convs
                 pool.append((tag, arg))
-            elif kind == "comp":
-                pool = comps.setdefault(tag, [])
-                pool.append(arg)
             else:
                 pool = phi_pool
                 ch, k = arg
@@ -346,8 +340,6 @@ def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[Bo
     # them out in read order
     if convs:
         convs[:] = complement_of_convolution_batch(convs)[::-1]
-    for tag, chans in comps.items():
-        chans[:] = _complements(tag, chans)[::-1]
     phi_pool[:] = [v for row in _phis_of_powers(powers) for v in row][::-1]
     reports = []
     for (tag, chans, alpha, power), (sides, sources) in zip(cases, formulas):

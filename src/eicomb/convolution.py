@@ -20,10 +20,19 @@ phi_of_poly_convolved_batch and the inequality catalog read every power
 there, Phi(a) off the channel in eps and higher powers off the chains.
 Every merge, of one measure or of a batch of rows, is channel._merge_rows:
 the sort and merge of channels, carried over to x.
+
+The point layer forms a convolution's product points exactly, unmerged:
+c^[d] has one point per size-d multiset of c's points, weighted by its
+multinomial count, and a product of factors is the outer combination of
+their points.  Each point carries eps and x side by side: x multiplies,
+which keeps full relative precision near the useless channel, and eps
+combines by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -47,10 +56,16 @@ Measure = tuple[np.ndarray, np.ndarray]
 _EMPTY: Measure = (np.empty(0), np.empty(0))
 _IDENTITY: Measure = (np.ones(1), np.ones(1))  # BSC(0), the empty convolution
 
+# Product points: their eps, x = 1 - 2*eps and weights, carried side by side.
+Points = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_PERFECT_POINTS: Points = (np.zeros(1), np.ones(1), np.ones(1))  # the empty convolution
+
 
 class SupportCapError(RuntimeError):
-    """Raised when a convolution would exceed the support cap; large powers
-    go through the series expansion (`eicomb.series.phi_series`) instead."""
+    """Raised when a convolution or a complement read would exceed the
+    support cap; Phi of a large power goes through the series expansion
+    (`eicomb.series.phi_series`) instead."""
 
 
 def _measure(a: Channel) -> Measure:
@@ -108,6 +123,53 @@ def check_convolve(a: Channel, b: Channel, cap: int = DEFAULT_SUPPORT_CAP) -> Ch
 def projected_power_support(support: int, d: int) -> int:
     """Multiset bound on the merged support of a d-fold self-convolution."""
     return math.comb(d + support - 1, support - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _multisets(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, counts): the size-d multisets of m points, index[j, k] the
+    j-th smallest point of multiset k (lexicographic order), and each one's
+    multinomial count d! / prod(multiplicity!), as floats.  Read-only,
+    built on first use."""
+    index = np.array(list(itertools.combinations_with_replacement(range(m), d)),
+                     dtype=np.intp).reshape(-1, d).T.copy()
+    run = np.ones(index.shape)  # each entry's place in its run of equal entries
+    for j in range(1, d):
+        run[j] = np.where(index[j] == index[j - 1], run[j - 1] + 1.0, 1.0)
+    counts = math.factorial(d) / run.prod(axis=0)
+    index.flags.writeable = counts.flags.writeable = False
+    return index, counts
+
+
+def _combined(p: Points, q: Points) -> Points:
+    """The product points of two point sets, p's index major."""
+    e, f = p[0][:, None], q[0]
+    return ((e * (1.0 - f) + f * (1.0 - e)).ravel(),
+            np.multiply.outer(p[1], q[1]).ravel(), np.multiply.outer(p[2], q[2]).ravel())
+
+
+def _multiset_points(a: Channel, d: int) -> Points:
+    """The points of a^[d], one per size-d multiset of a's points; at d = 1
+    a's own eps, 1 - 2 eps and weights."""
+    x = 1.0 - 2.0 * a.eps
+    if d == 1:
+        return a.eps, x, a.w
+    index, counts = _multisets(a.size, d)
+    eps = a.eps[index]
+    e = eps[0]
+    for f in eps[1:]:
+        e = e * (1.0 - f) + f * (1.0 - e)
+    return e, x[index].prod(axis=0), counts * a.w[index].prod(axis=0)
+
+
+def _product_points(factors: Sequence[tuple[Channel, int]]) -> Points:
+    """The product points of the convolution of each c^[d] of factors
+    (c, d), unmerged, factor by factor in index-major order; the perfect
+    channel's one point for no factor.  There are prod_i
+    projected_power_support(c_i.size, d_i) of them, which the caller checks
+    against its cap first."""
+    parts = [_multiset_points(a, d) for a, d in factors]
+    return functools.reduce(_combined, parts) if parts else _PERFECT_POINTS
 
 
 def _chains(

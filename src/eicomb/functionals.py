@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import operator
 from typing import Callable, NamedTuple
@@ -175,20 +174,20 @@ _H2_SERIES_DENOMS = np.array(
 )
 
 
-def _complement_points(tag: Functional, eps: np.ndarray) -> np.ndarray:
-    """1 - Phi(BSC(eps)) for each crossover probability, without the
-    cancellation of the direct subtraction near eps = 1/2.
+def _complement_points(tag: Functional, eps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """1 - Phi(BSC(eps)) for each crossover probability eps and its
+    x = 1 - 2*eps, carried alongside (a product point's x keeps relative
+    precision that 1 - 2*eps would lose), without the cancellation of the
+    direct subtraction near eps = 1/2.
 
     H uses 1 - h2((1-x)/2) = sum_{n>=1} x^(2n) / (2 ln(2) n (2n-1)) where
-    |x| < 1/2, x = 1 - 2*eps: it converges at rate x^2 < 1/4, and each
-    point's sum stops at its first term below 1e-17 of the partial sum, by
-    term 30 at the latest.  For |x| of at least 1/2 the direct subtraction
-    is already well conditioned.  B uses the exact square identity
+    |x| < 1/2: it converges at rate x^2 < 1/4, and each point's sum stops at
+    its first term below 1e-17 of the partial sum, by term 30 at the
+    latest.  For |x| of at least 1/2 the direct subtraction is already well
+    conditioned.  B uses the exact square identity
     1 - 2 sqrt(eps (1-eps)) = (x / (sqrt(1-eps) + sqrt(eps)))^2.
     """
     _series_tag(tag)
-    eps = np.asarray(eps, dtype=float)
-    x = 1.0 - 2.0 * eps
     if tag is Functional.B:
         root = x / (np.sqrt(1.0 - eps) + np.sqrt(eps))
         return root * root
@@ -209,19 +208,7 @@ def _complement_points(tag: Functional, eps: np.ndarray) -> np.ndarray:
 def complement(tag: Functional, a: Channel) -> float:
     """1 - Phi(a) (the capacity when Phi = H), computed without the
     catastrophic cancellation the direct subtraction suffers for channels
-    close to useless.  _complements on a batch of one."""
-    return _complements(tag, [a])[0]
-
-
-def _complements(tag: Functional, chans: list[Channel]) -> list[float]:
-    """complement of each channel, in order, from one _complement_points
-    call over all their points (a per-point formula, so batching changes no
-    bit); each channel's terms are added left to right from 0.0, the order
-    of a point-by-point loop (sum() compensates from Python 3.12 on)."""
-    if not chans:
-        return []
-    eps = np.concatenate([a.eps for a in chans])
-    terms = (np.concatenate([a.w for a in chans]) * _complement_points(tag, eps)).tolist()
-    at = [0, *itertools.accumulate(a.eps.size for a in chans)]
-    return [functools.reduce(operator.add, terms[lo:hi], 0.0)
-            for lo, hi in zip(at[:-1], at[1:])]
+    close to useless: a's terms added left to right from 0.0, the order of a
+    point-by-point loop (sum() compensates from Python 3.12 on)."""
+    terms = a.w * _complement_points(tag, a.eps, 1.0 - 2.0 * a.eps)
+    return functools.reduce(operator.add, terms.tolist(), 0.0)

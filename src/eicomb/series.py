@@ -20,8 +20,10 @@ summed in closed form through sum_n a_{Phi,n} = 1 so that e.g. BEC values
 come out exact instead of converging at the tail rate.
 
 Each functional's weights and tail bounds live in one table (`_weights`),
-from which coefficient, coefficient_tail and both blocked engines
-(phi_of_poly_columns, complement_of_convolution_batch) read.
+from which coefficient, coefficient_tail and the blocked engine
+(phi_of_poly_columns) read.  1 - Phi(a^[d]) itself needs no series: the
+catalog's convolutions have few product points, and
+complement_of_convolution_batch sums them exactly.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Channel, bsc
-from .functionals import Functional, _series_tag
+from .channel import Channel
+from .convolution import (DEFAULT_SUPPORT_CAP, SupportCapError, _product_points,
+                          projected_power_support)
+from .functionals import Functional, _complement_points, _series_tag
 
 LN2 = math.log(2.0)
 
@@ -613,61 +617,33 @@ def phi_of_poly_columns(
 
 
 # ----------------------------------------------------------------------
-# complements of convolutions, in the x = 1 - 2*eps domain
-
-# Blocks of the complement engine start at this many terms and double up
-# to the largest; a block's power tables hold at most _BATCH_MAX_ENTRIES
-# values.  Longer blocks only overshoot a slow row's stop by more, and
-# their work arrays leave the cache.
-_COMPLEMENT_FIRST_BLOCK = 64
-_COMPLEMENT_MAX_BLOCK = 1 << 14
+# complements of convolutions, from their product points
 
 
-def complement_of_convolution(
-    tag: Functional,
-    factors: Sequence[tuple[Channel, int]],
-    rel_tol: float = 1e-14,
-    term_cap: int = 10**6,
-) -> float:
-    """1 - Phi of a convolution of channel powers, to relative accuracy.
-
-    Evaluates sum_n a_{Phi,n} prod_i gamma_{a_i,n}^{d_i} directly from the
-    factors' moments, so the result keeps full relative precision even when
-    it underflows the absolute resolution that explicit convolution points
-    near eps = 1/2 could represent.  Factor mass at eps = 0 contributes a
-    constant floor summed in closed form.  A one-row call of
-    complement_of_convolution_batch.
-    """
-    return complement_of_convolution_batch([(tag, factors)], rel_tol, term_cap)[0]
-
-
-# Pads a row with fewer factors than the widest: its moments are exactly
-# 1.0 at degree 1, and x * 1.0 is exact.
-_PERFECT = bsc(0.0)
+def complement_of_convolution(tag: Functional, factors: Sequence[tuple[Channel, int]]) -> float:
+    """1 - Phi of the convolution of each c^[d] of factors (c, d), exactly:
+    complement_of_convolution_batch on one read."""
+    return complement_of_convolution_batch([(tag, factors)])[0]
 
 
 def complement_of_convolution_batch(
     reads: Sequence[tuple[Functional, Sequence[tuple[Channel, int]]]],
-    rel_tol: float = 1e-14,
-    term_cap: int = 10**6,
 ) -> list[float]:
     """complement_of_convolution of each read (tag, factors), in input
-    order, from one blocked pass over rows of both functionals and any
-    degrees.
+    order, reads of both functionals and any degrees in one batch.
 
-    Row r is the convolution of c^[d] over its (c, d) factors; its floor is
-    the product of the factors' atom^d.  Term n adds
-    a_n (prod_i gamma_{i,n}^{d_i} - floor) to a running sum that starts at
-    the floor, with a_n from the row's own functional, and a row stops at
-    the first n where the tail bound coefficient_tail(n) * (prod_n - floor)
-    falls to rel_tol times its running sum, or at n = term_cap.  A row with
-    fewer factors than the widest is padded with the perfect channel at
-    degree 1.  Rows with no point strictly inside 0 < x < 1 return their
-    floor, and a row with no factor is the perfect channel (1.0).  Every
-    value equals that of a one-row call bit for bit.  A float degree raises
-    TypeError (operator.index).
+    A read is the sum over its product points (convolution._product_points)
+    of w * (1 - Phi(BSC(eps))), each point's complement from its carried eps
+    and x (functionals._complement_points, one call per functional over
+    every point of the batch), added left to right from 0.0: a read's value
+    depends neither on the batch nor on the Python version, and a read of
+    one channel at degree 1 is functionals.complement bit for bit.  There
+    is no series and no merge, so every term is exact to a few ulps.  A
+    read with no factor is the perfect channel (1.0).  Every read's degrees
+    and support are checked before any point is formed: a float degree
+    raises TypeError (operator.index), a degree below 1 ValueError, and more
+    than DEFAULT_SUPPORT_CAP points SupportCapError.
     """
-    term_cap = _check_stop(rel_tol, term_cap)
     tags, rows = [], []
     for tag, factors in reads:
         tags.append(_series_tag(tag))
@@ -676,137 +652,22 @@ def complement_of_convolution_batch(
             if d < 1:
                 raise ValueError(f"power must be a positive integer, got {d!r}")
         rows.append(row)
-    width = max(map(len, rows), default=0)
-    if not width:
-        return [1.0] * len(rows)
-    rows = [row + [(_PERFECT, 1)] * (width - len(row)) for row in rows]
-    factors = [_padded_rows([row[i][0] for row in rows]) for i in range(width)]
-    atoms = np.column_stack([f[0] for f in factors]).tolist()
-    floor = np.array([math.prod(a ** d for a, (_, d) in zip(row_atoms, row))
-                      for row_atoms, row in zip(atoms, rows)])
-    live = np.any([f[1] > 0 for f in factors], axis=0)
-    # rows with no inner point are their floor exactly (the series would
-    # add numpy's atom^d - floor, which may differ from it in the last bit)
-    out = floor.copy()
-    if live.any():
-        degrees = np.array([[d for _, d in row] for row in rows])
-        is_b = np.array([tag is Functional.B for tag in tags])
-        out[live] = _complement_rows(
-            is_b[live], degrees[live], [[v[live] for v in f] for f in factors], floor[live],
-            rel_tol, term_cap,
-        )
-    return out.tolist()
-
-
-def _power(g: np.ndarray, d: int) -> np.ndarray:
-    """g**d for an integer d >= 1, entry for entry as numpy's power gives
-    it, but skipping the slow underflow path of pow: where g < 2^(-1080/d)
-    the power lies far below half the smallest subnormal and is 0 anyway."""
-    if d <= 2:
-        return g**d if d == 2 else g
-    out = np.zeros_like(g)
-    normal = g >= 2.0 ** (-1080.0 / d)
-    out[normal] = g[normal] ** d
-    return out
-
-
-def _complement_rows(
-    is_b: np.ndarray,
-    degrees: np.ndarray,
-    factors: Sequence[list[np.ndarray]],
-    floor: np.ndarray,
-    rel_tol: float,
-    term_cap: int,
-) -> np.ndarray:
-    """The series of complement_of_convolution_batch on rows of functional
-    B where is_b holds and H elsewhere, degrees[r, i] of factor i, each
-    factor given by its _padded_rows layout [atoms, counts, ys, ws], and
-    their floor.
-
-    Blocks start at _COMPLEMENT_FIRST_BLOCK terms and double up to
-    _COMPLEMENT_MAX_BLOCK.  Powers continue by cumprod from the carried
-    y^n, moments are one einsum per factor, each raised by _power once per
-    degree among its rows, and the running sums continue by cumsum from
-    the carried sum, so each row's sum is added term by term; a row leaves
-    the arrays at the block where it stops, and the padding shrinks to the
-    widest row left.  Each row reads a_n and its tail from its own
-    functional's table, which grows only while such a row is live.  No
-    step mixes rows (padding adds exact zeros to a moment), so a row's
-    value depends neither on the batch nor on the blocks.
-    """
-    factors = [[*f, f[2]] for f in factors]  # and y^n for the next block
-    out = np.empty(floor.size)
-    index = np.arange(floor.size)
-    total, comp = floor.copy(), np.zeros(floor.size)
-    n0, block = 1, _COMPLEMENT_FIRST_BLOCK
-    while index.size:
-        width = max(1, sum(f[2].shape[1] for f in factors))
-        count = max(1, min(block, term_cap - n0 + 1,
-                           _BATCH_MAX_ENTRIES // (index.size * width) - 1))
-        prod = 1.0
-        for f, d in zip(factors, degrees.T):
-            atoms, _, ys, ws, z = f
-            powers = np.repeat(ys[:, :, None], count + 1, axis=2)
-            powers[:, :, 0] = z
-            np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
-            f[4] = powers[:, :, -1].copy()
-            # einsum sums each moment left to right over the points, at any
-            # width, but only when it has at least two columns
-            gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)[:, :-1]
-            if (d == d[0]).all():
-                prod = prod * _power(gamma, int(d[0]))
-                continue
-            raised = np.empty_like(gamma)
-            for k in np.unique(d).tolist():
-                sel = d == k
-                raised[sel] = _power(gamma[sel], k)
-            prod = prod * raised
-        terms = prod - floor[:, None]
-        a, tail = _block_weights(is_b, n0, count)
-        sums = np.empty((index.size, count + 1))
-        sums[:, 0] = total
-        np.multiply(a, terms, out=sums[:, 1:])
-        partial = np.cumsum(sums, axis=1)  # running sums before term n0 and after each term
-        # the rounding error of each addition, exactly (TwoSum), summed
-        # alongside: the late terms of a slow row fall far below the last
-        # bit of its sum (a plain sum of BSC(1e-4)'s ~5e4 terms lost 9e-14)
-        shift = partial[:, 1:] - partial[:, :-1]
-        sums[:, 1:] -= shift
-        sums[:, 1:] += partial[:, :-1] - (partial[:, 1:] - shift)
-        sums[:, 0] = comp
-        comps = np.cumsum(sums, axis=1)[:, 1:]
-        partial = partial[:, 1:]
-        stop = tail * terms <= rel_tol * partial
-        if n0 + count > term_cap:
-            stop[:, -1] = True
-        total, comp = partial[:, -1], comps[:, -1]
-        n0 += count
-        block = min(2 * block, _COMPLEMENT_MAX_BLOCK)
-        done = stop.any(axis=1)
-        if done.any():
-            rows = np.flatnonzero(done)
-            first = stop[rows].argmax(axis=1)
-            out[index[rows]] = partial[rows, first] + comps[rows, first]
-            keep = ~done
-            index, total, comp, floor = index[keep], total[keep], comp[keep], floor[keep]
-            is_b, degrees = is_b[keep], degrees[keep]
-            for f in factors:
-                counts = f[1][keep]
-                width = int(counts.max(initial=0))
-                f[:] = [f[0][keep], counts, *(v[keep, :width] for v in f[2:])]
-    return out
-
-
-def _block_weights(is_b: np.ndarray, n0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, tail) at terms n0 .. n0+count-1 for rows of functional B where
-    is_b holds and H elsewhere: one table's slice when every row shares a
-    functional, else a (row, term) gather from both tables."""
-    tables = [_weights(tag, n0 + count - 1) for tag, present in
-              ((Functional.H, not is_b.all()), (Functional.B, is_b.any())) if present]
-    if len(tables) == 1:
-        a, tail = tables[0]
-        return a[n0 : n0 + count], tail[n0 : n0 + count]
-    (a_h, tail_h), (a_b, tail_b) = tables
-    rows = is_b[:, None]
-    return (np.where(rows, a_b[n0 : n0 + count], a_h[n0 : n0 + count]),
-            np.where(rows, tail_b[n0 : n0 + count], tail_h[n0 : n0 + count]))
+    if not rows:
+        return []
+    sizes = [math.prod(projected_power_support(ch.size, d) for ch, d in row) for row in rows]
+    if max(sizes) > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(f"a read of {max(sizes)} product points exceeds the cap "
+                              f"{DEFAULT_SUPPORT_CAP}")
+    sizes = np.array(sizes, dtype=np.intp)
+    points = [_product_points(row) for row in rows]
+    # each read's terms left-aligned in its row, zero-padded: cumsum adds
+    # along a row left to right, and the padding adds exact zeros
+    terms = np.zeros((len(rows), int(sizes.max())))
+    for tag in set(tags):
+        mine = [r for r, t in enumerate(tags) if t is tag]
+        eps, x, w = (np.concatenate([points[r][i] for r in mine]) for i in range(3))
+        n = sizes[mine]
+        row = np.repeat(mine, n)
+        col = np.arange(row.size) - np.repeat(n.cumsum() - n, n)
+        terms[row, col] = w * _complement_points(tag, eps, x)
+    return np.cumsum(terms, axis=1)[:, -1].tolist()

@@ -10,7 +10,6 @@ from eicomb.channel import bec, bsc, channel, mix, parse_channel
 from eicomb.functionals import (
     Functional,
     _complement_points,
-    _complements,
     complement,
     evaluate,
     h2,
@@ -18,6 +17,7 @@ from eicomb.functionals import (
     kernel,
     kernel_inv,
 )
+from eicomb.series import complement_of_convolution_batch
 
 H, B, E = Functional.H, Functional.B, Functional.E
 # eicomb.channel the module; the package's `channel` is the constructor
@@ -195,8 +195,8 @@ def test_vectorized_complement_matches_per_point_loops():
         0.5 - rng.random(1000) * 1e-6,  # near useless: the series branch
         [0.0, 0.25, 0.25 - 1e-17, 0.5, 0.5 - 1e-17, 5e-324],
     ])
-    got_h = _complement_points(H, eps)
-    got_b = _complement_points(B, eps)
+    got_h = _complement_points(H, eps, 1.0 - 2.0 * eps)
+    got_b = _complement_points(B, eps, 1.0 - 2.0 * eps)
     series_branch = np.abs(1.0 - 2.0 * eps) < 0.5
     for e, h, b, in_series in zip(eps.tolist(), got_h.tolist(), got_b.tolist(), series_branch):
         assert b == _b_complement_loop(e)
@@ -214,20 +214,21 @@ def test_vectorized_complement_matches_per_point_loops():
 
 
 def test_batched_complements_are_each_channels_complement():
-    # the per-channel loop complement() took before it became a batch of one
+    # a batch of one-channel reads, as the catalog makes them, is each
+    # channel's complement, and both are the point-by-point loop, bit for bit
     def one(tag, a):
         total = 0.0
-        for term in (a.w * _complement_points(tag, a.eps)).tolist():
+        for term in (a.w * _complement_points(tag, a.eps, 1.0 - 2.0 * a.eps)).tolist():
             total += term
         return total
 
     chans = [random_channel(trial_rng(13, t)) for t in range(200)]
-    chans += [bsc(0.0), bsc(0.5), bec(0.3), bsc(0.5 - 1e-9), channel([(0.3, 0.5), (0.49, 0.5)])]
+    chans += [bsc(0.0), bsc(0.5), bec(0.3), bsc(0.5 - 1e-9), channel([(0.3, 0.5), (0.49, 0.5)]),
+              bsc(1e-15), bsc(0.5 - 1e-15), channel([(1e-12, 0.4), (0.5 - 1e-12, 0.6)])]
     for tag in (H, B):
-        got = _complements(tag, chans)
+        got = complement_of_convolution_batch([(tag, ((a, 1),)) for a in chans])
         assert [v.hex() for v in got] == [one(tag, a).hex() for a in chans]
         assert [v.hex() for v in got] == [complement(tag, a).hex() for a in chans]
-        assert _complements(tag, []) == []
 
 
 def test_complement_rejects_error_probability_tag():
@@ -248,7 +249,7 @@ def _neumaier_sum(values, start=0):
 
 def _complement_outputs():
     chans = [random_channel(trial_rng(31, t)) for t in range(300)]
-    return [_complements(tag, chans) for tag in (H, B)]
+    return [[complement(tag, a) for a in chans] for tag in (H, B)]
 
 
 def _power_budget_outputs():

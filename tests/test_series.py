@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,8 +24,8 @@ from eicomb.bounds import (
     upper_bound_sweep,
 )
 from eicomb.channel import Channel, bec, bsc, channel, mix
-from eicomb.convolution import check_convolve, check_power
-from eicomb.functionals import Functional, evaluate, h2_inv, kernel_inv
+from eicomb.convolution import DEFAULT_SUPPORT_CAP, SupportCapError, check_convolve, check_power
+from eicomb.functionals import Functional, _complement_points, evaluate, h2_inv, kernel_inv
 from eicomb import series
 from eicomb.series import (
     Polynomial,
@@ -658,16 +659,14 @@ def test_term_caps_are_integers_only(monkeypatch):
             phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, term_cap)
         with pytest.raises(TypeError):
             phi_series(H, bsc(0.1), 2, 1e-10, term_cap)
-        with pytest.raises(TypeError):
-            series.complement_of_convolution(H, [(bsc(0.1), 2)], term_cap=term_cap)
 
 
 def test_complement_takes_integer_degrees_only(monkeypatch):
     want = series.complement_of_convolution(H, [(bsc(0.1), 2)])
     assert series.complement_of_convolution(H, [(bsc(0.1), np.int64(2))]) == want
     assert series.complement_of_convolution_batch([(H, [(bsc(0.1), np.int64(2))])]) == [want]
-    monkeypatch.setattr(series, "_padded_rows", lambda *args: pytest.fail("ran the series"))
-    # a float degree runs nothing: 1.5 would be summed as degree 1
+    monkeypatch.setattr(series, "_product_points", lambda *args: pytest.fail("formed points"))
+    # a float degree forms no point: 1.5 would be summed as degree 1
     for degree in (1.5, 2.0, "2"):
         with pytest.raises(TypeError):
             series.complement_of_convolution(H, [(bsc(0.1), degree)])
@@ -697,86 +696,38 @@ def test_lone_calls_are_their_row_of_a_mixed_batch():
 # complements of convolutions
 
 
-def _complement_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
-    """complement_of_convolution term by term, the reference: term n adds
-    a_n (prod_n - floor) to a running sum that starts at the floor, and the
-    sum stops at the first n with tail_n (prod_n - floor) <= rel_tol * sum,
-    or at n = term_cap.  Each moment is summed over the points in order,
-    and each addition's rounding error is kept (TwoSum) and added at the
-    end."""
-    atoms, degrees, ys, ws = [], [], [], []
-    for ch, d in factors:
-        atom, y, w = _atom_split(ch)
-        atoms.append(atom)
-        degrees.append(d)
-        ys.append(y.tolist())
-        ws.append(w.tolist())
-    atom_prod = math.prod(a**d for a, d in zip(atoms, degrees))
-    if not any(ys):
-        return atom_prod
-    total, comp = atom_prod, 0.0
-    zs = [list(y) for y in ys]
-    for n in range(1, term_cap + 1):
-        prod = 1.0
-        for i, (atom, d, y, w) in enumerate(zip(atoms, degrees, ys, ws)):
-            moment = 0.0
-            for wj, zj in zip(w, zs[i]):
-                moment += wj * zj
-            zs[i] = [zj * yj for zj, yj in zip(zs[i], y)]
-            prod *= float(np.float64(atom + moment) ** d)
-        term = prod - atom_prod
-        step = coefficient(tag, n) * term
-        new = total + step
-        shift = new - total
-        comp += (total - (new - shift)) + (step - shift)
-        total = new
-        if coefficient_tail(tag, n) * term <= rel_tol * total:
-            break
-    return total + comp
-
-
-def _complement_block_loop(tag, factors, rel_tol=1e-14, term_cap=10**6):
-    """The scalar complement_of_convolution that checked its stop rule
-    after each block of 512 terms, kept verbatim as a second reference."""
-    atoms, degrees, ys, ws = [], [], [], []
-    for ch, d in factors:
-        atom, y, w = _atom_split(ch)
-        atoms.append(atom)
-        degrees.append(d)
-        ys.append(y)
-        ws.append(w)
-    atom_prod = math.prod(a**d for a, d in zip(atoms, degrees))
-    if all(y.size == 0 for y in ys):
-        return atom_prod
-    total = atom_prod
-    zs = [y.copy() for y in ys]
-    n = 1
-    while True:
-        count = min(512, term_cap - n + 1)
-        prod_block = np.ones(count)
-        for i, (atom, d, y, w) in enumerate(zip(atoms, degrees, ys, ws)):
-            if y.size == 0:
-                gamma = np.full(count, atom)
-            else:
-                steps = np.broadcast_to(y[:, None], (y.size, count)).copy()
-                steps[:, 0] = zs[i]
-                powers = np.cumprod(steps, axis=1)
-                gamma = atom + w @ powers
-                zs[i] = powers[:, -1] * y
-            prod_block *= gamma**d if d > 1 else gamma
-        coefs = np.array([coefficient(tag, m) for m in range(n, n + count)])
-        total += float(np.dot(coefs, prod_block - atom_prod))
-        n += count
-        bound = coefficient_tail(tag, n - 1) * (float(prod_block[-1]) - atom_prod)
-        if bound <= rel_tol * total or n > term_cap:
-            break
+def _complement_loop(tag, factors):
+    """complement_of_convolution point by point, the reference.  The points
+    of c^[d] are one per size-d multiset of c's points, in
+    combinations_with_replacement order: weight the multinomial count times
+    the product of the points' weights, x the product of their x, eps
+    folded by e (1 - f) + f (1 - e).  A read's points combine its factors' points the
+    same way, the earlier factor's index major, and its terms add left to
+    right from 0.0."""
+    points = [(0.0, 1.0, 1.0)]
+    for i, (ch, d) in enumerate(factors):
+        eps, x, w = ch.eps.tolist(), (1.0 - 2.0 * ch.eps).tolist(), ch.w.tolist()
+        own = []
+        for idx in itertools.combinations_with_replacement(range(len(eps)), d):
+            count = math.factorial(d) / math.prod(math.factorial(idx.count(j)) for j in set(idx))
+            e, px, pw = eps[idx[0]], x[idx[0]], w[idx[0]]
+            for j in idx[1:]:
+                e = e * (1.0 - eps[j]) + eps[j] * (1.0 - e)
+                px, pw = px * x[j], pw * w[j]
+            own.append((e, px, pw if d == 1 else count * pw))
+        points = own if i == 0 else [(e * (1.0 - f) + f * (1.0 - e), x * y, w * v)
+                                     for e, x, w in points for f, y, v in own]
+    eps, x, w = (np.array(v) for v in zip(*points))
+    total = 0.0
+    for term in (w * _complement_points(tag, eps, x)).tolist():
+        total += term
     return total
 
 
 def _complement_rows(width):
     """Rows of `width` factors: all-atom rows, atoms next to inner points,
-    a slow row (eps = 1e-4, thousands of terms) among fast ones, and sampler
-    draws of 1 to 10 points, so rows of every point count share a batch."""
+    a point near the perfect channel (eps = 1e-4), and sampler draws of 1 to
+    10 points, so rows of every point count share a batch."""
     atoms = [bec(0.3), bsc(0.0), bsc(0.5), mix(bsc(0.0), bsc(0.5), 0.25)]
     rows = [tuple(atoms[(i + j) % 4] for j in range(width)) for i in range(4)]
     rows.append(tuple([bec(0.4), bsc(0.2), bsc(0.5)][:width] + [bsc(0.1)] * (width - 3)))
@@ -795,14 +746,13 @@ def _reads(tag, degrees, rows):
     return [(tag, list(zip(row, degrees))) for row in rows]
 
 
-def _assert_complements_match_loop(tag, degrees, rows, **kw):
-    got = series.complement_of_convolution_batch(_reads(tag, degrees, rows), **kw)
+def _assert_complements_match_loop(tag, degrees, rows):
+    got = series.complement_of_convolution_batch(_reads(tag, degrees, rows))
     assert len(got) == len(rows)
     for row, value in zip(rows, got):
-        want = _complement_loop(tag, list(zip(row, degrees)), **kw)
-        assert abs(value - want) <= 1e-15 * abs(want)
+        assert value.hex() == _complement_loop(tag, list(zip(row, degrees))).hex()
         # the batch value is the one-row value, bit for bit
-        assert value == series.complement_of_convolution(tag, list(zip(row, degrees)), **kw)
+        assert value == series.complement_of_convolution(tag, list(zip(row, degrees)))
 
 
 COMPLEMENT_DEGREES = ((1,), (2,), (6,), (1, 1), (2, 1), (3, 1, 2))
@@ -814,35 +764,20 @@ def test_complement_batch_matches_scalar_loop(tag, degrees):
     _assert_complements_match_loop(tag, degrees, _complement_rows(len(degrees)))
 
 
-@pytest.mark.parametrize("rel_tol", (1e-6, 1e-10))
-def test_complement_batch_stops_where_the_loop_stops(rel_tol):
-    # at a loose tolerance the terms after the stop move the value far more
-    # than 1e-15, so stopping a block early or late shows
-    for tag in (H, B):
-        for degrees in ((1,), (2, 1)):
-            _assert_complements_match_loop(
-                tag, degrees, _complement_rows(len(degrees)), rel_tol=rel_tol
-            )
-
-
-@pytest.mark.parametrize("term_cap", (100, 512, 513, 1000, 5000))
-def test_complement_batch_term_cap_rows(term_cap):
-    # the eps = 1e-4 rows stop at the cap, inside a block or at its end
-    rows = [(bsc(1e-4),), (channel([(2e-4, 0.5), (0.3, 0.5)]),), (bsc(0.2),), (bec(0.5),)]
-    for tag in (H, B):
-        _assert_complements_match_loop(tag, (1,), rows, term_cap=term_cap)
-
-
 def test_complement_batch_all_atom_rows_are_their_floor():
     got = series.complement_of_convolution_batch(_reads(H, (1, 2), _complement_rows(2)[:4]))
     assert got == [0.7 * 1.0**2, 1.0 * 0.0**2, 0.0 * 0.25**2, 0.25 * 0.7**2]
-
-
-def test_complement_batch_chunking_does_not_change_results(monkeypatch):
-    reads = _reads(B, (2, 1), _complement_rows(2))
-    want = series.complement_of_convolution_batch(reads)
-    monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", 2048)
-    assert series.complement_of_convolution_batch(reads) == want
+    # at any degrees, a read of atoms at eps = 0 and 1/2 only is the product
+    # of each factor's atom^d (the mass at 0), to a few ulps
+    atoms = [bec(0.3), bsc(0.0), bsc(0.5), mix(bsc(0.0), bsc(0.5), 0.25), bec(0.1 / 3)]
+    atom = lambda a: float(a.w[a.eps == 0.0].sum())
+    for tag in (H, B):
+        for degrees in ((1,), (2,), (6,), (1, 1), (3, 1, 2)):
+            rows = list(itertools.product(atoms, repeat=len(degrees)))
+            got = series.complement_of_convolution_batch(_reads(tag, degrees, rows))
+            for row, value in zip(rows, got):
+                want = math.prod(atom(a) ** d for a, d in zip(row, degrees))
+                assert abs(value - want) <= 4 * 2.0**-52 * want
 
 
 # Single factors at every degree the catalog's code 10 draws, next to the
@@ -865,51 +800,6 @@ def test_mixed_complement_batch_is_each_rows_lone_call():
     assert len(got) == len(reads)
     for (tag, factors), value in zip(reads, got):
         assert value.hex() == series.complement_of_convolution(tag, factors).hex()
-
-
-def test_slow_rows_grow_only_their_own_weight_table(monkeypatch):
-    # fast B rows next to a slow H row (eps = 1e-4, ~5e4 terms): B's table
-    # keeps its first 1024 terms while H's grows past the slow row's stop
-    monkeypatch.setattr(series, "_WEIGHTS", {})
-    fast = [(B, [(bsc(0.2), 1)]), (B, [(bsc(0.3), 2), (bec(0.4), 1)]), (B, [(bsc(0.1), 3)])]
-    reads = fast[:2] + [(H, [(bsc(1e-4), 1)])] + fast[2:]
-    got = series.complement_of_convolution_batch(reads)
-    assert series._WEIGHTS[B][0].size == 1025
-    assert series._WEIGHTS[H][0].size > 10**4
-    assert got == [series.complement_of_convolution(*read) for read in reads]
-
-
-@pytest.mark.parametrize("first_block, max_block, max_entries",
-                         ((1, 1, 1), (5, 7, 1 << 22), (64, 1 << 14, 300), (4096, 1 << 20, 1 << 22)))
-def test_complement_block_schedule_does_not_change_results(monkeypatch, first_block, max_block,
-                                                          max_entries):
-    # blocks of one term, odd blocks, blocks squeezed by the entries budget
-    # and blocks past every stop all give the same bits; the slow rows of
-    # ~5e4 terms (BSC(1e-4) at degree 1) run at block sizes 7 and up
-    degree_sets = ((2, 1), (3, 1, 2)) + (((1,),) if max_block > 1 else ())
-    cases = [_reads(tag, degrees, _complement_rows(len(degrees)))
-             for tag in (H, B) for degrees in degree_sets]
-    # and the mixed batch, its single-factor (slow) rows at block sizes 7 and up
-    cases.append(_mixed_reads([d for d in MIXED_DEGREES if max_block > 1 or len(d) > 1]))
-    wants = [series.complement_of_convolution_batch(case) for case in cases]
-    monkeypatch.setattr(series, "_COMPLEMENT_FIRST_BLOCK", first_block)
-    monkeypatch.setattr(series, "_COMPLEMENT_MAX_BLOCK", max_block)
-    monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", max_entries)
-    for case, want in zip(cases, wants):
-        assert series.complement_of_convolution_batch(case) == want
-
-
-@pytest.mark.parametrize("rel_tol", (1e-6, 1e-10, 1e-14))
-def test_complement_batch_is_the_block_loop_up_to_its_later_stop(rel_tol):
-    # the 512-term blocks stopped at the first block end past the first
-    # converged term; the terms in between add at most rel_tol of the sum
-    for tag in (H, B):
-        for degrees in ((1,), (2, 1), (3, 1, 2)):
-            rows = _complement_rows(len(degrees))
-            got = series.complement_of_convolution_batch(_reads(tag, degrees, rows), rel_tol=rel_tol)
-            for row, value in zip(rows, got):
-                old = _complement_block_loop(tag, list(zip(row, degrees)), rel_tol=rel_tol)
-                assert abs(value - old) <= 2.0 * rel_tol * abs(old)
 
 
 def test_complement_pads_bare_rows_next_to_wide_rows():
@@ -941,27 +831,17 @@ def test_complement_batch_empty_and_validation():
         series.complement_of_convolution(H, [(bsc(0.1), 0)])
 
 
-@pytest.mark.parametrize("term_cap", (0, -5))
-def test_complement_rejects_a_term_cap_below_one(term_cap):
-    with pytest.raises(ValueError, match=f"term cap must be >= 1, got {term_cap}"):
-        series.complement_of_convolution(H, [(bsc(0.1), 2)], term_cap=term_cap)
-
-
-@pytest.mark.parametrize("rel_tol", (0.0, -1e-14, math.nan))
-def test_complement_rejects_a_bad_relative_tolerance(rel_tol):
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        series.complement_of_convolution(H, [(bsc(0.1), 2)], rel_tol=rel_tol)
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        series.complement_of_convolution_batch([], rel_tol=rel_tol)
-
-
-@pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 6))
-def test_power_matches_numpy_across_underflow(d):
-    # log-uniform over the range where g^d turns subnormal and then zero
-    g = np.exp(np.random.default_rng(d).uniform(-800.0, 0.0, (64, 512)))
-    g[0, :4] = [0.0, 2.0 ** (-1080.0 / d), np.nextafter(2.0 ** (-1080.0 / d), 0.0), 1.0]
-    want = g**d
-    assert series._power(g, d).tobytes() == want.tobytes()
+def test_support_cap_raises_before_any_point_is_formed(monkeypatch):
+    ten = channel(zip((0.01 * np.arange(1, 11)).tolist(), [0.1] * 10))
+    assert math.comb(10 + 6 - 1, 6) == 5005 <= DEFAULT_SUPPORT_CAP < 5005**2
+    fine = series.complement_of_convolution(H, [(ten, 6)])
+    assert 0.0 < fine < 1.0
+    monkeypatch.setattr(series, "_product_points", lambda *args: pytest.fail("formed points"))
+    for reads in ([(H, [(ten, 6), (ten, 6)])],
+                  [(B, [(ten, 6)]), (H, [(ten, 20)])],
+                  [(B, [(bsc(0.1), 1)]), (H, [(ten, 3), (ten, 3), (ten, 2)])]):
+        with pytest.raises(SupportCapError):
+            series.complement_of_convolution_batch(reads)
 
 
 # ----------------------------------------------------------------------
