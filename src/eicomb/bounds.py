@@ -19,6 +19,7 @@ holds; hypothesis failures are flagged inconclusive instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,11 +29,10 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .channel import Channel, _channels, _mixtures, _row_totals, _settle_rows, bsc
-from .convolution import _phis_of_powers, phi_of_poly_convolved_batch
+from .convolution import _read_values, phi_of_poly_convolved_batch
 from .functionals import (SERIES_TAGS, Functional, _level_facts, _series_tag, evaluate, kernel,
                           kernel_inv, pointwise)
-from .series import (Polynomial, complement_of_convolution_batch, phi_of_poly_columns,
-                     poly_convex_on, poly_increasing_on)
+from .series import Polynomial, phi_of_poly_columns, poly_convex_on, poly_increasing_on
 
 # Default slack tolerances: exact-convolution checks are trusted to
 # rounding level, series-evaluated sweeps to the series tolerance.
@@ -156,7 +156,8 @@ def fixed_error_extremes(
 def _fixed_error_rows(
     tag: Functional, rho: Polynomial, levels: Sequence[float]
 ) -> list[tuple[ExtremalBound, ExtremalBound]]:
-    """fixed_error_extremes at each level, every bound off one batched chain."""
+    """fixed_error_extremes at each level, every bound from one
+    phi_of_poly_convolved_batch call."""
     for eps in levels:
         if not 0.0 <= eps <= 0.5:
             raise ValueError(f"error probability must lie in [0, 1/2], got {eps!r}")
@@ -264,17 +265,18 @@ def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
     """(reads, sides) of inequality `code` on one case: the values it reads,
     and its (lhs, rhs) as a function of them, taken in read order.
 
-    A read is ("conv", factors), 1 - Phi of the convolution of the
-    (channel, degree) factors, 1 - Phi(c) itself being ("conv", ((c, 1),));
-    or ("phi", (c, k)), Phi(c^[k]).  Every 1 - Phi(.) is an exact sum over
-    the convolution's product points, each point's complement free of the
-    cancellation near eps = 1/2 (series.complement_of_convolution_batch).
+    A read is (kind, factors), a read of convolution._read_values without
+    its tag: ("conv", factors) is 1 - Phi of the convolution of the
+    (channel, degree) factors, 1 - Phi(c) itself being ("conv", ((c, 1),)),
+    and ("phi", ((c, k),)) is Phi(c^[k]).  Each is an exact sum over the
+    convolution's product points, each point's complement free of the
+    cancellation near eps = 1/2.
     """
     if code == 4:
         return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 1),)), ("conv", ((b, 1),))),
                 lambda ab, ca, cb: (ca * cb, ab))
     if code == 5:  # Phi(a^[k]) added left to right from 0.0 on every Python version
-        return (tuple(("phi", (a, k)) for k in range(1, d + 1)),
+        return (tuple(("phi", ((a, k),)) for k in range(1, d + 1)),
                 lambda *phi: (phi[-1], phi[0] * (d - reduce(operator.add, phi[:-1], 0.0))))
     if code == 6:
         return (("conv", ((a, 1),)), ("conv", ((a, 2),))), lambda ca, aa: (ca, math.sqrt(aa))
@@ -285,14 +287,14 @@ def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
         return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 2), (b, 1))), ("conv", ((b, 1),))),
                 lambda ab, aab, cb: (ab, math.sqrt(aab) * math.sqrt(cb)))
     if code == 9:
-        return ((("phi", (a, d)), ("phi", (b, d)), ("phi", (mixed, d))),
+        return ((("phi", ((a, d),)), ("phi", ((b, d),)), ("phi", ((mixed, d),))),
                 lambda pa, pb, pm: (alpha * pa + (1.0 - alpha) * pb, pm))
     if code == 10:
         root = 1.0 / d
         return ((("conv", ((mixed, d),)), ("conv", ((a, d),)), ("conv", ((b, d),))),
                 lambda cm, ca, cb: (cm ** root, alpha * ca ** root + (1.0 - alpha) * cb ** root))
     if code == 11:
-        return ((("phi", (a, 1)),),
+        return ((("phi", ((a, 1),)),),
                 lambda pa: (pa, kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(Functional.E, a)))))
     # code == 12
     return ((("conv", ((a, 1), (b, 1))), ("conv", ((a, 1),))),
@@ -302,48 +304,27 @@ def _formula(code: int, tag: Functional, a: Channel, b: Channel | None,
 def _check_cases(code: int, cases: Sequence[_Case], seed: int | None) -> list[BoundReport]:
     """Reports of inequality `code` on each case, in order.
 
-    Every case's reads (_formula) are gathered and evaluated in batches:
-    every complement, of either tag and any factor degrees, in one
-    complement_of_convolution_batch call, and every Phi(c^[k]) from one
-    _phis_of_powers call, where a case's consecutive powers of one
-    channel share one chain.  Each case's formula then takes its values in
-    read order.
+    Every case's reads (_formula), Phi and 1 - Phi of either tag and any
+    factor degrees, are gathered into one read list and evaluated by one
+    convolution._read_values call; each case's formula then takes its
+    values in read order.
     """
     info = INEQUALITIES[code]
     mixtures = [None] * len(cases)
     if info.needs_alpha:
         mixtures = _mixtures([c[1][0] for c in cases], [c[1][1] for c in cases],
                              np.array([c[2] for c in cases], dtype=float))
-    convs: list = []  # (tag, factors) reads
-    powers: list[tuple[Functional, Channel, list[int]]] = []  # rows of _phis_of_powers
-    phi_pool: list = []
+    reads = []  # (tag, kind, factors) of every case
     formulas = []
     for (tag, chans, alpha, power), mixed in zip(cases, mixtures):
         b = chans[1] if info.channels == 2 else None
-        reads, sides = _formula(code, tag, chans[0], b, mixed, alpha, power)
-        sources = []  # the pool each read is drawn from
-        for kind, arg in reads:
-            if kind == "conv":
-                pool = convs
-                pool.append((tag, arg))
-            else:
-                pool = phi_pool
-                ch, k = arg
-                last = powers[-1] if powers else None
-                if last and last[0] is tag and last[1] is ch and last[2][-1] < k:
-                    last[2].append(k)
-                else:
-                    powers.append((tag, ch, [k]))
-            sources.append(pool)
-        formulas.append((sides, sources))
-    # each pool now takes its values, last read first, so that pop() hands
-    # them out in read order
-    if convs:
-        convs[:] = complement_of_convolution_batch(convs)[::-1]
-    phi_pool[:] = [v for row in _phis_of_powers(powers) for v in row][::-1]
+        case_reads, sides = _formula(code, tag, chans[0], b, mixed, alpha, power)
+        reads += [(tag, kind, factors) for kind, factors in case_reads]
+        formulas.append((sides, len(case_reads)))
+    values = iter(_read_values(reads))
     reports = []
-    for (tag, chans, alpha, power), (sides, sources) in zip(cases, formulas):
-        lhs, rhs = sides(*[pool.pop() for pool in sources])
+    for (tag, chans, alpha, power), (sides, count) in zip(cases, formulas):
+        lhs, rhs = sides(*itertools.islice(values, count))
         params = f"name={info.name};tag={tag.value}"
         if info.needs_power:
             params += f";d={power}"

@@ -11,8 +11,8 @@ Every channel settles by one rule: sort by eps, merge points closer than
 EPS_MERGE_TOL, drop weights below WEIGHT_DROP_TOL and renormalize.
 _settle_rows applies it to a batch of rows, concatenated with offsets, each
 row bit for bit what Channel(...) gives alone; Channel(...), mix and the
-random sampler's draws and mixtures are its batches, and the power chains of
-eicomb.convolution share its sort and merge (_merge_rows).
+random sampler's draws and mixtures are its batches, and the measure layer
+of eicomb.convolution shares its sort and merge (_merge_rows).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Exact check-node convolution of discrete channels, and the measure layer
-every chain of convolutions runs on.
+"""Exact check-node convolution of discrete channels: the point layer every
+read of a convolution runs on, and the measure layer of the descent.
 
 Crossover parameters combine multiplicatively through x = 1 - 2*eps: the
 convolution of mass points (eps, w) and (eps', w') is a mass point at
@@ -7,39 +7,36 @@ convolution of mass points (eps, w) and (eps', w') is a mass point at
 identity, BSC(1/2) is absorbing, and the 2n-th power-moments of x are
 multiplicative under the operation.
 
+The point layer forms a convolution's product points exactly, unmerged
+(Richardson & Urbanke, *Modern Coding Theory*, ch. 4): c^[d] has one point
+per size-d multiset of c's points, weighted by its multinomial
+probability, and a product of factors is the outer combination of their
+points.  Each point carries eps and x side by side: x multiplies, which
+keeps full relative precision near the useless channel, and eps combines
+by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.  Every
+read of a convolution, Phi or 1 - Phi, is one evaluator's (_read_values):
+the inequality catalog, the fixed-error bounds, phi_of_poly_convolved and
+eicomb.series.complement_of_convolution read through it, and check_power
+and check_convolve settle the same points into a channel.
+
 A measure is an unnormalized (x, w) pair of arrays: convolving two is an
-outer product (Richardson & Urbanke, *Modern Coding Theory*, ch. 4), and a
-merged sum merges points closer than X_MERGE_TOL in x to their weighted
-mean.  eicomb.optimizer builds its subset sums with these operations.
-
-A channel's powers are a chain of merged products; all chains of a call
-climb together (_chains), one gather-multiply and one segmented merge per
-power, each row bit for bit its own chain.  check_power settles a batch of
-one.  _phis_of_powers is the one home of Phi(a^[k]) for every k >= 1:
-phi_of_poly_convolved_batch and the inequality catalog read every power
-there, Phi(a) off the channel in eps and higher powers off the chains.
-Every merge, of one measure or of a batch of rows, is channel._merge_rows:
-the sort and merge of channels, carried over to x.
-
-The point layer forms a convolution's product points exactly, unmerged:
-c^[d] has one point per size-d multiset of c's points, weighted by its
-multinomial count, and a product of factors is the outer combination of
-their points.  Each point carries eps and x side by side: x multiplies,
-which keeps full relative precision near the useless channel, and eps
-combines by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.
+outer product, and a merged sum merges points closer than X_MERGE_TOL in x
+to their weighted mean (channel._merge_rows, the sort and merge of
+channels carried over to x).  eicomb.optimizer builds its subset sums with
+these operations.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+import operator
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .channel import EPS_MERGE_TOL, Channel, _merge_rows, _trusted
-from .functionals import Functional, evaluate, pointwise
+from .functionals import Functional, _complement_points, _series_tag, pointwise
 
 if TYPE_CHECKING:
     from .series import Polynomial
@@ -63,8 +60,8 @@ _PERFECT_POINTS: Points = (np.zeros(1), np.ones(1), np.ones(1))  # the empty con
 
 
 class SupportCapError(RuntimeError):
-    """Raised when a convolution or a complement read would exceed the
-    support cap; Phi of a large power goes through the series expansion
+    """Raised when a convolution, or a read of one, would exceed the support
+    cap; Phi of a large power goes through the series expansion
     (`eicomb.series.phi_series`) instead."""
 
 
@@ -72,27 +69,18 @@ def _measure(a: Channel) -> Measure:
     return 1.0 - 2.0 * a.eps, a.w
 
 
-def _settle(m: Measure) -> Channel:
-    """The channel of a measure of mass 1, merged and renormalized."""
-    return _trusted(0.5 * (1.0 - m[0]), m[1])
-
-
 def _convolve(a: Measure, b: Measure) -> Measure:
     return np.multiply.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel()
 
 
-def _merged(x: np.ndarray, w: np.ndarray, off: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Points closer than X_MERGE_TOL merged to their weighted mean, in each
-    row at offsets off (None: one row), by channel._merge_rows: (x, w, off).
-    Zero weights (products that underflowed) go first: a run of them has no
-    mean."""
+def _merged(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points closer than X_MERGE_TOL merged to their weighted mean, by
+    channel._merge_rows.  Zero weights (products that underflowed) go
+    first: a run of them has no mean."""
     keep = w > 0.0
     if not keep.all():
         x, w = x[keep], w[keep]
-        if off is not None:
-            off = np.concatenate(([0], keep.cumsum()[off[1:] - 1]))
-    return _merge_rows(x, w, off, X_MERGE_TOL)
+    return _merge_rows(x, w, None, X_MERGE_TOL)[:2]
 
 
 def _merged_sum(parts: Sequence[Measure]) -> Measure:
@@ -100,7 +88,7 @@ def _merged_sum(parts: Sequence[Measure]) -> Measure:
     parts = [p for p in parts if p[0].size]
     if not parts:
         return _EMPTY
-    return _merged(*(np.concatenate(arrays) for arrays in zip(*parts)))[:2]
+    return _merged(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def _phi(tag: Functional, m: Measure) -> float:
@@ -108,37 +96,21 @@ def _phi(tag: Functional, m: Measure) -> float:
     return float(np.dot(m[1], pointwise(tag, 0.5 * (1.0 - m[0]))))
 
 
-def _check_support(n: int, cap: int) -> None:
-    """The memory guard: no product of more than cap points is formed."""
-    if n > cap:
-        raise SupportCapError(f"convolution support {n} exceeds cap {cap}; use series evaluation")
-
-
 def check_convolve(a: Channel, b: Channel, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
-    """Check-node convolution of two channels; commutative, exact."""
-    _check_support(a.size * b.size, cap)
-    return _settle(_convolve(_measure(a), _measure(b)))
+    """Check-node convolution of two channels; commutative, exact: the
+    product points settled into a channel once.  No product of more than cap
+    points is formed."""
+    if a.size * b.size > cap:
+        raise SupportCapError(
+            f"convolution support {a.size * b.size} exceeds cap {cap}; use series evaluation")
+    factors = ((a, 1), (b, 1))
+    eps, _, w = _product_points(factors, _powers(factors))
+    return _trusted(eps, w)
 
 
 def projected_power_support(support: int, d: int) -> int:
     """Multiset bound on the merged support of a d-fold self-convolution."""
     return math.comb(d + support - 1, support - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _multisets(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, counts): the size-d multisets of m points, index[j, k] the
-    j-th smallest point of multiset k (lexicographic order), and each one's
-    multinomial count d! / prod(multiplicity!), as floats.  Read-only,
-    built on first use."""
-    index = np.array(list(itertools.combinations_with_replacement(range(m), d)),
-                     dtype=np.intp).reshape(-1, d).T.copy()
-    run = np.ones(index.shape)  # each entry's place in its run of equal entries
-    for j in range(1, d):
-        run[j] = np.where(index[j] == index[j - 1], run[j - 1] + 1.0, 1.0)
-    counts = math.factorial(d) / run.prod(axis=0)
-    index.flags.writeable = counts.flags.writeable = False
-    return index, counts
 
 
 def _combined(p: Points, q: Points) -> Points:
@@ -148,125 +120,158 @@ def _combined(p: Points, q: Points) -> Points:
             np.multiply.outer(p[1], q[1]).ravel(), np.multiply.outer(p[2], q[2]).ravel())
 
 
-def _multiset_points(a: Channel, d: int) -> Points:
-    """The points of a^[d], one per size-d multiset of a's points; at d = 1
-    a's own eps, 1 - 2 eps and weights."""
-    x = 1.0 - 2.0 * a.eps
-    if d == 1:
-        return a.eps, x, a.w
-    index, counts = _multisets(a.size, d)
-    eps = a.eps[index]
-    e = eps[0]
-    for f in eps[1:]:
-        e = e * (1.0 - f) + f * (1.0 - e)
-    return e, x[index].prod(axis=0), counts * a.w[index].prod(axis=0)
+def _powers(requests: Iterable[tuple[Channel, int]]) -> dict[tuple[Channel, int], Points]:
+    """The points of c^[d] for each request (c, d), one per size-d multiset
+    of c's points in lexicographic order; at d = 1 c's own eps, 1 - 2 eps
+    and weights.
+
+    Every channel climbs once, degree by degree to the highest degree any
+    request takes it, and all climb together: each degree's multisets of
+    every row lie concatenated, row by row, rows that climb highest first,
+    so a row that has passed its top leaves from the end.  A multiset of
+    size k extends one of size k - 1 by a point j at or after its last:
+    eps folds by e (1 - f) + f (1 - e) and x multiplies in index order, and
+    the weight becomes w * w_j * k / r, r being j's multiplicity in the new
+    multiset: the multiset's multinomial probability, at most 1, so no
+    weight overflows at any degree.  A row's points are the same bits in
+    any batch, and only one degree's points are formed at a time.
+    """
+    requests = set(requests)
+    tops: dict[Channel, int] = {}
+    out = {}
+    for a, d in requests:
+        tops[a] = max(d, tops.get(a, 0))
+        if d == 1:
+            out[a, 1] = a.eps, 1.0 - 2.0 * a.eps, a.w
+    rows = sorted((a for a in tops if tops[a] > 1), key=tops.get, reverse=True)
+    if not rows:
+        return out
+    eps = np.concatenate([a.eps for a in rows])
+    x, w = 1.0 - 2.0 * eps, np.concatenate([a.w for a in rows])
+    sizes = [a.size for a in rows]
+    # each multiset's last point (an index into eps), where its row's points
+    # end, and the last point's multiplicity
+    last, end, run = np.arange(eps.size), np.repeat(np.cumsum(sizes), sizes), np.ones(eps.size)
+    e, px, pw = eps, x, w
+    for k in range(2, tops[rows[0]] + 1):
+        rows = [a for a in rows if tops[a] >= k]
+        cut = sum(math.comb(a.size + k - 2, k - 1) for a in rows)
+        last, end, run, e, px, pw = (v[:cut] for v in (last, end, run, e, px, pw))
+        n = end - last  # extensions of each multiset
+        first = n.cumsum() - n
+        parent = np.arange(cut).repeat(n)
+        last = np.arange(parent.size) + (last - first).repeat(n)
+        end = end[parent]
+        run_k = np.ones(parent.size)
+        run_k[first] = run + 1.0  # a multiset's first extension repeats its last point
+        run, ep, f = run_k, e[parent], eps[last]
+        e = ep * (1.0 - f) + f * (1.0 - ep)
+        px = px[parent] * x[last]
+        pw = pw[parent] * w[last] * k / run
+        at = 0
+        for a in rows:
+            size = math.comb(a.size + k - 1, k)
+            if (a, k) in requests:
+                out[a, k] = e[at:at + size], px[at:at + size], pw[at:at + size]
+            at += size
+    return out
 
 
-def _product_points(factors: Sequence[tuple[Channel, int]]) -> Points:
+def _product_points(factors: Sequence[tuple[Channel, int]],
+                    powers: dict[tuple[Channel, int], Points]) -> Points:
     """The product points of the convolution of each c^[d] of factors
-    (c, d), unmerged, factor by factor in index-major order; the perfect
-    channel's one point for no factor.  There are prod_i
-    projected_power_support(c_i.size, d_i) of them, which the caller checks
-    against its cap first."""
-    parts = [_multiset_points(a, d) for a, d in factors]
+    (c, d), unmerged, factor by factor in index-major order, from powers
+    (_powers of the factors, or of more); the perfect channel's one point
+    for no factor.  There are prod_i projected_power_support(c_i.size, d_i)
+    of them, which the caller checks against its cap first."""
+    parts = [powers[a, d] for a, d in factors]
     return functools.reduce(_combined, parts) if parts else _PERFECT_POINTS
 
 
-def _chains(
-    channels: Sequence[Channel], degrees: Sequence[int], cap: int = DEFAULT_SUPPORT_CAP
-) -> Iterator[tuple[int, np.ndarray, Measure, np.ndarray]]:
-    """Power chains of many channels a_r at once: for k = 2 .. max(degrees),
-    (k, rows, measure, offsets), row i of rows (the r with degrees[r] >= k)
-    holding the measure of a_r^[k] at measure[offsets[i]:offsets[i+1]].
-    The caps are a lone chain's: every row's top power is checked before any
-    convolution, and each row's product before it is formed.
+# A read of a convolution: (tag, kind, factors), kind "phi" for Phi and
+# "conv" for 1 - Phi of the convolution of each c^[d] of factors (c, d).
+Read = tuple[Functional, str, Sequence[tuple[Channel, int]]]
 
-    A row's products lie base-point-major (block j is a^[k-1] times point j
-    of a), a union of ascending runs for the stable sort, and merge bit for
-    bit as np.multiply.outer's would: at k = 2 the layout is a (x) a
-    transposed, equal value for value; later, powers ascend and channels
-    descend, spaced by about X_MERGE_TOL, so products tie only in
-    outer-product order.
+_CAP_MESSAGES = {
+    "phi": "projected support {n} for power {d} exceeds cap {cap}; use series evaluation",
+    "conv": "a read of {n} product points exceeds the cap {cap}",
+}
+
+
+def _read_values(reads: Sequence[Read]) -> list[float]:
+    """The value of each read, in input order, reads of any tag, kind and
+    degrees in one batch.
+
+    A read is the sum over its product points (_product_points) of
+    w * Phi(BSC(eps)) (pointwise) for "phi", or of w * (1 - Phi(BSC(eps)))
+    from the point's carried eps and x (functionals._complement_points, H
+    and B only) for "conv": one per-point call per (tag, kind) over every
+    point of the batch, and each read's terms added by np.add.reduce of
+    its own contiguous slice, numpy's pairwise sum, which depends neither on
+    the batch nor on the slice's place in memory, and below 8 terms adds left
+    to right from 0.0.  There is no series and no merge, so every term is
+    exact to a few ulps.  A read with no factor is the perfect channel.
+    Every read is checked before any point is formed: a float degree raises
+    TypeError (operator.index), a degree below 1 or E in a "conv" read
+    ValueError, and more than DEFAULT_SUPPORT_CAP points SupportCapError.
     """
-    for a, d in zip(channels, degrees):
-        if d < 1:
-            raise ValueError(f"power must be a positive integer, got {d!r}")
-        n = projected_power_support(a.size, d)
-        if n > cap:
-            raise SupportCapError(
-                f"projected support {n} for power {d} exceeds cap {cap}; use series evaluation"
-            )
-    ends_at = set(degrees)
-    degrees = np.asarray(degrees, dtype=np.intp)
-    m = np.array([a.size for a in channels], dtype=np.intp)
-    point_degree = degrees.repeat(m)
-    # _measure of every row at once; _EMPTY keeps an empty batch concatenable
-    bx = 1.0 - 2.0 * np.concatenate([a.eps for a in channels] + [_EMPTY[0]])
-    bw = np.concatenate([a.w for a in channels] + [_EMPTY[1]])
-    rows, cols, x, w = np.arange(m.size), np.arange(bx.size), bx, bw
-    off = np.concatenate(([0], m.cumsum()))
-    for k in range(2, max(ends_at, default=1) + 1):
-        start, n = off[:-1], off[1:] - off[:-1]
-        if k - 1 in ends_at:  # rows whose chain ended at k - 1 drop out
-            climbing = degrees[rows] >= k
-            start, n, rows, m = start[climbing], n[climbing], rows[climbing], m[climbing]
-            cols = (point_degree >= k).nonzero()[0]
-        sizes = n * m
-        if (sizes > cap).any():
-            _check_support(int(sizes[sizes > cap][0]), cap)
-        blocks = n.repeat(m)
-        ends = blocks.cumsum()
-        i = np.arange(ends[-1]) + (start.repeat(m) - ends + blocks).repeat(blocks)
-        j = cols.repeat(blocks)
-        off = np.concatenate(([0], sizes.cumsum()))
-        x, w, off = _merged(x[i] * bx[j], w[i] * bw[j], off)
-        yield k, rows, (x, w), off
-
-
-def _phis_of_powers(
-    reads: Sequence[tuple[Functional, Channel, Sequence[int]]], cap: int = DEFAULT_SUPPORT_CAP
-) -> list[list[float]]:
-    """[Phi(a^[k]) for k in ks] of each row (tag, a, ks), ks ascending from
-    1: Phi(a) off the channel in eps (evaluate), where small crossovers keep
-    precision, and higher powers off one batched chain, entered only when a
-    row climbs past 1, with one pointwise call per tag and one dot per value."""
-    out = [[evaluate(tag, a)] if 1 in ks else [] for tag, a, ks in reads]
-    tops = [max(ks, default=1) for _, _, ks in reads]
-    if max(tops, default=1) < 2:
-        return out
-    parts = []  # (row, x, w) of each power read, in chain order
-    for k, rows, (x, w), off in _chains([a for _, a, _ in reads], tops, cap):
-        parts += [(r, x[off[i]:off[i + 1]], w[off[i]:off[i + 1]])
-                  for i, r in enumerate(rows.tolist()) if k in reads[r][2]]
-    for tag in {reads[r][0] for r, _, _ in parts}:
-        mine = [part for part in parts if reads[part[0]][0] is tag]
-        values = pointwise(tag, 0.5 * (1.0 - np.concatenate([x for _, x, _ in mine])))
+    rows = []
+    for tag, kind, factors in reads:
+        if kind == "conv":
+            _series_tag(tag)
+        row = [(ch, operator.index(d)) for ch, d in factors]
+        for _, d in row:
+            if d < 1:
+                raise ValueError(f"power must be a positive integer, got {d!r}")
+        n = math.prod(projected_power_support(ch.size, d) for ch, d in row)
+        if n > DEFAULT_SUPPORT_CAP:
+            raise SupportCapError(_CAP_MESSAGES[kind].format(
+                n=n, d=" x ".join(str(d) for _, d in row), cap=DEFAULT_SUPPORT_CAP))
+        rows.append(row)
+    powers = _powers(f for row in rows for f in row)  # each channel climbs once
+    points = [_product_points(row, powers) for row in rows]
+    groups: dict[tuple[Functional, str], list[int]] = {}
+    for r, (tag, kind, _) in enumerate(reads):
+        groups.setdefault((tag, kind), []).append(r)
+    out = [0.0] * len(rows)
+    for (tag, kind), mine in groups.items():
+        eps, x, w = (np.concatenate([points[r][i] for r in mine]) for i in range(3))
+        terms = w * (pointwise(tag, eps) if kind == "phi" else _complement_points(tag, eps, x))
         at = 0
-        for r, _, w in mine:
-            out[r].append(float(np.dot(w, values[at:at + w.size])))
-            at += w.size
+        for r in mine:
+            size = points[r][0].size
+            out[r] = float(np.add.reduce(terms[at:at + size]))
+            at += size
     return out
 
 
 def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
     """d-fold check-node convolution of a channel with itself (d >= 1): the
-    power chain's last measure, settled into a channel once."""
-    for *_, power, _ in _chains([a], [d], cap):
-        pass
-    return a if d == 1 else _settle(power)
+    multiset points of a^[d], settled into a channel once (products whose
+    weight underflowed to 0 dropped first)."""
+    if d < 1:
+        raise ValueError(f"power must be a positive integer, got {d!r}")
+    n = projected_power_support(a.size, d)
+    if n > cap:
+        raise SupportCapError(_CAP_MESSAGES["phi"].format(n=n, d=d, cap=cap))
+    if d == 1:
+        return a
+    eps, _, w = _powers([(a, d)])[a, d]
+    keep = w > 0.0
+    return _trusted(eps[keep], w[keep])
 
 
 def phi_of_poly_convolved_batch(tag: Functional, rho: "Polynomial",
                                 channels: Sequence[Channel]) -> list[float]:
-    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel, every Phi(a^[k])
-    from one _phis_of_powers call up to deg rho, whose cap is checked before
-    any convolution; `eicomb.series` covers more."""
-    ks = [k for k, _ in rho.terms]
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel, every
+    Phi(a^[k]) a "phi" read of one _read_values call, which checks every
+    cap before forming any point; `eicomb.series` covers more."""
+    values = iter(_read_values([(tag, "phi", ((a, k),)) for a in channels for k, _ in rho.terms]))
     out = []
-    for phis in _phis_of_powers([(tag, a, ks) for a in channels]):
-        total = -0.0 if ks[0] == 1 else 0.0  # -0.0 + v is v: a linear term starts as is
-        for (_, c), phi in zip(rho.terms, phis):
-            total += c * phi
+    for _ in channels:
+        total = -0.0 if rho.terms[0][0] == 1 else 0.0  # -0.0 + v is v: a linear term starts as is
+        for _, c in rho.terms:
+            total += c * next(values)
         out.append(total)
     return out
 

@@ -23,7 +23,8 @@ Each functional's weights and tail bounds live in one table (`_weights`),
 from which coefficient, coefficient_tail and the blocked engine
 (phi_of_poly_columns) read.  1 - Phi(a^[d]) itself needs no series: the
 catalog's convolutions have few product points, and
-complement_of_convolution_batch sums them exactly.
+complement_of_convolution_batch sums them exactly, as the "conv" reads of
+the point layer's one evaluator (eicomb.convolution._read_values).
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import Channel
-from .convolution import (DEFAULT_SUPPORT_CAP, SupportCapError, _product_points,
-                          projected_power_support)
-from .functionals import Functional, _complement_points, _series_tag
+from .convolution import _read_values
+from .functionals import Functional, _series_tag
 
 LN2 = math.log(2.0)
 
@@ -630,44 +630,14 @@ def complement_of_convolution_batch(
     reads: Sequence[tuple[Functional, Sequence[tuple[Channel, int]]]],
 ) -> list[float]:
     """complement_of_convolution of each read (tag, factors), in input
-    order, reads of both functionals and any degrees in one batch.
-
-    A read is the sum over its product points (convolution._product_points)
-    of w * (1 - Phi(BSC(eps))), each point's complement from its carried eps
-    and x (functionals._complement_points, one call per functional over
-    every point of the batch), added left to right from 0.0: a read's value
-    depends neither on the batch nor on the Python version, and a read of
-    one channel at degree 1 is functionals.complement bit for bit.  There
-    is no series and no merge, so every term is exact to a few ulps.  A
-    read with no factor is the perfect channel (1.0).  Every read's degrees
-    and support are checked before any point is formed: a float degree
-    raises TypeError (operator.index), a degree below 1 ValueError, and more
-    than DEFAULT_SUPPORT_CAP points SupportCapError.
+    order, reads of both functionals and any degrees in one batch: the
+    "conv" reads of convolution._read_values, which sums w * (1 - Phi) over
+    each read's product points, exact to a few ulps with no series and no
+    merge.  A read's value does not depend on the batch, and a read of one
+    channel at degree 1 is functionals.complement bit for bit.  A read
+    with no factor is the perfect channel (1.0).  Every read's degrees and
+    support are checked before any point is formed: a float degree raises
+    TypeError (operator.index), a degree below 1 ValueError, and more than
+    DEFAULT_SUPPORT_CAP points SupportCapError.
     """
-    tags, rows = [], []
-    for tag, factors in reads:
-        tags.append(_series_tag(tag))
-        row = [(ch, operator.index(d)) for ch, d in factors]
-        for _, d in row:
-            if d < 1:
-                raise ValueError(f"power must be a positive integer, got {d!r}")
-        rows.append(row)
-    if not rows:
-        return []
-    sizes = [math.prod(projected_power_support(ch.size, d) for ch, d in row) for row in rows]
-    if max(sizes) > DEFAULT_SUPPORT_CAP:
-        raise SupportCapError(f"a read of {max(sizes)} product points exceeds the cap "
-                              f"{DEFAULT_SUPPORT_CAP}")
-    sizes = np.array(sizes, dtype=np.intp)
-    points = [_product_points(row) for row in rows]
-    # each read's terms left-aligned in its row, zero-padded: cumsum adds
-    # along a row left to right, and the padding adds exact zeros
-    terms = np.zeros((len(rows), int(sizes.max())))
-    for tag in set(tags):
-        mine = [r for r, t in enumerate(tags) if t is tag]
-        eps, x, w = (np.concatenate([points[r][i] for r in mine]) for i in range(3))
-        n = sizes[mine]
-        row = np.repeat(mine, n)
-        col = np.arange(row.size) - np.repeat(n.cumsum() - n, n)
-        terms[row, col] = w * _complement_points(tag, eps, x)
-    return np.cumsum(terms, axis=1)[:, -1].tolist()
+    return _read_values([(tag, "conv", factors) for tag, factors in reads])

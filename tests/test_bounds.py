@@ -31,7 +31,7 @@ from eicomb.functionals import Functional, complement, evaluate, h2, kernel
 from eicomb.series import (DEFAULT_TERM_CAP, Polynomial, complement_of_convolution,
                            poly_from_string)
 
-from test_convolution import count_chain_steps, loop_phi_of_poly
+from test_convolution import loop_phi_of_poly
 from test_series import _phi_terms
 
 # eicomb.channel the module; the package's `channel` is the constructor
@@ -504,7 +504,7 @@ PINNED_ROWS = {
     "ineq9": (
         lambda: inequality_suite(5000000000, 3, codes=(9,))[0][2].csv_row(),
         "ineq9,name=mixture_power;tag=B;d=5;alpha=0.41321138110310807,0.9982565847092288,"
-        "0.9998697857268558,0.001613201017626964,1,5000000000",
+        "0.9998697857268557,0.001613201017626853,1,5000000000",
     ),
     "upper": (
         lambda: upper_bound_sweep(11, levels=(0.3,), rhos=(_CUBE,), tags=(B,),
@@ -644,23 +644,21 @@ def test_suite_equals_per_trial_check_inequality(code):
         assert (g.kind, g.params, g.seed, g.hypothesis_ok) == (w.kind, w.params, w.seed, w.hypothesis_ok)
         assert all(a.points == b.points for a, b in zip(g.witnesses, w.witnesses))
         for u, v in ((g.lhs, w.lhs), (g.rhs, w.rhs)):
-            # a row of a batched chain, complement series or single-channel
-            # complement is its own, bit for bit
+            # a read of a batch is its lone read, bit for bit
             assert u.hex() == v.hex()
         assert g.violated(1e-12) == w.violated(1e-12)
 
 
 @pytest.mark.parametrize("code", sorted(INEQUALITIES))
 def test_suite_call_evaluates_its_complements_in_one_batch(monkeypatch, code):
-    # every complement of a call, of one channel or a convolution, of both
-    # tags and all degrees, in one complement_of_convolution_batch call
+    # every read of a call, Phi or a complement, of one channel or a
+    # convolution, of both tags and all degrees, in one _read_values call
     calls = []
-    conv = bounds.complement_of_convolution_batch
-    monkeypatch.setattr(bounds, "complement_of_convolution_batch",
-                        lambda reads: calls.append({t for t, _ in reads}) or conv(reads))
+    values = bounds._read_values
+    monkeypatch.setattr(bounds, "_read_values",
+                        lambda reads: calls.append({t for t, *_ in reads}) or values(reads))
     inequality_suite(seed=3, trials=20, codes=(code,))
-    assert len(calls) == (1 if code in (4, 6, 7, 8, 10, 12) else 0)
-    assert all(tags == {H, B} for tags in calls)
+    assert calls == [{H, B}]
 
 
 def test_inequality_suite_validates_before_any_draw(monkeypatch):
@@ -679,29 +677,12 @@ def test_inequality_suite_validates_before_any_draw(monkeypatch):
 
 
 def test_inequality_suite_without_trials():
-    # codes 5 and 9 then hand the batched chain an empty batch
+    # every code then hands the evaluator an empty batch
     reports, summaries = inequality_suite(seed=1, trials=0)
     assert reports == []
     assert sorted(summaries) == sorted(INEQUALITIES)
     for s in summaries.values():
         assert (s.trials, s.violations, s.inconclusive, s.min_slack) == (0, 0, 0, math.inf)
-
-
-@pytest.mark.parametrize("code, chains_per_trial", [(5, 1), (9, 3)])
-def test_catalog_chains_take_one_step_per_power(monkeypatch, code, chains_per_trial):
-    # every trial's chains climb together: max(d) - 1 steps, not one per trial and power
-    steps = count_chain_steps(monkeypatch)
-    reports, _ = inequality_suite(seed=31, trials=20, codes=(code,))
-    top = max(int(r.params.split(";d=")[1].split(";")[0]) for r in reports)
-    assert len(steps) == top - 1
-    assert steps[0][0] == chains_per_trial * 20
-
-
-def test_fixed_error_rows_take_one_step_per_power(monkeypatch):
-    steps = count_chain_steps(monkeypatch)
-    fixed_error_sweep(seed=3, rhos=(Polynomial.monomial(6),), tags=(H,), per_cell=2)
-    # BEC(2 eps) and BSC(eps) of all nine levels in one chain
-    assert [rows for rows, _ in steps] == [2 * len(bounds.DEFAULT_ERROR_LEVELS)] * 5
 
 
 @pytest.mark.parametrize("tag", (H, B))
@@ -791,7 +772,7 @@ def _catalog_oracle(code, tag, chans, alpha, d):
         return (conv((mix(a, b, alpha), d)) ** root,
                 alpha * conv((a, d)) ** root + (1.0 - alpha) * conv((b, d)) ** root)
     if code == 11:
-        return evaluate(tag, a), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(E, a)))
+        return phi(a, 1), kernel(tag, max(0.0, 1.0 - 2.0 * evaluate(E, a)))
     return conv((a, 1), (b, 1)), comp(a) * float(np.dot(b.w, 1.0 - 2.0 * b.eps))
 
 

@@ -87,8 +87,9 @@ def test_trusted_constructor_equals_validated_one(points):
 @given(valid_points(), valid_points(), st.floats(0.0, 1.0))
 def test_internal_results_equal_validated_construction(p, q, alpha):
     a, b = Channel(*p), Channel(*q)
-    xa, xb = 1.0 - 2.0 * a.eps, 1.0 - 2.0 * b.eps
-    conv = Channel(0.5 * (1.0 - np.outer(xa, xb).ravel()), np.outer(a.w, b.w).ravel())
+    # check_convolve's product points: eps by e (1 - f) + f (1 - e), a's index major
+    e, f = a.eps[:, None], b.eps
+    conv = Channel((e * (1.0 - f) + f * (1.0 - e)).ravel(), np.outer(a.w, b.w).ravel())
     assert _same_bits(check_convolve(a, b), conv)
     if 0.0 < alpha < 1.0:
         w = np.concatenate([a.w * alpha, b.w * (1.0 - alpha)])

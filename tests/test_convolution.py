@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,8 @@ from eicomb.convolution import (
     phi_of_poly_convolved_batch,
     projected_power_support,
 )
-from eicomb.functionals import Functional, evaluate
-from eicomb.series import Polynomial, moments, poly_from_string
+from eicomb.functionals import Functional, _complement_points, complement, evaluate, pointwise
+from eicomb.series import Polynomial, complement_of_convolution, moments, poly_from_string
 
 H, B, E = Functional.H, Functional.B, Functional.E
 
@@ -147,10 +150,10 @@ def test_phi_of_poly_convolved_general():
 
 
 # ----------------------------------------------------------------------
-# the power chain: one x-domain chain, checked against the per-step fold
+# powers on the point layer, checked against the per-step fold
 
 
-# |delta| the x-domain chain may move a value from the per-step Channel fold
+# |delta| the point layer may move a value from the per-step Channel fold
 # (catalog codes 5 and 9 moved by at most 2.4e-15 over 2400 values each)
 CHAIN_DELTA = 2.5e-15
 
@@ -163,39 +166,31 @@ def fold_power(a, d):
     return out
 
 
-def test_power_cap_guards_every_step():
-    a = channel([(0.1, 0.5), (0.3, 0.5)])
-    assert projected_power_support(a.size, 40) == 41
-    # the projected support passes the cap; the step from 21 points to 42 does not
-    with pytest.raises(SupportCapError, match="convolution support 42 exceeds cap 41"):
-        check_power(a, 40, cap=41)
+def count_point_calls(monkeypatch):
+    """Record the requests of every point-layer call from now on."""
+    calls = []
+    real = convolution._powers
 
+    def powers(requests):
+        requests = list(requests)
+        calls.append(requests)
+        return real(requests)
 
-def count_chain_steps(monkeypatch):
-    """Record (rows, products) of every power-chain step from now on."""
-    steps = []
-    real = convolution._merged
-
-    def merged(x, w, off=None):
-        if off is not None:  # a chain step, not a one-measure merged sum
-            steps.append((off.size - 1, x.size))
-        return real(x, w, off)
-
-    monkeypatch.setattr(convolution, "_merged", merged)
-    return steps
+    monkeypatch.setattr(convolution, "_powers", powers)
+    return calls
 
 
 def test_power_cap_raises_before_any_convolution(monkeypatch):
-    calls = count_chain_steps(monkeypatch)
+    calls = count_point_calls(monkeypatch)
     a = channel([(e, 0.2) for e in (0.05, 0.1, 0.2, 0.3, 0.4)])
     with pytest.raises(SupportCapError, match="projected support"):
         check_power(a, 200)
-    # the lower terms fit under the cap, yet nothing is convolved before the error
+    # the lower terms fit under the cap, yet no point is formed before the error
     with pytest.raises(SupportCapError, match="for power 200"):
         phi_of_poly_convolved(H, poly_from_string("x^2+x^200"), a)
     assert calls == []
     phi_of_poly_convolved(H, Polynomial.monomial(3), a)
-    assert len(calls) == 2
+    assert calls == [[(a, 3)]]
 
 
 def catalog_sides(code, tag, chans, alpha, power):
@@ -243,9 +238,9 @@ def test_power_chain_matches_channel_fold(d):
     [(0.1, 1.0 - 1e-300), (0.2, 1e-300)],
 ])
 def test_power_chain_matches_channel_fold_with_underflowing_weights(points):
-    # by power ~25 the tiny weight's products underflow to 0; a merge run of
-    # zero weights has no mean, and the chain must drop them, not turn NaN.
-    # Code 5's rhs sums 39 powers, so its bound scales with d.
+    # by power ~25 the tiny weight's products underflow to 0; check_power
+    # must drop them, not turn NaN.  Code 5's rhs sums 39 powers, so its
+    # bound scales with d.
     a = channel(points)
     assert np.isfinite(check_power(a, 40).eps).all()
     rho = Polynomial((0.5,) + (0.0,) * 28 + (-0.25,) + (0.0,) * 9 + (1.0,))
@@ -261,73 +256,17 @@ def test_power_one_is_read_off_the_channel():
             2 - evaluate(tag, a))
 
 
-# ----------------------------------------------------------------------
-# the batched chain, bit for bit against the per-row loop it replaced
-
-
-def loop_powers(a, d):
-    """Oracle: a^[2], ..., a^[d] from the per-row chain, one
-    np.multiply.outer product and one merge per step."""
-    base = power = convolution._measure(a)
-    out = []
-    for _ in range(d - 1):
-        power = convolution._merged(*convolution._convolve(power, base))[:2]
-        out.append(power)
-    return out
-
-
 def loop_phi_of_poly(tag, rho, a):
-    """Oracle: phi_of_poly_convolved read off the per-row chain."""
-    coeffs = dict(rho.terms)
-    total = coeffs[1] * evaluate(tag, a) if 1 in coeffs else 0.0
-    for k, power in enumerate(loop_powers(a, rho.degree), 2):
-        if k in coeffs:
-            total += coeffs[k] * convolution._phi(tag, power)
+    """Oracle: phi_of_poly_convolved as a loop of lone reads, one per term,
+    added in ascending power from 0.0 (-0.0 with a linear term)."""
+    total = -0.0 if rho.terms[0][0] == 1 else 0.0
+    for k, c in rho.terms:
+        total += c * convolution._read_values([(tag, "phi", ((a, k),))])[0]
     return total
 
 
 def hexes(values):
     return [float(v).hex() for v in values]
-
-
-def assert_batch_is_the_loop(rows):
-    """Each (tag, channel, degree) row's powers, their Phi values, its
-    check_power and its phi_of_poly_convolved, all from batched chains,
-    equal the per-row loop's by float.hex."""
-    want = [loop_powers(a, d) for _, a, d in rows]
-    seen = []
-    chains = convolution._chains([a for _, a, _ in rows], [d for *_, d in rows])
-    for k, active, (x, w), off in chains:
-        for i, r in enumerate(active.tolist()):
-            wx, ww = want[r][k - 2]
-            assert hexes(x[off[i]:off[i + 1]]) == hexes(wx), (r, k)
-            assert hexes(w[off[i]:off[i + 1]]) == hexes(ww), (r, k)
-            seen.append((r, k))
-    assert sorted(seen) == [(r, k) for r, (*_, d) in enumerate(rows) for k in range(2, d + 1)]
-    phis = convolution._phis_of_powers([(tag, a, range(2, d + 1)) for tag, a, d in rows])
-    for (tag, a, d), got, chain in zip(rows, phis, want):
-        assert hexes(got) == hexes(convolution._phi(tag, m) for m in chain)
-        power = check_power(a, d)
-        settled = convolution._settle(chain[-1]) if chain else a
-        assert (hexes(power.eps), hexes(power.w)) == (hexes(settled.eps), hexes(settled.w))
-        rho = Polynomial((0.5,) + (0.0,) * (d - 2) + (1.0,)) if d > 1 else Polynomial((1.0,))
-        assert phi_of_poly_convolved(tag, rho, a).hex() == loop_phi_of_poly(tag, rho, a).hex()
-
-
-@pytest.mark.parametrize("d", range(2, 7))
-def test_batched_chain_is_the_per_row_loop(d):
-    rng = trial_rng(61, d)
-    chans = [random_channel(rng) for _ in range(16)]
-    # catalog code 9's mixtures carry up to twice the points
-    chans += [mix(chans[t], chans[t + 1], float(rng.random())) for t in range(0, 8, 2)]
-    assert_batch_is_the_loop([((H, B)[t % 2], a, d) for t, a in enumerate(chans)])
-
-
-def test_batched_chain_mixes_degrees_in_one_batch():
-    rng = trial_rng(62)
-    degrees = (3, 1, 6, 2, 5, 4, 1, 6, 2)
-    assert_batch_is_the_loop([((H, B)[t % 2], random_channel(rng), d)
-                              for t, d in enumerate(degrees)])
 
 
 EDGE_ROWS = [
@@ -339,51 +278,33 @@ EDGE_ROWS = [
     # x = 1/2, 1/4, 1/8: products tie exactly from power 2 on, with unequal weights
     (channel([(0.25, 0.5), (0.375, 0.3), (0.4375, 0.2)]), 8),
     (channel([(0.2, 0.5), (0.2 + 1.5 * EPS_MERGE_TOL, 0.5)]), 6),  # points just apart
-    # weights that underflow to 0 along the chain
+    # weights that underflow to 0 by the top power
     (channel([(0.1, 1.0 - 1e-14), (0.2, 1e-14)]), 40),
     (channel([(0.2, 1.0 - 1e-14), (0.1, 1e-14)]), 40),
     (channel([(0.1, 1.0 - 1e-300), (0.2, 1e-300)]), 40),
 ]
 
 
-def test_batched_chain_is_the_per_row_loop_on_edge_rows():
-    rows = [((H, B)[t % 2], a, d) for t, (a, d) in enumerate(EDGE_ROWS)]
-    assert_batch_is_the_loop(rows)
-    for row in rows:
-        assert_batch_is_the_loop([row])
-
-
 def test_empty_batch():
-    assert list(convolution._chains([], [])) == []
-    assert convolution._phis_of_powers([]) == []
+    assert convolution._read_values([]) == []
+    assert convolution._powers([]) == {}
     assert phi_of_poly_convolved_batch(H, Polynomial.monomial(3), []) == []
 
 
 def test_power_one_reads_are_the_channel_value():
+    # a read at power 1 sums the channel's own points in eps, whatever the
+    # batch climbs to beside it
     rng = trial_rng(64)
     rows = [((H, B, E)[t % 3], random_channel(rng), ks)
             for t, ks in enumerate([(1,), (1, 2), (1, 3, 5), (2, 4), (1,), (1, 6)] * 3)]
     rows += [(tag, a, (1, 2, 3)) for tag in (H, B) for a, _ in EDGE_ROWS]
-    got = convolution._phis_of_powers(rows)
-    higher = convolution._phis_of_powers([(tag, a, [k for k in ks if k > 1])
-                                          for tag, a, ks in rows])
-    for (tag, a, ks), values, rest in zip(rows, got, higher):
-        assert len(values) == len(ks)
+    reads = [(tag, "phi", ((a, k),)) for tag, a, ks in rows for k in ks]
+    got = iter(convolution._read_values(reads))
+    for tag, a, ks in rows:
+        values = [next(got) for _ in ks]
         if 1 in ks:
-            assert values[0].hex() == evaluate(tag, a).hex()
-            values = values[1:]
-        assert hexes(values) == hexes(rest)
-
-
-def test_power_one_batches_take_no_chain_step(monkeypatch):
-    monkeypatch.setattr(convolution, "_chains", lambda *args: pytest.fail("entered the chains"))
-    rng = trial_rng(65)
-    rows = [((H, B)[t % 2], random_channel(rng), (1,)) for t in range(6)] + [(H, bsc(0.1), ())]
-    got = convolution._phis_of_powers(rows)
-    assert got == [[evaluate(tag, a)] for tag, a, _ in rows[:-1]] + [[]]
-    channels = [a for _, a, _ in rows]
-    assert phi_of_poly_convolved_batch(B, Polynomial((0.5,)), channels) == [
-        0.5 * evaluate(B, a) for a in channels]
+            assert values[0].hex() == float(np.add.reduce(a.w * pointwise(tag, a.eps))).hex()
+            assert values[0] == pytest.approx(evaluate(tag, a), rel=4 * 2.0**-52, abs=1e-300)
 
 
 def test_linear_term_keeps_its_signed_zero():
@@ -397,18 +318,149 @@ def test_linear_term_keeps_its_signed_zero():
 
 
 def test_batch_cap_raises_before_any_convolution(monkeypatch):
-    calls = count_chain_steps(monkeypatch)
+    calls = count_point_calls(monkeypatch)
     two = channel([(0.1, 0.5), (0.3, 0.5)])
     wide = channel([(e, 0.2) for e in (0.05, 0.1, 0.2, 0.3, 0.4)])
+    ten = channel(zip((0.01 * np.arange(1, 11)).tolist(), [0.1] * 10))
     with pytest.raises(SupportCapError, match="projected support 70058751 for power 200"):
-        convolution._phis_of_powers([(H, two, (2, 3)), (B, wide, (200,)), (H, two, (4,))])
+        convolution._read_values([(H, "phi", ((two, 2),)), (B, "phi", ((wide, 200),)),
+                                  (H, "conv", ((two, 4),))])
+    with pytest.raises(SupportCapError, match="a read of 25050025 product points"):
+        convolution._read_values([(H, "phi", ((two, 2),)), (B, "conv", ((ten, 6), (ten, 6)))])
     assert calls == []
 
 
-def test_batch_cap_guards_every_step(monkeypatch):
-    calls = count_chain_steps(monkeypatch)
-    two = channel([(0.1, 0.5), (0.3, 0.5)])
-    # the projected support 41 passes the cap; the step from 21 points to 42 does not
-    with pytest.raises(SupportCapError, match="convolution support 42 exceeds cap 41"):
-        convolution._phis_of_powers([(H, bsc(0.1), (40,)), (B, two, (40,))], cap=41)
-    assert len(calls) == 19  # powers 2 .. 20 formed; 21 points times 2 refused
+# ----------------------------------------------------------------------
+# one evaluator: every read of a batch is its lone read, bit for bit
+
+
+def _mixed_reads():
+    """"phi" reads of H, B and E and "conv" reads of H and B, one to three
+    factors at degrees 1-6 over sampler draws and mixtures, and the edge
+    rows at their own degrees, shuffled into one batch: reads of equal size
+    and degree share their (tag, kind) group and their climb."""
+    rng = trial_rng(66)
+    chans = [random_channel(rng) for _ in range(12)]
+    chans += [mix(chans[t], chans[t + 1], float(rng.random())) for t in range(0, 6, 2)]
+    rows = [(a, d) for a in chans for d in (1, 2, 3, 6)] + EDGE_ROWS
+    reads = [(tag, kind, ((a, d),)) for a, d in rows
+             for tag, kind in ((H, "phi"), (B, "phi"), (E, "phi"), (H, "conv"), (B, "conv"))]
+    for t, a in enumerate(chans):
+        b = chans[(t + 5) % len(chans)]
+        reads += [(tag, "conv", ((a, 2), (b, 1))) for tag in (H, B)]
+        reads += [(H, "conv", ((a, 1), (b, 1), (a, 1)))]
+    reads += [(H, "conv", ()), (B, "phi", ())]  # the perfect channel
+    return [reads[i] for i in np.random.default_rng(6).permutation(len(reads))]
+
+
+def test_mixed_batch_is_each_reads_lone_call():
+    reads = _mixed_reads()
+    assert {(tag, kind) for tag, kind, _ in reads} == {
+        (H, "phi"), (B, "phi"), (E, "phi"), (H, "conv"), (B, "conv")}
+    got = convolution._read_values(reads)
+    assert len(got) == len(reads)
+    for read, value in zip(reads, got):
+        assert value.hex() == convolution._read_values([read])[0].hex(), read
+    # and a batch in the opposite order
+    assert hexes(convolution._read_values(reads[::-1])[::-1]) == hexes(got)
+
+
+def test_numpy_pairwise_sum_ignores_memory_layout():
+    # a canary for the evaluator's one sum rule, which reads each read's
+    # terms as a slice of its group's array: on every numpy the matrix
+    # runs, a slice at any offset sums as its own copy does
+    rng = np.random.default_rng(68)
+    terms = rng.standard_exponential(4096) * 10.0 ** rng.uniform(-12.0, 0.0, 4096)
+    for offset in range(16):
+        for n in (1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 1000, 3003):
+            part = terms[offset:offset + n]
+            assert float(np.add.reduce(part)).hex() == float(np.add.reduce(part.copy())).hex()
+
+
+def test_reads_of_fewer_than_8_terms_add_left_to_right():
+    # numpy's pairwise sum adds fewer than 8 terms left to right from 0.0
+    rng = trial_rng(67)
+    chans = [random_channel(rng) for _ in range(40)] + [a for a, _ in EDGE_ROWS]
+    reads = [(tag, kind, ((a, d),)) for a in chans for d in (1, 2)
+             for tag, kind in ((H, "phi"), (B, "phi"), (E, "phi"), (H, "conv"), (B, "conv"))
+             if projected_power_support(a.size, d) < 8]
+    assert len(reads) > 100
+    for (tag, kind, factors), value in zip(reads, convolution._read_values(reads)):
+        eps, x, w = convolution._product_points(factors, convolution._powers(factors))
+        each = pointwise(tag, eps) if kind == "phi" else _complement_points(tag, eps, x)
+        total = 0.0
+        for term in (w * each).tolist():
+            total += term
+        assert value.hex() == total.hex()
+
+
+def test_support_cap_raises_before_any_point_is_formed(monkeypatch):
+    monkeypatch.setattr(convolution, "_powers", lambda *args: pytest.fail("formed points"))
+    ten = channel(zip((0.01 * np.arange(1, 11)).tolist(), [0.1] * 10))
+    for reads in ([(H, "phi", ((bsc(0.1), 2),)), (E, "phi", ((ten, 20),))],
+                  [(B, "conv", ((ten, 6), (ten, 6)))],
+                  [(B, "phi", ((ten, 1),)), (H, "conv", ((ten, 3), (ten, 3), (ten, 2)))]):
+        with pytest.raises(SupportCapError):
+            convolution._read_values(reads)
+    # and every other check before it
+    for read, error in (((E, "conv", ((bsc(0.1), 1),)), ValueError),
+                        ((H, "phi", ((bsc(0.1), 0),)), ValueError),
+                        ((B, "phi", ((bsc(0.1), 2.0),)), TypeError)):
+        with pytest.raises(error):
+            convolution._read_values([(H, "phi", ((bsc(0.1), 2),)), read])
+
+
+# ----------------------------------------------------------------------
+# large degrees: the point layer holds one degree's points, and no weight
+# overflows
+
+
+def test_reads_at_large_degrees():
+    # BSC(0.1)^[d] is BSC((1 - 0.8^d) / 2): one point, whose x is 0.8
+    # multiplied d - 1 times (d roundings)
+    for d in (171, 200):
+        x = 1.0
+        for _ in range(d):
+            x *= 0.8
+        eps = 0.5 * (1.0 - 0.8**d)
+        for tag in (H, B):
+            want = complement(tag, bsc(eps)) if tag is B else x * x / (2.0 * math.log(2.0))
+            got = complement_of_convolution(tag, [(bsc(0.1), d)])
+            assert got == pytest.approx(want, rel=1e-13)
+        assert phi_of_poly_convolved(B, Polynomial.monomial(d), bsc(0.1)) == pytest.approx(
+            1.0 - complement(B, bsc(eps)), rel=1e-15)
+    # two points at d = 200, the area cross-check's degree at (100, 200)
+    two = channel([(0.05, 0.3), (0.2, 0.7)])
+    power = check_power(two, 200)
+    assert power.size <= 201 and np.isfinite(power.w).all()
+    moment = float(np.dot(two.w, (1.0 - 2.0 * two.eps) ** 2)) ** 200
+    assert float(np.dot(power.w, (1.0 - 2.0 * power.eps) ** 2)) == pytest.approx(moment, rel=1e-12)
+
+
+def test_large_power_holds_one_degree_of_points():
+    # a d x K index table of a^[300]'s 45,451 multisets would take 109 MB
+    a = channel([(0.05, 0.2), (0.2, 0.3), (0.4, 0.5)])
+    assert projected_power_support(3, 300) == 45451
+    tracemalloc.start()
+    try:
+        power = check_power(a, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert abs(evaluate(E, power) - 0.5 * (1.0 - float(np.dot(a.w, 1.0 - 2.0 * a.eps)) ** 300)) <= 1e-15
+
+
+# ----------------------------------------------------------------------
+# small crossovers: the point layer carries eps, where the chain rounded x
+
+
+def test_power_of_a_tiny_crossover_keeps_its_digits():
+    # BSC(e)^[2] is BSC(2 e (1 - e)); the x-domain chain lost ~1e-4 of it here
+    for e in (1e-10, 1e-12, 1e-15):
+        eps = float(check_power(bsc(e), 2).eps[0])
+        assert eps == pytest.approx(2.0 * e * (1.0 - e), rel=2 * 2.0**-52)
+    e2 = 2.0 * 1e-10 * (1.0 - 1e-10)
+    exact = 2.0 * math.sqrt(e2 * (1.0 - e2))
+    got = phi_of_poly_convolved(B, Polynomial.monomial(2), bsc(1e-10))
+    assert got == pytest.approx(exact, rel=4 * 2.0**-52)

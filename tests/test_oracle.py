@@ -1,10 +1,10 @@
 """A 50-digit oracle for the float paths, from explicit convolution in mpmath.
 
 The x = 1 - 2*eps values of a check-node convolution are the products of
-its factors' x values, weighted by the products of their weights, so
-1 - Phi of a convolution is an explicit finite sum that mpmath evaluates
+its factors' x values, weighted by the products of their weights, so Phi
+and 1 - Phi of a convolution are explicit finite sums that mpmath evaluates
 far beyond double precision.  Supports stay at 5 points or fewer and
-degrees at 3 or less, so every sum has at most a few hundred terms.
+degrees at 4 or less, so every sum has at most a few hundred terms.
 """
 
 import numpy as np
@@ -15,7 +15,8 @@ mpmath = pytest.importorskip("mpmath")
 from eicomb import series
 from eicomb.bounds import trial_rng
 from eicomb.channel import bsc, channel
-from eicomb.functionals import Functional
+from eicomb.convolution import check_power, phi_of_poly_convolved_batch
+from eicomb.functionals import Functional, evaluate, h2
 
 H, B = Functional.H, Functional.B
 
@@ -67,12 +68,12 @@ def _random_channel(rng):
     return channel(zip(eps.tolist(), (w / w.sum()).tolist()))
 
 
-def _log_channel(rng):
-    """1-5 points, each at eps log-uniform on [1e-15, 1/2] or, with even odds,
+def _log_channel(rng, floor=1e-15):
+    """1-5 points, each at eps log-uniform on [floor, 1/2] or, with even odds,
     near the useless channel at 1/2 - delta, delta log-uniform on
-    [1e-15, 1/2]; weights from normalized exponentials."""
+    [floor, 1/2]; weights from normalized exponentials."""
     m = int(rng.integers(1, 6))
-    eps = 10.0 ** rng.uniform(-15.0, np.log10(0.5), m)
+    eps = 10.0 ** rng.uniform(np.log10(floor), np.log10(0.5), m)
     useless = rng.random(m) < 0.5
     eps[useless] = 0.5 - eps[useless]
     w = rng.standard_exponential(m)
@@ -133,3 +134,49 @@ SLOW_ROWS = (
 @pytest.mark.parametrize("degrees, row", SLOW_ROWS, ids=str)
 def test_complement_of_slow_points_matches_explicit_convolution(tag, degrees, row):
     _assert_rows_match(tag, degrees, [row])
+
+
+# ----------------------------------------------------------------------
+# Phi(a^[d]): phi_of_poly_convolved and check_power
+
+
+def _exact_phi(tag, ch, d):
+    """Phi(ch^[d]) at 50 digits: each product point's eps = (1 - x) / 2 is
+    well conditioned, and so are h2(eps) and 2 sqrt(eps (1 - eps))."""
+    with mpmath.workdps(DIGITS):
+        points = [(mpmath.mpf(1), mpmath.mpf(1))]
+        xs = [(1 - 2 * mpmath.mpf(e), mpmath.mpf(w))
+              for e, w in zip(ch.eps.tolist(), ch.w.tolist())]
+        for _ in range(d):
+            points = [(x * u, w * v) for x, w in points for u, v in xs]
+        total = []
+        for x, w in points:
+            e = (1 - x) / 2
+            if tag is B:
+                total.append(w * 2 * mpmath.sqrt(e * (1 - e)))
+            elif e > 0:
+                total.append(-w * (e * mpmath.log(e, 2) + (1 - e) * mpmath.log(1 - e, 2)))
+        return mpmath.fsum(total)
+
+
+# h2 rounds 1 - x before its log (ROADMAP item 10), an absolute error of
+# about 2^-52 per point, so H holds only where that is small relative to the
+# value: at eps >= 1e-6 the value is at least h2(1e-6) ~ 2.1e-5, which gives
+# this bound.  B has no such term and holds to REL_BOUND down to 1e-15.
+H_FLOOR = 1e-6
+POWER_LAWS = {B: (1e-15, REL_BOUND), H: (H_FLOOR, 2.0**-52 / h2(H_FLOOR))}
+
+
+@pytest.mark.parametrize("tag", (H, B))
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_power_of_log_law_rows_matches_explicit_convolution(tag, d):
+    floor, bound = POWER_LAWS[tag]
+    rows = [_log_channel(trial_rng(2027, d, t), floor) for t in range(16)]
+    points = np.concatenate([ch.eps for ch in rows])
+    assert points.min() < 1e3 * floor and 0.5 - points.max() < 1e3 * floor
+    values = phi_of_poly_convolved_batch(tag, series.Polynomial.monomial(d), rows)
+    for ch, value in zip(rows, values):
+        exact = _exact_phi(tag, ch, d)
+        with mpmath.workdps(DIGITS):
+            for got in (value, evaluate(tag, check_power(ch, d))):
+                assert abs((mpmath.mpf(got) - exact) / exact) <= bound, (ch, got)

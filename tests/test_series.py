@@ -26,7 +26,7 @@ from eicomb.bounds import (
 from eicomb.channel import Channel, bec, bsc, channel, mix
 from eicomb.convolution import DEFAULT_SUPPORT_CAP, SupportCapError, check_convolve, check_power
 from eicomb.functionals import Functional, _complement_points, evaluate, h2_inv, kernel_inv
-from eicomb import series
+from eicomb import convolution, series
 from eicomb.series import (
     Polynomial,
     SeriesValue,
@@ -665,7 +665,7 @@ def test_complement_takes_integer_degrees_only(monkeypatch):
     want = series.complement_of_convolution(H, [(bsc(0.1), 2)])
     assert series.complement_of_convolution(H, [(bsc(0.1), np.int64(2))]) == want
     assert series.complement_of_convolution_batch([(H, [(bsc(0.1), np.int64(2))])]) == [want]
-    monkeypatch.setattr(series, "_product_points", lambda *args: pytest.fail("formed points"))
+    monkeypatch.setattr(convolution, "_powers", lambda *args: pytest.fail("formed points"))
     # a float degree forms no point: 1.5 would be summed as degree 1
     for degree in (1.5, 2.0, "2"):
         with pytest.raises(TypeError):
@@ -699,29 +699,26 @@ def test_lone_calls_are_their_row_of_a_mixed_batch():
 def _complement_loop(tag, factors):
     """complement_of_convolution point by point, the reference.  The points
     of c^[d] are one per size-d multiset of c's points, in
-    combinations_with_replacement order: weight the multinomial count times
-    the product of the points' weights, x the product of their x, eps
-    folded by e (1 - f) + f (1 - e).  A read's points combine its factors' points the
-    same way, the earlier factor's index major, and its terms add left to
-    right from 0.0."""
+    combinations_with_replacement order: x the product of their x, eps
+    folded by e (1 - f) + f (1 - e), and the weight the multinomial
+    probability, built point by point as w * w_j * k / r (the k-th point j,
+    r its multiplicity so far).  A read's points combine its factors'
+    points the same way, the earlier factor's index major, and its terms
+    add by np.add.reduce, numpy's pairwise sum."""
     points = [(0.0, 1.0, 1.0)]
     for i, (ch, d) in enumerate(factors):
         eps, x, w = ch.eps.tolist(), (1.0 - 2.0 * ch.eps).tolist(), ch.w.tolist()
         own = []
         for idx in itertools.combinations_with_replacement(range(len(eps)), d):
-            count = math.factorial(d) / math.prod(math.factorial(idx.count(j)) for j in set(idx))
             e, px, pw = eps[idx[0]], x[idx[0]], w[idx[0]]
-            for j in idx[1:]:
+            for k, j in enumerate(idx[1:], 2):
                 e = e * (1.0 - eps[j]) + eps[j] * (1.0 - e)
-                px, pw = px * x[j], pw * w[j]
-            own.append((e, px, pw if d == 1 else count * pw))
+                px, pw = px * x[j], pw * w[j] * k / idx[:k].count(j)
+            own.append((e, px, pw))
         points = own if i == 0 else [(e * (1.0 - f) + f * (1.0 - e), x * y, w * v)
                                      for e, x, w in points for f, y, v in own]
     eps, x, w = (np.array(v) for v in zip(*points))
-    total = 0.0
-    for term in (w * _complement_points(tag, eps, x)).tolist():
-        total += term
-    return total
+    return float(np.add.reduce(w * _complement_points(tag, eps, x)))
 
 
 def _complement_rows(width):
@@ -803,7 +800,7 @@ def test_mixed_complement_batch_is_each_rows_lone_call():
 
 
 def test_complement_pads_bare_rows_next_to_wide_rows():
-    # in each factor, rows with no inner point (all atoms) sit next to rows
+    # in each factor, rows with no inner point (all atoms) share a batch with rows
     # of 1-10 inner points, and rows live in one factor only
     wide = [channel(zip(0.05 + 0.04 * np.arange(m), np.full(m, 1.0 / m))) for m in (1, 4, 10)]
     bare = [bec(0.3), bsc(0.0), bsc(0.5)]
@@ -836,7 +833,7 @@ def test_support_cap_raises_before_any_point_is_formed(monkeypatch):
     assert math.comb(10 + 6 - 1, 6) == 5005 <= DEFAULT_SUPPORT_CAP < 5005**2
     fine = series.complement_of_convolution(H, [(ten, 6)])
     assert 0.0 < fine < 1.0
-    monkeypatch.setattr(series, "_product_points", lambda *args: pytest.fail("formed points"))
+    monkeypatch.setattr(convolution, "_powers", lambda *args: pytest.fail("formed points"))
     for reads in ([(H, [(ten, 6), (ten, 6)])],
                   [(B, [(ten, 6)]), (H, [(ten, 20)])],
                   [(B, [(bsc(0.1), 1)]), (H, [(ten, 3), (ten, 3), (ten, 2)])]):
