@@ -29,6 +29,7 @@ these operations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -151,16 +152,16 @@ def _powers(requests: Iterable[tuple[Channel, int]]) -> dict[tuple[Channel, int]
     sizes = [a.size for a in rows]
     # each multiset's last point (an index into eps), where its row's points
     # end, and the last point's multiplicity
-    last, end, run = np.arange(eps.size), np.repeat(np.cumsum(sizes), sizes), np.ones(eps.size)
+    last, run = np.arange(eps.size), np.ones(eps.size)
+    end = np.repeat(list(itertools.accumulate(sizes)), sizes)
     e, px, pw = eps, x, w
     for k in range(2, tops[rows[0]] + 1):
         rows = [a for a in rows if tops[a] >= k]
         cut = sum(math.comb(a.size + k - 2, k - 1) for a in rows)
         last, end, run, e, px, pw = (v[:cut] for v in (last, end, run, e, px, pw))
-        n = end - last  # extensions of each multiset
-        first = n.cumsum() - n
-        parent = np.arange(cut).repeat(n)
-        last = np.arange(parent.size) + (last - first).repeat(n)
+        parent = np.arange(cut).repeat(end - last)  # each multiset, once per extension
+        first = np.flatnonzero(np.diff(parent, prepend=-1))  # each multiset's first extension
+        last = np.arange(parent.size) + (last - first)[parent]
         end = end[parent]
         run_k = np.ones(parent.size)
         run_k[first] = run + 1.0  # a multiset's first extension repeats its last point
