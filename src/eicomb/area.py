@@ -15,6 +15,11 @@ for A >= c0 to hold for every channel of entropy h:
 
 and with c0 = (l-1) exp(-sqrt(r-1)) the certified entropies contain, for
 large degrees, an interval [h2(K/sqrt(r)), l/r - 2 c0].
+
+The randomized check of the conditions (area_margin_sweep) draws every
+channel of a sweep as one batch of settled rows and reads H(a^[r]) and
+H(a^[r-1]) of all of them from one pass of the series engine, which forms
+each block's moments once for both powers; it builds no Channel.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import keyed_channels_with_value
+from .bounds import _Rows, keyed_rows_with_value
 from .channel import Channel
 from .convolution import phi_of_poly_convolved, projected_power_support
-from .functionals import Functional, evaluate, h2, h2_vec, kernel_inv
-from .series import Polynomial, phi_of_poly_columns
+from .functionals import Functional, h2, h2_vec, kernel_inv
+from .series import Polynomial, phi_of_polys_columns
 
 # Caller-supplied entropy must match the channel this closely.
 ENTROPY_MATCH_TOL = 1e-6
@@ -82,32 +87,30 @@ class EnsembleParams:
         return (self.var_degree - 1) * math.exp(-math.sqrt(self.check_degree - 1))
 
 
-def _check_entropies(channels: Sequence[Channel], hs: np.ndarray) -> None:
-    """Raise ValueError naming the first channel whose entropy is off its h."""
-    sizes = np.fromiter((a.size for a in channels), dtype=np.intp, count=len(channels))
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    eps = np.concatenate([a.eps for a in channels])
-    w = np.concatenate([a.w for a in channels])
-    entropies = np.add.reduceat(w * h2_vec(eps), starts)
-    off = np.flatnonzero(np.abs(entropies - hs) > ENTROPY_MATCH_TOL)
-    if off.size:
-        i = int(off[0])
+def _check_entropies(rows: _Rows, hs: np.ndarray) -> None:
+    """Raise ValueError naming the first row whose entropy is off its h."""
+    eps, w, off = rows
+    entropies = np.add.reduceat(w * h2_vec(eps), off[:-1])
+    off_rows = np.flatnonzero(np.abs(entropies - hs) > ENTROPY_MATCH_TOL)
+    if off_rows.size:
+        i = int(off_rows[0])
+        row = slice(off[i], off[i + 1])
         raise ValueError(
-            f"channel entropy {evaluate(Functional.H, channels[i])!r} "
+            f"channel entropy {float(np.dot(w[row], h2_vec(eps[row])))!r} "
             f"does not match h={float(hs[i])!r}"
         )
 
 
 def _area_values(
-    params: EnsembleParams, channels: Sequence[Channel], hs: Sequence[float], tol: float
+    params: EnsembleParams, rows: _Rows, hs: Sequence[float], tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Area values, combined series bounds and capped flags of channels at
-    their entropies hs, from one batched series call per power."""
+    """Area values, combined series bounds and capped flags of settled rows
+    at their entropies hs, H(a^[r]) and H(a^[r-1]) from one series pass."""
     hs = np.asarray(hs, dtype=float)
-    _check_entropies(channels, hs)
+    _check_entropies(rows, hs)
     l, r = params.var_degree, params.check_degree
-    high = phi_of_poly_columns(Functional.H, Polynomial.monomial(r), channels, tol)
-    low = phi_of_poly_columns(Functional.H, Polynomial.monomial(r - 1), channels, tol)
+    high, low = phi_of_polys_columns(
+        Functional.H, (Polynomial.monomial(r), Polynomial.monomial(r - 1)), rows, tol)
     k_high, k_low = l - 1 - l / r, l - 1
     values = -hs - k_high * high.value + k_low * low.value
     bounds = k_high * high.error_bound + k_low * low.error_bound
@@ -127,7 +130,7 @@ def area_quantity(
     computed exactly and the two routes must agree to CROSS_CHECK_TOL.
     """
     l, r = params.var_degree, params.check_degree
-    value = float(_area_values(params, [a], [h], tol)[0][0])
+    value = float(_area_values(params, (a.eps, a.w, np.array([0, a.size])), [h], tol)[0][0])
     if cross_check and projected_power_support(a.size, r) <= CROSS_CHECK_SUPPORT:
         exact = -h + (l - 1) * phi_of_poly_convolved(Functional.H, params.area_poly, a)
         if abs(value - exact) > CROSS_CHECK_TOL:
@@ -247,8 +250,8 @@ def area_margin_sweep(
     rows with `checked == 0` mark grid points outside the certified range.
     Every trial of every certified point is drawn first, trial t of grid
     point gi from the stream trial_rng(seed, gi, t) through
-    keyed_channels_with_value, and all are evaluated together, one batched
-    series call per power.
+    keyed_rows_with_value, and all are evaluated together as one batch of
+    settled rows, both powers in one series pass; no Channel is built.
     """
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
@@ -262,15 +265,13 @@ def area_margin_sweep(
     conditions = [margin_conditions(params, h, c0) for h in grid]
     certified = [gi for gi, cond in enumerate(conditions) if all(cond)]
     hs = [grid[gi] for gi in certified for _ in range(channels_per_point)]
-    channels = keyed_channels_with_value(
+    rows = keyed_rows_with_value(
         [(seed, gi, t) for gi in certified for t in range(channels_per_point)],
         Functional.H, hs,
     )
-    values, bounds, capped = [], [], []
-    if channels:
-        values, bounds, capped = (
-            v.tolist() for v in _area_values(params, channels, hs, AREA_SERIES_TOL)
-        )
+    values, bounds, capped = (
+        v.tolist() for v in _area_values(params, rows, hs, AREA_SERIES_TOL)
+    )
     rows: list[AreaSweepRow] = []
     start = 0
     for h, (cond_i, cond_ii) in zip(grid, conditions):

@@ -389,7 +389,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _key_words(keys: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(words, lengths): key i coerced as SeedSequence coerces it, its
     little-endian uint32 words in words[:lengths[i], i] and zeros below,
-    at least 4 rows."""
+    at least 4 rows.  Keys of one length whose values are all integers in
+    [0, 2^32) are one word per value and skip the per-value loop."""
+    try:
+        table = np.array(keys)
+    except ValueError:  # ragged keys
+        table = None
+    if (table is not None and table.ndim == 2 and table.dtype.kind in "iu"
+            and table.size and table.min() >= 0 and table.max() <= _MASK32):
+        words = np.zeros((max(_POOL, table.shape[1]), len(keys)), dtype=np.uint32)
+        words[: table.shape[1]] = table.T
+        return words, np.full(len(keys), table.shape[1])
     lengths, flat = [], []
     for key in keys:
         start = len(flat)
@@ -481,6 +491,8 @@ _Draw = tuple[np.ndarray, np.ndarray]
 # Raw draws back to back: (sizes, eps, w), draw i's points after the
 # sizes[:i].sum() points of the draws before it.
 _Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
+# Settled rows back to back: (eps, w, off), row i at off[i]:off[i+1].
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Generator.integers(1, MAX_RAW_SUPPORT + 1) is numpy's Lemire rule: a
 # uint32 word times the range MAX_RAW_SUPPORT, whose high 32 bits are the
@@ -547,10 +559,9 @@ def _keyed_draws(keys: list[Sequence[int]]) -> _Draws:
     return np.array(sizes, dtype=np.intp), eps, np.concatenate(weights)
 
 
-def _raw_rows(sizes: np.ndarray, eps: np.ndarray, w: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw channels of draws as settled rows (eps, w, off): each draw
-    normalized in draw order, then settled, as one batch."""
+def _raw_rows(sizes: np.ndarray, eps: np.ndarray, w: np.ndarray) -> _Rows:
+    """The raw channels of draws as settled rows: each draw normalized in
+    draw order, then settled, as one batch."""
     off = np.concatenate(([0], sizes.cumsum()))
     return _settle_rows(eps, w / _row_totals(w, off).repeat(sizes), off)
 
@@ -560,23 +571,47 @@ def _raw_channels(draws: Sequence[_Draw]) -> list[Channel]:
     return _channels(*_raw_rows(*_concatenated(draws))) if draws else []
 
 
-def _pinned_channels(draws: _Draws, tag: Functional, targets: Sequence[float],
-                     top: float) -> list[Channel]:
+def _row_values(tag: Functional, rows: _Rows) -> np.ndarray:
+    """evaluate(tag, row) of each settled row, bit for bit: the rows of
+    each width m in one np.matmul of their (1, m) weight rows by their
+    (m, 1) value columns, which numpy sums as np.dot sums one row (a
+    vectorized row sum of the products rounds differently)."""
+    eps, w, off = rows
+    f = pointwise(tag, eps)
+    sizes = off[1:] - off[:-1]
+    values = np.empty(sizes.size)
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        at = np.flatnonzero(sizes == m)
+        points = off[at, None] + np.arange(m)
+        values[at] = np.matmul(w[points][:, None, :], f[points][:, :, None]).ravel()
+    return values
+
+
+def _spliced(pick: np.ndarray, a: _Rows, b: _Rows) -> _Rows:
+    """Row i of a where pick[i], else row i of b, back to back."""
+    (eps_a, w_a, off_a), (eps_b, w_b, off_b) = a, b
+    starts = np.where(pick, off_a[:-1], eps_a.size + off_b[:-1])
+    sizes = np.where(pick, off_a[1:] - off_a[:-1], off_b[1:] - off_b[:-1])
+    off = np.concatenate(([0], sizes.cumsum()))
+    points = np.arange(off[-1]) + (starts - off[:-1]).repeat(sizes)
+    return np.concatenate((eps_a, eps_b))[points], np.concatenate((w_a, w_b))[points], off
+
+
+def _pinned_rows(draws: _Draws, tag: Functional, targets: Sequence[float],
+                 top: float) -> tuple[_Rows, np.ndarray, np.ndarray]:
     """Each draw's raw channel mixed with the perfect channel (value 0) or
-    the useless one (value top) so that its tag value is its target.
+    the useless one (value top) so that its tag value is its target, as
+    settled rows, with each row's mixing weight alpha and whether its
+    partner is the perfect channel.
 
     Every row mixes straight from the settled raw points, as
     mix(raw, partner, alpha) builds it: the raw points weighted alpha, then
-    the partner's one point weighted 1 - alpha, all rows in one settle.  A
-    row of alpha 1 returns its raw channel and one of alpha 0 its partner,
-    so only the other mixtures and those raw channels become Channels.
+    the partner's one point weighted 1 - alpha, all rows in one settle.
+    That settle leaves a row of alpha 0 its partner's one point of weight
+    1; a row of alpha 1 is its raw row instead, spliced in.
     """
-    eps, w, off = _raw_rows(*draws)
-    # one np.dot per row, as evaluate takes it: a vectorized row sum of the
-    # products rounds differently
-    f = pointwise(tag, eps)
-    at = off.tolist()
-    v = np.array([float(np.dot(w[lo:hi], f[lo:hi])) for lo, hi in zip(at[:-1], at[1:])])
+    eps, w, off = raw = _raw_rows(*draws)
+    v = _row_values(tag, raw)
     t = np.asarray(targets, dtype=float)
     perfect, useless = v > t, v < t
     alpha = np.ones_like(v)  # v == t keeps the raw channel
@@ -585,9 +620,18 @@ def _pinned_channels(draws: _Draws, tag: Functional, targets: Sequence[float],
     # each row's partner point goes after its last raw point
     mixed_eps = np.insert(eps, off[1:], np.where(perfect, 0.0, 0.5))
     mixed_w = np.insert(w * alpha.repeat(np.diff(off)), off[1:], 1.0 - alpha)
-    mixed = iter(_channels(*_settle_rows(mixed_eps, mixed_w, off + np.arange(off.size)),
-                           np.flatnonzero((alpha != 1.0) & (alpha != 0.0))))
-    unmixed = iter(_channels(eps, w, off, np.flatnonzero(alpha == 1.0)))
+    rows = _settle_rows(mixed_eps, mixed_w, off + np.arange(off.size))
+    unmixed = alpha == 1.0
+    if unmixed.any():
+        rows = _spliced(unmixed, raw, rows)
+    return rows, alpha, perfect
+
+
+def _pinned_channels(rows: _Rows, alpha: np.ndarray, perfect: np.ndarray) -> list[Channel]:
+    """The channels of _pinned_rows: a row of alpha 0 returns its partner
+    itself, so only the mixtures and the raw channels become Channels."""
+    mixed = iter(_channels(*rows, np.flatnonzero((alpha != 1.0) & (alpha != 0.0))))
+    unmixed = iter(_channels(*rows, np.flatnonzero(alpha == 1.0)))
     return [
         next(unmixed) if s == 1.0 else (_PERFECT if p else _USELESS) if s == 0.0 else next(mixed)
         for s, p in zip(alpha.tolist(), perfect.tolist())
@@ -624,7 +668,16 @@ def random_channels_with_value(
     top, targets = _checked_targets(tag, targets)
     draws = [_draw(rng, max_support) for rng in rngs]
     _check_count(len(draws), targets)
-    return _pinned_channels(_concatenated(draws), tag, targets, top) if draws else []
+    return _pinned_channels(*_pinned_rows(_concatenated(draws), tag, targets, top)) if draws else []
+
+
+def _keyed_pinned_rows(keys: Iterable[Sequence[int]], tag: Functional,
+                       targets: Sequence[float]) -> tuple[_Rows, np.ndarray, np.ndarray] | None:
+    """_pinned_rows of the keys' draws (_keyed_draws), None for no key."""
+    top, targets = _checked_targets(tag, targets)
+    keys = list(keys)
+    _check_count(len(keys), targets)
+    return _pinned_rows(_keyed_draws(keys), tag, targets, top) if keys else None
 
 
 def keyed_channels_with_value(
@@ -635,10 +688,20 @@ def keyed_channels_with_value(
     """random_channels_with_value([trial_rng(*key) for key in keys], tag,
     targets), bit for bit, with every key's draw read off its PCG64 state
     as raw words (_keyed_draws) instead of through Generator calls."""
-    top, targets = _checked_targets(tag, targets)
-    keys = list(keys)
-    _check_count(len(keys), targets)
-    return _pinned_channels(_keyed_draws(keys), tag, targets, top) if keys else []
+    pinned = _keyed_pinned_rows(keys, tag, targets)
+    return _pinned_channels(*pinned) if pinned else []
+
+
+def keyed_rows_with_value(
+    keys: Iterable[Sequence[int]],
+    tag: Functional,
+    targets: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """keyed_channels_with_value's channels as one batch of settled rows
+    (eps, w, off), channel i at eps[off[i]:off[i+1]] and w[off[i]:off[i+1]]
+    bit for bit, a partner's row included; builds no Channel."""
+    pinned = _keyed_pinned_rows(keys, tag, targets)
+    return pinned[0] if pinned else (np.zeros(0), np.zeros(0), np.zeros(1, dtype=np.intp))
 
 
 def random_channel(rng: np.random.Generator, max_support: int = MAX_RAW_SUPPORT) -> Channel:

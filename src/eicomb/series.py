@@ -20,8 +20,12 @@ summed in closed form through sum_n a_{Phi,n} = 1 so that e.g. BEC values
 come out exact instead of converging at the tail rate.
 
 Each functional's weights and tail bounds live in one table (`_weights`),
-from which coefficient, coefficient_tail and the blocked engine
-(phi_of_poly_columns) read.  1 - Phi(a^[d]) itself needs no series: the
+from which coefficient, coefficient_tail and the blocked engine read.  The
+engine evaluates several polynomials on one batch of channels in one pass,
+forming each block's moments once for all of them: phi_of_polys_columns
+takes the batch as settled rows (the area margins read both powers so), and
+phi_of_poly_columns, one polynomial on a list of channels, serves the
+sweeps and the scalar entries.  1 - Phi(a^[d]) itself needs no series: the
 catalog's convolutions have few product points, and
 complement_of_convolution_batch sums them exactly, as the "conv" reads of
 the point layer's one evaluator (eicomb.convolution._read_values).
@@ -35,7 +39,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -443,23 +447,33 @@ def _check_stop(tol: float, term_cap: int) -> int:
     return term_cap
 
 
-def _padded_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(atoms, counts, ys, ws): each channel's mass at x = 1 and number of
-    points in 0 < x < 1, and those points' y = x^2 and weights, row r for
-    channel r, in point order, left-aligned and zero-padded to the widest
-    row (a zero weight times a zero power adds nothing to a moment)."""
+# (atoms, counts, ys, ws): the rows as the series engine reads them
+_Padded = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _padded_rows(chans: Sequence[Channel]) -> _Padded:
+    """_padded_batch of channels, row r for channel r."""
     sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
-    row = np.arange(len(chans)).repeat(sizes)
-    w = np.concatenate([ch.w for ch in chans])
-    x = 1.0 - 2.0 * np.concatenate([ch.eps for ch in chans])
-    atoms = np.zeros(len(chans))
+    return _padded_batch(np.concatenate([ch.eps for ch in chans]),
+                         np.concatenate([ch.w for ch in chans]), sizes)
+
+
+def _padded_batch(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray) -> _Padded:
+    """(atoms, counts, ys, ws) of settled rows back to back, row r the
+    sizes[r] points after those of the rows before it: each row's mass at
+    x = 1 and number of points in 0 < x < 1, and those points' y = x^2 and
+    weights, in point order, left-aligned and zero-padded to the widest row
+    (a zero weight times a zero power adds nothing to a moment)."""
+    row = np.arange(sizes.size).repeat(sizes)
+    x = 1.0 - 2.0 * eps
+    atoms = np.zeros(sizes.size)
     at_one = x == 1.0
     np.add.at(atoms, row[at_one], w[at_one])
     active = (x > 0.0) & (x < 1.0)
     row, x, w = row[active], x[active], w[active]
-    counts = np.bincount(row, minlength=len(chans))
+    counts = np.bincount(row, minlength=sizes.size)
     col = np.arange(row.size) - (counts.cumsum() - counts)[row]
-    ys = np.zeros((len(chans), int(counts.max(initial=0))))
+    ys = np.zeros((sizes.size, int(counts.max(initial=0))))
     ws = np.zeros_like(ys)
     ys[row, col] = x * x
     ws[row, col] = w
@@ -537,7 +551,59 @@ def phi_of_poly_columns(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SeriesColumns:
     """Phi(rho(a)) for each channel a, in input order, from one blocked
-    pass, as value, error bound, term and capped columns.
+    pass, as value, error bound, term and capped columns: the one-polynomial
+    pass of _series_pass over the channels' padded rows."""
+    tag = _series_tag(tag)
+    term_cap = _check_stop(tol, term_cap)
+    if not channels:
+        return SeriesColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp),
+                             np.zeros(0, dtype=bool))
+    return _series_pass(tag, (rho,), _padded_rows(channels), tol, term_cap)[0]
+
+
+def phi_of_polys_columns(
+    tag: Functional,
+    rhos: Sequence[Polynomial],
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tol: float = 1e-10,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> list[SeriesColumns]:
+    """Phi(rho(a)) for each rho of rhos and each settled row a of
+    rows = (eps, w, off), row i at off[i]:off[i+1], from one blocked pass:
+    one SeriesColumns per rho, each equal bit for bit to phi_of_poly_columns
+    of that rho on the rows as channels."""
+    tag = _series_tag(tag)
+    term_cap = _check_stop(tol, term_cap)
+    if not rhos:
+        raise ValueError("need at least one polynomial")
+    eps, w, off = rows
+    return _series_pass(tag, tuple(rhos), _padded_batch(eps, w, off[1:] - off[:-1]), tol, term_cap)
+
+
+# A lane is one polynomial on one row of the engine; lane r * width + p
+# holds polynomial p of width at row r, so with one polynomial the lanes are
+# the rows.
+
+
+def _lanes(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row arrays, one per polynomial, interleaved into lanes."""
+    if len(rows) == 1:
+        return rows[0]
+    return np.stack(rows, axis=1).reshape((-1,) + rows[0].shape[1:])
+
+
+def _lane_rho(terms: Sequence[Sequence[tuple[int, float]]]) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from the moments of each row to _rho_columns of each
+    polynomial's terms in each lane."""
+    if len(terms) == 1:
+        return functools.partial(_rho_columns, terms[0])
+    return lambda g: _lanes([_rho_columns(t, g) for t in terms])
+
+
+def _series_pass(
+    tag: Functional, rhos: tuple[Polynomial, ...], padded: _Padded, tol: float, term_cap: int
+) -> list[SeriesColumns]:
+    """The blocked engine: Phi(rho(a)) of every rho for every padded row.
 
     Mass at eps = 0 (x = 1) makes the moments converge to a constant
     `atom`; that constant subseries is summed exactly via sum_n a_n = 1,
@@ -546,74 +612,86 @@ def phi_of_poly_columns(
         Phi(rho(a)) = rho(1) - rho(atom) - sum_n a_n (rho(gamma_n) - rho(atom))
 
     Truncation after N terms is bounded by
-    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)); a row
-    stops at the first N where it is <= tol, or at N = term_cap (capped if
-    still above tol).  A row with no point in 0 < x < 1 is rho(1) - rho(atom)
-    after 0 terms.  rho is evaluated at the atoms as Polynomial.__call__
-    evaluates it (_rho_at).  Terms come in blocks of 8, 16, ... up to 512;
-    powers continue by cumprod from the carried y^n, partial sums by cumsum
-    from the carried accumulator, and a row leaves the arrays where it
-    stops, its results written into the columns.  No step mixes rows
-    (padding adds exact zeros to a moment), so a row's result does not
-    depend on the batch: phi_series and phi_of_poly, its batch of one, give
-    the same value bit for bit.
+    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)); a lane
+    (one rho on one row) stops at the first N where it is <= tol, or at
+    N = term_cap (capped if still above tol).  A row with no point in
+    0 < x < 1 is rho(1) - rho(atom) after 0 terms.  rho is evaluated at
+    the atoms as Polynomial.__call__ evaluates it (_rho_at).  Terms come
+    in blocks of 8, 16, ... up to 512; the powers y^n continue by cumprod
+    from the carried y^n and give the moments gamma_n, both once per block
+    for all rhos, and each lane's partial sums continue by cumsum from its
+    carried accumulator.  A lane's results are written into its columns
+    where it first stops (its later stops go to a spare slot), and a row
+    leaves the arrays once all of its lanes have stopped.  No step mixes
+    rows or lanes (padding adds exact zeros to a moment), and a lane's
+    operations do not depend on the block widths, so its result depends on
+    neither the other rows and rhos nor the block schedule: phi_series and
+    phi_of_poly, batches of one, give the same value bit for bit.
     """
-    tag = _series_tag(tag)
-    term_cap = _check_stop(tol, term_cap)
-    rho_abs = rho if min(rho.coeffs) >= 0.0 else Polynomial(tuple(map(abs, rho.coeffs)))
-    rho_one = rho(1.0)
-    if not channels:
-        return SeriesColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp),
-                             np.zeros(0, dtype=bool))
-    atoms, counts, ys, ws = _padded_rows(channels)
-    rho_atom = _rho_at(rho.terms, atoms.tolist())
-    # a row with no term to sum keeps these
-    value = rho_one - rho_atom
-    error_bound = np.zeros(len(channels))
-    terms = np.zeros(len(channels), dtype=np.intp)
+    atoms, counts, ys, ws = padded
+    width, size = len(rhos), atoms.size
+    terms_of = [rho.terms for rho in rhos]
+    abs_terms_of = [tuple((k, abs(c)) for k, c in t) for t in terms_of]
+    signed = abs_terms_of != terms_of
+    rho_lanes, rho_abs_lanes = _lane_rho(terms_of), _lane_rho(abs_terms_of)
+    rho_atoms = [_rho_at(t, atoms.tolist()) for t in terms_of]
+    # slot p * size + i holds polynomial p at row i, and one spare slot
+    # follows; a row with no term to sum keeps these
+    spare = width * size
+    value = np.concatenate([rho(1.0) - r for rho, r in zip(rhos, rho_atoms)] + [np.zeros(1)])
+    error_bound = np.zeros(spare + 1)
+    terms = np.zeros(spare + 1, dtype=np.intp)
     index = np.flatnonzero(counts)
-    ys, ws, atoms, rho_atom = ys[index], ws[index], atoms[index], rho_atom[index]
-    rho_abs_atom = rho_atom if rho_abs is rho else _rho_at(rho_abs.terms, atoms.tolist())
-    acc = np.zeros(index.size)
+    ys, ws, atoms = ys[index], ws[index], atoms[index]
+    out = _lanes([index + p * size for p in range(width)])  # each lane's slot
+    rho_atom = _lanes([r[index] for r in rho_atoms])
+    rho_abs_atom = _lanes([_rho_at(t, atoms.tolist()) for t in abs_terms_of]) if signed else rho_atom
+    acc = np.zeros(out.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
     n0, block = 1, _BATCH_FIRST_BLOCK
-    while index.size:
+    while out.size:
         count = max(1, min(block, term_cap - n0 + 1, _BATCH_MAX_ENTRIES // ys.size))
         powers = np.repeat(ys[:, :, None], count + 1, axis=2)
         powers[:, :, 0] = z
         np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
         gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
-        rho_g = _rho_columns(rho.terms, gamma)
-        rho_abs_g = rho_g if rho_abs is rho else _rho_columns(rho_abs.terms, gamma)
+        rho_g = rho_lanes(gamma)
+        rho_abs_g = rho_abs_lanes(gamma) if signed else rho_g
         a, tail = _weights(tag, n0 + count - 1)
-        sums = np.empty((index.size, count + 1))
+        sums = np.empty((out.size, count + 1))
         sums[:, 0] = acc
         sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - rho_atom[:, None])
         partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
         bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
-        steps = np.arange(n0, n0 + count)
-        stop = (bound <= tol) | (steps >= term_cap)
+        stop = bound <= tol
+        if n0 + count > term_cap:  # the block's last term is the cap
+            stop[:, -1] = True
         acc = partial[:, -1]
         z = powers[:, :, -1].copy()  # frees the table before the next block
         done = stop.any(axis=1)
         if done.any():
-            rows = np.flatnonzero(done)
-            first = stop[rows].argmax(axis=1)
-            at = index[rows]
-            value[at] = (rho_one - rho_atom[rows]) - partial[rows, first + 1]
-            error_bound[at] = bound[rows, first]
-            terms[at] = steps[first]
-            if rows.size == index.size:
+            lanes = np.flatnonzero(done)
+            first = stop[lanes].argmax(axis=1)
+            at = out[lanes]
+            value[at] -= partial[lanes, first + 1]
+            error_bound[at] = bound[lanes, first]
+            terms[at] = n0 + first
+            if lanes.size == out.size:
                 break
-            keep = ~done
-            index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z = (
-                v[keep] for v in (index, ys, ws, atoms, rho_atom, rho_abs_atom, acc, z)
-            )
+            out[lanes] = spare  # a lane's later stops write to the spare slot
+            rows_kept = lanes_kept = out != spare
+            if width > 1:  # a row leaves with its last lane
+                rows_kept = lanes_kept.reshape(-1, width).any(axis=1)
+                lanes_kept = rows_kept.repeat(width)
+            ys, ws, atoms, z = (v[rows_kept] for v in (ys, ws, atoms, z))
+            rho_atom, rho_abs_atom, acc, out = (
+                v[lanes_kept] for v in (rho_atom, rho_abs_atom, acc, out))
         n0 += count
         block = min(2 * block, _BATCH_MAX_BLOCK)
+    value, error_bound, terms = (v[:spare].reshape(width, size) for v in (value, error_bound, terms))
     capped = ~(error_bound <= tol)  # before the clip: NaN is capped, a rounding below 0 is not
     error_bound[error_bound < 0.0] = 0.0  # max(b, 0.0): keeps NaN and -0.0
-    return SeriesColumns(value, error_bound, terms, capped)
+    return [SeriesColumns(*cols) for cols in zip(value, error_bound, terms, capped)]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from eicomb import area
+from eicomb import area, bounds, series
 from eicomb.area import (
     AreaSweepRow,
     EnsembleParams,
@@ -288,16 +289,17 @@ def test_batched_sweep_matches_per_channel_loop(degrees, seed):
 
 
 def test_sweep_row_carries_a_capped_series(monkeypatch):
-    real = area.phi_of_poly_columns
+    real = area.phi_of_polys_columns
 
-    def first_capped(tag, rho, channels, tol):
-        out = real(tag, rho, channels, tol)
-        if rho.degree == p.check_degree:  # only H(a^[r]) of the first channel
-            out.error_bound[0], out.capped[0] = 1.0, True
+    def first_capped(tag, rhos, rows, tol):
+        out = real(tag, rhos, rows, tol)
+        for rho, cols in zip(rhos, out):
+            if rho.degree == p.check_degree:  # only H(a^[r]) of the first channel
+                cols.error_bound[0], cols.capped[0] = 1.0, True
         return out
 
     p = EnsembleParams(50, 100)
-    monkeypatch.setattr(area, "phi_of_poly_columns", first_capped)
+    monkeypatch.setattr(area, "phi_of_polys_columns", first_capped)
     rows = [r for r in area_margin_sweep(p, 6, grid_points=12, channels_per_point=5) if r.checked]
     assert len(rows) >= 2
     k_high = p.var_degree - 1 - p.var_degree / p.check_degree
@@ -306,17 +308,28 @@ def test_sweep_row_carries_a_capped_series(monkeypatch):
     assert all(r.error_bound < 1e-6 for r in rows[1:])
 
 
+def test_sweep_makes_one_series_pass_and_no_channel(monkeypatch):
+    passes = []
+    real = series._series_pass
+    monkeypatch.setattr(series, "_series_pass",
+                        lambda tag, rhos, *args: passes.append(len(rhos)) or real(tag, rhos, *args))
+    monkeypatch.setattr(bounds, "_channels", lambda *args: pytest.fail("built a Channel"))
+    rows = area_margin_sweep(EnsembleParams(30, 60), 6, grid_points=50, channels_per_point=20)
+    assert sum(r.checked for r in rows) > 20 and passes == [2]
+
+
 def test_area_values_flag_a_capped_series():
     # phi_series(H, {(1e-6,.5),(.3,.5)}, 3, tol=1e-11) stops at the term cap
     a = channel([(1e-6, 0.5), (0.3, 0.5)])
-    _, bounds, capped = area._area_values(EnsembleParams(2, 4), [a], [evaluate(H, a)], 1e-11)
+    rows = (a.eps, a.w, np.array([0, a.size]))
+    _, errors, capped = area._area_values(EnsembleParams(2, 4), rows, [evaluate(H, a)], 1e-11)
     assert capped.tolist() == [True]
-    assert bounds[0] > 1e-11
+    assert errors[0] > 1e-11
 
 
 def test_sweep_rejects_an_off_entropy_channel(monkeypatch):
-    monkeypatch.setattr(area, "keyed_channels_with_value",
-                        lambda keys, tag, hs: [bsc(0.11) for _ in hs])
+    monkeypatch.setattr(area, "keyed_rows_with_value", lambda keys, tag, hs: (
+        np.full(len(hs), 0.11), np.ones(len(hs)), np.arange(len(hs) + 1)))
     p = EnsembleParams(50, 100)
     first = next(r.h for r in area_margin_sweep(p, 6, grid_points=12, channels_per_point=0)
                  if r.cond_i and r.cond_ii)

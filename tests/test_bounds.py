@@ -15,6 +15,7 @@ from eicomb.bounds import (
     fixed_error_sweep,
     inequality_suite,
     keyed_channels_with_value,
+    keyed_rows_with_value,
     lower_bound_sweep,
     monotone_lower_bound,
     random_channel,
@@ -27,7 +28,7 @@ from eicomb.bounds import (
 from eicomb.channel import (EPS_MERGE_TOL, WEIGHT_DROP_TOL, _mixtures, _trusted, bec, bsc,
                             channel, mix)
 from eicomb.convolution import phi_of_poly_convolved
-from eicomb.functionals import Functional, complement, evaluate, h2, kernel
+from eicomb.functionals import Functional, complement, evaluate, h2, kernel, pointwise
 from eicomb.series import (DEFAULT_TERM_CAP, Polynomial, complement_of_convolution,
                            poly_from_string)
 
@@ -444,6 +445,89 @@ def test_keyed_channels_equal_the_generator_route():
     with pytest.raises(ValueError, match="2 generators for 1 targets"):
         keyed_channels_with_value([(1, 0), (1, 1)], H, [0.5])
     assert keyed_channels_with_value([], B, []) == []
+
+
+
+def test_keyed_rows_are_the_keyed_channels_back_to_back():
+    # targets 0 and top (the partners' rows), mid-range (mixtures) and the
+    # draw's own value (raw rows spliced among the mixtures)
+    n = 400
+    keys = [(80, i) for i in range(n)]
+    for tag in (H, B, E):
+        targets = _sampler_targets(tag, 80, n, bounds.MAX_RAW_SUPPORT)
+        eps, w, off = keyed_rows_with_value(keys, tag, targets)
+        got = keyed_channels_with_value(keys, tag, targets)
+        assert off.tolist() == np.cumsum([0] + [a.size for a in got]).tolist()
+        assert eps.tobytes() == np.concatenate([a.eps for a in got]).tobytes()
+        assert w.tobytes() == np.concatenate([a.w for a in got]).tobytes()
+        _, alpha, _ = bounds._keyed_pinned_rows(keys, tag, targets)
+        assert (alpha == 1.0).sum() == (alpha == 0.0).sum() // 2 == n // 4
+    assert [v.size for v in keyed_rows_with_value([], H, [])] == [0, 0, 1]
+
+
+def test_row_values_are_one_dot_per_row():
+    # one matmul per row width against np.dot on each row, on every width
+    # a raw draw can settle to and one more
+    rng = np.random.default_rng(2024)
+    sizes = np.repeat(np.arange(1, bounds.MAX_RAW_SUPPORT + 2), 1000)
+    rng.shuffle(sizes)
+    off = np.concatenate(([0], sizes.cumsum()))
+    eps = 0.5 * 10.0 ** rng.uniform(-16, 0, off[-1])
+    w = rng.standard_exponential(off[-1]) * 10.0 ** rng.uniform(-3, 0, off[-1])
+    for tag in (H, B, E):
+        f = pointwise(tag, eps)
+        want = [float(np.dot(w[lo:hi], f[lo:hi])) for lo, hi in zip(off[:-1], off[1:])]
+        got = bounds._row_values(tag, (eps, w, off))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+try:  # numpy's own SeedSequence coercion of an int sequence
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+except ImportError:  # a private name: skip the tests that read it
+    _coerce_to_uint32_array = None
+
+
+def _assert_seedsequence_words(keys):
+    words, lengths = bounds._key_words(keys)
+    coerced = [_coerce_to_uint32_array(key) for key in keys]
+    assert lengths.dtype == np.array([1]).dtype
+    assert lengths.tolist() == [c.size for c in coerced]
+    assert words.dtype == np.uint32 and words.shape == (max([4] + lengths.tolist()), len(keys))
+    for i, c in enumerate(coerced):
+        assert words[: c.size, i].tolist() == c.tolist() and not words[c.size :, i].any()
+
+
+@pytest.mark.skipif(_coerce_to_uint32_array is None, reason="numpy's coercion is not importable")
+def test_key_words_of_one_word_keys_skip_the_loop(monkeypatch):
+    one_word = (
+        [(seed, gi, t) for seed in (0, 11, 2**32 - 1) for gi in range(3) for t in range(7)],
+        [(5, ri, ord(tag), li, t) for ri in range(2) for tag in "HB" for li in range(3)
+         for t in range(4)],
+        [(3,), (0,)],
+        [(True, 7), (2, 9)],  # np.array makes integers of a bool among ints
+        [tuple(np.array([4, 2**32 - 1], dtype=np.uint64))],
+        np.arange(12, dtype=np.int32).reshape(4, 3).tolist(),
+    )
+    monkeypatch.setattr(bounds, "operator", None)  # the loop coerces with operator.index
+    for keys in one_word:
+        _assert_seedsequence_words(keys)
+
+
+@pytest.mark.skipif(_coerce_to_uint32_array is None, reason="numpy's coercion is not importable")
+def test_key_words_of_other_keys_take_the_loop():
+    for keys in ([(2**32, 1), (5, 6)], [(0, 2**40)],   # wider than one word
+                 [(2**32, 1), (3, 2**64 + 5)],         # and past int64
+                 [(1, 2, 3), (4, 5)],                  # ragged
+                 [(True,), (False,)],                  # bool
+                 [(2**63, 1), (2**64 - 1, 0)],         # a float array
+                 [(np.uint64(3), np.int64(2))]):       # a float array
+        _assert_seedsequence_words(keys)
+    for keys in ([(-1, 2)], [(3, 4), (5, -2**40)]):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            bounds._key_words(keys)
+    for keys in ([(1.0, 2)], [(1, 2), (3, 4.5)], [("3", 1)], [(1, [2])]):
+        with pytest.raises(TypeError):
+            bounds._key_words(keys)
 
 
 # PCG64 steps its 128-bit LCG state s -> s * mult + inc and then outputs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from eicomb.area import EnsembleParams
+from eicomb.area import EnsembleParams, margin_conditions
 from eicomb.bounds import (
     DEFAULT_ERROR_LEVELS,
     DEFAULT_SWEEP_LEVELS,
@@ -16,6 +16,8 @@ from eicomb.bounds import (
     SERIES_TAGS,
     convexity_upper_bound,
     fixed_error_extremes,
+    keyed_channels_with_value,
+    keyed_rows_with_value,
     lower_bound_sweep,
     monotone_lower_bound,
     random_channel,
@@ -488,6 +490,77 @@ def test_batch_blocking_does_not_change_results(monkeypatch):
     wide = phi_of_poly_batch(B, rho, rows, tol=1e-12)
     monkeypatch.setattr(series, "_BATCH_MAX_ENTRIES", 7)
     assert phi_of_poly_batch(B, rho, rows, tol=1e-12) == wide
+
+
+
+# The four bench ensembles of the area sweep
+AREA_ENSEMBLES = ((100, 200), (50, 100), (30, 60), (20, 40))
+
+
+def _area_batch(params, seed=3, trials=6):
+    """The area sweep's draws at the ensemble's certified grid entropies:
+    (keys, entropies)."""
+    grid = [gi / 49 for gi in range(50)]
+    c0 = params.default_margin()
+    certified = [gi for gi, h in enumerate(grid) if all(margin_conditions(params, h, c0))]
+    return ([(seed, gi, t) for gi in certified for t in range(trials)],
+            [grid[gi] for gi in certified for _ in range(trials)])
+
+
+def _sweep_batch(tag, seed=5):
+    """A bound sweep row's channels: every default level, five trials each."""
+    return keyed_channels_with_value(
+        [(seed, 0, ord(tag.value), li, t) for li in range(9) for t in range(5)],
+        tag, [level for level in DEFAULT_SWEEP_LEVELS for _ in range(5)])
+
+
+def _same_columns(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("schedule", ((1, 1, 1 << 22), (3, 5, 1 << 22), (8, 512, 40),
+                                      (64, 4096, 1 << 22)))
+def test_engine_columns_do_not_depend_on_the_block_schedule(monkeypatch, schedule):
+    # a sweep row's channels with a term cap that stops their slowest rows,
+    # and an area batch, whose lanes stop at different terms, on both powers
+    p = EnsembleParams(20, 40)
+    keys, hs = _area_batch(p)
+    rows = keyed_rows_with_value(keys, H, hs)
+    area_rhos = (Polynomial.monomial(p.check_degree), Polynomial.monomial(p.check_degree - 1))
+    runs = []
+    for tag in (H, B):
+        chans = _sweep_batch(tag)
+        for rho in DEFAULT_SWEEP_RHOS[::3]:
+            runs.append(lambda tag=tag, rho=rho, chans=chans:
+                        [series.phi_of_poly_columns(tag, rho, chans, 1e-11, 3000)])
+        runs.append(lambda tag=tag: series.phi_of_polys_columns(tag, area_rhos, rows, 1e-10))
+    want = [run() for run in runs]
+    assert any(cols.capped.any() for out in want for cols in out)
+    assert any((out[0].terms != out[1].terms).any() for out in want if len(out) == 2)
+    for name, value in zip(("_BATCH_FIRST_BLOCK", "_BATCH_MAX_BLOCK", "_BATCH_MAX_ENTRIES"), schedule):
+        monkeypatch.setattr(series, name, value)
+    for run, out in zip(runs, want):
+        got = run()
+        assert all(_same_columns(g, w) for g, w in zip(got, out, strict=True))
+
+
+@pytest.mark.parametrize("ensemble", AREA_ENSEMBLES)
+@pytest.mark.parametrize("term_cap", (series.DEFAULT_TERM_CAP, 30, 2))
+def test_one_pass_is_one_call_per_polynomial_bit_for_bit(ensemble, term_cap):
+    p = EnsembleParams(*ensemble)
+    r = p.check_degree
+    keys, hs = _area_batch(p)
+    rows = keyed_rows_with_value(keys, H, hs)
+    chans = keyed_channels_with_value(keys, H, hs)
+    # both powers, and the signed area polynomial X^(r-1) - kappa X^r
+    rhos = (Polynomial.monomial(r), Polynomial.monomial(r - 1), p.area_poly)
+    for tag in (H, B):
+        got = series.phi_of_polys_columns(tag, rhos, rows, 1e-10, term_cap)
+        assert len(got) == len(rhos)
+        for rho, cols in zip(rhos, got):
+            assert _same_columns(cols, series.phi_of_poly_columns(tag, rho, chans, 1e-10, term_cap))
+        if term_cap == 2 and r <= 60:
+            assert any(cols.capped.any() and not cols.capped.all() for cols in got)
 
 
 def _padded_loop(channels):
