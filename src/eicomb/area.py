@@ -24,6 +24,7 @@ each block's moments once for both powers; it builds no Channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -101,6 +102,13 @@ def _check_entropies(rows: _Rows, hs: np.ndarray) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _check_powers(r: int) -> tuple[Polynomial, Polynomial]:
+    """X^r and X^(r-1), whose H the area values read, cached by check
+    degree."""
+    return Polynomial.monomial(r), Polynomial.monomial(r - 1)
+
+
 def _area_values(
     params: EnsembleParams, rows: _Rows, hs: Sequence[float], tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,8 +117,7 @@ def _area_values(
     hs = np.asarray(hs, dtype=float)
     _check_entropies(rows, hs)
     l, r = params.var_degree, params.check_degree
-    high, low = phi_of_polys_columns(
-        Functional.H, (Polynomial.monomial(r), Polynomial.monomial(r - 1)), rows, tol)
+    high, low = phi_of_polys_columns(Functional.H, _check_powers(r), rows, tol)
     k_high, k_low = l - 1 - l / r, l - 1
     values = -hs - k_high * high.value + k_low * low.value
     bounds = k_high * high.error_bound + k_low * low.error_bound

@@ -17,7 +17,9 @@ by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.  Every
 read of a convolution, Phi or 1 - Phi, is one evaluator's (_read_values):
 the inequality catalog, the fixed-error bounds, phi_of_poly_convolved and
 eicomb.series.complement_of_convolution read through it, and check_power
-and check_convolve settle the same points into a channel.
+and check_convolve settle the same points into a channel.  The powers climb
+on rows of points (_climb), which also gives the moment series of
+eicomb.series the multiset points of each channel's slow points.
 
 A measure is an unnormalized (x, w) pair of arrays: convolving two is an
 outer product, and a merged sum merges points closer than X_MERGE_TOL in x
@@ -29,10 +31,9 @@ these operations.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,60 +122,84 @@ def _combined(p: Points, q: Points) -> Points:
             np.multiply.outer(p[1], q[1]).ravel(), np.multiply.outer(p[2], q[2]).ravel())
 
 
+def _climb(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray,
+           tops: np.ndarray) -> Iterator[tuple[int, Points, np.ndarray]]:
+    """(k, points, counts) for k = 1, 2, ... up to the highest top: the
+    points of the k-th power of every row whose top reaches k, one per
+    size-k multiset of the row's points in lexicographic order, rows back to
+    back, and each row's point count C(size + k - 1, k).  Row i is the
+    sizes[i] points (eps, w) after those of the rows before it, and tops
+    must not increase from row to row, so the rows that reach k are a
+    prefix and a row that has passed its top leaves from the end.  The
+    weights need not sum to 1: a point's weight is the product of its
+    points' weights times the multiset's multinomial coefficient, and k = 1
+    is the rows themselves.
+
+    A multiset of size k extends one of size k - 1 by a point j at or after
+    its last: eps folds by e (1 - f) + f (1 - e) and x multiplies in index
+    order, and the weight becomes w * w_j * k / r, r being j's multiplicity
+    in the new multiset, so a channel's weights (summing to 1) stay
+    multinomial probabilities, at most 1, and no weight overflows at any
+    degree.  A row's points are the same bits in any batch, and only one
+    degree's points are formed at a time.
+    """
+    x = 1.0 - 2.0 * eps
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = sizes
+    yield 1, (eps, x, w), counts
+    # each multiset's last point (an index into eps), where its row's points
+    # end, and the last point's multiplicity
+    last, run = np.arange(eps.size), np.ones(eps.size)
+    end = np.repeat(np.cumsum(sizes), sizes)
+    e, px, pw = eps, x, w
+    for k in range(2, int(tops.max(initial=0)) + 1):
+        reach = int(np.count_nonzero(tops >= k))
+        if reach < tops.size:
+            cut = int(counts[:reach].sum())
+            last, end, run, e, px, pw = (v[:cut] for v in (last, end, run, e, px, pw))
+        n = end - last  # each multiset's extensions
+        ends = n.cumsum()
+        first = ends - n  # each multiset's first extension
+        last = np.arange(ends[-1]) + (last - first).repeat(n)
+        end = end.repeat(n)
+        run_k = np.ones(last.size)
+        run_k[first] = run + 1.0  # a multiset's first extension repeats its last point
+        run, ep, f = run_k, e.repeat(n), eps[last]
+        e = ep * (1.0 - f) + f * (1.0 - ep)
+        px = px.repeat(n) * x[last]
+        pw = pw.repeat(n) * w[last] * k / run
+        counts = counts[:reach] * (sizes[:reach] + (k - 1)) // k
+        yield k, (e, px, pw), counts
+
+
 def _powers(requests: Iterable[tuple[Channel, int]]) -> dict[tuple[Channel, int], Points]:
     """The points of c^[d] for each request (c, d), one per size-d multiset
     of c's points in lexicographic order; at d = 1 c's own eps, 1 - 2 eps
-    and weights.
-
-    Every channel climbs once, degree by degree to the highest degree any
-    request takes it, and all climb together: each degree's multisets of
-    every row lie concatenated, row by row, rows that climb highest first,
-    so a row that has passed its top leaves from the end.  A multiset of
-    size k extends one of size k - 1 by a point j at or after its last:
-    eps folds by e (1 - f) + f (1 - e) and x multiplies in index order, and
-    the weight becomes w * w_j * k / r, r being j's multiplicity in the new
-    multiset: the multiset's multinomial probability, at most 1, so no
-    weight overflows at any degree.  A row's points are the same bits in
-    any batch, and only one degree's points are formed at a time.
-    """
+    and weights.  Every channel climbs once (_climb), to the highest degree
+    any request takes it, and all climb together."""
     requests = set(requests)
     tops: dict[Channel, int] = {}
+    wanted: dict[int, list[Channel]] = {}
     out = {}
     for a, d in requests:
         tops[a] = max(d, tops.get(a, 0))
         if d == 1:
             out[a, 1] = a.eps, 1.0 - 2.0 * a.eps, a.w
+        else:
+            wanted.setdefault(d, []).append(a)
     rows = sorted((a for a in tops if tops[a] > 1), key=tops.get, reverse=True)
     if not rows:
         return out
-    eps = np.concatenate([a.eps for a in rows])
-    x, w = 1.0 - 2.0 * eps, np.concatenate([a.w for a in rows])
-    sizes = [a.size for a in rows]
-    # each multiset's last point (an index into eps), where its row's points
-    # end, and the last point's multiplicity
-    last, run = np.arange(eps.size), np.ones(eps.size)
-    end = np.repeat(list(itertools.accumulate(sizes)), sizes)
-    e, px, pw = eps, x, w
-    for k in range(2, tops[rows[0]] + 1):
-        rows = [a for a in rows if tops[a] >= k]
-        cut = sum(math.comb(a.size + k - 2, k - 1) for a in rows)
-        last, end, run, e, px, pw = (v[:cut] for v in (last, end, run, e, px, pw))
-        parent = np.arange(cut).repeat(end - last)  # each multiset, once per extension
-        first = np.flatnonzero(np.diff(parent, prepend=-1))  # each multiset's first extension
-        last = np.arange(parent.size) + (last - first)[parent]
-        end = end[parent]
-        run_k = np.ones(parent.size)
-        run_k[first] = run + 1.0  # a multiset's first extension repeats its last point
-        run, ep, f = run_k, e[parent], eps[last]
-        e = ep * (1.0 - f) + f * (1.0 - ep)
-        px = px[parent] * x[last]
-        pw = pw[parent] * w[last] * k / run
-        at = 0
-        for a in rows:
-            size = math.comb(a.size + k - 1, k)
-            if (a, k) in requests:
-                out[a, k] = e[at:at + size], px[at:at + size], pw[at:at + size]
-            at += size
+    index = {a: i for i, a in enumerate(rows)}
+    sizes = np.array([a.size for a in rows])
+    climb = _climb(np.concatenate([a.eps for a in rows]), np.concatenate([a.w for a in rows]),
+                   sizes, np.array([tops[a] for a in rows]))
+    for k, points, counts in climb:
+        if k in wanted:
+            at = np.concatenate(([0], np.cumsum(counts))).tolist()
+            for a in wanted[k]:
+                i = index[a]
+                out[a, k] = tuple(v[at[i]:at[i + 1]] for v in points)
     return out
 
 

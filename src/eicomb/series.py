@@ -15,9 +15,18 @@ sum_k c_k Phi(a^[k]) for a polynomial rho with rho(0) = 0.  Truncations
 here carry rigorous tail bounds: the H tail uses the telescoping majorant
 1/(n(2n-1)) <= 1/(2n(n-1)), and the B tail is exact because the weights
 telescope against central binomial ratios, sum_{n>N} a_{B,n} = C(2N,N)/4^N.
-Mass at eps=0 contributes a constant subsequence to every moment; it is
-summed in closed form through sum_n a_{Phi,n} = 1 so that e.g. BEC values
-come out exact instead of converging at the tail rate.
+A point with y = (1 - 2 eps)^2 close to 1 makes its moments decay at rate
+y, so summing it term by term would take ~1/(1 - y) terms.  The engine
+therefore splits each channel's points into slow ones (y above a fixed
+threshold, the atoms at eps = 0 among them) and fast ones, and sums every
+term made of slow points alone exactly: sum_n a_n s_n^k, s_n the slow
+moments, is the 1 - Phi sum over the multiset product points of the slow
+points at degree k (Richardson & Urbanke, *Modern Coding Theory*, ch. 4),
+the point layer of eicomb.convolution.  Only the remainder, which decays at
+the fast rate, is truncated, so a lane needs a bounded number of terms; a
+channel with more slow points than the split takes, or a polynomial of
+higher degree, keeps only its atoms exact (through sum_n a_n = 1, so that
+e.g. BEC values come out exact) and sums the rest term by term.
 
 Each functional's weights and tail bounds live in one table (`_weights`),
 from which coefficient, coefficient_tail and the blocked engine read.  The
@@ -44,8 +53,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .channel import Channel
-from .convolution import _read_values
-from .functionals import Functional, _series_tag
+from .convolution import _climb, _read_values
+from .functionals import Functional, _complement_points, _series_tag
 
 LN2 = math.log(2.0)
 
@@ -447,37 +456,47 @@ def _check_stop(tol: float, term_cap: int) -> int:
     return term_cap
 
 
-# (atoms, counts, ys, ws): the rows as the series engine reads them
+# The rows as the series engine reads them: eps, weights and each row's
+# point count, row r the sizes[r] points after those of the rows before it.
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _channel_rows(chans: Sequence[Channel]) -> _Batch:
+    """The rows of channels, row r for channel r."""
+    sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
+    return np.concatenate([ch.eps for ch in chans]), np.concatenate([ch.w for ch in chans]), sizes
+
+
+def _pad(row: np.ndarray, y: np.ndarray, w: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
+    """(counts, ys, ws): each of rows rows' number of points and their y and
+    weights, from the points' ascending row ids, in point order,
+    left-aligned and zero-padded to the widest row (a zero weight times a
+    zero power adds nothing to a moment)."""
+    counts = np.bincount(row, minlength=rows)
+    col = np.arange(row.size) - (counts.cumsum() - counts)[row]
+    ys = np.zeros((rows, int(counts.max(initial=0))))
+    ws = np.zeros_like(ys)
+    ys[row, col] = y
+    ws[row, col] = w
+    return counts, ys, ws
+
+
+# (atoms, counts, ys, ws): each row's mass at x = 1, and its points in
+# 0 < x < 1 as _pad gives them
 _Padded = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _padded_rows(chans: Sequence[Channel]) -> _Padded:
-    """_padded_batch of channels, row r for channel r."""
-    sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
-    return _padded_batch(np.concatenate([ch.eps for ch in chans]),
-                         np.concatenate([ch.w for ch in chans]), sizes)
-
-
 def _padded_batch(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray) -> _Padded:
-    """(atoms, counts, ys, ws) of settled rows back to back, row r the
-    sizes[r] points after those of the rows before it: each row's mass at
-    x = 1 and number of points in 0 < x < 1, and those points' y = x^2 and
-    weights, in point order, left-aligned and zero-padded to the widest row
-    (a zero weight times a zero power adds nothing to a moment)."""
+    """(atoms, counts, ys, ws) of rows: each row's mass at x = 1, and the
+    y = x^2 and weights of its points in 0 < x < 1, padded by _pad."""
     row = np.arange(sizes.size).repeat(sizes)
     x = 1.0 - 2.0 * eps
     atoms = np.zeros(sizes.size)
     at_one = x == 1.0
     np.add.at(atoms, row[at_one], w[at_one])
     active = (x > 0.0) & (x < 1.0)
-    row, x, w = row[active], x[active], w[active]
-    counts = np.bincount(row, minlength=sizes.size)
-    col = np.arange(row.size) - (counts.cumsum() - counts)[row]
-    ys = np.zeros((sizes.size, int(counts.max(initial=0))))
-    ws = np.zeros_like(ys)
-    ys[row, col] = x * x
-    ws[row, col] = w
-    return atoms, counts, ys, ws
+    x = x[active]
+    return (atoms,) + _pad(row[active], x * x, w[active], sizes.size)
 
 
 def phi_series(
@@ -510,6 +529,21 @@ def phi_of_poly(
 _BATCH_FIRST_BLOCK = 8
 _BATCH_MAX_BLOCK = 512
 _BATCH_MAX_ENTRIES = 1 << 22
+
+# The slow split.  A point whose y = x^2 lies above _SLOW_Y is slow: its
+# moments y^n decay so slowly near the perfect channel that the series
+# would need ~1/(1 - y) terms.  A row's slow points, its atoms at x = 1
+# among them, are summed exactly on the point layer when they number at most
+# _SLOW_MAX_POINTS and rho's degree is at most _SLOW_MAX_DEGREE, so that no
+# row forms more than C(_SLOW_MAX_POINTS + _SLOW_MAX_DEGREE - 1,
+# _SLOW_MAX_DEGREE) = 462 product points at a degree; past either, the row's
+# slow set is its atoms alone.
+_SLOW_Y = 0.6
+_SLOW_MAX_POINTS = 6
+_SLOW_MAX_DEGREE = 6
+# A loop with split lanes starts with a block this long, as its lanes stop
+# within a few dozen terms.
+_SLOW_FIRST_BLOCK = 32
 
 
 def _rho_columns(terms: Sequence[tuple[int, float]], g: np.ndarray) -> np.ndarray:
@@ -552,13 +586,13 @@ def phi_of_poly_columns(
 ) -> SeriesColumns:
     """Phi(rho(a)) for each channel a, in input order, from one blocked
     pass, as value, error bound, term and capped columns: the one-polynomial
-    pass of _series_pass over the channels' padded rows."""
+    pass of _series_pass over the channels' rows."""
     tag = _series_tag(tag)
     term_cap = _check_stop(tol, term_cap)
     if not channels:
         return SeriesColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp),
                              np.zeros(0, dtype=bool))
-    return _series_pass(tag, (rho,), _padded_rows(channels), tol, term_cap)[0]
+    return _series_pass(tag, (rho,), _channel_rows(channels), tol, term_cap)[0]
 
 
 def phi_of_polys_columns(
@@ -577,12 +611,12 @@ def phi_of_polys_columns(
     if not rhos:
         raise ValueError("need at least one polynomial")
     eps, w, off = rows
-    return _series_pass(tag, tuple(rhos), _padded_batch(eps, w, off[1:] - off[:-1]), tol, term_cap)
+    return _series_pass(tag, tuple(rhos), (eps, w, off[1:] - off[:-1]), tol, term_cap)
 
 
-# A lane is one polynomial on one row of the engine; lane r * width + p
-# holds polynomial p of width at row r, so with one polynomial the lanes are
-# the rows.
+# A lane is one polynomial on one row of a loop of the engine; lane
+# r * width + p holds polynomial p of width at row r, so with one polynomial
+# the lanes are the rows.
 
 
 def _lanes(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -600,69 +634,216 @@ def _lane_rho(terms: Sequence[Sequence[tuple[int, float]]]) -> Callable[[np.ndar
     return lambda g: _lanes([_rho_columns(t, g) for t in terms])
 
 
+def _abs_terms(rho: Polynomial) -> tuple[tuple[int, float], ...]:
+    return tuple((k, abs(c)) for k, c in rho.terms)
+
+
+def _slow_sums(tag: Functional, rhos: Sequence[Polynomial], rows: _Batch) -> list[np.ndarray]:
+    """sum_k c_k sum_n a_n s_n^k for each rho and each row, s_n = sum_i w_i
+    y_i^n the moments of the row's points: for each degree k of rho, the sum
+    of w (1 - Phi) over the multiset product points of the row's k-th power
+    (convolution._climb, eps carried beside x), since
+    sum_n a_n x^(2n) = 1 - Phi(BSC(eps)) at each point
+    (functionals._complement_points), exact to a few ulps.  Each row's
+    points add left to right (np.bincount) and its degrees by ascending
+    exponent from 0.0, so a row's sums depend on no other row."""
+    eps, w, sizes = rows
+    degrees = sorted({k for rho in rhos for k, _ in rho.terms})
+    climb = _climb(eps, w, sizes, np.full(sizes.size, degrees[-1]))
+    parts = [(points, counts) for k, points, counts in climb if k in degrees]
+    e, x, pw = (np.concatenate([points[i] for points, _ in parts]) for i in range(3))
+    bins = np.concatenate([(np.arange(sizes.size) + j * sizes.size).repeat(counts)
+                           for j, (_, counts) in enumerate(parts)])
+    sums = np.bincount(bins, pw * _complement_points(tag, e, x), len(parts) * sizes.size)
+    by_degree = dict(zip(degrees, sums.reshape(len(parts), sizes.size)))
+    out = []
+    for rho in rhos:
+        total = 0.0
+        for k, c in rho.terms:
+            total = total + c * by_degree[k]
+        out.append(total)
+    return out
+
+
+def _power_table(ys: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
+    """y^n0 .. y^(n0+count) of each padded point, by cumprod from z = y^n0."""
+    powers = np.repeat(ys[:, :, None], count + 1, axis=2)
+    powers[:, :, 0] = z
+    np.cumprod(powers, axis=2, out=powers)
+    return powers
+
+
 def _series_pass(
-    tag: Functional, rhos: tuple[Polynomial, ...], padded: _Padded, tol: float, term_cap: int
+    tag: Functional, rhos: tuple[Polynomial, ...], rows: _Batch, tol: float, term_cap: int
 ) -> list[SeriesColumns]:
-    """The blocked engine: Phi(rho(a)) of every rho for every padded row.
+    """The blocked engine: Phi(rho(a)) of every rho for every row.
 
-    Mass at eps = 0 (x = 1) makes the moments converge to a constant
-    `atom`; that constant subseries is summed exactly via sum_n a_n = 1,
-    and only the geometrically decaying remainder is truncated:
+    Phi(rho(a)) = rho(1) - sum_n a_n rho(gamma_n), and the moments y^n of
+    a point close to x = 1 (the perfect channel) decay so slowly that the
+    series would need ~1/(1 - y) terms.  So each row's points split into
+    slow ones (y > _SLOW_Y, atoms at x = 1 among them), with moments s_n,
+    and fast ones, with moments f_n, gamma_n = s_n + f_n:
 
-        Phi(rho(a)) = rho(1) - rho(atom) - sum_n a_n (rho(gamma_n) - rho(atom))
+        Phi(rho(a)) = rho(1) - E - sum_n a_n (rho(s_n + f_n) - rho(s_n)),
+        E = sum_n a_n rho(s_n) = sum_k c_k sum_n a_n s_n^k,
 
-    Truncation after N terms is bounded by
-    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)); a lane
-    (one rho on one row) stops at the first N where it is <= tol, or at
-    N = term_cap (capped if still above tol).  A row with no point in
-    0 < x < 1 is rho(1) - rho(atom) after 0 terms.  rho is evaluated at
-    the atoms as Polynomial.__call__ evaluates it (_rho_at).  Terms come
-    in blocks of 8, 16, ... up to 512; the powers y^n continue by cumprod
-    from the carried y^n and give the moments gamma_n, both once per block
-    for all rhos, and each lane's partial sums continue by cumsum from its
-    carried accumulator.  A lane's results are written into its columns
-    where it first stops (its later stops go to a spare slot), and a row
-    leaves the arrays once all of its lanes have stopped.  No step mixes
-    rows or lanes (padding adds exact zeros to a moment), and a lane's
+    where E is exact (_slow_sums: the 1 - Phi sum over the multiset product
+    points of the slow points at each degree k of rho) and only the
+    remainder is truncated.  Truncation after N terms is bounded by
+    coefficient_tail(N) * d_{N+1}, d_n = rho_abs(s_n + f_n) - rho_abs(s_n).
+    Proof: for s, f >= 0, |rho(s + f) - rho(s)| <= sum_k |c_k| ((s + f)^k -
+    s^k) = rho_abs(s + f) - rho_abs(s); (s + f)^k - s^k does not decrease
+    in s or in f (its partial derivatives k ((s + f)^(k-1) - s^(k-1)) and
+    k (s + f)^(k-1) are >= 0), and neither s_n nor f_n increases with n
+    (every y <= 1), so d_n does not increase with n and the remainder past
+    N is at most d_{N+1} sum_{n>N} a_n <= coefficient_tail(N) d_{N+1}.  As
+    d_n <= rho_abs'(1) f_n <= rho_abs'(1) _SLOW_Y^n, the terms decay at the
+    fast rate.  A lane (one rho on one row) stops at the first N where its
+    bound is <= tol, or at N = term_cap (capped if still above tol); a row
+    whose points are all slow is rho(1) - E after 0 terms.
+
+    A row's slow set is its atoms alone when it has no slow point in
+    0 < x < 1 or more than _SLOW_MAX_POINTS slow points, and so is it for a
+    rho of degree above _SLOW_MAX_DEGREE: then s_n is the constant `atom`,
+    E = rho(atom), evaluated as Polynomial.__call__ evaluates it (_rho_at),
+    and d_n = rho_abs(gamma_n) - rho_abs(atom), the atom-only arithmetic; a
+    row with no point in 0 < x < 1 is rho(1) - rho(atom) after 0 terms.
+    The lanes of the rhos above _SLOW_MAX_DEGREE run as one loop (_loop),
+    and those of the other rhos as another, in which the atom-only lanes
+    keep their arithmetic bit for bit next to the split ones; a pass with no
+    split lane, as the area margins' (degrees above _SLOW_MAX_DEGREE), is
+    one atom-only loop with no per-block work for the split.
+
+    Terms come in blocks of 8 (32 in a loop with split lanes), doubling up
+    to 512; the powers y^n continue
+    by cumprod from the carried y^n and give the moments, both once per
+    block for all rhos of a loop, and each lane's partial sums continue by
+    cumsum from its carried accumulator.  A lane's results are written into
+    its columns where it first stops (its later stops go to a spare slot),
+    and a row leaves a loop once all of its lanes have stopped.  No step
+    mixes rows or lanes (padding adds exact zeros to a moment, and which
+    loop a lane joins depends on its row and rho alone), and a lane's
     operations do not depend on the block widths, so its result depends on
     neither the other rows and rhos nor the block schedule: phi_series and
     phi_of_poly, batches of one, give the same value bit for bit.
     """
-    atoms, counts, ys, ws = padded
-    width, size = len(rhos), atoms.size
-    terms_of = [rho.terms for rho in rhos]
-    abs_terms_of = [tuple((k, abs(c)) for k, c in t) for t in terms_of]
-    signed = abs_terms_of != terms_of
-    rho_lanes, rho_abs_lanes = _lane_rho(terms_of), _lane_rho(abs_terms_of)
-    rho_atoms = [_rho_at(t, atoms.tolist()) for t in terms_of]
+    eps, w, sizes = rows
+    width, size = len(rhos), sizes.size
+    atoms, counts, ys, ws = _padded_batch(eps, w, sizes)
+    rho_atoms = [_rho_at(rho.terms, atoms.tolist()) for rho in rhos]
     # slot p * size + i holds polynomial p at row i, and one spare slot
     # follows; a row with no term to sum keeps these
-    spare = width * size
     value = np.concatenate([rho(1.0) - r for rho, r in zip(rhos, rho_atoms)] + [np.zeros(1)])
-    error_bound = np.zeros(spare + 1)
-    terms = np.zeros(spare + 1, dtype=np.intp)
+    cols = (value, np.zeros(value.size), np.zeros(value.size, dtype=np.intp))
     index = np.flatnonzero(counts)
-    ys, ws, atoms = ys[index], ws[index], atoms[index]
-    out = _lanes([index + p * size for p in range(width)])  # each lane's slot
-    rho_atom = _lanes([r[index] for r in rho_atoms])
-    rho_abs_atom = _lanes([_rho_at(t, atoms.tolist()) for t in abs_terms_of]) if signed else rho_atom
+    if not index.size:
+        return _columns(cols, width, size, tol)
+    small = [p for p, rho in enumerate(rhos) if rho.degree <= _SLOW_MAX_DEGREE]
+    split = None
+    if small:
+        row = np.arange(size).repeat(sizes)
+        x = 1.0 - 2.0 * eps
+        y = x * x
+        slow = y > _SLOW_Y
+        inner = slow & (x < 1.0)
+        split = (np.bincount(row[inner], minlength=size) > 0) & (
+            np.bincount(row[slow], minlength=size) <= _SLOW_MAX_POINTS)
+        if not split.any():
+            split = None
+    groups = [(range(width), False)] if split is None else [
+        ([p for p in range(width) if p not in small], False), (small, True)]
+    for ps, with_split in groups:
+        if not ps:
+            continue
+        if with_split:
+            # E of the split rows; their fast points and slow points in
+            # 0 < x < 1 padded, and every point in 0 < x < 1 of the other
+            # rows as fast ones; a split row with no fast point needs no term
+            mine = split[row] & slow
+            at = np.flatnonzero(split)
+            for p, total in zip(ps, _slow_sums(tag, [rhos[p] for p in ps],
+                                               (eps[mine], w[mine], np.bincount(row[mine])[at]))):
+                value[p * size + at] = rhos[p](1.0) - total
+            fast = (x > 0.0) & (x < 1.0) & ~mine
+            inner &= split[row]
+            fast_counts, ys, ws = _pad(row[fast], y[fast], w[fast], size)
+            _, slow_ys, slow_ws = _pad(row[inner], y[inner], w[inner], size)
+            index = np.flatnonzero(fast_counts)
+            if not index.size:
+                continue
+        sub = [rhos[p] for p in ps]
+        rho_atom = _lanes([rho_atoms[p][index] for p in ps])
+        abs_terms = [_abs_terms(rho) for rho in sub]
+        signed = abs_terms != [rho.terms for rho in sub]
+        rho_abs_atom = _lanes([_rho_at(t, atoms[index].tolist()) for t in abs_terms]) if signed \
+            else rho_atom
+        _loop(tag, sub, _lanes([index + p * size for p in ps]), atoms[index], ys[index],
+              ws[index], rho_atom, rho_abs_atom,
+              (slow_ys[index], slow_ws[index], _lanes([split[index]] * len(ps))) if with_split
+              else None,
+              cols, tol, term_cap)
+    return _columns(cols, width, size, tol)
+
+
+def _columns(cols: tuple[np.ndarray, ...], width: int, size: int, tol: float) -> list[SeriesColumns]:
+    """The engine's slots as one SeriesColumns per polynomial."""
+    value, error_bound, terms = (v[:-1].reshape(width, size) for v in cols)
+    capped = ~(error_bound <= tol)  # before the clip: NaN is capped, a rounding below 0 is not
+    error_bound[error_bound < 0.0] = 0.0  # max(b, 0.0): keeps NaN and -0.0
+    return [SeriesColumns(*c) for c in zip(value, error_bound, terms, capped)]
+
+
+def _loop(tag: Functional, rhos: Sequence[Polynomial], out: np.ndarray, atoms: np.ndarray,
+          ys: np.ndarray, ws: np.ndarray, rho_atom: np.ndarray, rho_abs_atom: np.ndarray,
+          slow: tuple[np.ndarray, np.ndarray, np.ndarray] | None, cols: tuple[np.ndarray, ...],
+          tol: float, term_cap: int) -> None:
+    """One loop of _series_pass over the lanes of rhos on some rows, lane i
+    writing to slot out[i] of cols (value, error bound, terms), whose value
+    slots hold rho(1) - E.  Without slow, every lane is atom-only:
+    gamma_n = atom + sum w y^n over (ys, ws), and the subtracted values
+    are rho and rho_abs at the lane's atom.  With slow = (slow ys, slow ws,
+    split), the split lanes read s_n = atom + sum over the slow points and
+    f_n = sum over (ys, ws), and subtract rho(s_n) and rho_abs(s_n); the
+    other lanes' rows have no slow point there, so their s_n is their atom
+    bit for bit and their arithmetic is the atom-only one."""
+    value, error_bound, terms = cols
+    spare = value.size - 1
+    width = len(rhos)
+    terms_of = [rho.terms for rho in rhos]
+    abs_terms_of = [_abs_terms(rho) for rho in rhos]
+    signed = abs_terms_of != terms_of
+    rho_lanes, rho_abs_lanes = _lane_rho(terms_of), _lane_rho(abs_terms_of)
+    n0, block = 1, _BATCH_FIRST_BLOCK
+    if slow is not None:
+        slow_ys, slow_ws, split = slow
+        slow_z = slow_ys.copy()
+        block = _SLOW_FIRST_BLOCK
     acc = np.zeros(out.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
-    n0, block = 1, _BATCH_FIRST_BLOCK
     while out.size:
-        count = max(1, min(block, term_cap - n0 + 1, _BATCH_MAX_ENTRIES // ys.size))
-        powers = np.repeat(ys[:, :, None], count + 1, axis=2)
-        powers[:, :, 0] = z
-        np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
-        gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
+        entries = ys.size if slow is None else ys.size + slow_ys.size
+        count = max(1, min(block, term_cap - n0 + 1, _BATCH_MAX_ENTRIES // entries))
+        powers = _power_table(ys, z, count)
+        if slow is None:
+            gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
+            low, low_abs = rho_atom[:, None], rho_abs_atom[:, None]
+        else:
+            slow_powers = _power_table(slow_ys, slow_z, count)
+            s = atoms[:, None] + np.einsum("rm,rmc->rc", slow_ws, slow_powers)
+            gamma = s + np.einsum("rm,rmc->rc", ws, powers)
+            rho_s = rho_lanes(s)
+            rho_abs_s = rho_abs_lanes(s) if signed else rho_s
+            low = np.where(split[:, None], rho_s[:, :-1], rho_atom[:, None])
+            low_abs = np.where(split[:, None], rho_abs_s[:, 1:], rho_abs_atom[:, None])
+            slow_z = slow_powers[:, :, -1].copy()
         rho_g = rho_lanes(gamma)
         rho_abs_g = rho_abs_lanes(gamma) if signed else rho_g
         a, tail = _weights(tag, n0 + count - 1)
         sums = np.empty((out.size, count + 1))
         sums[:, 0] = acc
-        sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - rho_atom[:, None])
+        sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - low)
         partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
-        bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
+        bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - low_abs)
         stop = bound <= tol
         if n0 + count > term_cap:  # the block's last term is the cap
             stop[:, -1] = True
@@ -686,12 +867,11 @@ def _series_pass(
             ys, ws, atoms, z = (v[rows_kept] for v in (ys, ws, atoms, z))
             rho_atom, rho_abs_atom, acc, out = (
                 v[lanes_kept] for v in (rho_atom, rho_abs_atom, acc, out))
+            if slow is not None:
+                slow_ys, slow_ws, slow_z = (v[rows_kept] for v in (slow_ys, slow_ws, slow_z))
+                split = split[lanes_kept]
         n0 += count
         block = min(2 * block, _BATCH_MAX_BLOCK)
-    value, error_bound, terms = (v[:spare].reshape(width, size) for v in (value, error_bound, terms))
-    capped = ~(error_bound <= tol)  # before the clip: NaN is capped, a rounding below 0 is not
-    error_bound[error_bound < 0.0] = 0.0  # max(b, 0.0): keeps NaN and -0.0
-    return [SeriesColumns(*cols) for cols in zip(value, error_bound, terms, capped)]
 
 
 # ----------------------------------------------------------------------

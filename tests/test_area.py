@@ -15,11 +15,11 @@ from eicomb.area import (
     rho_at_max_moment,
 )
 from eicomb.bounds import monotone_lower_bound, random_channel_with_value, trial_rng
-from eicomb.channel import bec, bsc, channel
+from eicomb.channel import bec, bsc
 from eicomb.functionals import Functional, evaluate, h2, h2_inv
 from eicomb.series import DEFAULT_TERM_CAP, phi_of_poly, poly_increasing_on
 
-from test_series import _phi_terms
+from test_series import CAPPED, _series_oracle
 
 H = Functional.H
 
@@ -260,8 +260,8 @@ def _sweep_by_channel(params, seed, grid_points, trials):
         for t in range(trials):
             a = random_channel_with_value(trial_rng(seed, gi, t), H, h)
             lo = min(lo, area_quantity(a, params, h, cross_check=False))
-            high = _phi_terms(H, a, ((r, 1.0),), 1e-10, DEFAULT_TERM_CAP)
-            low = _phi_terms(H, a, ((r - 1, 1.0),), 1e-10, DEFAULT_TERM_CAP)
+            high = _series_oracle(H, a, ((r, 1.0),), 1e-10, DEFAULT_TERM_CAP)
+            low = _series_oracle(H, a, ((r - 1, 1.0),), 1e-10, DEFAULT_TERM_CAP)
             err = max(err, (l - 1 - l / r) * high.error_bound + (l - 1) * low.error_bound)
         rows.append((h, cond_i, cond_ii, trials, lo, err))
     return rows
@@ -318,9 +318,21 @@ def test_sweep_makes_one_series_pass_and_no_channel(monkeypatch):
     assert sum(r.checked for r in rows) > 20 and passes == [2]
 
 
+def test_sweeps_build_the_check_powers_once(monkeypatch):
+    p = EnsembleParams(30, 60)
+    area_margin_sweep(p, 6, grid_points=12, channels_per_point=3)
+    built = []
+    real = series.Polynomial.__post_init__
+    monkeypatch.setattr(series.Polynomial, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    rows = area_margin_sweep(EnsembleParams(30, 60), 7, grid_points=12, channels_per_point=3)
+    assert any(r.checked for r in rows) and built == []
+
+
 def test_area_values_flag_a_capped_series():
-    # phi_series(H, {(1e-6,.5),(.3,.5)}, 3, tol=1e-11) stops at the term cap
-    a = channel([(1e-6, 0.5), (0.3, 0.5)])
+    # phi_series(H, CAPPED, 3, tol=1e-11) stops at the term cap: CAPPED has
+    # more slow points than the split sums exactly
+    a = CAPPED
     rows = (a.eps, a.w, np.array([0, a.size]))
     _, errors, capped = area._area_values(EnsembleParams(2, 4), rows, [evaluate(H, a)], 1e-11)
     assert capped.tolist() == [True]

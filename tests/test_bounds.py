@@ -33,7 +33,7 @@ from eicomb.series import (DEFAULT_TERM_CAP, Polynomial, complement_of_convoluti
                            poly_from_string)
 
 from test_convolution import loop_phi_of_poly
-from test_series import _phi_terms
+from test_series import _series_oracle
 
 # eicomb.channel the module; the package's `channel` is the constructor
 channel_module = importlib.import_module("eicomb.channel")
@@ -600,8 +600,11 @@ PINNED_ROWS = {
         lambda: fixed_error_sweep(5000000000, levels=(0.15,),
                                   rhos=(poly_from_string("x^5-0.75x^6"),), tags=(H,),
                                   per_cell=2)[0][3].csv_row(),
-        "upper,rho=x^5 - 0.75*x^6;tag=H;level=0.15;trial=1,0.22755817690517452,"
-        "0.23703234201148993,0.009474165106315408,1,5000000000",
+        # lhs and slack as the series sums the channel's slow point exactly:
+        # 2.2e-13 from the explicit convolution (the atom-only series gave
+        # 0.22755817690517452, 3.9e-13 away)
+        "upper,rho=x^5 - 0.75*x^6;tag=H;level=0.15;trial=1,0.22755817690499908,"
+        "0.23703234201148993,0.00947416510649085,1,5000000000",
     ),
     "area": (
         lambda: next(r for r in area_margin_sweep(EnsembleParams(100, 200), 7, grid_points=12,
@@ -995,7 +998,7 @@ def _per_channel_sweep(seed, factory, levels, rho, tag, per_cell):
                 a = random_channel_with_value(
                     trial_rng(seed, 0, ord(tag.value), li, t), item.constraint, level
                 )
-                value = _phi_terms(tag, a, rho.terms, 1e-11, DEFAULT_TERM_CAP).value
+                value = _series_oracle(tag, a, rho.terms, 1e-11, DEFAULT_TERM_CAP).value
                 params = f"rho={rho};tag={tag.value};level={level!r};trial={t}"
                 out.append(item.report(value, params=params, seed=seed, witnesses=(a,)))
     return out

@@ -3,9 +3,13 @@
 The x = 1 - 2*eps values of a check-node convolution are the products of
 its factors' x values, weighted by the products of their weights, so Phi
 and 1 - Phi of a convolution are explicit finite sums that mpmath evaluates
-far beyond double precision.  Supports stay at 5 points or fewer and
-degrees at 4 or less, so every sum has at most a few hundred terms.
+far beyond double precision.  Supports stay at 5 points or fewer, the
+complements' degrees at 4 or less and Phi's at 6 or less, Phi summed over
+multisets, so every sum has at most a few hundred terms.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from eicomb import series
-from eicomb.bounds import trial_rng
+from eicomb.bounds import DEFAULT_SWEEP_RHOS, SWEEP_PHI_TOL, trial_rng
 from eicomb.channel import bsc, channel
 from eicomb.convolution import check_power, phi_of_poly_convolved_batch
 from eicomb.functionals import Functional, evaluate, h2
@@ -140,22 +144,28 @@ def test_complement_of_slow_points_matches_explicit_convolution(tag, degrees, ro
 # Phi(a^[d]): phi_of_poly_convolved and check_power
 
 
-def _exact_phi(tag, ch, d):
-    """Phi(ch^[d]) at 50 digits: each product point's eps = (1 - x) / 2 is
-    well conditioned, and so are h2(eps) and 2 sqrt(eps (1 - eps))."""
+def _exact_phi(tag, rho, ch):
+    """Phi(rho(ch)) = sum_k c_k Phi(ch^[k]) at 50 digits, over the size-k
+    multisets of ch's points with their multinomial weights: each product
+    point's eps = (1 - x) / 2 is well conditioned, and so are h2(eps) and
+    2 sqrt(eps (1 - eps))."""
     with mpmath.workdps(DIGITS):
-        points = [(mpmath.mpf(1), mpmath.mpf(1))]
-        xs = [(1 - 2 * mpmath.mpf(e), mpmath.mpf(w))
-              for e, w in zip(ch.eps.tolist(), ch.w.tolist())]
-        for _ in range(d):
-            points = [(x * u, w * v) for x, w in points for u, v in xs]
+        xs = [1 - 2 * mpmath.mpf(e) for e in ch.eps.tolist()]
+        ws = [mpmath.mpf(w) for w in ch.w.tolist()]
         total = []
-        for x, w in points:
-            e = (1 - x) / 2
-            if tag is B:
-                total.append(w * 2 * mpmath.sqrt(e * (1 - e)))
-            elif e > 0:
-                total.append(-w * (e * mpmath.log(e, 2) + (1 - e) * mpmath.log(1 - e, 2)))
+        for k, c in rho.terms:
+            for idx in itertools.combinations_with_replacement(range(len(xs)), k):
+                weight = math.factorial(k)
+                for j in set(idx):
+                    weight //= math.factorial(idx.count(j))
+                x, w = mpmath.mpf(1), mpmath.mpf(c) * weight
+                for j in idx:
+                    x, w = x * xs[j], w * ws[j]
+                e = (1 - x) / 2
+                if tag is B:
+                    total.append(w * 2 * mpmath.sqrt(e * (1 - e)))
+                elif e > 0:
+                    total.append(-w * (e * mpmath.log(e, 2) + (1 - e) * mpmath.log(1 - e, 2)))
         return mpmath.fsum(total)
 
 
@@ -176,7 +186,42 @@ def test_power_of_log_law_rows_matches_explicit_convolution(tag, d):
     assert points.min() < 1e3 * floor and 0.5 - points.max() < 1e3 * floor
     values = phi_of_poly_convolved_batch(tag, series.Polynomial.monomial(d), rows)
     for ch, value in zip(rows, values):
-        exact = _exact_phi(tag, ch, d)
+        exact = _exact_phi(tag, series.Polynomial.monomial(d), ch)
         with mpmath.workdps(DIGITS):
             for got in (value, evaluate(tag, check_power(ch, d))):
                 assert abs((mpmath.mpf(got) - exact) / exact) <= bound, (ch, got)
+
+
+# ----------------------------------------------------------------------
+# Phi(rho(a)) by the moment series, its slow points summed exactly
+
+
+def _assert_within_bound(tag, rho, ch, sv, ulps):
+    """sv is not capped and lies within its bound plus ulps units in the last
+    place of 1.0 of the exact value: rho(1) - E cancels, so its rounding is
+    absolute."""
+    assert not sv.capped, ch
+    exact = _exact_phi(tag, rho, ch)
+    with mpmath.workdps(DIGITS):
+        assert abs(mpmath.mpf(sv.value) - exact) <= sv.error_bound + ulps * 2.0**-52, (ch, sv)
+
+
+def test_series_sums_a_near_perfect_point_exactly():
+    # the atom-only series stopped here at its 10^5-term cap, bound 1.36e-7
+    a = channel([(1e-6, 0.5), (0.3, 0.5)])
+    sv = series.phi_series(H, a, 3, 1e-11)
+    assert sv.terms < 64
+    _assert_within_bound(H, series.Polynomial.monomial(3), a, sv, 4)
+
+
+@pytest.mark.parametrize("tag", (H, B))
+@pytest.mark.parametrize("rho", DEFAULT_SWEEP_RHOS, ids=str)
+def test_series_of_log_law_rows_matches_explicit_convolution(tag, rho):
+    # no row is capped, and each value holds to its bound plus 8 ulps; H at
+    # points down to H_FLOOR only, where h2's rounding stays small (item 10)
+    floor = POWER_LAWS[tag][0]
+    rows = [_log_channel(trial_rng(2028, rho.degree, t), floor) for t in range(16)]
+    points = np.concatenate([ch.eps for ch in rows])
+    assert points.min() < 1e3 * floor and 0.5 - points.max() < 1e3 * floor
+    for ch, sv in zip(rows, series.phi_of_poly_batch(tag, rho, rows, SWEEP_PHI_TOL)):
+        _assert_within_bound(tag, rho, ch, sv, ULPS)

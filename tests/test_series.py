@@ -394,36 +394,121 @@ def _phi_terms(
     return SeriesValue(rho_one - rho_atom - acc, max(bound, 0.0), n, not bound <= tol)
 
 
+# The engine's split arithmetic as a scalar loop: the oracle for rows whose
+# slow points the engine sums exactly (see series._series_pass).
+def _slow_points(a: Channel, terms: Sequence[tuple[int, float]]):
+    """(eps, w) of a's slow points (atoms at x = 1 among them) when the
+    engine sums them exactly for a polynomial with these terms, else None."""
+    x = 1.0 - 2.0 * a.eps
+    slow = x * x > series._SLOW_Y
+    if (max(k for k, _ in terms) > series._SLOW_MAX_DEGREE or not (slow & (x < 1.0)).any()
+            or slow.sum() > series._SLOW_MAX_POINTS):
+        return None
+    return a.eps[slow], a.w[slow]
+
+
+def _slow_sum(tag: Functional, eps: np.ndarray, w: np.ndarray, k: int) -> float:
+    """sum_n a_n s_n^k for the moments s_n of the points (eps, w): w (1 - Phi)
+    over their size-k multisets in combinations_with_replacement order, each
+    point's eps folded and weight built as _complement_loop builds them,
+    added left to right."""
+    x = (1.0 - 2.0 * eps).tolist()
+    eps, w = eps.tolist(), w.tolist()
+    total = 0.0
+    for idx in itertools.combinations_with_replacement(range(len(eps)), k):
+        e, px, pw = eps[idx[0]], x[idx[0]], w[idx[0]]
+        for i, j in enumerate(idx[1:], 2):
+            e = e * (1.0 - eps[j]) + eps[j] * (1.0 - e)
+            px, pw = px * x[j], pw * w[j] * i / idx[:i].count(j)
+        total += pw * _complement_points(tag, np.array([e]), np.array([px]))[0]
+    return float(total)
+
+
+def _split_terms(tag, a, terms, tol, term_cap, slow) -> SeriesValue:
+    """Phi(rho(a)) = rho(1) - E - sum_n a_n (rho(s_n + f_n) - rho(s_n)), E exact
+    from the slow points, the remainder truncated after N terms where
+    coefficient_tail(N) (rho_abs(s + f) - rho_abs(s)) at N + 1 is <= tol."""
+    series._check_stop(tol, term_cap)
+    x = 1.0 - 2.0 * a.eps
+    y = x * x
+    atom = float(a.w[x == 1.0].sum())
+    inner = (y > series._SLOW_Y) & (x < 1.0)
+    fast = (x > 0.0) & ~(y > series._SLOW_Y)
+    ys, ws, yf, wf = y[inner], a.w[inner], y[fast], a.w[fast]
+    exact = 0.0
+    for k, c in terms:
+        exact = exact + c * _slow_sum(tag, *slow, k)
+    rho_one = float(sum(c for _, c in terms))
+    if yf.size == 0:
+        return SeriesValue(rho_one - exact, 0.0, 0)
+    zs, zf = ys.copy(), yf.copy()
+    s, f = atom + float(np.dot(ws, zs)), float(np.dot(wf, zf))
+    acc = 0.0
+    n = 1
+    while True:
+        acc += coefficient(tag, n) * (_rho_at(terms, s + f) - _rho_at(terms, s))
+        zs *= ys
+        zf *= yf
+        s, f = atom + float(np.dot(ws, zs)), float(np.dot(wf, zf))
+        bound = coefficient_tail(tag, n) * (
+            _rho_at(_abs_terms(terms), s + f) - _rho_at(_abs_terms(terms), s))
+        if bound <= tol or n >= term_cap:
+            break
+        n += 1
+    return SeriesValue(rho_one - exact - acc, max(bound, 0.0), n, not bound <= tol)
+
+
+def _series_oracle(tag, a, terms, tol, term_cap) -> SeriesValue:
+    """The scalar oracle of the engine's lane for rho's terms on a: the split
+    loop when a's slow points are summed exactly, else the atom-only one."""
+    slow = _slow_points(a, terms)
+    if slow is None:
+        return _phi_terms(tag, a, terms, tol, term_cap)
+    return _split_terms(tag, a, terms, tol, term_cap, slow)
+
+
 BATCH_RHOS = (
     Polynomial.monomial(2),
     Polynomial.monomial(6),
     poly_from_string("x^5 - 0.75*x^6"),
 )
-# the series hits its term cap at tol 1e-11 with this channel and x^3
-CAPPED = channel([(1e-6, 0.5), (0.3, 0.5)])
+# Near-perfect points with the remainder of the channel far from perfect:
+# the atom-only series needs ~1/eps terms on them.  The split sums the
+# slow points of SLOW_PAIR exactly (the atom-only series stops at its
+# 10^5-term cap with x^3, bound 1.36e-7), but CAPPED has more slow points
+# than the split takes, so its x^3 series still hits the term cap at tol
+# 1e-11.
+SLOW_PAIR = channel([(1e-6, 0.5), (0.3, 0.5)])
+CAPPED = channel([(1e-6, 0.44), (0.01, 0.01), (0.02, 0.01), (0.04, 0.01), (0.06, 0.01),
+                  (0.08, 0.01), (0.1, 0.01), (0.3, 0.5)])
 
 
 def _batch_rows():
-    """No active point, atoms at x = 1, a slow row among fast ones, samples."""
+    """No active point, atoms at x = 1, slow rows among fast ones, samples."""
     rows = [bec(0.3), bsc(0.0), bsc(0.5), bsc(0.1)]
     rows.append(mix(channel([(0.2, 0.5), (0.4, 0.5)]), bsc(0.0), 0.6))
     rows.append(mix(channel([(0.05, 0.3), (0.45, 0.7)]), bsc(0.5), 0.5))
-    rows.append(channel([(2e-4, 0.4), (0.2, 0.6)]))  # thousands of terms
+    # thousands of terms: seven slow points, more than the split takes
+    rows.append(channel([(2e-4, 0.28), (0.01, 0.02), (0.02, 0.02), (0.04, 0.02), (0.06, 0.02),
+                         (0.08, 0.02), (0.1, 0.02), (0.2, 0.6)]))
     for i in range(24):
         constraint, level = (H, B, E)[i % 3], 0.1 + 0.03 * i
         top = 0.5 if constraint is E else 1.0
         rows.append(random_channel_with_value(trial_rng(31, i), constraint, level * top))
+    # slow points the split sums exactly, next to fast ones and an atom
+    rows.append(channel([(2e-4, 0.4), (0.2, 0.6)]))
+    rows.append(channel([(0.0, 0.2), (1e-9, 0.2), (0.05, 0.2), (0.11, 0.2), (0.3, 0.2)]))
     return rows
 
 
 def _assert_matches_oracle(tag, rho, rows, tol, term_cap=series.DEFAULT_TERM_CAP):
-    """Compare the batch with the scalar oracle row by row; returns the
-    oracle's values.  numpy's pow and the w . y^n sums round differently
+    """Compare the batch with the scalar oracles row by row; returns the
+    oracles' values.  numpy's pow and the w . y^n sums round differently
     from Python's float pow and BLAS's fused dot product, so values may
     differ in the last digit."""
     got = phi_of_poly_batch(tag, rho, rows, tol=tol, term_cap=term_cap)
     assert len(got) == len(rows)
-    wants = [_phi_terms(tag, a, rho.terms, tol, term_cap) for a in rows]
+    wants = [_series_oracle(tag, a, rho.terms, tol, term_cap) for a in rows]
     for sv, want in zip(got, wants):
         assert sv.terms == want.terms
         assert sv.capped == want.capped
@@ -452,13 +537,17 @@ def test_batch_term_cap_row_is_exact():
 
 
 def test_capped_flag_marks_a_term_cap_stop_above_tol():
-    want = _phi_terms(H, CAPPED, ((3, 1.0),), 1e-11, series.DEFAULT_TERM_CAP)
+    # the atom-only series stops at the cap on SLOW_PAIR; the split does not
+    old = _phi_terms(H, SLOW_PAIR, ((3, 1.0),), 1e-11, series.DEFAULT_TERM_CAP)
+    assert old.capped and old.terms == series.DEFAULT_TERM_CAP
+    assert old.error_bound == pytest.approx(1.36e-7, rel=1e-2)
+    want = _series_oracle(H, CAPPED, ((3, 1.0),), 1e-11, series.DEFAULT_TERM_CAP)
     assert want.capped
     assert want.terms == series.DEFAULT_TERM_CAP
-    assert want.error_bound == pytest.approx(1.36e-7, rel=1e-2)
-    rows = [bsc(0.2), CAPPED, bec(0.4)]
+    assert want.error_bound > 1e3 * 1e-11
+    rows = [bsc(0.2), CAPPED, SLOW_PAIR, bec(0.4)]
     got = phi_of_poly_batch(H, Polynomial.monomial(3), rows, tol=1e-11)
-    assert [sv.capped for sv in got] == [False, True, False]
+    assert [sv.capped for sv in got] == [False, True, False, False]
     # every row of the mixed batch stops below tol before the cap
     for tag in (H, B):
         for rho in BATCH_RHOS:
@@ -467,13 +556,16 @@ def test_capped_flag_marks_a_term_cap_stop_above_tol():
 
 
 def test_capped_flag_needs_the_bound_above_tol_at_the_cap():
+    # an atom-only lane (no slow point) and a split lane
     rho = Polynomial.monomial(3)
-    natural = _phi_terms(H, bsc(0.1), rho.terms, 1e-11, series.DEFAULT_TERM_CAP).terms
-    for term_cap, capped in ((natural, False), (natural + 1, False), (natural - 1, True)):
-        one = _phi_terms(H, bsc(0.1), rho.terms, 1e-11, term_cap)
-        batch = phi_of_poly_batch(H, rho, [bsc(0.1)], tol=1e-11, term_cap=term_cap)[0]
-        assert one.capped is batch.capped is capped, term_cap
-        assert one.terms == batch.terms == min(natural, term_cap)
+    for a in (bsc(0.15), channel([(0.05, 0.5), (0.2, 0.5)])):
+        natural = _series_oracle(H, a, rho.terms, 1e-11, series.DEFAULT_TERM_CAP).terms
+        assert natural > 2
+        for term_cap, capped in ((natural, False), (natural + 1, False), (natural - 1, True)):
+            one = _series_oracle(H, a, rho.terms, 1e-11, term_cap)
+            batch = phi_of_poly_batch(H, rho, [a], tol=1e-11, term_cap=term_cap)[0]
+            assert one.capped is batch.capped is capped, term_cap
+            assert one.terms == batch.terms == min(natural, term_cap)
 
 
 @pytest.mark.parametrize("term_cap", (1, 5, 8, 9, 30))
@@ -518,11 +610,12 @@ def _same_columns(got, want):
     return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("schedule", ((1, 1, 1 << 22), (3, 5, 1 << 22), (8, 512, 40),
-                                      (64, 4096, 1 << 22)))
+@pytest.mark.parametrize("schedule", ((1, 1, 1 << 22, 1), (3, 5, 1 << 22, 3), (8, 512, 40, 8),
+                                      (64, 4096, 1 << 22, 64)))
 def test_engine_columns_do_not_depend_on_the_block_schedule(monkeypatch, schedule):
-    # a sweep row's channels with a term cap that stops their slowest rows,
-    # and an area batch, whose lanes stop at different terms, on both powers
+    # a sweep row's channels, split rows among them, with a term cap that
+    # stops their slowest lanes, and an area batch, whose lanes stop at
+    # different terms, on both powers
     p = EnsembleParams(20, 40)
     keys, hs = _area_batch(p)
     rows = keyed_rows_with_value(keys, H, hs)
@@ -532,12 +625,14 @@ def test_engine_columns_do_not_depend_on_the_block_schedule(monkeypatch, schedul
         chans = _sweep_batch(tag)
         for rho in DEFAULT_SWEEP_RHOS[::3]:
             runs.append(lambda tag=tag, rho=rho, chans=chans:
-                        [series.phi_of_poly_columns(tag, rho, chans, 1e-11, 3000)])
+                        [series.phi_of_poly_columns(tag, rho, chans, 1e-11, 20)])
+        assert any(_slow_points(a, rho.terms) is not None for a in chans)
         runs.append(lambda tag=tag: series.phi_of_polys_columns(tag, area_rhos, rows, 1e-10))
     want = [run() for run in runs]
     assert any(cols.capped.any() for out in want for cols in out)
     assert any((out[0].terms != out[1].terms).any() for out in want if len(out) == 2)
-    for name, value in zip(("_BATCH_FIRST_BLOCK", "_BATCH_MAX_BLOCK", "_BATCH_MAX_ENTRIES"), schedule):
+    names = ("_BATCH_FIRST_BLOCK", "_BATCH_MAX_BLOCK", "_BATCH_MAX_ENTRIES", "_SLOW_FIRST_BLOCK")
+    for name, value in zip(names, schedule, strict=True):
         monkeypatch.setattr(series, name, value)
     for run, out in zip(runs, want):
         got = run()
@@ -563,9 +658,97 @@ def test_one_pass_is_one_call_per_polynomial_bit_for_bit(ensemble, term_cap):
             assert any(cols.capped.any() and not cols.capped.all() for cols in got)
 
 
+# The engine as it was before the slow split, kept verbatim as the oracle of
+# its atom-only lanes: a row with no slow point in 0 < x < 1, or more than
+# the split takes, and every rho of degree above _SLOW_MAX_DEGREE.
+def _atom_only_pass(tag, rhos, padded, tol, term_cap):
+    """Phi(rho(a)) of every rho for every padded row (atoms, counts, ys,
+    ws), every lane by the atom-only arithmetic."""
+    atoms, counts, ys, ws = padded
+    width, size = len(rhos), atoms.size
+    terms_of = [rho.terms for rho in rhos]
+    abs_terms_of = [tuple((k, abs(c)) for k, c in t) for t in terms_of]
+    signed = abs_terms_of != terms_of
+    rho_lanes, rho_abs_lanes = series._lane_rho(terms_of), series._lane_rho(abs_terms_of)
+    rho_atoms = [series._rho_at(t, atoms.tolist()) for t in terms_of]
+    # slot p * size + i holds polynomial p at row i, and one spare slot
+    # follows; a row with no term to sum keeps these
+    spare = width * size
+    value = np.concatenate([rho(1.0) - r for rho, r in zip(rhos, rho_atoms)] + [np.zeros(1)])
+    error_bound = np.zeros(spare + 1)
+    terms = np.zeros(spare + 1, dtype=np.intp)
+    index = np.flatnonzero(counts)
+    ys, ws, atoms = ys[index], ws[index], atoms[index]
+    out = series._lanes([index + p * size for p in range(width)])  # each lane's slot
+    rho_atom = series._lanes([r[index] for r in rho_atoms])
+    rho_abs_atom = series._lanes([series._rho_at(t, atoms.tolist()) for t in abs_terms_of]) if signed else rho_atom
+    acc = np.zeros(out.size)
+    z = ys.copy()  # y^n0 for the block starting at term n0
+    n0, block = 1, series._BATCH_FIRST_BLOCK
+    while out.size:
+        count = max(1, min(block, term_cap - n0 + 1, series._BATCH_MAX_ENTRIES // ys.size))
+        powers = np.repeat(ys[:, :, None], count + 1, axis=2)
+        powers[:, :, 0] = z
+        np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
+        gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
+        rho_g = rho_lanes(gamma)
+        rho_abs_g = rho_abs_lanes(gamma) if signed else rho_g
+        a, tail = series._weights(tag, n0 + count - 1)
+        sums = np.empty((out.size, count + 1))
+        sums[:, 0] = acc
+        sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - rho_atom[:, None])
+        partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
+        bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
+        stop = bound <= tol
+        if n0 + count > term_cap:  # the block's last term is the cap
+            stop[:, -1] = True
+        acc = partial[:, -1]
+        z = powers[:, :, -1].copy()  # frees the table before the next block
+        done = stop.any(axis=1)
+        if done.any():
+            lanes = np.flatnonzero(done)
+            first = stop[lanes].argmax(axis=1)
+            at = out[lanes]
+            value[at] -= partial[lanes, first + 1]
+            error_bound[at] = bound[lanes, first]
+            terms[at] = n0 + first
+            if lanes.size == out.size:
+                break
+            out[lanes] = spare  # a lane's later stops write to the spare slot
+            rows_kept = lanes_kept = out != spare
+            if width > 1:  # a row leaves with its last lane
+                rows_kept = lanes_kept.reshape(-1, width).any(axis=1)
+                lanes_kept = rows_kept.repeat(width)
+            ys, ws, atoms, z = (v[rows_kept] for v in (ys, ws, atoms, z))
+            rho_atom, rho_abs_atom, acc, out = (
+                v[lanes_kept] for v in (rho_atom, rho_abs_atom, acc, out))
+        n0 += count
+        block = min(2 * block, series._BATCH_MAX_BLOCK)
+    value, error_bound, terms = (v[:spare].reshape(width, size) for v in (value, error_bound, terms))
+    capped = ~(error_bound <= tol)  # before the clip: NaN is capped, a rounding below 0 is not
+    error_bound[error_bound < 0.0] = 0.0  # max(b, 0.0): keeps NaN and -0.0
+    return [series.SeriesColumns(*cols) for cols in zip(value, error_bound, terms, capped)]
+
+
+
+@pytest.mark.parametrize("term_cap", (series.DEFAULT_TERM_CAP, 30, 2))
+def test_one_pass_is_one_call_per_polynomial_on_split_rows(term_cap):
+    # the sweep rhos next to degrees the split does not take, on sweep rows
+    # with slow points and rows it does not take
+    rhos = DEFAULT_SWEEP_RHOS + (Polynomial.monomial(7), EnsembleParams(20, 40).area_poly)
+    for tag in (H, B):
+        chans = _sweep_batch(tag) + _batch_rows()
+        assert any(_slow_points(a, rhos[0].terms) is not None for a in chans)
+        eps, w, sizes = series._channel_rows(chans)
+        rows = (eps, w, np.concatenate(([0], np.cumsum(sizes))))
+        got = series.phi_of_polys_columns(tag, rhos, rows, 1e-11, term_cap)
+        for rho, cols in zip(rhos, got, strict=True):
+            assert _same_columns(cols, series.phi_of_poly_columns(tag, rho, chans, 1e-11, term_cap))
+
+
 def _padded_loop(channels):
     """The per-channel split and padding loop that phi_of_poly_batch ran
-    before _padded_rows: (idle atoms by index, index, atoms, ys, ws)."""
+    before the padded batch: (idle atoms by index, index, atoms, ys, ws)."""
     idle = {}
     active = []
     for i, a in enumerate(channels):
@@ -604,7 +787,7 @@ def test_batch_split_is_the_padded_loop():
     assert len({a.size for a in rows}) >= 10
     idle, index, atoms, ys, ws = _padded_loop(rows)
     assert sorted(idle) == [0, 1, 2, 3, 9]
-    all_atoms, counts, got_ys, got_ws = series._padded_rows(rows)
+    all_atoms, counts, got_ys, got_ws = series._padded_batch(*series._channel_rows(rows))
     assert np.flatnonzero(counts).tolist() == index.tolist()
     assert counts[index].tolist() == [int((w > 0.0).sum()) for w in ws]
     assert all_atoms[index].tobytes() == atoms.tobytes()
@@ -624,6 +807,54 @@ def test_batch_split_rows_match_phi_of_poly(tag, rho):
     _assert_matches_oracle(tag, rho, rows, tol=1e-11)
     for a, sv in zip(rows, phi_of_poly_batch(tag, rho, rows, tol=1e-11)):
         assert phi_of_poly(tag, rho, a, tol=1e-11) == sv
+
+
+
+@pytest.mark.parametrize("ensemble", AREA_ENSEMBLES)
+def test_area_rows_are_the_atom_only_engine_bit_for_bit(ensemble):
+    p = EnsembleParams(*ensemble)
+    r = p.check_degree
+    keys, hs = _area_batch(p)
+    eps, w, off = keyed_rows_with_value(keys, H, hs)
+    padded = series._padded_batch(eps, w, off[1:] - off[:-1])
+    rhos = (Polynomial.monomial(r), Polynomial.monomial(r - 1), p.area_poly)
+    for tag in (H, B):
+        got = series.phi_of_polys_columns(tag, rhos, (eps, w, off), 1e-10)
+        want = _atom_only_pass(tag, rhos, padded, 1e-10, series.DEFAULT_TERM_CAP)
+        assert all(_same_columns(g, v) for g, v in zip(got, want, strict=True))
+
+
+def test_atom_only_lanes_are_the_atom_only_engine_bit_for_bit():
+    # every lane the split does not take, alone and next to split lanes
+    for tag in (H, B):
+        chans = _sweep_batch(tag) + [CAPPED] + _batch_rows()
+        padded = series._padded_batch(*series._channel_rows(chans))
+        for rho in DEFAULT_SWEEP_RHOS + BATCH_RHOS + (Polynomial.monomial(7),):
+            plain = np.array([_slow_points(a, rho.terms) is None for a in chans])
+            assert plain.any() and plain.all() == (rho.degree > series._SLOW_MAX_DEGREE)
+            want = _atom_only_pass(tag, (rho,), padded, 1e-11, series.DEFAULT_TERM_CAP)[0]
+            for got in (series.phi_of_poly_columns(tag, rho, chans, 1e-11),
+                        series.phi_of_poly_columns(tag, rho, [a for a, p in zip(chans, plain) if p],
+                                                   1e-11)):
+                mine = plain if got.value.size == plain.size else slice(None)
+                for g, v in zip(got, want):
+                    assert g[mine].tobytes() == v[plain].tobytes()
+
+
+def test_atom_only_batches_take_no_split_work(monkeypatch):
+    # the area margins' degrees, and sweep rows without a slow point
+    slows = []
+    real = series._loop
+    monkeypatch.setattr(series, "_slow_sums", lambda *args: pytest.fail("summed slow points"))
+    monkeypatch.setattr(series, "_loop", lambda *args: slows.append(args[8]) or real(*args))
+    p = EnsembleParams(20, 40)
+    keys, hs = _area_batch(p)
+    series.phi_of_polys_columns(H, (Polynomial.monomial(40), Polynomial.monomial(39)),
+                                keyed_rows_with_value(keys, H, hs), 1e-10)
+    rho = Polynomial.monomial(2)
+    chans = [a for a in _sweep_batch(H) if _slow_points(a, rho.terms) is None]
+    series.phi_of_poly_columns(H, rho, chans, 1e-11)
+    assert slows == [None, None]
 
 
 def test_batch_empty_and_validation():
@@ -687,7 +918,7 @@ def test_rows_without_interior_points_are_rho_one_minus_rho_atom():
 
 
 def test_batch_rows_are_the_columns_as_python_values():
-    rows = [bsc(0.1), bec(0.3), channel([(1e-6, 0.5), (0.3, 0.5)]), bsc(0.0)]
+    rows = [bsc(0.1), bec(0.3), CAPPED, bsc(0.0)]
     cols = series.phi_of_poly_columns(H, Polynomial.monomial(3), rows, 1e-11)
     assert cols.terms.dtype.kind == "i" and cols.capped.dtype == bool
     batch = phi_of_poly_batch(H, Polynomial.monomial(3), rows, 1e-11)
@@ -726,7 +957,7 @@ def test_term_caps_are_integers_only(monkeypatch):
     rho = Polynomial.monomial(2)
     assert phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, np.int64(50)) == \
         phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, 50)
-    monkeypatch.setattr(series, "_padded_rows", lambda *args: pytest.fail("ran the series"))
+    monkeypatch.setattr(series, "_channel_rows", lambda *args: pytest.fail("ran the series"))
     for term_cap in (2.5, 100.0, "100"):
         with pytest.raises(TypeError):
             phi_of_poly_batch(H, rho, [bsc(0.1)], 1e-10, term_cap)
