@@ -13,13 +13,14 @@ per size-d multiset of c's points, weighted by its multinomial
 probability, and a product of factors is the outer combination of their
 points.  Each point carries eps and x side by side: x multiplies, which
 keeps full relative precision near the useless channel, and eps combines
-by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.  Every
-read of a convolution, Phi or 1 - Phi, is one evaluator's (_read_values):
-the inequality catalog, the fixed-error bounds, phi_of_poly_convolved and
-eicomb.series.complement_of_convolution read through it, and check_power
-and check_convolve settle the same points into a channel.  The powers climb
-on rows of points (_climb), which also gives the moment series of
-eicomb.series the multiset points of each channel's slow points.
+by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.  The
+powers climb on rows of points (_climb).  The inequality catalog's reads,
+Phi or 1 - Phi of a convolution, and eicomb.series.complement_of_convolution
+go through one evaluator (_read_values); Phi(rho(a)) = sum_k c_k Phi(a^[k])
+of many rows is one climb (_phi_of_poly_rows), which the fixed-error
+bounds, phi_of_poly_convolved and the small lanes of the moment series of
+eicomb.series read; and check_power and check_convolve settle the same
+points into a channel.
 
 A measure is an unnormalized (x, w) pair of arrays: convolving two is an
 outer product, and a merged sum merges points closer than X_MERGE_TOL in x
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import EPS_MERGE_TOL, Channel, _merge_rows, _trusted
+from .channel import EPS_MERGE_TOL, Channel, _merge_rows, _row_totals, _trusted
 from .functionals import Functional, _complement_points, _series_tag, pointwise
 
 if TYPE_CHECKING:
@@ -287,19 +288,49 @@ def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
     return _trusted(eps[keep], w[keep])
 
 
+def _channel_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, w, sizes): the channels' points back to back and each one's
+    point count, row r for channel r."""
+    sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
+    return np.concatenate([ch.eps for ch in chans]), np.concatenate([ch.w for ch in chans]), sizes
+
+
+def _phi_of_poly_rows(tag: Functional, rho: "Polynomial", eps: np.ndarray, w: np.ndarray,
+                      sizes: np.ndarray) -> np.ndarray:
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each row a, row i the sizes[i]
+    points (eps, w) after those of the rows before it, exactly: Phi(a^[k])
+    is the sum of w * Phi(BSC(eps)) (pointwise) over the multiset points of
+    one _climb of every row to rho's degree, each read degree's terms added
+    per row by channel._row_totals (numpy's pairwise sum of the row's own
+    slice, as _read_values adds a read), and the degrees in ascending order
+    from 0.0 (-0.0 with a linear term, so -0.0 + v is v).  A row's value
+    depends on no other row.  The caller checks the support."""
+    degrees = [k for k, _ in rho.terms]
+    read = [(points, counts) for k, points, counts
+            in _climb(eps, w, sizes, np.full(sizes.size, degrees[-1])) if k in degrees]
+    e, pw = (np.concatenate([points[i] for points, _ in read]) for i in (0, 2))
+    off = np.concatenate(([0], np.cumsum(np.concatenate([counts for _, counts in read]))))
+    sums = _row_totals(pw * pointwise(tag, e), off).reshape(len(read), sizes.size)
+    total = np.full(sizes.size, -0.0 if degrees[0] == 1 else 0.0)
+    for (_, c), by_row in zip(rho.terms, sums):
+        total = total + c * by_row
+    return total
+
+
 def phi_of_poly_convolved_batch(tag: Functional, rho: "Polynomial",
                                 channels: Sequence[Channel]) -> list[float]:
-    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel, every
-    Phi(a^[k]) a "phi" read of one _read_values call, which checks every
-    cap before forming any point; `eicomb.series` covers more."""
-    values = iter(_read_values([(tag, "phi", ((a, k),)) for a in channels for k, _ in rho.terms]))
-    out = []
-    for _ in channels:
-        total = -0.0 if rho.terms[0][0] == 1 else 0.0  # -0.0 + v is v: a linear term starts as is
-        for _, c in rho.terms:
-            total += c * next(values)
-        out.append(total)
-    return out
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each channel: _phi_of_poly_rows
+    on the channels' rows, every degree's support checked against
+    DEFAULT_SUPPORT_CAP before any point is formed; `eicomb.series` covers
+    more."""
+    for a in channels:
+        for k, _ in rho.terms:
+            n = projected_power_support(a.size, k)
+            if n > DEFAULT_SUPPORT_CAP:
+                raise SupportCapError(_CAP_MESSAGES["phi"].format(n=n, d=k, cap=DEFAULT_SUPPORT_CAP))
+    if not channels:
+        return []
+    return _phi_of_poly_rows(tag, rho, *_channel_rows(channels)).tolist()
 
 
 def phi_of_poly_convolved(tag: Functional, rho: "Polynomial", a: Channel) -> float:

@@ -17,16 +17,13 @@ here carry rigorous tail bounds: the H tail uses the telescoping majorant
 telescope against central binomial ratios, sum_{n>N} a_{B,n} = C(2N,N)/4^N.
 A point with y = (1 - 2 eps)^2 close to 1 makes its moments decay at rate
 y, so summing it term by term would take ~1/(1 - y) terms.  The engine
-therefore splits each channel's points into slow ones (y above a fixed
-threshold, the atoms at eps = 0 among them) and fast ones, and sums every
-term made of slow points alone exactly: sum_n a_n s_n^k, s_n the slow
-moments, is the 1 - Phi sum over the multiset product points of the slow
-points at degree k (Richardson & Urbanke, *Modern Coding Theory*, ch. 4),
-the point layer of eicomb.convolution.  Only the remainder, which decays at
-the fast rate, is truncated, so a lane needs a bounded number of terms; a
-channel with more slow points than the split takes, or a polynomial of
-higher degree, keeps only its atoms exact (through sum_n a_n = 1, so that
-e.g. BEC values come out exact) and sums the rest term by term.
+therefore reads a small lane (a polynomial of low degree on a channel with
+few multiset points at that degree, as every sweep row is) exactly, as the
+sum over the multiset product points of the point layer of
+eicomb.convolution (Richardson & Urbanke, *Modern Coding Theory*, ch. 4),
+with no series; every other lane keeps only its atoms exact (through
+sum_n a_n = 1, so that e.g. BEC values come out exact) and sums the rest
+term by term.
 
 Each functional's weights and tail bounds live in one table (`_weights`),
 from which coefficient, coefficient_tail and the blocked engine read.  The
@@ -53,8 +50,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .channel import Channel
-from .convolution import _climb, _read_values
-from .functionals import Functional, _complement_points, _series_tag
+from .convolution import _channel_rows, _phi_of_poly_rows, _read_values, projected_power_support
+from .functionals import Functional, _series_tag
 
 LN2 = math.log(2.0)
 
@@ -425,6 +422,9 @@ class SeriesValue:
 
     capped is True when the series stopped at its term cap with the bound
     still above the tolerance, so error_bound exceeds what was asked for.
+    error_bound 0.0 after 0 terms is an exact read: a small lane read on
+    the point layer, or a channel with no point strictly between the
+    perfect and the useless one.
     """
 
     value: float
@@ -456,47 +456,26 @@ def _check_stop(tol: float, term_cap: int) -> int:
     return term_cap
 
 
-# The rows as the series engine reads them: eps, weights and each row's
-# point count, row r the sizes[r] points after those of the rows before it.
-_Batch = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _channel_rows(chans: Sequence[Channel]) -> _Batch:
-    """The rows of channels, row r for channel r."""
-    sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
-    return np.concatenate([ch.eps for ch in chans]), np.concatenate([ch.w for ch in chans]), sizes
-
-
-def _pad(row: np.ndarray, y: np.ndarray, w: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
-    """(counts, ys, ws): each of rows rows' number of points and their y and
-    weights, from the points' ascending row ids, in point order,
+def _padded_batch(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(atoms, counts, ys, ws) of rows, row r the sizes[r] points (eps, w)
+    after those of the rows before it: each row's mass at x = 1, and the
+    number, y = x^2 and weights of its points in 0 < x < 1, in point order,
     left-aligned and zero-padded to the widest row (a zero weight times a
     zero power adds nothing to a moment)."""
-    counts = np.bincount(row, minlength=rows)
-    col = np.arange(row.size) - (counts.cumsum() - counts)[row]
-    ys = np.zeros((rows, int(counts.max(initial=0))))
-    ws = np.zeros_like(ys)
-    ys[row, col] = y
-    ws[row, col] = w
-    return counts, ys, ws
-
-
-# (atoms, counts, ys, ws): each row's mass at x = 1, and its points in
-# 0 < x < 1 as _pad gives them
-_Padded = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _padded_batch(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray) -> _Padded:
-    """(atoms, counts, ys, ws) of rows: each row's mass at x = 1, and the
-    y = x^2 and weights of its points in 0 < x < 1, padded by _pad."""
     row = np.arange(sizes.size).repeat(sizes)
     x = 1.0 - 2.0 * eps
     atoms = np.zeros(sizes.size)
     at_one = x == 1.0
     np.add.at(atoms, row[at_one], w[at_one])
     active = (x > 0.0) & (x < 1.0)
-    x = x[active]
-    return (atoms,) + _pad(row[active], x * x, w[active], sizes.size)
+    row, x = row[active], x[active]
+    counts = np.bincount(row, minlength=sizes.size)
+    col = np.arange(row.size) - (counts.cumsum() - counts)[row]
+    ys = np.zeros((sizes.size, int(counts.max(initial=0))))
+    ws = np.zeros_like(ys)
+    ys[row, col] = x * x
+    ws[row, col] = w[active]
+    return atoms, counts, ys, ws
 
 
 def phi_series(
@@ -530,20 +509,12 @@ _BATCH_FIRST_BLOCK = 8
 _BATCH_MAX_BLOCK = 512
 _BATCH_MAX_ENTRIES = 1 << 22
 
-# The slow split.  A point whose y = x^2 lies above _SLOW_Y is slow: its
-# moments y^n decay so slowly near the perfect channel that the series
-# would need ~1/(1 - y) terms.  A row's slow points, its atoms at x = 1
-# among them, are summed exactly on the point layer when they number at most
-# _SLOW_MAX_POINTS and rho's degree is at most _SLOW_MAX_DEGREE, so that no
-# row forms more than C(_SLOW_MAX_POINTS + _SLOW_MAX_DEGREE - 1,
-# _SLOW_MAX_DEGREE) = 462 product points at a degree; past either, the row's
-# slow set is its atoms alone.
-_SLOW_Y = 0.6
-_SLOW_MAX_POINTS = 6
-_SLOW_MAX_DEGREE = 6
-# A loop with split lanes starts with a block this long, as its lanes stop
-# within a few dozen terms.
-_SLOW_FIRST_BLOCK = 32
+# A lane whose polynomial has degree at most _EXACT_MAX_DEGREE, on a row
+# with at most _EXACT_MAX_SUPPORT multiset points at that degree
+# (projected_power_support; C(11, 6) = 462 is 6 points at degree 6), is read
+# exactly on the point layer.
+_EXACT_MAX_DEGREE = 6
+_EXACT_MAX_SUPPORT = 462
 
 
 def _rho_columns(terms: Sequence[tuple[int, float]], g: np.ndarray) -> np.ndarray:
@@ -592,7 +563,7 @@ def phi_of_poly_columns(
     if not channels:
         return SeriesColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp),
                              np.zeros(0, dtype=bool))
-    return _series_pass(tag, (rho,), _channel_rows(channels), tol, term_cap)[0]
+    return _series_pass(tag, (rho,), *_channel_rows(channels), tol, term_cap)[0]
 
 
 def phi_of_polys_columns(
@@ -611,7 +582,7 @@ def phi_of_polys_columns(
     if not rhos:
         raise ValueError("need at least one polynomial")
     eps, w, off = rows
-    return _series_pass(tag, tuple(rhos), (eps, w, off[1:] - off[:-1]), tol, term_cap)
+    return _series_pass(tag, tuple(rhos), eps, w, off[1:] - off[:-1], tol, term_cap)
 
 
 # A lane is one polynomial on one row of a loop of the engine; lane
@@ -638,96 +609,44 @@ def _abs_terms(rho: Polynomial) -> tuple[tuple[int, float], ...]:
     return tuple((k, abs(c)) for k, c in rho.terms)
 
 
-def _slow_sums(tag: Functional, rhos: Sequence[Polynomial], rows: _Batch) -> list[np.ndarray]:
-    """sum_k c_k sum_n a_n s_n^k for each rho and each row, s_n = sum_i w_i
-    y_i^n the moments of the row's points: for each degree k of rho, the sum
-    of w (1 - Phi) over the multiset product points of the row's k-th power
-    (convolution._climb, eps carried beside x), since
-    sum_n a_n x^(2n) = 1 - Phi(BSC(eps)) at each point
-    (functionals._complement_points), exact to a few ulps.  Each row's
-    points add left to right (np.bincount) and its degrees by ascending
-    exponent from 0.0, so a row's sums depend on no other row."""
-    eps, w, sizes = rows
-    degrees = sorted({k for rho in rhos for k, _ in rho.terms})
-    climb = _climb(eps, w, sizes, np.full(sizes.size, degrees[-1]))
-    parts = [(points, counts) for k, points, counts in climb if k in degrees]
-    e, x, pw = (np.concatenate([points[i] for points, _ in parts]) for i in range(3))
-    bins = np.concatenate([(np.arange(sizes.size) + j * sizes.size).repeat(counts)
-                           for j, (_, counts) in enumerate(parts)])
-    sums = np.bincount(bins, pw * _complement_points(tag, e, x), len(parts) * sizes.size)
-    by_degree = dict(zip(degrees, sums.reshape(len(parts), sizes.size)))
-    out = []
-    for rho in rhos:
-        total = 0.0
-        for k, c in rho.terms:
-            total = total + c * by_degree[k]
-        out.append(total)
-    return out
+def _series_pass(tag: Functional, rhos: tuple[Polynomial, ...], eps: np.ndarray, w: np.ndarray,
+                 sizes: np.ndarray, tol: float, term_cap: int) -> list[SeriesColumns]:
+    """The blocked engine: Phi(rho(a)) of every rho for every row a, row r
+    the sizes[r] points (eps, w) after those of the rows before it.
 
+    Each lane (one rho on one row) takes one of two routes, chosen from the
+    rho's degree and the row's size alone.  A small lane, rho of degree at
+    most _EXACT_MAX_DEGREE on a row with at most _EXACT_MAX_SUPPORT multiset
+    points at that degree, is read exactly on the point layer
+    (convolution._phi_of_poly_rows, bit for bit
+    convolution.phi_of_poly_convolved_batch): error bound 0.0 after 0
+    terms, so no point near the perfect channel, where the moments y^n
+    decay at rate y, slows it down.  Every other lane sums the series with
+    the atoms at x = 1 exact:
 
-def _power_table(ys: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
-    """y^n0 .. y^(n0+count) of each padded point, by cumprod from z = y^n0."""
-    powers = np.repeat(ys[:, :, None], count + 1, axis=2)
-    powers[:, :, 0] = z
-    np.cumprod(powers, axis=2, out=powers)
-    return powers
+        Phi(rho(a)) = rho(1) - rho(atom) - sum_n a_n (rho(gamma_n) - rho(atom)),
 
+    gamma_n = atom + sum w y^n over the row's points in 0 < x < 1 and
+    rho(atom) evaluated as Polynomial.__call__ evaluates it (_rho_at).
+    Truncation after N terms is bounded by
+    coefficient_tail(N) * (rho_abs(gamma_{N+1}) - rho_abs(atom)), as
+    gamma_n - atom does not increase with n.  The lane stops at the first N
+    where its bound is <= tol, or at N = term_cap (capped if still above
+    tol); a row with no point in 0 < x < 1 is rho(1) - rho(atom) after 0
+    terms.
 
-def _series_pass(
-    tag: Functional, rhos: tuple[Polynomial, ...], rows: _Batch, tol: float, term_cap: int
-) -> list[SeriesColumns]:
-    """The blocked engine: Phi(rho(a)) of every rho for every row.
-
-    Phi(rho(a)) = rho(1) - sum_n a_n rho(gamma_n), and the moments y^n of
-    a point close to x = 1 (the perfect channel) decay so slowly that the
-    series would need ~1/(1 - y) terms.  So each row's points split into
-    slow ones (y > _SLOW_Y, atoms at x = 1 among them), with moments s_n,
-    and fast ones, with moments f_n, gamma_n = s_n + f_n:
-
-        Phi(rho(a)) = rho(1) - E - sum_n a_n (rho(s_n + f_n) - rho(s_n)),
-        E = sum_n a_n rho(s_n) = sum_k c_k sum_n a_n s_n^k,
-
-    where E is exact (_slow_sums: the 1 - Phi sum over the multiset product
-    points of the slow points at each degree k of rho) and only the
-    remainder is truncated.  Truncation after N terms is bounded by
-    coefficient_tail(N) * d_{N+1}, d_n = rho_abs(s_n + f_n) - rho_abs(s_n).
-    Proof: for s, f >= 0, |rho(s + f) - rho(s)| <= sum_k |c_k| ((s + f)^k -
-    s^k) = rho_abs(s + f) - rho_abs(s); (s + f)^k - s^k does not decrease
-    in s or in f (its partial derivatives k ((s + f)^(k-1) - s^(k-1)) and
-    k (s + f)^(k-1) are >= 0), and neither s_n nor f_n increases with n
-    (every y <= 1), so d_n does not increase with n and the remainder past
-    N is at most d_{N+1} sum_{n>N} a_n <= coefficient_tail(N) d_{N+1}.  As
-    d_n <= rho_abs'(1) f_n <= rho_abs'(1) _SLOW_Y^n, the terms decay at the
-    fast rate.  A lane (one rho on one row) stops at the first N where its
-    bound is <= tol, or at N = term_cap (capped if still above tol); a row
-    whose points are all slow is rho(1) - E after 0 terms.
-
-    A row's slow set is its atoms alone when it has no slow point in
-    0 < x < 1 or more than _SLOW_MAX_POINTS slow points, and so is it for a
-    rho of degree above _SLOW_MAX_DEGREE: then s_n is the constant `atom`,
-    E = rho(atom), evaluated as Polynomial.__call__ evaluates it (_rho_at),
-    and d_n = rho_abs(gamma_n) - rho_abs(atom), the atom-only arithmetic; a
-    row with no point in 0 < x < 1 is rho(1) - rho(atom) after 0 terms.
-    The lanes of the rhos above _SLOW_MAX_DEGREE run as one loop (_loop),
-    and those of the other rhos as another, in which the atom-only lanes
-    keep their arithmetic bit for bit next to the split ones; a pass with no
-    split lane, as the area margins' (degrees above _SLOW_MAX_DEGREE), is
-    one atom-only loop with no per-block work for the split.
-
-    Terms come in blocks of 8 (32 in a loop with split lanes), doubling up
-    to 512; the powers y^n continue
+    Terms come in blocks of 8, doubling up to 512; the powers y^n continue
     by cumprod from the carried y^n and give the moments, both once per
-    block for all rhos of a loop, and each lane's partial sums continue by
-    cumsum from its carried accumulator.  A lane's results are written into
-    its columns where it first stops (its later stops go to a spare slot),
-    and a row leaves a loop once all of its lanes have stopped.  No step
-    mixes rows or lanes (padding adds exact zeros to a moment, and which
-    loop a lane joins depends on its row and rho alone), and a lane's
-    operations do not depend on the block widths, so its result depends on
-    neither the other rows and rhos nor the block schedule: phi_series and
-    phi_of_poly, batches of one, give the same value bit for bit.
+    block for all rhos, and each lane's partial sums continue by cumsum from
+    its carried accumulator.  A lane's results are written into its columns
+    where it first stops (its later stops, and every step of a lane read
+    exactly beside it, go to a spare slot), and a row leaves the loop once
+    all of its lanes have stopped.  No step mixes rows or lanes (padding
+    adds exact zeros to a moment), and a lane's operations do not depend on
+    the block widths, so its result depends on neither the other rows and
+    rhos nor the block schedule: phi_series and phi_of_poly, batches of one,
+    give the same value bit for bit.
     """
-    eps, w, sizes = rows
     width, size = len(rhos), sizes.size
     atoms, counts, ys, ws = _padded_batch(eps, w, sizes)
     rho_atoms = [_rho_at(rho.terms, atoms.tolist()) for rho in rhos]
@@ -735,52 +654,26 @@ def _series_pass(
     # follows; a row with no term to sum keeps these
     value = np.concatenate([rho(1.0) - r for rho, r in zip(rhos, rho_atoms)] + [np.zeros(1)])
     cols = (value, np.zeros(value.size), np.zeros(value.size, dtype=np.intp))
-    index = np.flatnonzero(counts)
-    if not index.size:
-        return _columns(cols, width, size, tol)
-    small = [p for p, rho in enumerate(rhos) if rho.degree <= _SLOW_MAX_DEGREE]
-    split = None
-    if small:
-        row = np.arange(size).repeat(sizes)
-        x = 1.0 - 2.0 * eps
-        y = x * x
-        slow = y > _SLOW_Y
-        inner = slow & (x < 1.0)
-        split = (np.bincount(row[inner], minlength=size) > 0) & (
-            np.bincount(row[slow], minlength=size) <= _SLOW_MAX_POINTS)
-        if not split.any():
-            split = None
-    groups = [(range(width), False)] if split is None else [
-        ([p for p in range(width) if p not in small], False), (small, True)]
-    for ps, with_split in groups:
-        if not ps:
-            continue
-        if with_split:
-            # E of the split rows; their fast points and slow points in
-            # 0 < x < 1 padded, and every point in 0 < x < 1 of the other
-            # rows as fast ones; a split row with no fast point needs no term
-            mine = split[row] & slow
-            at = np.flatnonzero(split)
-            for p, total in zip(ps, _slow_sums(tag, [rhos[p] for p in ps],
-                                               (eps[mine], w[mine], np.bincount(row[mine])[at]))):
-                value[p * size + at] = rhos[p](1.0) - total
-            fast = (x > 0.0) & (x < 1.0) & ~mine
-            inner &= split[row]
-            fast_counts, ys, ws = _pad(row[fast], y[fast], w[fast], size)
-            _, slow_ys, slow_ws = _pad(row[inner], y[inner], w[inner], size)
-            index = np.flatnonzero(fast_counts)
-            if not index.size:
-                continue
-        sub = [rhos[p] for p in ps]
-        rho_atom = _lanes([rho_atoms[p][index] for p in ps])
-        abs_terms = [_abs_terms(rho) for rho in sub]
-        signed = abs_terms != [rho.terms for rho in sub]
+    exact = np.zeros(value.size, dtype=bool)
+    for p, rho in enumerate(rhos):
+        if rho.degree <= _EXACT_MAX_DEGREE:
+            small = np.array([projected_power_support(m, rho.degree) <= _EXACT_MAX_SUPPORT
+                              for m in sizes.tolist()], dtype=bool)
+            if small.any():
+                at = np.flatnonzero(small)
+                mine = small.repeat(sizes)
+                value[p * size + at] = _phi_of_poly_rows(tag, rho, eps[mine], w[mine], sizes[at])
+                exact[p * size + at] = True
+    index = np.flatnonzero((counts > 0) & ~exact[:-1].reshape(width, size).all(axis=0))
+    if index.size:
+        out = _lanes([index + p * size for p in range(width)])
+        out[exact[out]] = value.size - 1
+        rho_atom = _lanes([r[index] for r in rho_atoms])
+        abs_terms = [_abs_terms(rho) for rho in rhos]
+        signed = abs_terms != [rho.terms for rho in rhos]
         rho_abs_atom = _lanes([_rho_at(t, atoms[index].tolist()) for t in abs_terms]) if signed \
             else rho_atom
-        _loop(tag, sub, _lanes([index + p * size for p in ps]), atoms[index], ys[index],
-              ws[index], rho_atom, rho_abs_atom,
-              (slow_ys[index], slow_ws[index], _lanes([split[index]] * len(ps))) if with_split
-              else None,
+        _loop(tag, rhos, out, atoms[index], ys[index], ws[index], rho_atom, rho_abs_atom,
               cols, tol, term_cap)
     return _columns(cols, width, size, tol)
 
@@ -795,17 +688,12 @@ def _columns(cols: tuple[np.ndarray, ...], width: int, size: int, tol: float) ->
 
 def _loop(tag: Functional, rhos: Sequence[Polynomial], out: np.ndarray, atoms: np.ndarray,
           ys: np.ndarray, ws: np.ndarray, rho_atom: np.ndarray, rho_abs_atom: np.ndarray,
-          slow: tuple[np.ndarray, np.ndarray, np.ndarray] | None, cols: tuple[np.ndarray, ...],
-          tol: float, term_cap: int) -> None:
-    """One loop of _series_pass over the lanes of rhos on some rows, lane i
-    writing to slot out[i] of cols (value, error bound, terms), whose value
-    slots hold rho(1) - E.  Without slow, every lane is atom-only:
-    gamma_n = atom + sum w y^n over (ys, ws), and the subtracted values
-    are rho and rho_abs at the lane's atom.  With slow = (slow ys, slow ws,
-    split), the split lanes read s_n = atom + sum over the slow points and
-    f_n = sum over (ys, ws), and subtract rho(s_n) and rho_abs(s_n); the
-    other lanes' rows have no slow point there, so their s_n is their atom
-    bit for bit and their arithmetic is the atom-only one."""
+          cols: tuple[np.ndarray, ...], tol: float, term_cap: int) -> None:
+    """The series loop of _series_pass over the lanes of rhos on some rows,
+    lane i writing to slot out[i] of cols (value, error bound, terms), whose
+    value slots hold rho(1) - rho(atom): gamma_n = atom + sum w y^n over
+    (ys, ws), and the subtracted values are rho and rho_abs at the lane's
+    atom."""
     value, error_bound, terms = cols
     spare = value.size - 1
     width = len(rhos)
@@ -814,36 +702,22 @@ def _loop(tag: Functional, rhos: Sequence[Polynomial], out: np.ndarray, atoms: n
     signed = abs_terms_of != terms_of
     rho_lanes, rho_abs_lanes = _lane_rho(terms_of), _lane_rho(abs_terms_of)
     n0, block = 1, _BATCH_FIRST_BLOCK
-    if slow is not None:
-        slow_ys, slow_ws, split = slow
-        slow_z = slow_ys.copy()
-        block = _SLOW_FIRST_BLOCK
     acc = np.zeros(out.size)
     z = ys.copy()  # y^n0 for the block starting at term n0
     while out.size:
-        entries = ys.size if slow is None else ys.size + slow_ys.size
-        count = max(1, min(block, term_cap - n0 + 1, _BATCH_MAX_ENTRIES // entries))
-        powers = _power_table(ys, z, count)
-        if slow is None:
-            gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
-            low, low_abs = rho_atom[:, None], rho_abs_atom[:, None]
-        else:
-            slow_powers = _power_table(slow_ys, slow_z, count)
-            s = atoms[:, None] + np.einsum("rm,rmc->rc", slow_ws, slow_powers)
-            gamma = s + np.einsum("rm,rmc->rc", ws, powers)
-            rho_s = rho_lanes(s)
-            rho_abs_s = rho_abs_lanes(s) if signed else rho_s
-            low = np.where(split[:, None], rho_s[:, :-1], rho_atom[:, None])
-            low_abs = np.where(split[:, None], rho_abs_s[:, 1:], rho_abs_atom[:, None])
-            slow_z = slow_powers[:, :, -1].copy()
+        count = max(1, min(block, term_cap - n0 + 1, _BATCH_MAX_ENTRIES // ys.size))
+        powers = np.repeat(ys[:, :, None], count + 1, axis=2)
+        powers[:, :, 0] = z
+        np.cumprod(powers, axis=2, out=powers)  # y^n0 .. y^(n0+count)
+        gamma = atoms[:, None] + np.einsum("rm,rmc->rc", ws, powers)
         rho_g = rho_lanes(gamma)
         rho_abs_g = rho_abs_lanes(gamma) if signed else rho_g
         a, tail = _weights(tag, n0 + count - 1)
         sums = np.empty((out.size, count + 1))
         sums[:, 0] = acc
-        sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - low)
+        sums[:, 1:] = a[n0 : n0 + count] * (rho_g[:, :-1] - rho_atom[:, None])
         partial = np.cumsum(sums, axis=1)  # accumulator after terms n0-1 .. n0+count-1
-        bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - low_abs)
+        bound = tail[n0 : n0 + count] * (rho_abs_g[:, 1:] - rho_abs_atom[:, None])
         stop = bound <= tol
         if n0 + count > term_cap:  # the block's last term is the cap
             stop[:, -1] = True
@@ -867,9 +741,6 @@ def _loop(tag: Functional, rhos: Sequence[Polynomial], out: np.ndarray, atoms: n
             ys, ws, atoms, z = (v[rows_kept] for v in (ys, ws, atoms, z))
             rho_atom, rho_abs_atom, acc, out = (
                 v[lanes_kept] for v in (rho_atom, rho_abs_atom, acc, out))
-            if slow is not None:
-                slow_ys, slow_ws, slow_z = (v[rows_kept] for v in (slow_ys, slow_ws, slow_z))
-                split = split[lanes_kept]
         n0 += count
         block = min(2 * block, _BATCH_MAX_BLOCK)
 

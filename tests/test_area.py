@@ -330,11 +330,11 @@ def test_sweeps_build_the_check_powers_once(monkeypatch):
 
 
 def test_area_values_flag_a_capped_series():
-    # phi_series(H, CAPPED, 3, tol=1e-11) stops at the term cap: CAPPED has
-    # more slow points than the split sums exactly
+    # H(CAPPED^[7]) and H(CAPPED^[8]) stop at the term cap at tol 1e-11: the
+    # degrees are above the exact read's, and CAPPED has a near-perfect point
     a = CAPPED
     rows = (a.eps, a.w, np.array([0, a.size]))
-    _, errors, capped = area._area_values(EnsembleParams(2, 4), rows, [evaluate(H, a)], 1e-11)
+    _, errors, capped = area._area_values(EnsembleParams(4, 8), rows, [evaluate(H, a)], 1e-11)
     assert capped.tolist() == [True]
     assert errors[0] > 1e-11
 

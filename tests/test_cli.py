@@ -8,6 +8,9 @@ import pytest
 import eicomb
 from eicomb.channel import bec, parse_channel
 from eicomb.cli import main
+from eicomb.convolution import phi_of_poly_convolved
+from eicomb.functionals import Functional
+from eicomb.series import Polynomial, phi_series
 
 
 def run(capsys, *argv):
@@ -42,6 +45,21 @@ def test_eval_series_power(capsys):
     code, out, _ = run(capsys, "eval", "bec:0.3", "--functional", "H", "--power", "4")
     assert code == 0
     assert "0.7599" in out
+
+
+def test_eval_power_reads_small_powers_exactly(capsys):
+    # a one-point channel at degree 3 is read exactly on the point layer;
+    # degree 40 is above the exact read's limit and takes the series
+    a = parse_channel("0.01 1\n")
+    for tag in (Functional.H, Functional.B):
+        code, out, _ = run(capsys, "eval", "bsc:0.01", "--functional", tag.value, "--power", "3")
+        exact = phi_of_poly_convolved(tag, Polynomial.monomial(3), a)
+        assert code == 0
+        assert out == f"{tag.value}(a^[3]) = {exact:.12g}  (tail bound 0)\n"
+        code, out, _ = run(capsys, "eval", "bsc:0.01", "--functional", tag.value, "--power", "40")
+        sv = phi_series(tag, a, 40)
+        assert code == 0 and sv.terms > 0 and sv.error_bound > 0.0
+        assert out == f"{tag.value}(a^[40]) = {sv.value:.12g}  (tail bound {sv.error_bound:.3g})\n"
 
 
 def test_eval_bad_channel_is_usage_error(capsys):

@@ -167,16 +167,16 @@ def fold_power(a, d):
 
 
 def count_point_calls(monkeypatch):
-    """Record the requests of every point-layer call from now on."""
+    """Record every climb of the point layer from now on, which forms the
+    points of every power above 1: its rows' sizes and tops."""
     calls = []
-    real = convolution._powers
+    real = convolution._climb
 
-    def powers(requests):
-        requests = list(requests)
-        calls.append(requests)
-        return real(requests)
+    def climb(eps, w, sizes, tops):
+        calls.append((np.asarray(sizes).tolist(), np.asarray(tops).tolist()))
+        return real(eps, w, sizes, tops)
 
-    monkeypatch.setattr(convolution, "_powers", powers)
+    monkeypatch.setattr(convolution, "_climb", climb)
     return calls
 
 
@@ -190,7 +190,7 @@ def test_power_cap_raises_before_any_convolution(monkeypatch):
         phi_of_poly_convolved(H, poly_from_string("x^2+x^200"), a)
     assert calls == []
     phi_of_poly_convolved(H, Polynomial.monomial(3), a)
-    assert calls == [[(a, 3)]]
+    assert calls == [([a.size], [3])]
 
 
 def catalog_sides(code, tag, chans, alpha, power):

@@ -268,7 +268,8 @@ def test_series_on_useless_channel():
 
 
 def test_series_carries_error_bound():
-    sv = phi_series(B, channel([(0.01, 0.5), (0.3, 0.5)]), 2, tol=1e-8)
+    # degree 7 takes the series loop; degree 2 would be read exactly
+    sv = phi_series(B, channel([(0.01, 0.5), (0.3, 0.5)]), 7, tol=1e-8)
     assert sv.error_bound <= 1e-8
     assert sv.terms >= 1
 
@@ -394,77 +395,24 @@ def _phi_terms(
     return SeriesValue(rho_one - rho_atom - acc, max(bound, 0.0), n, not bound <= tol)
 
 
-# The engine's split arithmetic as a scalar loop: the oracle for rows whose
-# slow points the engine sums exactly (see series._series_pass).
-def _slow_points(a: Channel, terms: Sequence[tuple[int, float]]):
-    """(eps, w) of a's slow points (atoms at x = 1 among them) when the
-    engine sums them exactly for a polynomial with these terms, else None."""
-    x = 1.0 - 2.0 * a.eps
-    slow = x * x > series._SLOW_Y
-    if (max(k for k, _ in terms) > series._SLOW_MAX_DEGREE or not (slow & (x < 1.0)).any()
-            or slow.sum() > series._SLOW_MAX_POINTS):
-        return None
-    return a.eps[slow], a.w[slow]
-
-
-def _slow_sum(tag: Functional, eps: np.ndarray, w: np.ndarray, k: int) -> float:
-    """sum_n a_n s_n^k for the moments s_n of the points (eps, w): w (1 - Phi)
-    over their size-k multisets in combinations_with_replacement order, each
-    point's eps folded and weight built as _complement_loop builds them,
-    added left to right."""
-    x = (1.0 - 2.0 * eps).tolist()
-    eps, w = eps.tolist(), w.tolist()
-    total = 0.0
-    for idx in itertools.combinations_with_replacement(range(len(eps)), k):
-        e, px, pw = eps[idx[0]], x[idx[0]], w[idx[0]]
-        for i, j in enumerate(idx[1:], 2):
-            e = e * (1.0 - eps[j]) + eps[j] * (1.0 - e)
-            px, pw = px * x[j], pw * w[j] * i / idx[:i].count(j)
-        total += pw * _complement_points(tag, np.array([e]), np.array([px]))[0]
-    return float(total)
-
-
-def _split_terms(tag, a, terms, tol, term_cap, slow) -> SeriesValue:
-    """Phi(rho(a)) = rho(1) - E - sum_n a_n (rho(s_n + f_n) - rho(s_n)), E exact
-    from the slow points, the remainder truncated after N terms where
-    coefficient_tail(N) (rho_abs(s + f) - rho_abs(s)) at N + 1 is <= tol."""
-    series._check_stop(tol, term_cap)
-    x = 1.0 - 2.0 * a.eps
-    y = x * x
-    atom = float(a.w[x == 1.0].sum())
-    inner = (y > series._SLOW_Y) & (x < 1.0)
-    fast = (x > 0.0) & ~(y > series._SLOW_Y)
-    ys, ws, yf, wf = y[inner], a.w[inner], y[fast], a.w[fast]
-    exact = 0.0
-    for k, c in terms:
-        exact = exact + c * _slow_sum(tag, *slow, k)
-    rho_one = float(sum(c for _, c in terms))
-    if yf.size == 0:
-        return SeriesValue(rho_one - exact, 0.0, 0)
-    zs, zf = ys.copy(), yf.copy()
-    s, f = atom + float(np.dot(ws, zs)), float(np.dot(wf, zf))
-    acc = 0.0
-    n = 1
-    while True:
-        acc += coefficient(tag, n) * (_rho_at(terms, s + f) - _rho_at(terms, s))
-        zs *= ys
-        zf *= yf
-        s, f = atom + float(np.dot(ws, zs)), float(np.dot(wf, zf))
-        bound = coefficient_tail(tag, n) * (
-            _rho_at(_abs_terms(terms), s + f) - _rho_at(_abs_terms(terms), s))
-        if bound <= tol or n >= term_cap:
-            break
-        n += 1
-    return SeriesValue(rho_one - exact - acc, max(bound, 0.0), n, not bound <= tol)
+def _exact_read(a: Channel, terms: Sequence[tuple[int, float]]) -> bool:
+    """True when the engine reads rho's lane on a exactly (see
+    series._series_pass): rho's degree is at most 6 and a has at most 462
+    multiset points at that degree."""
+    degree = max(k for k, _ in terms)
+    return degree <= 6 and convolution.projected_power_support(a.size, degree) <= 462
 
 
 def _series_oracle(tag, a, terms, tol, term_cap) -> SeriesValue:
-    """The scalar oracle of the engine's lane for rho's terms on a: the split
-    loop when a's slow points are summed exactly, else the atom-only one."""
-    slow = _slow_points(a, terms)
-    if slow is None:
+    """The oracle of the engine's lane for rho's terms on a: the exact read
+    phi_of_poly_convolved, with bound 0 after 0 terms, when the lane is
+    small, else the scalar atom-only loop."""
+    if not _exact_read(a, terms):
         return _phi_terms(tag, a, terms, tol, term_cap)
-    return _split_terms(tag, a, terms, tol, term_cap, slow)
+    series._check_stop(tol, term_cap)
+    coeffs = dict(terms)
+    rho = Polynomial(tuple(coeffs.get(k, 0.0) for k in range(1, max(coeffs) + 1)))
+    return SeriesValue(convolution.phi_of_poly_convolved(tag, rho, a), 0.0, 0)
 
 
 BATCH_RHOS = (
@@ -472,15 +420,19 @@ BATCH_RHOS = (
     Polynomial.monomial(6),
     poly_from_string("x^5 - 0.75*x^6"),
 )
+# Degrees above 6: every lane of these takes the series loop.
+LOOP_RHOS = (Polynomial.monomial(7), poly_from_string("x^7 - 0.75*x^8"))
 # Near-perfect points with the remainder of the channel far from perfect:
-# the atom-only series needs ~1/eps terms on them.  The split sums the
-# slow points of SLOW_PAIR exactly (the atom-only series stops at its
-# 10^5-term cap with x^3, bound 1.36e-7), but CAPPED has more slow points
-# than the split takes, so its x^3 series still hits the term cap at tol
+# the atom-only series needs ~1/eps terms on them.  Under x^3 both are read
+# exactly (the atom-only series stops at its 10^5-term cap on SLOW_PAIR,
+# bound 1.36e-7); under x^7 both take the loop and hit the term cap at tol
 # 1e-11.
 SLOW_PAIR = channel([(1e-6, 0.5), (0.3, 0.5)])
 CAPPED = channel([(1e-6, 0.44), (0.01, 0.01), (0.02, 0.01), (0.04, 0.01), (0.06, 0.01),
                   (0.08, 0.01), (0.1, 0.01), (0.3, 0.5)])
+# 30 points, 465 multiset points at degree 2: too wide for the exact read at
+# every degree.
+WIDE = channel([(e, 1 / 30) for e in np.linspace(0.01, 0.45, 30).tolist()])
 
 
 def _batch_rows():
@@ -488,28 +440,32 @@ def _batch_rows():
     rows = [bec(0.3), bsc(0.0), bsc(0.5), bsc(0.1)]
     rows.append(mix(channel([(0.2, 0.5), (0.4, 0.5)]), bsc(0.0), 0.6))
     rows.append(mix(channel([(0.05, 0.3), (0.45, 0.7)]), bsc(0.5), 0.5))
-    # thousands of terms: seven slow points, more than the split takes
+    # thousands of terms where the loop takes it: eight points, 1716 at degree 6
     rows.append(channel([(2e-4, 0.28), (0.01, 0.02), (0.02, 0.02), (0.04, 0.02), (0.06, 0.02),
                          (0.08, 0.02), (0.1, 0.02), (0.2, 0.6)]))
     for i in range(24):
         constraint, level = (H, B, E)[i % 3], 0.1 + 0.03 * i
         top = 0.5 if constraint is E else 1.0
         rows.append(random_channel_with_value(trial_rng(31, i), constraint, level * top))
-    # slow points the split sums exactly, next to fast ones and an atom
+    # near-perfect points next to fast ones and an atom
     rows.append(channel([(2e-4, 0.4), (0.2, 0.6)]))
     rows.append(channel([(0.0, 0.2), (1e-9, 0.2), (0.05, 0.2), (0.11, 0.2), (0.3, 0.2)]))
     return rows
 
 
 def _assert_matches_oracle(tag, rho, rows, tol, term_cap=series.DEFAULT_TERM_CAP):
-    """Compare the batch with the scalar oracles row by row; returns the
-    oracles' values.  numpy's pow and the w . y^n sums round differently
-    from Python's float pow and BLAS's fused dot product, so values may
-    differ in the last digit."""
+    """Compare the batch with the oracles row by row; returns the oracles'
+    values.  A lane read exactly is its oracle bit for bit.  On the loop,
+    numpy's pow and the w . y^n sums round differently from Python's float
+    pow and BLAS's fused dot product, so values may differ in the last
+    digit."""
     got = phi_of_poly_batch(tag, rho, rows, tol=tol, term_cap=term_cap)
     assert len(got) == len(rows)
     wants = [_series_oracle(tag, a, rho.terms, tol, term_cap) for a in rows]
-    for sv, want in zip(got, wants):
+    for a, sv, want in zip(rows, got, wants):
+        if _exact_read(a, rho.terms):
+            assert sv == want and sv.value.hex() == want.value.hex()
+            continue
         assert sv.terms == want.terms
         assert sv.capped == want.capped
         assert abs(sv.value - want.value) <= 1e-14
@@ -518,36 +474,42 @@ def _assert_matches_oracle(tag, rho, rows, tol, term_cap=series.DEFAULT_TERM_CAP
 
 
 @pytest.mark.parametrize("tag", (H, B))
-@pytest.mark.parametrize("rho", BATCH_RHOS, ids=str)
+@pytest.mark.parametrize("rho", BATCH_RHOS + LOOP_RHOS, ids=str)
 def test_batch_matches_single_channel_loop(tag, rho):
     rows = _batch_rows()
     _assert_matches_oracle(tag, rho, rows, tol=1e-11)
-    # the slow row outlives every other by several doubling blocks
+    # where the eight-point row takes the loop, it outlives the fast rows by
+    # several doubling blocks
     terms = [sv.terms for sv in phi_of_poly_batch(tag, rho, rows, tol=1e-11)]
     assert terms[:3] == [0, 0, 0]
-    assert terms[6] > 2 * max(terms[:6] + terms[7:])
+    if not _exact_read(rows[6], rho.terms):
+        assert terms[6] > 2 * max(terms[3:6])
     assert min(terms[3:]) <= series._BATCH_FIRST_BLOCK
 
 
 def test_batch_term_cap_row_is_exact():
     rows = [bsc(0.2), CAPPED, bec(0.4)]
-    want = _assert_matches_oracle(H, Polynomial.monomial(3), rows, tol=1e-11)
+    want = _assert_matches_oracle(H, Polynomial.monomial(7), rows, tol=1e-11)
     assert want[1].terms == series.DEFAULT_TERM_CAP
     assert want[1].error_bound > 1e-11
 
 
 def test_capped_flag_marks_a_term_cap_stop_above_tol():
-    # the atom-only series stops at the cap on SLOW_PAIR; the split does not
+    # the atom-only series stops at the cap on SLOW_PAIR; the exact read does not
     old = _phi_terms(H, SLOW_PAIR, ((3, 1.0),), 1e-11, series.DEFAULT_TERM_CAP)
     assert old.capped and old.terms == series.DEFAULT_TERM_CAP
     assert old.error_bound == pytest.approx(1.36e-7, rel=1e-2)
-    want = _series_oracle(H, CAPPED, ((3, 1.0),), 1e-11, series.DEFAULT_TERM_CAP)
+    # degree 7 takes the loop, and the x^2 term keeps the bound large
+    rho = poly_from_string("x^2 + x^7")
+    want = _series_oracle(H, CAPPED, rho.terms, 1e-11, series.DEFAULT_TERM_CAP)
     assert want.capped
     assert want.terms == series.DEFAULT_TERM_CAP
     assert want.error_bound > 1e3 * 1e-11
     rows = [bsc(0.2), CAPPED, SLOW_PAIR, bec(0.4)]
+    got = phi_of_poly_batch(H, rho, rows, tol=1e-11)
+    assert [sv.capped for sv in got] == [False, True, True, False]
     got = phi_of_poly_batch(H, Polynomial.monomial(3), rows, tol=1e-11)
-    assert [sv.capped for sv in got] == [False, True, False, False]
+    assert [(sv.capped, sv.terms) for sv in got] == [(False, 0)] * 4
     # every row of the mixed batch stops below tol before the cap
     for tag in (H, B):
         for rho in BATCH_RHOS:
@@ -556,8 +518,8 @@ def test_capped_flag_marks_a_term_cap_stop_above_tol():
 
 
 def test_capped_flag_needs_the_bound_above_tol_at_the_cap():
-    # an atom-only lane (no slow point) and a split lane
-    rho = Polynomial.monomial(3)
+    # two lanes that take the loop, one a single point
+    rho = Polynomial.monomial(7)
     for a in (bsc(0.15), channel([(0.05, 0.5), (0.2, 0.5)])):
         natural = _series_oracle(H, a, rho.terms, 1e-11, series.DEFAULT_TERM_CAP).terms
         assert natural > 2
@@ -571,8 +533,8 @@ def test_capped_flag_needs_the_bound_above_tol_at_the_cap():
 @pytest.mark.parametrize("term_cap", (1, 5, 8, 9, 30))
 def test_batch_small_term_caps_stop_inside_blocks(term_cap):
     for tag in (H, B):
-        _assert_matches_oracle(tag, BATCH_RHOS[2], _batch_rows(), 1e-14, term_cap)
-        got = phi_of_poly_batch(tag, BATCH_RHOS[2], _batch_rows(), 1e-14, term_cap)
+        _assert_matches_oracle(tag, LOOP_RHOS[1], _batch_rows(), 1e-14, term_cap)
+        got = phi_of_poly_batch(tag, LOOP_RHOS[1], _batch_rows(), 1e-14, term_cap)
         assert any(sv.capped for sv in got)
 
 
@@ -610,10 +572,10 @@ def _same_columns(got, want):
     return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("schedule", ((1, 1, 1 << 22, 1), (3, 5, 1 << 22, 3), (8, 512, 40, 8),
-                                      (64, 4096, 1 << 22, 64)))
+@pytest.mark.parametrize("schedule", ((1, 1, 1 << 22), (3, 5, 1 << 22), (8, 512, 40),
+                                      (64, 4096, 1 << 22)))
 def test_engine_columns_do_not_depend_on_the_block_schedule(monkeypatch, schedule):
-    # a sweep row's channels, split rows among them, with a term cap that
+    # a sweep row's channels on the loop's degrees, with a term cap that
     # stops their slowest lanes, and an area batch, whose lanes stop at
     # different terms, on both powers
     p = EnsembleParams(20, 40)
@@ -623,15 +585,14 @@ def test_engine_columns_do_not_depend_on_the_block_schedule(monkeypatch, schedul
     runs = []
     for tag in (H, B):
         chans = _sweep_batch(tag)
-        for rho in DEFAULT_SWEEP_RHOS[::3]:
+        for rho in LOOP_RHOS:
             runs.append(lambda tag=tag, rho=rho, chans=chans:
                         [series.phi_of_poly_columns(tag, rho, chans, 1e-11, 20)])
-        assert any(_slow_points(a, rho.terms) is not None for a in chans)
         runs.append(lambda tag=tag: series.phi_of_polys_columns(tag, area_rhos, rows, 1e-10))
     want = [run() for run in runs]
     assert any(cols.capped.any() for out in want for cols in out)
     assert any((out[0].terms != out[1].terms).any() for out in want if len(out) == 2)
-    names = ("_BATCH_FIRST_BLOCK", "_BATCH_MAX_BLOCK", "_BATCH_MAX_ENTRIES", "_SLOW_FIRST_BLOCK")
+    names = ("_BATCH_FIRST_BLOCK", "_BATCH_MAX_BLOCK", "_BATCH_MAX_ENTRIES")
     for name, value in zip(names, schedule, strict=True):
         monkeypatch.setattr(series, name, value)
     for run, out in zip(runs, want):
@@ -658,9 +619,9 @@ def test_one_pass_is_one_call_per_polynomial_bit_for_bit(ensemble, term_cap):
             assert any(cols.capped.any() and not cols.capped.all() for cols in got)
 
 
-# The engine as it was before the slow split, kept verbatim as the oracle of
-# its atom-only lanes: a row with no slow point in 0 < x < 1, or more than
-# the split takes, and every rho of degree above _SLOW_MAX_DEGREE.
+# The engine's series loop as a pass of its own, kept verbatim as the oracle
+# of every lane that is not read exactly: every rho of degree above 6, and
+# a row with more than 462 multiset points at rho's degree.
 def _atom_only_pass(tag, rhos, padded, tol, term_cap):
     """Phi(rho(a)) of every rho for every padded row (atoms, counts, ys,
     ws), every lane by the atom-only arithmetic."""
@@ -733,12 +694,13 @@ def _atom_only_pass(tag, rhos, padded, tol, term_cap):
 
 @pytest.mark.parametrize("term_cap", (series.DEFAULT_TERM_CAP, 30, 2))
 def test_one_pass_is_one_call_per_polynomial_on_split_rows(term_cap):
-    # the sweep rhos next to degrees the split does not take, on sweep rows
-    # with slow points and rows it does not take
+    # lanes split between the two routes: the sweep rhos next to degrees
+    # above the exact read's, and x^6 read exactly on the sweep rows but
+    # not on the wide rows beside them
     rhos = DEFAULT_SWEEP_RHOS + (Polynomial.monomial(7), EnsembleParams(20, 40).area_poly)
     for tag in (H, B):
-        chans = _sweep_batch(tag) + _batch_rows()
-        assert any(_slow_points(a, rhos[0].terms) is not None for a in chans)
+        chans = _sweep_batch(tag) + _batch_rows() + [CAPPED, WIDE]
+        assert len({_exact_read(a, Polynomial.monomial(6).terms) for a in chans}) == 2
         eps, w, sizes = series._channel_rows(chans)
         rows = (eps, w, np.concatenate(([0], np.cumsum(sizes))))
         got = series.phi_of_polys_columns(tag, rhos, rows, 1e-11, term_cap)
@@ -825,13 +787,13 @@ def test_area_rows_are_the_atom_only_engine_bit_for_bit(ensemble):
 
 
 def test_atom_only_lanes_are_the_atom_only_engine_bit_for_bit():
-    # every lane the split does not take, alone and next to split lanes
+    # every lane not read exactly, alone and next to exact lanes
     for tag in (H, B):
-        chans = _sweep_batch(tag) + [CAPPED] + _batch_rows()
+        chans = _sweep_batch(tag) + [CAPPED, WIDE] + _batch_rows()
         padded = series._padded_batch(*series._channel_rows(chans))
-        for rho in DEFAULT_SWEEP_RHOS + BATCH_RHOS + (Polynomial.monomial(7),):
-            plain = np.array([_slow_points(a, rho.terms) is None for a in chans])
-            assert plain.any() and plain.all() == (rho.degree > series._SLOW_MAX_DEGREE)
+        for rho in DEFAULT_SWEEP_RHOS + BATCH_RHOS + LOOP_RHOS:
+            plain = np.array([not _exact_read(a, rho.terms) for a in chans])
+            assert plain.any() and plain.all() == (rho.degree > 6)
             want = _atom_only_pass(tag, (rho,), padded, 1e-11, series.DEFAULT_TERM_CAP)[0]
             for got in (series.phi_of_poly_columns(tag, rho, chans, 1e-11),
                         series.phi_of_poly_columns(tag, rho, [a for a, p in zip(chans, plain) if p],
@@ -842,19 +804,82 @@ def test_atom_only_lanes_are_the_atom_only_engine_bit_for_bit():
 
 
 def test_atom_only_batches_take_no_split_work(monkeypatch):
-    # the area margins' degrees, and sweep rows without a slow point
-    slows = []
+    # the area margins' degrees, and rows too wide for the exact read at a
+    # low degree, take the loop alone; the sweep rows at the sweep degrees
+    # take the exact read alone
+    loops = []
     real = series._loop
-    monkeypatch.setattr(series, "_slow_sums", lambda *args: pytest.fail("summed slow points"))
-    monkeypatch.setattr(series, "_loop", lambda *args: slows.append(args[8]) or real(*args))
+    monkeypatch.setattr(series, "_phi_of_poly_rows", lambda *args: pytest.fail("read exactly"))
+    monkeypatch.setattr(series, "_loop", lambda *args: loops.append(args[2].size) or real(*args))
     p = EnsembleParams(20, 40)
     keys, hs = _area_batch(p)
     series.phi_of_polys_columns(H, (Polynomial.monomial(40), Polynomial.monomial(39)),
                                 keyed_rows_with_value(keys, H, hs), 1e-10)
-    rho = Polynomial.monomial(2)
-    chans = [a for a in _sweep_batch(H) if _slow_points(a, rho.terms) is None]
-    series.phi_of_poly_columns(H, rho, chans, 1e-11)
-    assert slows == [None, None]
+    series.phi_of_poly_columns(H, Polynomial.monomial(2), [WIDE, WIDE], 1e-11)
+    assert loops == [2 * len(keys), 2]
+    monkeypatch.undo()
+    monkeypatch.setattr(series, "_loop", lambda *args: pytest.fail("ran the loop"))
+    for rho in DEFAULT_SWEEP_RHOS:
+        series.phi_of_poly_columns(H, rho, _sweep_batch(H), 1e-11)
+
+
+def _route_columns(tag, rho, chans, tol=1e-11, term_cap=series.DEFAULT_TERM_CAP):
+    """The columns of each lane's own route: phi_of_poly_convolved_batch
+    with bound 0.0 after 0 terms where the lane is read exactly, else
+    _atom_only_pass."""
+    want = _atom_only_pass(tag, (rho,), series._padded_batch(*series._channel_rows(chans)),
+                           tol, term_cap)[0]
+    exact = np.array([_exact_read(a, rho.terms) for a in chans])
+    if exact.any():
+        want.value[exact] = convolution.phi_of_poly_convolved_batch(
+            tag, rho, [a for a, e in zip(chans, exact) if e])
+        want.error_bound[exact], want.terms[exact], want.capped[exact] = 0.0, 0, False
+    return want
+
+
+# 462 = C(11, 6) = C(462, 1) multiset points is the largest support read exactly
+AT_LIMIT = channel([(e, 1 / 462) for e in np.linspace(0.01, 0.49, 462).tolist()])
+PAST_LIMIT = channel([(e, 1 / 463) for e in np.linspace(0.01, 0.49, 463).tolist()])
+SIX = channel([(0.05 * i, 1 / 6) for i in range(1, 7)])
+SEVEN = channel([(1e-6, 0.5), (0.15, 0.1), (0.2, 0.1), (0.25, 0.1), (0.3, 0.1), (0.35, 0.05),
+                 (0.4, 0.05)])
+
+
+@pytest.mark.parametrize("tag", (H, B))
+def test_each_lane_takes_its_route_bit_for_bit(tag):
+    # (row, degree, multiset points, read exactly): both sides of the 462
+    # limit and of the degree limit
+    cases = [(AT_LIMIT, 1, 462, True), (PAST_LIMIT, 1, 463, False), (SIX, 6, 462, True),
+             (SEVEN, 6, 924, False), (SEVEN, 3, 84, True), (bsc(0.1), 6, 1, True),
+             (bsc(0.1), 7, 1, False)]
+    for a, d, support, exact in cases:
+        rho = Polynomial.monomial(d)
+        assert convolution.projected_power_support(a.size, d) == support
+        assert _exact_read(a, rho.terms) is exact
+        got = series.phi_of_poly_columns(tag, rho, [a], 1e-11)
+        assert _same_columns(got, _route_columns(tag, rho, [a]))
+        assert bool(got.terms[0] == 0) is exact
+    # rhos on both sides of the degree limit in one pass, on one row and on
+    # a sweep batch next to wide and near-perfect rows, and one rho a call
+    rhos = DEFAULT_SWEEP_RHOS + LOOP_RHOS + (Polynomial((0.5, 0.0, 0.0, 0.0, 0.0, -0.25)),)
+    for chans in ([bsc(0.1)], _sweep_batch(tag) + _batch_rows() + [CAPPED, WIDE, SIX, SEVEN]):
+        eps, w, sizes = series._channel_rows(chans)
+        rows = (eps, w, np.concatenate(([0], np.cumsum(sizes))))
+        for rho, cols in zip(rhos, series.phi_of_polys_columns(tag, rhos, rows, 1e-11), strict=True):
+            want = _route_columns(tag, rho, chans)
+            assert _same_columns(cols, want)
+            assert _same_columns(series.phi_of_poly_columns(tag, rho, chans, 1e-11), want)
+
+
+def test_a_wide_near_perfect_row_reads_capped_past_the_exact_limit():
+    # 84 points at x^3: read exactly; 924 at x^6: the loop, which stops at
+    # its term cap with the bound above tol rather than returning a silent value
+    exact = phi_series(H, SEVEN, 3, 1e-11)
+    assert exact == SeriesValue(convolution.phi_of_poly_convolved(H, Polynomial.monomial(3), SEVEN),
+                                0.0, 0, False)
+    capped = phi_series(H, SEVEN, 6, 1e-11)
+    assert capped.capped and capped.terms == series.DEFAULT_TERM_CAP
+    assert capped.error_bound > 1e-11
 
 
 def test_batch_empty_and_validation():
@@ -919,9 +944,9 @@ def test_rows_without_interior_points_are_rho_one_minus_rho_atom():
 
 def test_batch_rows_are_the_columns_as_python_values():
     rows = [bsc(0.1), bec(0.3), CAPPED, bsc(0.0)]
-    cols = series.phi_of_poly_columns(H, Polynomial.monomial(3), rows, 1e-11)
+    cols = series.phi_of_poly_columns(H, Polynomial.monomial(7), rows, 1e-11)
     assert cols.terms.dtype.kind == "i" and cols.capped.dtype == bool
-    batch = phi_of_poly_batch(H, Polynomial.monomial(3), rows, 1e-11)
+    batch = phi_of_poly_batch(H, Polynomial.monomial(7), rows, 1e-11)
     assert [sv.capped for sv in batch] == [False, False, True, False]
     for i, sv in enumerate(batch):
         assert [type(v) for v in (sv.value, sv.error_bound, sv.terms, sv.capped)] == [
@@ -980,12 +1005,13 @@ def test_complement_takes_integer_degrees_only(monkeypatch):
 
 def test_lone_calls_are_their_row_of_a_mixed_batch():
     # a lone channel and the same channel inside any batch give one answer,
-    # bit for bit: fast rows, idle rows, a slow row and a term-cap row
+    # bit for bit: fast rows, idle rows, a slow row, exact reads and a
+    # term-cap row
     rows = [CAPPED] + _batch_rows() + _split_rows()
     for tag in (H, B):
-        for rho in BATCH_RHOS + (Polynomial.monomial(3),):
+        for rho in BATCH_RHOS + (Polynomial.monomial(3),) + LOOP_RHOS:
             batch = phi_of_poly_batch(tag, rho, rows, tol=1e-11)
-            assert batch[0].capped
+            assert batch[0].capped is not _exact_read(CAPPED, rho.terms)
             power = rho.degree if rho.terms == ((rho.degree, 1.0),) else None
             for a, row in zip(rows, batch):
                 assert phi_of_poly(tag, rho, a, tol=1e-11) == row
