@@ -13,14 +13,13 @@ per size-d multiset of c's points, weighted by its multinomial
 probability, and a product of factors is the outer combination of their
 points.  Each point carries eps and x side by side: x multiplies, which
 keeps full relative precision near the useless channel, and eps combines
-by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.  The
-powers climb on rows of points (_climb).  The inequality catalog's reads,
-Phi or 1 - Phi of a convolution, and eicomb.series.complement_of_convolution
-go through one evaluator (_read_values); Phi(rho(a)) = sum_k c_k Phi(a^[k])
-of many rows is one climb (_phi_of_poly_rows), which the fixed-error
-bounds, phi_of_poly_convolved and the small lanes of the moment series of
-eicomb.series read; and check_power and check_convolve settle the same
-points into a channel.
+by e1 (1 - e2) + e2 (1 - e1), which keeps it near the perfect one.  One
+array core (_product_rows) forms the points of a batch of reads as rows,
+every channel climbing once (_climb), and channel._row_totals adds up every
+read: the catalog's and complement_of_convolution's (_read_values), and
+Phi(rho(a)) of the sweeps, the fixed-error bounds and phi_of_poly_convolved
+(_phi_of_poly_rows).  check_power and check_convolve settle the same points
+into a channel.
 
 A measure is an unnormalized (x, w) pair of arrays: convolving two is an
 outer product, and a merged sum merges points closer than X_MERGE_TOL in x
@@ -31,10 +30,9 @@ these operations.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -106,21 +104,14 @@ def check_convolve(a: Channel, b: Channel, cap: int = DEFAULT_SUPPORT_CAP) -> Ch
     if a.size * b.size > cap:
         raise SupportCapError(
             f"convolution support {a.size * b.size} exceeds cap {cap}; use series evaluation")
-    factors = ((a, 1), (b, 1))
-    eps, _, w = _product_points(factors, _powers(factors))
+    (eps, _, w), _ = _product_rows(*_channel_rows([a, b]), np.ones(2, dtype=np.int64),
+                                   np.arange(2), np.ones(2, dtype=np.int64), np.full(1, 2))
     return _trusted(eps, w)
 
 
 def projected_power_support(support: int, d: int) -> int:
     """Multiset bound on the merged support of a d-fold self-convolution."""
     return math.comb(d + support - 1, support - 1)
-
-
-def _combined(p: Points, q: Points) -> Points:
-    """The product points of two point sets, p's index major."""
-    e, f = p[0][:, None], q[0]
-    return ((e * (1.0 - f) + f * (1.0 - e)).ravel(),
-            np.multiply.outer(p[1], q[1]).ravel(), np.multiply.outer(p[2], q[2]).ravel())
 
 
 def _climb(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray,
@@ -173,46 +164,56 @@ def _climb(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray,
         yield k, (e, px, pw), counts
 
 
-def _powers(requests: Iterable[tuple[Channel, int]]) -> dict[tuple[Channel, int], Points]:
-    """The points of c^[d] for each request (c, d), one per size-d multiset
-    of c's points in lexicographic order; at d = 1 c's own eps, 1 - 2 eps
-    and weights.  Every channel climbs once (_climb), to the highest degree
-    any request takes it, and all climb together."""
-    requests = set(requests)
-    tops: dict[Channel, int] = {}
-    wanted: dict[int, list[Channel]] = {}
-    out = {}
-    for a, d in requests:
-        tops[a] = max(d, tops.get(a, 0))
-        if d == 1:
-            out[a, 1] = a.eps, 1.0 - 2.0 * a.eps, a.w
-        else:
-            wanted.setdefault(d, []).append(a)
-    rows = sorted((a for a in tops if tops[a] > 1), key=tops.get, reverse=True)
-    if not rows:
-        return out
-    index = {a: i for i, a in enumerate(rows)}
-    sizes = np.array([a.size for a in rows])
-    climb = _climb(np.concatenate([a.eps for a in rows]), np.concatenate([a.w for a in rows]),
-                   sizes, np.array([tops[a] for a in rows]))
-    for k, points, counts in climb:
+def _product_rows(eps: np.ndarray, w: np.ndarray, sizes: np.ndarray, tops: np.ndarray,
+                  rows: np.ndarray, degrees: np.ndarray,
+                  lengths: np.ndarray) -> tuple[Points, np.ndarray]:
+    """The product points (eps, x, w) of a batch of reads, unmerged and back
+    to back, and the offsets of each read's points.  Row i is the sizes[i]
+    points (eps, w) after those of the rows before it, and tops[i], not
+    increasing from row to row, its highest degree read.  Read r convolves
+    the next lengths[r] factors rows[f]^[degrees[f]], the first factor
+    index-major (no factor: the perfect point); the caller checks its cap.
+
+    Every row climbs once (_climb), keeping the degrees read.  A read's
+    factors are a row of a table padded with the perfect point (0, 1, 1),
+    whose fold changes no bit; its point t is t's digits in the factors'
+    counts, and eps folds by e (1 - f) + f (1 - e), x and w by products.
+    """
+    wanted = set(degrees.tolist())
+    table = np.zeros((2, int(tops[0]) + 1 if tops.size else 1, sizes.size), dtype=np.int64)
+    blocks, kept = [], 0  # table[:, k, i]: where row i's points at degree k start, and their count
+    for k, points, counts in _climb(eps, w, sizes, tops):
         if k in wanted:
-            at = np.concatenate(([0], np.cumsum(counts))).tolist()
-            for a in wanted[k]:
-                i = index[a]
-                out[a, k] = tuple(v[at[i]:at[i + 1]] for v in points)
-    return out
-
-
-def _product_points(factors: Sequence[tuple[Channel, int]],
-                    powers: dict[tuple[Channel, int], Points]) -> Points:
-    """The product points of the convolution of each c^[d] of factors
-    (c, d), unmerged, factor by factor in index-major order, from powers
-    (_powers of the factors, or of more); the perfect channel's one point
-    for no factor.  There are prod_i projected_power_support(c_i.size, d_i)
-    of them, which the caller checks against its cap first."""
-    parts = [powers[a, d] for a, d in factors]
-    return functools.reduce(_combined, parts) if parts else _PERFECT_POINTS
+            table[:, k, :counts.size] = kept + counts.cumsum() - counts, counts
+            blocks.append(points)
+            kept += points[0].size
+    reads, m = lengths.size, int(lengths.max(initial=0))
+    if rows.size == reads * m > 0:
+        first, shape = table[:, degrees, rows]
+    else:  # pad each read to m factors with the perfect point, kept last
+        m = max(m, 1)
+        blocks.append(_PERFECT_POINTS)
+        at = lengths.cumsum() - lengths  # each read's first factor
+        cell = np.repeat(np.arange(reads) * m - at, lengths) + np.arange(rows.size)
+        first, shape = np.full(reads * m, kept), np.ones(reads * m, dtype=np.int64)
+        first[cell], shape[cell] = table[:, degrees, rows]
+    pe, px, pw = blocks[0] if len(blocks) == 1 else (np.concatenate(v) for v in zip(*blocks))
+    first, shape = first.reshape(reads, m), shape.reshape(reads, m)
+    n = shape.prod(axis=1)
+    off = np.concatenate(([0], n.cumsum()))
+    if m == 1 and off[-1] == pe.size and (first[:, 0] == off[:-1]).all():
+        return (pe, px, pw), off  # the reads are the kept points in order
+    t = np.arange(off[-1]) - np.repeat(off[:-1], n)
+    digits = []  # each later factor's point of each product point, the last first
+    for j in range(m - 1, 0, -1):
+        t, i = np.divmod(t, np.repeat(shape[:, j], n))
+        digits.append(i + np.repeat(first[:, j], n))
+    i = t + np.repeat(first[:, 0], n)
+    e, x, v = pe[i], px[i], pw[i]
+    for i in reversed(digits):
+        f = pe[i]
+        e, x, v = e * (1.0 - f) + f * (1.0 - e), x * px[i], v * pw[i]
+    return (e, x, v), off
 
 
 # A read of a convolution: (tag, kind, factors), kind "phi" for Phi and
@@ -226,50 +227,52 @@ _CAP_MESSAGES = {
 
 
 def _read_values(reads: Sequence[Read]) -> list[float]:
-    """The value of each read, in input order, reads of any tag, kind and
-    degrees in one batch.
-
-    A read is the sum over its product points (_product_points) of
-    w * Phi(BSC(eps)) (pointwise) for "phi", or of w * (1 - Phi(BSC(eps)))
-    from the point's carried eps and x (functionals._complement_points, H
-    and B only) for "conv": one per-point call per (tag, kind) over every
-    point of the batch, and each read's terms added by np.add.reduce of
-    its own contiguous slice, numpy's pairwise sum, which depends neither on
-    the batch nor on the slice's place in memory, and below 8 terms adds left
-    to right from 0.0.  There is no series and no merge, so every term is
-    exact to a few ulps.  A read with no factor is the perfect channel.
-    Every read is checked before any point is formed: a float degree raises
-    TypeError (operator.index), a degree below 1 or E in a "conv" read
-    ValueError, and more than DEFAULT_SUPPORT_CAP points SupportCapError.
-    """
-    rows = []
-    for tag, kind, factors in reads:
+    """The value of each read, in input order, any tags, kinds and degrees
+    in one batch.  Every read is checked before any point is formed: a float
+    degree raises TypeError (operator.index), a degree below 1 or E in a
+    "conv" read ValueError, and more than DEFAULT_SUPPORT_CAP points
+    SupportCapError.  Grouped by (tag, kind), the reads are then one
+    _product_rows batch, and a read sums w * Phi(BSC(eps)) (pointwise) for
+    "phi", or w * (1 - Phi(BSC(eps))) from the point's eps and x
+    (functionals._complement_points, H and B only) for "conv": one per-point
+    call per group, and one channel._row_totals for every read (numpy's
+    pairwise sum of the read's own points, whatever the batch)."""
+    tops: dict[Channel, int] = {}  # each distinct channel's highest degree
+    groups: dict[tuple[Functional, str], tuple[list[int], list[Channel], list[int], list[int]]] = {}
+    for r, (tag, kind, factors) in enumerate(reads):
         if kind == "conv":
             _series_tag(tag)
-        row = [(ch, operator.index(d)) for ch, d in factors]
-        for _, d in row:
+        degrees = [operator.index(d) for _, d in factors]
+        for d in degrees:
             if d < 1:
                 raise ValueError(f"power must be a positive integer, got {d!r}")
-        n = math.prod(projected_power_support(ch.size, d) for ch, d in row)
+        order, chans, degs, lengths = groups.setdefault((tag, kind), ([], [], [], []))
+        n = 1
+        for (ch, _), d in zip(factors, degrees):
+            n *= projected_power_support(ch.eps.size, d)
+            tops[ch] = max(d, tops.get(ch, 0))
+            chans.append(ch)
         if n > DEFAULT_SUPPORT_CAP:
             raise SupportCapError(_CAP_MESSAGES[kind].format(
-                n=n, d=" x ".join(str(d) for _, d in row), cap=DEFAULT_SUPPORT_CAP))
-        rows.append(row)
-    powers = _powers(f for row in rows for f in row)  # each channel climbs once
-    points = [_product_points(row, powers) for row in rows]
-    groups: dict[tuple[Functional, str], list[int]] = {}
-    for r, (tag, kind, _) in enumerate(reads):
-        groups.setdefault((tag, kind), []).append(r)
-    out = [0.0] * len(rows)
-    for (tag, kind), mine in groups.items():
-        eps, x, w = (np.concatenate([points[r][i] for r in mine]) for i in range(3))
-        terms = w * (pointwise(tag, eps) if kind == "phi" else _complement_points(tag, eps, x))
-        at = 0
-        for r in mine:
-            size = points[r][0].size
-            out[r] = float(np.add.reduce(terms[at:at + size]))
-            at += size
-    return out
+                n=n, d=" x ".join(map(str, degrees)), cap=DEFAULT_SUPPORT_CAP))
+        order.append(r)
+        lengths.append(len(degrees))
+        degs += degrees
+    chans = sorted(tops, key=tops.get, reverse=True)  # as _climb wants
+    row = {ch: i for i, ch in enumerate(chans)}
+    order, degs, lengths = (np.array([v for g in groups.values() for v in g[i]], dtype=np.intp)
+                            for i in (0, 2, 3))
+    rows = np.array([row[ch] for g in groups.values() for ch in g[1]], dtype=np.intp)
+    (eps, x, w), off = _product_rows(*_channel_rows(chans), np.array([tops[ch] for ch in chans]),
+                                     rows, degs, lengths)
+    terms = np.empty(off[-1])
+    cuts = off[np.cumsum([0] + [len(g[0]) for g in groups.values()])].tolist()
+    for (tag, kind), lo, hi in zip(groups, cuts[:-1], cuts[1:]):
+        e = eps[lo:hi]
+        terms[lo:hi] = w[lo:hi] * (pointwise(tag, e) if kind == "phi" else _complement_points(tag, e, x[lo:hi]))
+    out = np.empty(len(reads))
+    out[order] = _row_totals(terms, off)
+    return out.tolist()
 
 
 def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
@@ -283,7 +286,8 @@ def check_power(a: Channel, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> Channel:
         raise SupportCapError(_CAP_MESSAGES["phi"].format(n=n, d=d, cap=cap))
     if d == 1:
         return a
-    eps, _, w = _powers([(a, d)])[a, d]
+    (eps, _, w), _ = _product_rows(*_channel_rows([a]), np.array([d]), np.zeros(1, dtype=np.intp),
+                                   np.array([d]), np.ones(1, dtype=np.intp))
     keep = w > 0.0
     return _trusted(eps[keep], w[keep])
 
@@ -292,26 +296,24 @@ def _channel_rows(chans: Sequence[Channel]) -> tuple[np.ndarray, np.ndarray, np.
     """(eps, w, sizes): the channels' points back to back and each one's
     point count, row r for channel r."""
     sizes = np.fromiter((ch.eps.size for ch in chans), dtype=np.intp, count=len(chans))
+    if not chans:
+        return np.empty(0), np.empty(0), sizes
     return np.concatenate([ch.eps for ch in chans]), np.concatenate([ch.w for ch in chans]), sizes
 
 
 def _phi_of_poly_rows(tag: Functional, rho: "Polynomial", eps: np.ndarray, w: np.ndarray,
                       sizes: np.ndarray) -> np.ndarray:
-    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each row a, row i the sizes[i]
-    points (eps, w) after those of the rows before it, exactly: Phi(a^[k])
-    is the sum of w * Phi(BSC(eps)) (pointwise) over the multiset points of
-    one _climb of every row to rho's degree, each read degree's terms added
-    per row by channel._row_totals (numpy's pairwise sum of the row's own
-    slice, as _read_values adds a read), and the degrees in ascending order
-    from 0.0 (-0.0 with a linear term, so -0.0 + v is v).  A row's value
-    depends on no other row.  The caller checks the support."""
-    degrees = [k for k, _ in rho.terms]
-    read = [(points, counts) for k, points, counts
-            in _climb(eps, w, sizes, np.full(sizes.size, degrees[-1])) if k in degrees]
-    e, pw = (np.concatenate([points[i] for points, _ in read]) for i in (0, 2))
-    off = np.concatenate(([0], np.cumsum(np.concatenate([counts for _, counts in read]))))
-    sums = _row_totals(pw * pointwise(tag, e), off).reshape(len(read), sizes.size)
-    total = np.full(sizes.size, -0.0 if degrees[0] == 1 else 0.0)
+    """Phi(rho(a)) = sum_k c_k Phi(a^[k]) for each row a (rows as
+    _product_rows takes them), exactly: one "phi" read per degree of rho and
+    row, summed as _read_values sums a read, and the degrees added in
+    ascending order from 0.0 (-0.0 with a linear term, so -0.0 + v is v).
+    A row's value depends on no other row.  The caller checks the support."""
+    degrees = np.array([k for k, _ in rho.terms], dtype=np.int64)
+    rows = np.arange(degrees.size * sizes.size) % sizes.size  # a read per (degree, row), degree-major
+    (e, _, pw), off = _product_rows(eps, w, sizes, np.full(sizes.size, degrees[-1]), rows,
+                                    degrees.repeat(sizes.size), np.ones(rows.size, dtype=np.intp))
+    sums = _row_totals(pw * pointwise(tag, e), off).reshape(degrees.size, sizes.size)
+    total = np.full(sizes.size, -0.0 if rho.terms[0][0] == 1 else 0.0)
     for (_, c), by_row in zip(rho.terms, sums):
         total = total + c * by_row
     return total
@@ -328,8 +330,6 @@ def phi_of_poly_convolved_batch(tag: Functional, rho: "Polynomial",
             n = projected_power_support(a.size, k)
             if n > DEFAULT_SUPPORT_CAP:
                 raise SupportCapError(_CAP_MESSAGES["phi"].format(n=n, d=k, cap=DEFAULT_SUPPORT_CAP))
-    if not channels:
-        return []
     return _phi_of_poly_rows(tag, rho, *_channel_rows(channels)).tolist()
 
 

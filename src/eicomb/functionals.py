@@ -165,9 +165,10 @@ def _level_facts(tag: Functional, *levels: float) -> _Facts:
 
 _LN2 = math.log(2.0)
 
-# Columns of the H complement's term table (every point stops by term 30)
-# and their n (2n - 1) divisors.
+# Columns of the H complement's term table (every point stops by term 30,
+# most within the first _H2_FIRST_TERMS) and their n (2n - 1) divisors.
 _H2_SERIES_TERMS = 32
+_H2_FIRST_TERMS = 8
 _H2_SERIES_DENOMS = np.array(
     [n * (2 * n - 1) for n in range(1, _H2_SERIES_TERMS + 1)], dtype=float
 )
@@ -191,16 +192,19 @@ def _complement_points(tag: Functional, eps: np.ndarray, x: np.ndarray) -> np.nd
         root = x / (np.sqrt(1.0 - eps) + np.sqrt(eps))
         return root * root
     out = 1.0 - h2_vec(eps)
-    series = np.abs(x) < 0.5
-    if series.any():
-        xs = x[series]
-        # terms x^(2n) by repeated multiplication and their partial sums, in
-        # the order of a term-by-term loop
-        terms = np.repeat((xs * xs)[:, None], _H2_SERIES_TERMS, axis=1)
+    todo = np.flatnonzero(np.abs(x) < 0.5)  # the series points with no stop yet
+    # terms x^(2n) by repeated multiplication and their partial sums, in the
+    # order of a term-by-term loop, over the first _H2_FIRST_TERMS columns and
+    # then all for the points with no stop there (the same bits in both)
+    for columns in (_H2_FIRST_TERMS, _H2_SERIES_TERMS):
+        if not todo.size:
+            break
+        terms = np.repeat((x[todo] * x[todo])[:, None], columns, axis=1)
         np.cumprod(terms, axis=1, out=terms)
-        totals = np.cumsum(terms / _H2_SERIES_DENOMS, axis=1)
-        stop = (terms < 1e-17 * totals).argmax(axis=1)
-        out[series] = totals[np.arange(xs.size), stop] / (2.0 * _LN2)
+        totals = np.cumsum(terms / _H2_SERIES_DENOMS[:columns], axis=1)
+        hit = terms < 1e-17 * totals
+        out[todo] = totals[np.arange(todo.size), hit.argmax(axis=1)] / (2.0 * _LN2)
+        todo = todo[~hit.any(axis=1)]
     return out
 
 

@@ -31,10 +31,9 @@ engine evaluates several polynomials on one batch of channels in one pass,
 forming each block's moments once for all of them: phi_of_polys_columns
 takes the batch as settled rows (the area margins read both powers so), and
 phi_of_poly_columns, one polynomial on a list of channels, serves the
-sweeps and the scalar entries.  1 - Phi(a^[d]) itself needs no series: the
-catalog's convolutions have few product points, and
-complement_of_convolution_batch sums them exactly, as the "conv" reads of
-the point layer's one evaluator (eicomb.convolution._read_values).
+sweeps and the scalar entries.  1 - Phi(a^[d]) itself needs no series:
+complement_of_convolution_batch sums a convolution's few product points
+exactly, as the "conv" reads of eicomb.convolution._read_values.
 """
 
 from __future__ import annotations
@@ -759,14 +758,9 @@ def complement_of_convolution_batch(
     reads: Sequence[tuple[Functional, Sequence[tuple[Channel, int]]]],
 ) -> list[float]:
     """complement_of_convolution of each read (tag, factors), in input
-    order, reads of both functionals and any degrees in one batch: the
-    "conv" reads of convolution._read_values, which sums w * (1 - Phi) over
-    each read's product points, exact to a few ulps with no series and no
-    merge.  A read's value does not depend on the batch, and a read of one
-    channel at degree 1 is functionals.complement bit for bit.  A read
-    with no factor is the perfect channel (1.0).  Every read's degrees and
-    support are checked before any point is formed: a float degree raises
-    TypeError (operator.index), a degree below 1 ValueError, and more than
-    DEFAULT_SUPPORT_CAP points SupportCapError.
-    """
+    order: the "conv" reads of convolution._read_values, exact sums over
+    each read's product points, with its checks and errors.  A read's value
+    does not depend on the batch, a read of one channel at degree 1 is
+    functionals.complement bit for bit, and a read with no factor is the
+    perfect channel (1.0)."""
     return _read_values([(tag, "conv", factors) for tag, factors in reads])

@@ -1,6 +1,10 @@
 import importlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1048,3 +1052,20 @@ def test_fixed_error_pair_shares_one_draw_per_key(monkeypatch):
     batches.clear()
     upper_bound_sweep(seed=12, levels=levels, rhos=rhos, per_cell=per_cell)
     assert batches == [len(levels) * per_cell] * (len(rhos) * 2)
+
+
+def test_warm_up_imports_no_lazy_numpy_submodule():
+    # numpy.ma's first import takes ~14 ms; on a workload's first call it
+    # would land in every benchmark set-up time
+    code = ("import sys, eicomb\n"
+            "from eicomb import bounds\n"
+            "bounds.inequality_suite(0, 3)\n"
+            "bounds.upper_bound_sweep(0, per_cell=2)\n"
+            "bounds.fixed_error_sweep(0, per_cell=2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -171,6 +171,17 @@ def test_row_totals_are_each_rows_own_sum():
         want = np.array([w[lo:hi].sum() for lo, hi in zip(off[:-1], off[1:])])
         assert _row_totals(w, off).tobytes() == want.tobytes(), width
     assert _row_totals(np.empty(0), np.zeros(1, dtype=np.intp)).size == 0
+    # the sum of every read of a convolution: rows of the sizes around
+    # numpy's pairwise blocks (8 terms, 128-term unrolls), in shuffled
+    # layouts so each size sits at many offsets, and random layouts
+    sizes = [*range(21), 127, 128, 129, 255, 256, 257, 1000, 3003]
+    layouts = [[lead, *rng.permutation(sizes).tolist()] for lead in range(16)]
+    layouts += [rng.integers(0, 3001, rng.integers(1, 6)).tolist() for _ in range(100)]
+    for rows in layouts:
+        off = np.concatenate(([0], np.cumsum(rows)))
+        w = rng.standard_exponential(off[-1]) * 10.0 ** rng.uniform(-12.0, 0.0, off[-1])
+        want = np.array([np.add.reduce(w[lo:hi]) for lo, hi in zip(off[:-1], off[1:])])
+        assert _row_totals(w, off).tobytes() == want.tobytes(), rows
 
 
 def test_batched_settle_raises_the_first_failing_rows_error():

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from eicomb import bounds, convolution
-from eicomb.bounds import random_channel, trial_rng
-from eicomb.channel import EPS_MERGE_TOL, bec, bsc, channel, mix
+from eicomb.bounds import inequality_suite, random_channel, trial_rng
+from eicomb.channel import EPS_MERGE_TOL, _trusted, bec, bsc, channel, mix
 from eicomb.convolution import (
     SupportCapError,
     check_convolve,
@@ -15,7 +16,17 @@ from eicomb.convolution import (
     phi_of_poly_convolved_batch,
     projected_power_support,
 )
-from eicomb.functionals import Functional, _complement_points, complement, evaluate, pointwise
+from eicomb.functionals import (
+    _H2_SERIES_DENOMS,
+    _H2_SERIES_TERMS,
+    _LN2,
+    Functional,
+    _complement_points,
+    complement,
+    evaluate,
+    h2_vec,
+    pointwise,
+)
 from eicomb.series import Polynomial, complement_of_convolution, moments, poly_from_string
 
 H, B, E = Functional.H, Functional.B, Functional.E
@@ -287,7 +298,12 @@ EDGE_ROWS = [
 
 def test_empty_batch():
     assert convolution._read_values([]) == []
-    assert convolution._powers([]) == {}
+    none = np.empty(0, dtype=np.intp)
+    (eps, x, w), off = convolution._product_rows(*convolution._channel_rows([]), none, none,
+                                                 none, none)
+    assert eps.size == x.size == w.size == 0 and off.tolist() == [0]
+    # reads with no factor only: the perfect channel, with no channel to climb
+    assert convolution._read_values([(H, "conv", ()), (B, "phi", ())]) == [1.0, 0.0]
     assert phi_of_poly_convolved_batch(H, Polynomial.monomial(3), []) == []
 
 
@@ -365,10 +381,159 @@ def test_mixed_batch_is_each_reads_lone_call():
     assert hexes(convolution._read_values(reads[::-1])[::-1]) == hexes(got)
 
 
+# ----------------------------------------------------------------------
+# oracle: the per-read evaluator that the rows core replaced, kept as it
+# was: the points of each (channel, degree) in a dict, one index-major fold
+# of its factors' points per read, and np.add.reduce of each read's terms
+
+
+def _combined(p, q):
+    """The product points of two point sets, p's index major."""
+    e, f = p[0][:, None], q[0]
+    return ((e * (1.0 - f) + f * (1.0 - e)).ravel(),
+            np.multiply.outer(p[1], q[1]).ravel(), np.multiply.outer(p[2], q[2]).ravel())
+
+
+def oracle_powers(requests):
+    """The points of c^[d] for each request (c, d); at d = 1 c's own eps,
+    1 - 2 eps and weights.  Every channel climbs once, to the highest
+    degree any request takes it, and all climb together."""
+    requests = set(requests)
+    tops, wanted, out = {}, {}, {}
+    for a, d in requests:
+        tops[a] = max(d, tops.get(a, 0))
+        if d == 1:
+            out[a, 1] = a.eps, 1.0 - 2.0 * a.eps, a.w
+        else:
+            wanted.setdefault(d, []).append(a)
+    rows = sorted((a for a in tops if tops[a] > 1), key=tops.get, reverse=True)
+    if not rows:
+        return out
+    index = {a: i for i, a in enumerate(rows)}
+    climb = convolution._climb(np.concatenate([a.eps for a in rows]),
+                               np.concatenate([a.w for a in rows]),
+                               np.array([a.size for a in rows]), np.array([tops[a] for a in rows]))
+    for k, points, counts in climb:
+        if k in wanted:
+            at = np.concatenate(([0], np.cumsum(counts))).tolist()
+            for a in wanted[k]:
+                i = index[a]
+                out[a, k] = tuple(v[at[i]:at[i + 1]] for v in points)
+    return out
+
+
+def oracle_points(factors, powers=None):
+    """The product points of the convolution of each c^[d] of factors
+    (c, d), factor by factor in index-major order; the perfect channel's
+    one point for no factor."""
+    if powers is None:
+        powers = oracle_powers(factors)
+    parts = [powers[a, d] for a, d in factors]
+    return functools.reduce(_combined, parts) if parts else (np.zeros(1), np.ones(1), np.ones(1))
+
+
+def oracle_complement_points(tag, eps, x):
+    """_complement_points with every H point's series over all of its
+    _H2_SERIES_TERMS columns."""
+    if tag is B:
+        return _complement_points(tag, eps, x)
+    out = 1.0 - h2_vec(eps)
+    series = np.abs(x) < 0.5
+    if series.any():
+        xs = x[series]
+        terms = np.repeat((xs * xs)[:, None], _H2_SERIES_TERMS, axis=1)
+        np.cumprod(terms, axis=1, out=terms)
+        totals = np.cumsum(terms / _H2_SERIES_DENOMS, axis=1)
+        stop = (terms < 1e-17 * totals).argmax(axis=1)
+        out[series] = totals[np.arange(xs.size), stop] / (2.0 * _LN2)
+    return out
+
+
+def oracle_read_values(reads):
+    """The value of each read: np.add.reduce of its own terms."""
+    powers = oracle_powers(f for _, _, factors in reads for f in factors)
+    out = []
+    for tag, kind, factors in reads:
+        eps, x, w = oracle_points(factors, powers)
+        each = pointwise(tag, eps) if kind == "phi" else oracle_complement_points(tag, eps, x)
+        out.append(float(np.add.reduce(w * each)))
+    return out
+
+
+def test_rows_core_is_the_per_read_evaluator():
+    reads = _mixed_reads()
+    assert hexes(convolution._read_values(reads)) == hexes(oracle_read_values(reads))
+
+
+def test_catalog_reads_are_the_per_read_evaluator(monkeypatch):
+    # every read of every code's suite call, captured where the catalog
+    # hands them to the point layer
+    calls = []
+    values = bounds._read_values
+    monkeypatch.setattr(bounds, "_read_values",
+                        lambda reads: calls.append((reads, values(reads))) or calls[-1][1])
+    inequality_suite(424242, 300)
+    assert len(calls) == len(bounds.INEQUALITIES)
+    assert sum(len(reads) for reads, _ in calls) > 5000
+    for reads, got in calls:
+        assert {len(factors) for _, _, factors in reads} <= {1, 2}
+        assert hexes(got) == hexes(oracle_read_values(reads))
+
+
+def _core_channels():
+    rng = trial_rng(69)
+    chans = [random_channel(rng) for _ in range(30)]
+    return chans + [mix(chans[t], chans[t + 1], float(rng.random())) for t in range(0, 6, 2)]
+
+
+def test_power_and_convolve_points_are_the_oracles():
+    rows = [(a, d) for a in _core_channels() for d in (2, 3, 5)] + EDGE_ROWS
+    for a, d in rows:
+        eps, _, w = oracle_points(((a, d),))
+        keep = w > 0.0
+        want = _trusted(eps[keep], w[keep])
+        got = check_power(a, d)
+        assert got.eps.tobytes() == want.eps.tobytes() and got.w.tobytes() == want.w.tobytes()
+    chans = _core_channels() + [a for a, _ in EDGE_ROWS]
+    for t, a in enumerate(chans):
+        for b in (chans[(t + 7) % len(chans)], a):
+            eps, _, w = oracle_points(((a, 1), (b, 1)))
+            want = _trusted(eps, w)
+            got = check_convolve(a, b)
+            assert got.eps.tobytes() == want.eps.tobytes() and got.w.tobytes() == want.w.tobytes()
+
+
+def test_phi_of_poly_batch_is_the_per_read_evaluator():
+    chans = _core_channels() + [a for a, _ in EDGE_ROWS[:7]]
+    for rho in (Polynomial.monomial(2), Polynomial((0.0, 0.0, 1.0)), Polynomial((-1.0,)),
+                Polynomial((0.5, -0.25, 1.0)), Polynomial((0.0,) * 4 + (1.0, -0.75))):
+        for tag in (H, B, E):
+            want = []
+            for a in chans:
+                total = -0.0 if rho.terms[0][0] == 1 else 0.0
+                for k, c in rho.terms:
+                    total += c * oracle_read_values([(tag, "phi", ((a, k),))])[0]
+                want.append(total)
+            assert hexes(phi_of_poly_convolved_batch(tag, rho, chans)) == hexes(want)
+
+
+def test_complement_points_first_pass_is_the_full_series():
+    # points that stop within the first pass, points that need the full
+    # table (|x| near 1/2 stops near term 28), x = 0 and |x| >= 1/2
+    rng = np.random.default_rng(70)
+    x = np.concatenate((rng.uniform(-0.5, 0.5, 2000), 0.5 - 10.0 ** -rng.uniform(1, 16, 200),
+                        [0.0, -0.0, 0.5, -0.5, 0.4999999999999999, 0.6, 1.0, 1e-300]))
+    eps = 0.5 * (1.0 - x)
+    for tag in (H, B):
+        got = _complement_points(tag, eps, x)
+        assert got.tobytes() == oracle_complement_points(tag, eps, x).tobytes()
+
+
 def test_numpy_pairwise_sum_ignores_memory_layout():
-    # a canary for the evaluator's one sum rule, which reads each read's
-    # terms as a slice of its group's array: on every numpy the matrix
-    # runs, a slice at any offset sums as its own copy does
+    # a canary for the one sum rule: every read is np.add.reduce of its own
+    # terms (channel._row_totals, and functionals.complement for one
+    # channel), so on every numpy the matrix runs, a slice at any offset
+    # must sum as its own copy does
     rng = np.random.default_rng(68)
     terms = rng.standard_exponential(4096) * 10.0 ** rng.uniform(-12.0, 0.0, 4096)
     for offset in range(16):
@@ -386,7 +551,7 @@ def test_reads_of_fewer_than_8_terms_add_left_to_right():
              if projected_power_support(a.size, d) < 8]
     assert len(reads) > 100
     for (tag, kind, factors), value in zip(reads, convolution._read_values(reads)):
-        eps, x, w = convolution._product_points(factors, convolution._powers(factors))
+        eps, x, w = oracle_points(factors)
         each = pointwise(tag, eps) if kind == "phi" else _complement_points(tag, eps, x)
         total = 0.0
         for term in (w * each).tolist():
@@ -394,8 +559,14 @@ def test_reads_of_fewer_than_8_terms_add_left_to_right():
         assert value.hex() == total.hex()
 
 
+def forbid_points(monkeypatch):
+    """Fail on any climb or product point from now on."""
+    for name in ("_climb", "_product_rows"):
+        monkeypatch.setattr(convolution, name, lambda *args: pytest.fail("formed points"))
+
+
 def test_support_cap_raises_before_any_point_is_formed(monkeypatch):
-    monkeypatch.setattr(convolution, "_powers", lambda *args: pytest.fail("formed points"))
+    forbid_points(monkeypatch)
     ten = channel(zip((0.01 * np.arange(1, 11)).tolist(), [0.1] * 10))
     for reads in ([(H, "phi", ((bsc(0.1), 2),)), (E, "phi", ((ten, 20),))],
                   [(B, "conv", ((ten, 6), (ten, 6)))],
@@ -408,6 +579,9 @@ def test_support_cap_raises_before_any_point_is_formed(monkeypatch):
                         ((B, "phi", ((bsc(0.1), 2.0),)), TypeError)):
         with pytest.raises(error):
             convolution._read_values([(H, "phi", ((bsc(0.1), 2),)), read])
+    # and a batch that passes them forms points
+    with pytest.raises(pytest.fail.Exception, match="formed points"):
+        convolution._read_values([(H, "phi", ((bsc(0.1), 2),))])
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from eicomb.series import (
     poly_from_string,
     poly_increasing_on,
 )
+from test_convolution import forbid_points
 
 try:
     from hypothesis import assume, given, settings, strategies as st
@@ -994,7 +995,7 @@ def test_complement_takes_integer_degrees_only(monkeypatch):
     want = series.complement_of_convolution(H, [(bsc(0.1), 2)])
     assert series.complement_of_convolution(H, [(bsc(0.1), np.int64(2))]) == want
     assert series.complement_of_convolution_batch([(H, [(bsc(0.1), np.int64(2))])]) == [want]
-    monkeypatch.setattr(convolution, "_powers", lambda *args: pytest.fail("formed points"))
+    forbid_points(monkeypatch)
     # a float degree forms no point: 1.5 would be summed as degree 1
     for degree in (1.5, 2.0, "2"):
         with pytest.raises(TypeError):
@@ -1163,7 +1164,7 @@ def test_support_cap_raises_before_any_point_is_formed(monkeypatch):
     assert math.comb(10 + 6 - 1, 6) == 5005 <= DEFAULT_SUPPORT_CAP < 5005**2
     fine = series.complement_of_convolution(H, [(ten, 6)])
     assert 0.0 < fine < 1.0
-    monkeypatch.setattr(convolution, "_powers", lambda *args: pytest.fail("formed points"))
+    forbid_points(monkeypatch)
     for reads in ([(H, [(ten, 6), (ten, 6)])],
                   [(B, [(ten, 6)]), (H, [(ten, 20)])],
                   [(B, [(bsc(0.1), 1)]), (H, [(ten, 3), (ten, 3), (ten, 2)])]):
